@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .duhamel import (
     SourceTerm,
@@ -332,6 +331,8 @@ def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     in for the trace-space norm; it is documented as a surrogate, not the
     intrinsic parabolic trace norm.
     """
+    from scipy.fft import dct  # deferred: only this surrogate needs scipy
+
     T = g.t_final if T is None else float(T)
     n = TRACE_SURROGATE_SAMPLES
     mid = (np.arange(n) + 0.5) * (T / n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -87,6 +88,13 @@ def _cfg_float(cfg: dict, key: str, default=None) -> float | None:
         return float(cfg[key])
     except ValueError as exc:
         raise UsageError(f"config key {key} must be a number") from exc
+
+
+def _cfg_horizon(cfg: dict) -> float:
+    T = _cfg_float(cfg, "T")
+    if not (math.isfinite(T) and T > 0.0):
+        raise UsageError("config key T must be a finite positive number")
+    return T
 
 
 def _cfg_int(cfg: dict, key: str, default=None) -> int | None:
@@ -185,7 +193,7 @@ def _write(path: Path, text: str):
 def _cmd_forward(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     u0 = _load_vec(_cfg_path(cfg, "u0.path", required=True), basis)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
@@ -217,7 +225,7 @@ def _compat_failure(report) -> int:
 def _cmd_backward(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
     f = _load_source(cfg, basis)
     policy = policy_from_config(cfg)
@@ -238,7 +246,7 @@ def _cmd_backward(args) -> int:
 def _cmd_backward_inhom(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
@@ -259,7 +267,7 @@ def _cmd_backward_inhom(args) -> int:
 def _cmd_check_compat(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
@@ -280,7 +288,7 @@ def _cmd_check_compat(args) -> int:
 
 
 def _cmd_instability_demo(args) -> int:
-    if args.T <= 0 or args.jmax < 1:
+    if not (math.isfinite(args.T) and args.T > 0) or args.jmax < 1:
         raise UsageError("need T > 0 and jmax >= 1")
     basis = build_basis(DomainSpec("interval", (args.length,), max(args.jmax, 1)))
     rows = fvp.instability_table(basis, args.T, args.jmax)
@@ -296,7 +304,7 @@ def _cmd_instability_demo(args) -> int:
 def _cmd_norms(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
     policy = policy_from_config(cfg)
@@ -338,7 +346,7 @@ def _cmd_oracle_compare(args) -> int:
     basis = basis_from_config(cfg)
     if basis.ndim != 1:
         raise UsageError("oracle comparison is interval-only")
-    T = _cfg_float(cfg, "T")
+    T = _cfg_horizon(cfg)
     u0 = _load_vec(_cfg_path(cfg, "u0.path", required=True), basis)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
@@ -364,14 +372,16 @@ def _cmd_oracle_compare(args) -> int:
         projected = sp.project_samples(res.u_final, res.x, basis)
         return sp.rel_distance(projected, spectral_final)
 
-    coarse = fd_error(args.fd_points, args.steps)
-    fine = fd_error(2 * args.fd_points + 1, 2 * args.steps)
+    # the coarse grid must resolve every mode, or both errors are aliasing
+    fd_points = args.fd_points if args.fd_points is not None else max(127, 2 * basis.spec.modes + 1)
+    coarse = fd_error(fd_points, args.steps)
+    fine = fd_error(2 * fd_points + 1, 2 * args.steps)
     ratio = coarse / fine if fine > 0 else np.inf
     report = {
         "coarse_rel_error": coarse,
         "fine_rel_error": fine,
         "refinement_ratio": ratio if np.isfinite(ratio) else "inf",
-        "fd_points": args.fd_points,
+        "fd_points": fd_points,
         "steps": args.steps,
     }
     text = json.dumps(report, sort_keys=True)
@@ -446,7 +456,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-compare")
     p.add_argument("--config", required=True)
-    p.add_argument("--fd-points", type=int, default=127)
+    p.add_argument("--fd-points", type=int, default=None)
     p.add_argument("--steps", type=int, default=64)
     p.set_defaults(fn=_cmd_oracle_compare)
 

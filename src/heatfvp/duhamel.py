@@ -202,6 +202,8 @@ class Trajectory:
         """Long-format space-time samples: t, x, u."""
         from .spectral import synthesize
 
+        if self.basis.spec.kind != "interval":
+            raise InvalidSpecError("space-time CSV is interval-only")
         (L,) = self.basis.spec.lengths
         xs = np.linspace(0.0, L, n_space)
         out = io.StringIO()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .spectral import InvalidSpecError
 
@@ -68,6 +67,8 @@ def fd_solve(
     or a callable (x_interior, t) -> values; `g` is None for homogeneous
     data or an object with .sample(ts) -> (n, 2) endpoint values.
     """
+    from scipy.linalg import solve_banded  # deferred: only the oracle needs scipy
+
     scheme = scheme or FdScheme()
     if length <= 0 or t_final <= 0 or n_steps < 1:
         raise InvalidSpecError("need positive length, horizon and step count")

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spectral import InvalidSpecError
 
@@ -157,6 +156,8 @@ class MatrixGenerator:
 def exp_semigroup(gen: MatrixGenerator, t: float) -> np.ndarray:
     """Semigroup value e^{-tA}; negative t evaluates the (finite-dim)
     backward extension e^{|t| A}."""
+    from scipy.linalg import expm  # deferred: only the generator lab needs scipy
+
     return expm(-float(t) * gen.a)
 
 

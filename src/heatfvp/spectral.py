@@ -11,7 +11,8 @@ without overflowing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class DomainSpec:
         want = 1 if self.kind == "interval" else 2
         if len(lengths) != want:
             raise InvalidSpecError(f"{self.kind} needs {want} length(s), got {len(lengths)}")
-        if any(L <= 0.0 for L in lengths):
-            raise InvalidSpecError("side lengths must be positive")
+        if not all(np.isfinite(L) and L > 0.0 for L in lengths):
+            raise InvalidSpecError("side lengths must be finite and positive")
         if not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
             raise InvalidSpecError("modes must be an integer >= 1")
 
@@ -64,28 +65,50 @@ def _simpson_weights(length: float, panels: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Sorted Dirichlet eigenpairs with their Simpson quadrature grid.
+    """Sorted Dirichlet eigenpairs; the Simpson quadrature grid is built on
+    first use.
 
     Attributes:
         spec: the generating DomainSpec.
         lambdas: eigenvalues sorted ascending, shape (n_modes,).
         index_map: per-axis sine indices for each sorted position.
-        axes: per-axis quadrature nodes (8*modes panels per axis).
         C1, C2, C3, C4: constants of the norm chain and of the Dirichlet
             form, valid for the spectral representation: ||v||_* <= C1 |v|
             <= C2 ||v||, |a(u,v)| <= C3 ||u|| ||v||, Re a(v,v) >= C4 ||v||^2.
+
+    The quadrature tables `axes` (per-axis nodes, 8*modes panels per axis),
+    `weights` (Simpson weights) and `sines` (per-axis modes-by-nodes sine
+    tables, O(N^2) memory) are cached properties: they are computed the
+    first time `analyze`, a default-grid `synthesize` or a caller reads
+    them, so the spectral solve, the verdict and the norms never pay for
+    them.
     """
 
     spec: DomainSpec
     lambdas: np.ndarray
     index_map: tuple
-    axes: tuple
-    weights: tuple = field(repr=False)
-    sines: tuple = field(repr=False)
     C1: float = 0.0
     C2: float = 0.0
     C3: float = 1.0
     C4: float = 1.0
+
+    @cached_property
+    def axes(self) -> tuple:
+        panels = 8 * self.spec.modes
+        return tuple(np.linspace(0.0, L, panels + 1) for L in self.spec.lengths)
+
+    @cached_property
+    def weights(self) -> tuple:
+        panels = 8 * self.spec.modes
+        return tuple(_simpson_weights(L, panels) for L in self.spec.lengths)
+
+    @cached_property
+    def sines(self) -> tuple:
+        jj = np.arange(1, self.spec.modes + 1, dtype=float)
+        return tuple(
+            np.sqrt(2.0 / L) * np.sin(np.outer(jj, x) * (np.pi / L))
+            for L, x in zip(self.spec.lengths, self.axes)
+        )
 
     @property
     def n_modes(self) -> int:
@@ -123,18 +146,8 @@ class EigenBasis:
 
 
 def build_basis(spec: DomainSpec) -> EigenBasis:
-    """Assemble the sorted eigenbasis and its quadrature tables."""
+    """Assemble the sorted eigenbasis; quadrature tables wait for first use."""
     N = spec.modes
-    panels = 8 * N
-    axes = []
-    weights = []
-    sines = []
-    for L in spec.lengths:
-        x = np.linspace(0.0, L, panels + 1)
-        axes.append(x)
-        weights.append(_simpson_weights(L, panels))
-        jj = np.arange(1, N + 1, dtype=float)
-        sines.append(np.sqrt(2.0 / L) * np.sin(np.outer(jj, x) * (np.pi / L)))
     if spec.kind == "interval":
         (L,) = spec.lengths
         j = np.arange(1, N + 1, dtype=float)
@@ -154,9 +167,6 @@ def build_basis(spec: DomainSpec) -> EigenBasis:
         spec=spec,
         lambdas=lambdas,
         index_map=index_map,
-        axes=tuple(axes),
-        weights=tuple(weights),
-        sines=tuple(sines),
         C1=lam1 ** -0.5,
         C2=1.0 / lam1,
         C3=1.0,
@@ -189,6 +199,8 @@ class SpectralVec:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.shape != (basis.n_modes,):
             raise InvalidSpecError("coefficient count does not match the basis")
+        if not np.all(np.isfinite(c)):
+            raise InvalidSpecError("coefficients must be finite")
         phase, logmag = split_phase(c)
         return cls(basis, phase, logmag)
 
@@ -434,14 +446,16 @@ def vec_to_json(vec: SpectralVec) -> str:
 
 def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
     payload = json.loads(text)
-    spec = DomainSpec(
-        kind=payload["basis"]["kind"],
-        lengths=tuple(payload["basis"]["lengths"]),
-        modes=int(payload["basis"]["modes"]),
-    )
+    try:
+        desc = payload["basis"]
+        spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=int(desc["modes"]))
+        coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
+    except KeyError as exc:
+        raise InvalidSpecError(f"state JSON lacks the key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise InvalidSpecError(f"state JSON has the wrong layout: {exc}") from exc
     if basis is None:
         basis = build_basis(spec)
     elif basis.spec != spec:
         raise InvalidSpecError("stored basis descriptor does not match the supplied basis")
-    coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
     return SpectralVec.from_coefficients(basis, coeffs)

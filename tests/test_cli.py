@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatfvp
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import generator as gl
@@ -80,6 +85,51 @@ class TestUsage:
         conf = write_conf(tmp_path, "modes = 16\nT = 1.0\n")
         assert cli(["backward", "--config", conf]) == 1
         assert "uT.path" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_unloaded(self):
+        # a cold start pays only for numpy; scipy loads where it is called
+        src = str(Path(heatfvp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, heatfvp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
+def _malformed_state(tmp_path, kind):
+    """Config and state JSON for one bad input; returns the subcommand."""
+    if kind == "rectangle-forward":
+        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))
+        u0 = SpectralVec.from_coefficients(basis, np.exp(-np.arange(16.0)))
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        write_conf(tmp_path, "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
+                             "modes = 4\nT = 0.5\nu0.path = u0.json\nout.dir = out\n")
+        return "forward"
+    basis, u0 = decayed_instance(16)
+    payload = json.loads(sp.vec_to_json(u0))
+    T = "0.5"
+    if kind.startswith("missing-"):
+        del payload["basis"][kind[len("missing-"):]]
+    elif kind.startswith("T="):
+        T = kind[2:]
+    elif kind.endswith("-coefficient"):
+        payload["coefficients"][3][0] = float(kind[: -len("-coefficient")])
+    (tmp_path / "uT.json").write_text(json.dumps(payload))
+    write_conf(tmp_path, f"modes = 16\nT = {T}\nuT.path = uT.json\n")
+    return "check-compat"
+
+
+@pytest.mark.parametrize("kind", [
+    "rectangle-forward",
+    "missing-kind", "missing-lengths", "missing-modes",
+    "T=nan", "T=inf", "T=0",
+    "nan-coefficient", "inf-coefficient",
+])
+def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
+    sub = _malformed_state(tmp_path, kind)
+    assert cli([sub, "--config", str(tmp_path / "run.conf")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len([ln for ln in out.err.splitlines() if ln.startswith("error:")]) == 1
 
 
 class TestForward:
@@ -288,6 +338,16 @@ class TestOracleCompare:
         assert report["fine_rel_error"] < report["coarse_rel_error"]
         assert report["refinement_ratio"] > 3.5
         assert (tmp_path / "out" / "oracle_compare.json").is_file()
+
+    def test_default_fd_points_resolve_every_mode(self, tmp_path, capsys):
+        # 127 points alias 128 modes; the default grows with the basis
+        basis, u0 = decayed_instance(128)
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        conf = write_conf(tmp_path, "modes = 128\nT = 0.5\nu0.path = u0.json\n")
+        assert cli(["oracle-compare", "--config", conf]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fd_points"] == 257
+        assert report["refinement_ratio"] >= 3.5
 
     def test_rectangle_rejected(self, tmp_path, capsys):
         basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,35 @@ def test_domain_spec_validation():
         DomainSpec("interval", (1.0,), 0)
     with pytest.raises(InvalidSpecError):
         DomainSpec("rectangle", (1.0,), 4)
+    with pytest.raises(InvalidSpecError):
+        DomainSpec("interval", (np.nan,), 4)
+    with pytest.raises(InvalidSpecError):
+        DomainSpec("rectangle", (1.0, np.inf), 4)
+
+
+TABLES = {"axes", "weights", "sines"}
+
+
+def test_build_basis_defers_quadrature_tables():
+    # the N x (8N+1) sine table would take 268 MB here
+    tracemalloc.start()
+    try:
+        basis = build_basis(DomainSpec("interval", (np.pi,), 2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not TABLES & set(vars(basis))
+    assert peak < 8 * 2 ** 20
+
+
+def test_lazy_tables_round_trip():
+    basis = build_basis(DomainSpec("interval", (np.pi,), 64))
+    assert not TABLES & set(vars(basis))
+    rng = np.random.default_rng(5)
+    vec = SpectralVec.from_coefficients(basis, rng.standard_normal(64))
+    back = analyze(synthesize(vec), basis)
+    assert TABLES <= set(vars(basis))
+    assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
 
 
 def test_quadrature_orthonormality_machine_exact(basis16):
@@ -208,6 +238,22 @@ def test_vec_json_rebuilds_basis():
     back = vec_from_json(vec_to_json(vec))
     assert back.basis.spec == basis.spec
     assert np.allclose(back.coefficients, vec.coefficients, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("key", ["basis", "kind", "lengths", "modes", "coefficients"])
+def test_vec_json_missing_key(basis16, key):
+    payload = json.loads(vec_to_json(SpectralVec.unit(basis16, 1)))
+    del (payload if key in payload else payload["basis"])[key]
+    with pytest.raises(InvalidSpecError, match=key):
+        vec_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_coefficients_rejected(basis16, bad):
+    c = np.ones(16, dtype=complex)
+    c[3] = bad
+    with pytest.raises(InvalidSpecError, match="finite"):
+        SpectralVec.from_coefficients(basis16, c)
 
 
 def test_vec_json_basis_mismatch(basis16, basis64):
