@@ -93,6 +93,7 @@ from .spectral import (
     norm_h,
     project_samples,
     rel_distance,
+    stacked_norms,
     synthesize,
     triple_norms,
     vec_from_json,

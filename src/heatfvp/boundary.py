@@ -28,7 +28,7 @@ from .duhamel import (
     squared_source_dual_norm,
 )
 from .fvp import IncompatibleDataError, InconclusiveDataError
-from .logspace import kahan_sum, log_sum_exp
+from .logspace import kahan_sum, log_sum_exp, logspace_add
 from .semigroup import CompatReport, MembershipPolicy, check_domain_membership
 from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, triple_norms
 
@@ -171,17 +171,15 @@ class LiftPath:
         self._col_left = self.basis.lift_coefficients(1.0, 0.0)
         self._col_right = self.basis.lift_coefficients(0.0, 1.0)
 
-    def ab_at(self, t: float):
-        gl, gr = self.g.sample([t])[0]
+    def ab(self, ts):
+        """Offset a and slope b of the lift a + b x at each time."""
+        vals = self.g.sample(ts)
         (L,) = self.basis.spec.lengths
-        return float(gl), float((gr - gl) / L)
+        return vals[:, 0], (vals[:, 1] - vals[:, 0]) / L
 
     def coeff_matrix(self, ts) -> np.ndarray:
         vals = self.g.sample(ts)
         return np.outer(vals[:, 0], self._col_left) + np.outer(vals[:, 1], self._col_right)
-
-    def coeff_at(self, t: float) -> np.ndarray:
-        return self.coeff_matrix([t])[0]
 
 
 def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
@@ -315,13 +313,24 @@ def assemble_with_lift_perturbation(
     tilde_src = SourceTerm(basis, merged, wtilde * lam[None, :])
     term_lift = solve_cauchy(SpectralVec.zero(basis), tilde_src, ts)
 
-    out = []
-    for s_base, s_phi, s_lift in zip(base.states, term_phi.states, term_lift.states):
-        out.append(s_base - s_phi + s_lift)
-    return out
+    p, l = logspace_add(base.phase, base.logmag, -term_phi.phase, term_phi.logmag)
+    p, l = logspace_add(p, l, term_lift.phase, term_lift.logmag)
+    return [SpectralVec(basis, pk, lk) for pk, lk in zip(p, l)]
 
 
 # -- data-space norm with boundary term ----------------------------------
+
+def _dct2_ortho(values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the first axis, as a direct cosine sum:
+    X_k = s_k sum_n x_n cos(pi k (2n+1) / 2N), s_0 = 1/sqrt(N), s_k = sqrt(2/N)."""
+    n = values.shape[0]
+    k = np.arange(n)
+    # reduce k(2n+1) mod 4N in integers so every cosine argument stays in [0, 2pi)
+    angle = (np.outer(k, 2 * k + 1) % (4 * n)) * (np.pi / (2 * n))
+    scale = np.full(n, np.sqrt(2.0 / n))
+    scale[0] = np.sqrt(1.0 / n)
+    return (scale[:, None] * np.cos(angle)) @ values
+
 
 def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     """Half-order Sobolev surrogate of the boundary signal in time.
@@ -331,19 +340,17 @@ def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     in for the trace-space norm; it is documented as a surrogate, not the
     intrinsic parabolic trace norm.
     """
-    from scipy.fft import dct  # deferred: only this surrogate needs scipy
-
     T = g.t_final if T is None else float(T)
     n = TRACE_SURROGATE_SAMPLES
     mid = (np.arange(n) + 0.5) * (T / n)
     vals = g.sample(mid)
+    vhat = _dct2_ortho(vals) * np.sqrt(T / n)
     total = 0.0
     k = np.arange(n, dtype=float)
     for col in range(2):
         v = vals[:, col]
         l2_sq = float(np.sum(v ** 2) * (T / n))
-        vhat = dct(v, type=2, norm="ortho") * np.sqrt(T / n)
-        total += l2_sq + float(np.sum(np.sqrt(1.0 + k ** 2) * vhat ** 2))
+        total += l2_sq + float(np.sum(np.sqrt(1.0 + k ** 2) * vhat[:, col] ** 2))
     return float(np.sqrt(total))
 
 
@@ -454,21 +461,6 @@ def solve_final_value_inhom(
 
 # -- full first-order space-time norm -------------------------------------
 
-def _h1_parts(state: SpectralVec, lift_ab, lift_coeffs: np.ndarray):
-    """Exact L2 and H1 pieces of (zero-trace part) + (affine lift)."""
-    basis = state.basis
-    (L,) = basis.spec.lengths
-    lam = basis.lambdas
-    c = state.coefficients
-    p = c - lift_coeffs
-    a, b = lift_ab
-    lift_l2_sq = (abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (abs(b) ** 2) * L ** 3 / 3.0
-    cross = 2.0 * np.real(np.vdot(lift_coeffs, p))  # <p, lift> over the span
-    l2_sq = kahan_sum(np.abs(p) ** 2) + cross + lift_l2_sq
-    grad_sq = kahan_sum(lam * np.abs(p) ** 2) + (abs(b) ** 2) * L
-    return float(l2_sq), float(grad_sq), p
-
-
 def solution_norm_h1(traj: Trajectory) -> float:
     """Space-time norm with the full first-order space norm.
 
@@ -476,34 +468,33 @@ def solution_norm_h1(traj: Trajectory) -> float:
     (||u||_{H^{-1}}^2 + ||u'||_{H^{-1}}^2) dt.  The supremum term is kept:
     for boundary-driven runs it is not dominated by the other two terms.
     Spatial pieces use the exact affine-lift formulas plus the spectral
-    part; u' comes from the equation.
+    part; u' comes from the equation.  Every node is one row of the same
+    array pass.
     """
     if traj.times.size < 2:
         raise InvalidSpecError("a trajectory norm needs at least two nodes")
     basis = traj.basis
     _require_interval(basis)
+    (L,) = basis.spec.lengths
     lam = basis.lambdas
-    lift = traj.lift
     n = traj.times.size
-    l2_sq = np.empty(n)
-    h1_sq = np.empty(n)
-    dual_sq = np.empty(n)
-    res_dual_sq = np.empty(n)
+    if traj.lift is not None:
+        a, b = traj.lift.ab(traj.times)
+        w = traj.lift.coeff_matrix(traj.times)
+    else:
+        a = b = np.zeros(n)
+        w = np.zeros((n, basis.n_modes))
     f_nodes = traj.source.sample(traj.times) if traj.source is not None else np.zeros((n, basis.n_modes), dtype=complex)
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        if lift is not None:
-            ab = lift.ab_at(float(t))
-            w = lift.coeff_at(float(t))
-        else:
-            ab = (0.0, 0.0)
-            w = np.zeros(basis.n_modes)
-        l2, grad, p = _h1_parts(state, ab, w)
-        l2_sq[i] = l2
-        h1_sq[i] = l2 + grad
-        c = state.coefficients
-        dual_sq[i] = kahan_sum(np.abs(c) ** 2 / lam)
-        resid = f_nodes[i] - lam * p
-        res_dual_sq[i] = kahan_sum(np.abs(resid) ** 2 / lam)
+    c = traj.state_coeff_matrix()
+    # zero-trace part p plus the affine lift, with exact lift integrals
+    p = c - w
+    p2 = np.abs(p) ** 2
+    lift_l2_sq = (np.abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (np.abs(b) ** 2) * L ** 3 / 3.0
+    cross = 2.0 * np.real(np.vecdot(w, p))  # <p, lift> over the span
+    l2_sq = kahan_sum(p2) + cross + lift_l2_sq
+    h1_sq = l2_sq + (kahan_sum(lam * p2) + (np.abs(b) ** 2) * L)
+    dual_sq = kahan_sum(np.abs(c) ** 2 / lam)
+    res_dual_sq = kahan_sum(np.abs(f_nodes - lam * p) ** 2 / lam)
     total = (
         _trapezoid(h1_sq, traj.times)
         + float(np.max(l2_sq))

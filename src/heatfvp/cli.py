@@ -327,6 +327,8 @@ def _cmd_norms(args) -> int:
             traj = dh.solve_cauchy(u0, f, tgrid)
             reports["solution_norm"] = dh.solution_norm(traj)
         energy = dh.check_energy_estimate(traj)
+        if not all(math.isfinite(x) for x in (reports["solution_norm"], energy.energy_lhs, energy.energy_rhs)):
+            raise UsageError("the solution norm or the energy bound leaves floating-point range")
         reports["energy"] = {
             "lhs": energy.energy_lhs,
             "rhs": energy.energy_rhs,
@@ -334,7 +336,7 @@ def _cmd_norms(args) -> int:
         }
     if not reports:
         raise UsageError("norms needs uT.path or u0.path in the config")
-    text = json.dumps(reports, sort_keys=True)
+    text = json.dumps(reports, sort_keys=True, allow_nan=False)
     print(text)
     if cfg.get("out.dir") is not None:
         _write(_out_dir(cfg) / "norms.json", text)

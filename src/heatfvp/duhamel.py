@@ -12,16 +12,17 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .logspace import kahan_sum, logspace_add, split_phase
+from .logspace import LOG_MAX, kahan_sum, logspace_add, merge_phase, split_phase
 from .spectral import (
     EigenBasis,
     InvalidSpecError,
     SpectralVec,
     TripleNorms,
-    triple_norms,
+    stacked_norms,
 )
 
 PHI_TAYLOR_THRESHOLD = 1e-6
@@ -134,23 +135,31 @@ def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray):
     times: merged increasing node grid; node_values[k] are the (already
     assembled) source coefficients at times[k], interpreted as piecewise
     linear.  Returns phase/logmag state arrays at every node.
+
+    The source increment of a step does not depend on the state, so all
+    increments are formed and split in one array pass before the
+    recurrence.  The phi values are computed once per distinct step length:
+    a uniform grid has only a handful of distinct rounded steps.
     """
     lam = u0.basis.lambdas
+    hs = np.diff(times)
+    lengths, which = np.unique(hs, return_inverse=True)
+    z = -lengths[:, None] * lam
+    phi1, phi2 = _phi12(z)
+    phi_lo = phi1 - phi2
+    steps = hs[:, None] * (node_values[:-1] * phi_lo[which] + node_values[1:] * phi2[which])
+    step_p, step_l = split_phase(steps)
+    decay = z[which]
     phase = u0.phase.copy()
     logmag = u0.logmag.copy()
     out_p = np.empty((times.size, lam.size), dtype=np.complex128)
     out_l = np.empty((times.size, lam.size))
     out_p[0] = phase
     out_l[0] = logmag
-    for k in range(times.size - 1):
-        h = float(times[k + 1] - times[k])
+    for k, h in enumerate(hs.tolist()):
         if h > 0.0:
-            z = -h * lam
-            phi1, phi2 = _phi12(z)
-            step = h * (node_values[k] * (phi1 - phi2) + node_values[k + 1] * phi2)
-            logmag = logmag + z
-            sp, sl = split_phase(step)
-            phase, logmag = logspace_add(phase, logmag, sp, sl)
+            logmag = logmag + decay[k]
+            phase, logmag = logspace_add(phase, logmag, step_p[k], step_l[k])
         out_p[k + 1] = phase
         out_l[k + 1] = logmag
     return out_p, out_l
@@ -168,7 +177,12 @@ def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=No
 
 @dataclass
 class Trajectory:
-    """States of one solve on its requested time grid.
+    """States of one solve on its requested time grid, stored as arrays.
+
+    `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
+    at times[k] in the phase/log-magnitude form of SpectralVec.  They are
+    made read-only, since the per-node norms computed from them are cached.
+    `states` wraps the rows as SpectralVec views on first read.
 
     `lift` is attached by the boundary solver; it carries the affine
     boundary lift per node so full first-order space norms can be assembled.
@@ -176,52 +190,89 @@ class Trajectory:
 
     basis: EigenBasis
     times: np.ndarray
-    states: list
+    phase: np.ndarray
+    logmag: np.ndarray
     source: SourceTerm | None = None
     lift: object | None = None
-    _node_norms: list | None = field(default=None, repr=False)
-    _xnorm: float | None = field(default=None, repr=False)
+    _node_norms: TripleNorms | None = field(default=None, init=False, repr=False, compare=False)
+    _residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def final_state(self) -> SpectralVec:
-        return self.states[-1]
+    def __post_init__(self):
+        self.phase = np.asarray(self.phase, dtype=np.complex128)
+        self.logmag = np.asarray(self.logmag, dtype=np.float64)
+        self.phase.setflags(write=False)
+        self.logmag.setflags(write=False)
 
-    @property
+    def _state(self, k: int) -> SpectralVec:
+        return SpectralVec(self.basis, self.phase[k], self.logmag[k])
+
+    @cached_property
     def initial_state(self) -> SpectralVec:
-        return self.states[0]
+        return self._state(0)
 
-    def node_norms(self) -> list:
+    @cached_property
+    def final_state(self) -> SpectralVec:
+        return self.initial_state if self.times.size == 1 else self._state(-1)
+
+    @cached_property
+    def states(self) -> list:
+        # the end states are shared with initial_state / final_state
+        inner = [self._state(k) for k in range(1, self.times.size - 1)]
+        return [self.initial_state, *inner, self.final_state][: self.times.size]
+
+    def node_norms(self) -> TripleNorms:
+        """H, V and V* norms of every node; each field has shape (n_nodes,)."""
         if self._node_norms is None:
-            self._node_norms = [triple_norms(s) for s in self.states]
+            self._node_norms = stacked_norms(self.basis, self.phase, self.logmag)
         return self._node_norms
 
     def state_coeff_matrix(self) -> np.ndarray:
-        return np.array([s.coefficients for s in self.states])
+        return merge_phase(self.phase, self.logmag)
+
+    def residual_dual_sq(self) -> np.ndarray:
+        """||u'(t_k)||_*^2 per node, with u' = f - A u - A w from the
+        equation itself, not from numerical differencing."""
+        cached = self._residual
+        if cached is None or cached[0] is not self.source or cached[1] is not self.lift:
+            lam = self.basis.lambdas
+            res = -self.state_coeff_matrix() * lam
+            if self.source is not None:
+                res = res + self.source.sample(self.times)
+            if self.lift is not None:
+                res = res + lam * self.lift.coeff_matrix(self.times)
+            with np.errstate(over="ignore"):
+                res_sq = np.abs(res) ** 2 / lam
+            cached = self._residual = (self.source, self.lift, kahan_sum(res_sq))
+        return cached[2]
 
     def to_csv(self, n_space: int = 65) -> str:
         """Long-format space-time samples: t, x, u."""
-        from .spectral import synthesize
-
         if self.basis.spec.kind != "interval":
             raise InvalidSpecError("space-time CSV is interval-only")
         (L,) = self.basis.spec.lengths
         xs = np.linspace(0.0, L, n_space)
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["t", "x", "u"])
-        for t, s in zip(self.times, self.states):
+        table = self.basis.mode_values(xs)
+        phase, logmag = self.phase, self.logmag
+        if self.lift is not None:
+            # states hold the full sine coefficients; swap the lift's
+            # series for its exact affine values so the endpoints do not
+            # ring
+            a, b = self.lift.ab(self.times)
+            p = self.state_coeff_matrix() - self.lift.coeff_matrix(self.times)
+            if not np.all(np.isfinite(p)):
+                raise InvalidSpecError("coefficients must be finite")
+            phase, logmag = split_phase(p)
+        if np.any(logmag > LOG_MAX):
+            raise OverflowError("coefficients exceed linear floating-point range")
+        coeffs = merge_phase(phase, logmag)
+        x_list = xs.tolist()
+        rows = ["t,x,u\r\n"]
+        for k, t in enumerate(self.times.tolist()):
+            vals = (coeffs[k] @ table).real
             if self.lift is not None:
-                # states hold the full sine coefficients; swap the lift's
-                # series for its exact affine values so the endpoints do not
-                # ring
-                a, b = self.lift.ab_at(float(t))
-                p = SpectralVec.from_coefficients(self.basis, s.coefficients - self.lift.coeff_at(float(t)))
-                vals = synthesize(p, xs) + a + b * xs
-            else:
-                vals = synthesize(s, xs)
-            for x, u in zip(xs, np.real_if_close(vals)):
-                w.writerow([repr(float(t)), repr(float(x)), repr(float(np.real(u)))])
-        return out.getvalue()
+                vals = vals + a[k] + b[k] * xs
+            rows.append("".join(f"{t!r},{x!r},{u!r}\r\n" for x, u in zip(x_list, vals.tolist())))
+        return "".join(rows)
 
 
 def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
@@ -251,8 +302,9 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
 
     if f is None and lift_coeff_path is None:
         # pure decay: evaluate the flow directly at each node, no stepping
-        states = [u0.scale_log(-t * u0.basis.lambdas) for t in ts]
-        return Trajectory(u0.basis, ts, states, source=f)
+        logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
+        phase = np.broadcast_to(u0.phase, logmag.shape).copy()
+        return Trajectory(u0.basis, ts, phase, logmag, source=f)
 
     merged = _merged_grid(f, ts, ts[-1], extra=extra_times)
     values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
@@ -260,8 +312,7 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
         values = values + lift_coeff_path(merged)
     ph, lg = _march(u0, merged, values)
     pick = np.searchsorted(merged, ts)
-    states = [SpectralVec(u0.basis, ph[i].copy(), lg[i].copy()) for i in pick]
-    return Trajectory(u0.basis, ts, states, source=f)
+    return Trajectory(u0.basis, ts, ph[pick], lg[pick], source=f)
 
 
 def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
@@ -282,19 +333,6 @@ def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     return float(_np_trapz(values, times))
 
 
-def _residual_coeffs(traj: Trajectory) -> np.ndarray:
-    """u'(t_k) per mode from the equation itself (f - A u - A w), not from
-    numerical differencing."""
-    lam = traj.basis.lambdas
-    C = traj.state_coeff_matrix()
-    out = -C * lam
-    if traj.source is not None:
-        out = out + traj.source.sample(traj.times)
-    if traj.lift is not None:
-        out = out + lam * traj.lift.coeff_matrix(traj.times)
-    return out
-
-
 def solution_norm(traj: Trajectory) -> float:
     """Mixed space-time norm of a trajectory.
 
@@ -304,18 +342,16 @@ def solution_norm(traj: Trajectory) -> float:
     """
     if traj.times.size < 2:
         raise InvalidSpecError("a trajectory norm needs at least two nodes")
-    lam = traj.basis.lambdas
     norms = traj.node_norms()
-    v2 = np.array([n.normV ** 2 for n in norms])
-    h2 = np.array([n.normH ** 2 for n in norms])
-    vs2 = np.array([n.normVstar ** 2 for n in norms])
-    res = _residual_coeffs(traj)
-    res_vs2 = np.array([kahan_sum(np.abs(r) ** 2 / lam) for r in res])
+    with np.errstate(over="ignore"):
+        v2 = norms.normV ** 2
+        h2 = norms.normH ** 2
+        vs2 = norms.normVstar ** 2
     total = (
         _trapezoid(v2, traj.times)
         + float(np.max(h2))
         + _trapezoid(vs2, traj.times)
-        + _trapezoid(res_vs2, traj.times)
+        + _trapezoid(traj.residual_dual_sq(), traj.times)
     )
     return float(np.sqrt(total))
 
@@ -324,18 +360,18 @@ def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
     """Exact int_0^T ||f||_*^2 dt for the piecewise-linear source."""
     T = f.t_final if T is None else float(T)
     lam = f.basis.lambdas
+    # the intervals that start before T; only the last can end past it
+    n = int(np.count_nonzero(f.times[:-1] < T))
+    fa = f.coeffs[:n]
+    fb = f.coeffs[1 : n + 1].copy()
+    if n and f.times[n] > T:
+        fb[-1] = f.sample([T])[0]
+    h = np.minimum(f.times[1 : n + 1], T) - f.times[:n]
+    # int |fa(1-s)+fb s|^2 = (|fa|^2 + Re<fa,fb> + |fb|^2)/3 per unit step
+    quad = (np.abs(fa) ** 2 + np.real(fa * np.conj(fb)) + np.abs(fb) ** 2) / 3.0
     total = 0.0
-    for k in range(f.times.size - 1):
-        a, b = f.times[k], f.times[k + 1]
-        if a >= T:
-            break
-        fb = f.coeffs[k + 1] if b <= T else f.sample([T])[0]
-        b = min(b, T)
-        fa = f.coeffs[k]
-        h = b - a
-        # int |fa(1-s)+fb s|^2 = (|fa|^2 + Re<fa,fb> + |fb|^2)/3 per unit step
-        quad = (np.abs(fa) ** 2 + np.real(fa * np.conj(fb)) + np.abs(fb) ** 2) / 3.0
-        total += h * kahan_sum(quad / lam)
+    for hk, qk in zip(h.tolist(), kahan_sum(quad / lam).tolist()):
+        total += hk * qk
     return float(total)
 
 
@@ -363,15 +399,13 @@ def check_energy_estimate(traj: Trajectory) -> EnergyReport:
         raise InvalidSpecError("energy check needs at least two nodes")
     T = float(traj.times[-1] - traj.times[0])
     norms = traj.node_norms()
-    v2 = np.array([n.normV ** 2 for n in norms])
-    h2 = np.array([n.normH ** 2 for n in norms])
+    with np.errstate(over="ignore"):
+        v2 = norms.normV ** 2
+        h2 = norms.normH ** 2
     int_v2 = _trapezoid(v2, traj.times)
     f2 = squared_source_dual_norm(traj.source, traj.times[-1]) if traj.source is not None else 0.0
     lhs = int_v2
     rhs = h2[0] / basis.C4 + f2 / basis.C4 ** 2
-    lam = basis.lambdas
-    res = _residual_coeffs(traj)
-    res_vs2 = np.array([kahan_sum(np.abs(r) ** 2 / lam) for r in res])
     sob_lhs = float(np.max(h2))
-    sob_rhs = (1.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T)) * int_v2 + _trapezoid(res_vs2, traj.times)
+    sob_rhs = (1.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T)) * int_v2 + _trapezoid(traj.residual_dual_sq(), traj.times)
     return EnergyReport(lhs, rhs, bool(lhs <= rhs * (1 + 1e-12)), sob_lhs, sob_rhs, bool(sob_lhs <= sob_rhs * (1 + 1e-12)))

@@ -7,39 +7,87 @@ as natural logs and recombined only when representable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # largest x with exp(x) finite in float64, ~709.78
 LOG_MAX = float(np.log(np.finfo(np.float64).max))
 
 
-def kahan_sum(values) -> float:
-    """Compensated sum in the given (fixed) order."""
+def kahan_sum(values):
+    """Compensated sum along the last axis, in ascending index order.
+
+    A 1-d input returns a Python float.  A stacked input of shape (..., n)
+    returns an array of shape (...,): every row runs the same recurrence
+    over the same columns in the same order, so each entry equals the 1-d
+    call on that row bit for bit.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim == 1:
+        return _kahan_row(a.tolist())
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    if rows.shape[0] < _COLUMN_PASS_ROWS:
+        out = np.array([_kahan_row(r) for r in rows.tolist()], dtype=np.float64)
+    else:
+        out = _kahan_columns(rows)
+    return out.reshape(a.shape[:-1])
+
+
+# below this many rows the per-row scalar loop beats the per-column array pass
+_COLUMN_PASS_ROWS = 32
+
+
+def _kahan_row(values: list) -> float:
     s = 0.0
     c = 0.0
-    for x in np.asarray(values, dtype=np.float64):
-        y = float(x) - c
+    for x in values:
+        y = x - c
         t = s + y
         c = (t - s) - y
         s = t
     return s
 
 
-def log_sum_exp(terms) -> float:
-    """log(sum(exp(terms))); -inf entries contribute zero.
+def _kahan_columns(rows: np.ndarray) -> np.ndarray:
+    # the row recurrence, one column at a time, vectorized over the rows
+    s = np.zeros(rows.shape[0])
+    c = np.zeros(rows.shape[0])
+    y = np.empty_like(s)
+    t = np.empty_like(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in np.ascontiguousarray(rows.T):
+            np.subtract(x, c, out=y)
+            np.add(s, y, out=t)
+            np.subtract(t, s, out=c)
+            np.subtract(c, y, out=c)
+            s, t = t, s
+    return s
 
-    The shifted exponentials are accumulated with compensated summation in
-    the order given, so results are bit-reproducible.
+
+def log_sum_exp(terms):
+    """log(sum(exp(terms))) along the last axis; -inf entries contribute zero.
+
+    The shifted exponentials are accumulated with `kahan_sum` in index
+    order, so results are bit-reproducible, and each row of a stacked input
+    equals the 1-d call on that row.  A 1-d input returns a Python float.
     """
     a = np.asarray(terms, dtype=np.float64)
-    if a.size == 0:
-        return float("-inf")
-    m = float(np.max(a))
-    if m == float("-inf") or np.isnan(m):
-        return m
-    with np.errstate(under="ignore"):
-        shifted = np.exp(a - m)
-    return m + float(np.log(kahan_sum(shifted)))
+    if a.ndim == 1:
+        if a.size == 0:
+            return float("-inf")
+        m = float(np.max(a))
+        if m == float("-inf") or np.isnan(m):
+            return m
+        with np.errstate(under="ignore"):
+            shifted = np.exp(a - m)
+        return m + float(np.log(kahan_sum(shifted)))
+    m = np.max(a, axis=-1, initial=-np.inf)
+    # a row whose maximum is -inf or nan returns that maximum unchanged
+    live = (m > -np.inf) | (m == np.inf)
+    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
+        shifted = np.exp(a - np.where(live, m, 0.0)[..., None])
+        return np.where(live, m + np.log(kahan_sum(shifted)), m)
 
 
 # exact power-of-two rescaling keeps phase division away from the subnormal

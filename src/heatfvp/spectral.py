@@ -274,7 +274,8 @@ class SpectralVec:
 
 @dataclass(frozen=True)
 class TripleNorms:
-    """The three squared-sum norms of one coefficient vector.
+    """The three squared-sum norms of one coefficient vector, or of each
+    row of a stack (then every field is an array of shape (rows,)).
 
     normVstar <= C1 * normH <= C2 * normV always holds for a Dirichlet
     basis.  When the linear mirror overflows, the linear fields are inf and
@@ -289,37 +290,49 @@ class TripleNorms:
     log_normVstar: float
     overflowed: bool
 
+    def row(self, i: int) -> "TripleNorms":
+        """Row i of a stack, with float and bool fields."""
+        return TripleNorms(
+            float(self.normH[i]), float(self.normV[i]), float(self.normVstar[i]),
+            float(self.log_normH[i]), float(self.log_normV[i]), float(self.log_normVstar[i]),
+            bool(self.overflowed[i]),
+        )
 
-def _weighted_norm(vec: SpectralVec, log_weight: np.ndarray):
-    # 0.5 * log(sum(w_j |c_j|^2)); terms stay in ascending-eigenvalue order
-    return 0.5 * log_sum_exp(2.0 * vec.logmag + log_weight)
+
+def _weighted_norm(logmag: np.ndarray, log_weight: np.ndarray):
+    # 0.5 * log(sum(w_j |c_j|^2)) per row; terms stay in ascending-eigenvalue order
+    return 0.5 * log_sum_exp(2.0 * logmag + log_weight)
+
+
+def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> TripleNorms:
+    """Pivot, form-domain and dual norms of each row of a (rows, n_modes)
+    stack in phase/log-magnitude form.
+
+    Linear-scale sums use compensated summation in ascending mode order;
+    a row where any term would overflow takes the values computed in log
+    space and is flagged.
+    """
+    lam = basis.lambdas
+    log_lam = np.log(lam)
+    # the H, V and V* sums of every row run as one stack of 3 * rows rows
+    logs = _weighted_norm(logmag[..., None, :], np.stack([np.zeros_like(lam), log_lam, -log_lam]))
+    # linear path is valid while the largest weighted term stays in range
+    top = 2.0 * np.max(logmag, axis=-1, initial=-np.inf) + float(np.max(log_lam)) + np.log(max(basis.n_modes, 1))
+    overflowed = np.isfinite(top) & (top > LOG_MAX - 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = np.abs(merge_phase(phase, logmag)) ** 2
+        terms = np.empty(c2.shape[:-1] + (3, lam.size))
+        terms[..., 0, :] = c2
+        np.multiply(lam, c2, out=terms[..., 1, :])
+        np.divide(c2, lam, out=terms[..., 2, :])
+        norms = np.where(overflowed[..., None], np.exp(logs), np.sqrt(kahan_sum(terms)))
+    return TripleNorms(*norms.T, *logs.T, overflowed)
 
 
 def triple_norms(vec: SpectralVec) -> TripleNorms:
-    """Pivot, form-domain and dual norms of a coefficient vector.
-
-    Linear-scale sums use compensated summation in ascending mode order;
-    when any term would overflow, the values are computed in log space and
-    flagged.
-    """
-    lam = vec.basis.lambdas
-    log_lam = np.log(lam)
-    zero = np.zeros_like(lam)
-    log_h = _weighted_norm(vec, zero)
-    log_v = _weighted_norm(vec, log_lam)
-    log_vstar = _weighted_norm(vec, -log_lam)
-    # linear path is valid while the largest weighted term stays in range
-    top = 2.0 * np.max(vec.logmag, initial=-np.inf) + float(np.max(log_lam)) + np.log(max(vec.basis.n_modes, 1))
-    overflowed = bool(np.isfinite(top) and top > LOG_MAX - 2.0)
-    if not overflowed:
-        c2 = np.abs(vec.coefficients) ** 2
-        h = float(np.sqrt(kahan_sum(c2)))
-        v = float(np.sqrt(kahan_sum(lam * c2)))
-        vstar = float(np.sqrt(kahan_sum(c2 / lam)))
-    else:
-        with np.errstate(over="ignore"):
-            h, v, vstar = (float(np.exp(x)) for x in (log_h, log_v, log_vstar))
-    return TripleNorms(h, v, vstar, float(log_h), float(log_v), float(log_vstar), overflowed)
+    """Pivot, form-domain and dual norms of one coefficient vector: the
+    one-row case of `stacked_norms`."""
+    return stacked_norms(vec.basis, vec.phase[None], vec.logmag[None]).row(0)
 
 
 def norm_h(vec: SpectralVec) -> float:
@@ -329,8 +342,8 @@ def norm_h(vec: SpectralVec) -> float:
 def rel_distance(a: SpectralVec, b: SpectralVec) -> float:
     """|a - b|_H / |b|_H, computed in log space so huge vectors compare."""
     diff = a - b
-    num = _weighted_norm(diff, np.zeros_like(a.basis.lambdas))
-    den = _weighted_norm(b, np.zeros_like(a.basis.lambdas))
+    num = _weighted_norm(diff.logmag, np.zeros_like(a.basis.lambdas))
+    den = _weighted_norm(b.logmag, np.zeros_like(a.basis.lambdas))
     if den == -np.inf:
         return 0.0 if num == -np.inf else np.inf
     return float(np.exp(num - den))

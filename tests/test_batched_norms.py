@@ -1,0 +1,233 @@
+"""Row-wise compensated sums and the array pass over trajectory nodes.
+
+Every stacked result must equal the one-row computation bit for bit, and
+the trajectory norms must keep the exact values recorded before the
+per-node loops were replaced by array passes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from heatfvp import boundary as bd
+from heatfvp import duhamel as dh
+from heatfvp.logspace import LOG_MAX, kahan_sum, log_sum_exp
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, stacked_norms, triple_norms
+
+
+def bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# -- stacked sums ---------------------------------------------------------
+
+ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-800.0, 800.0),
+    st.sampled_from([0.0, -0.0, -np.inf, np.inf, LOG_MAX, LOG_MAX + 1.0, 1e-320]),
+)
+
+
+def _with_special_rows(a, data):
+    """Overwrite some rows with -inf, zeros, or values past LOG_MAX."""
+    a = a.copy()
+    for i in range(a.shape[0]):
+        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "past-log-max"]))
+        if kind == "neg-inf":
+            a[i] = -np.inf
+        elif kind == "zero":
+            a[i] = 0.0
+        elif kind == "past-log-max":
+            a[i] = LOG_MAX + 1.0 + np.arange(a.shape[1])
+    return a
+
+
+# row counts on both sides of the switch from per-row loops to column passes
+SHAPES = st.tuples(st.integers(1, 48), st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, SHAPES, elements=ENTRIES), st.data())
+def test_stacked_kahan_rows_equal_1d_calls(a, data):
+    a = _with_special_rows(a, data)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = kahan_sum(a)
+        want = [kahan_sum(row) for row in a]
+    assert got.shape == (a.shape[0],)
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, SHAPES, elements=ENTRIES), st.data())
+def test_stacked_log_sum_exp_rows_equal_1d_calls(a, data):
+    a = _with_special_rows(a, data)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = log_sum_exp(a)
+        want = [log_sum_exp(row) for row in a]
+    assert got.shape == (a.shape[0],)
+    assert bits(got) == bits(want)
+
+
+def test_1d_sums_return_python_floats():
+    assert type(kahan_sum(np.arange(4.0))) is float
+    assert type(log_sum_exp(np.arange(4.0))) is float
+
+
+def test_stacked_sums_keep_leading_axes():
+    a = np.random.default_rng(0).standard_normal((3, 40, 7))
+    assert bits(kahan_sum(a)) == bits([kahan_sum(r) for r in a.reshape(-1, 7)])
+    assert kahan_sum(a).shape == (3, 40)
+    assert log_sum_exp(np.zeros((5, 0))).tolist() == [-np.inf] * 5
+
+
+# -- stacked norms --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def basis16():
+    return build_basis(DomainSpec("interval", (np.pi,), 16))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 40])
+def test_stacked_norms_rows_equal_triple_norms(basis16, rows):
+    rng = np.random.default_rng(rows)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 16)))
+    logmag = rng.uniform(-40.0, 2.0, (rows, 16))
+    logmag[0, 3] = -np.inf
+    phase[0, 3] = 0.0
+    if rows > 1:
+        logmag[1] = 800.0  # past float range: the log path and an inf mirror
+        logmag[-1] = 360.0  # in range, but a squared term would overflow
+    table = stacked_norms(basis16, phase, logmag)
+    for i in range(rows):
+        assert table.row(i) == triple_norms(SpectralVec(basis16, phase[i], logmag[i]))
+    if rows > 1:
+        assert table.overflowed[1] and table.overflowed[-1]
+
+
+def test_node_norms_equal_triple_norms_including_overflow(basis16):
+    # mode 1 starts past the linear range and decays back into it
+    u0 = SpectralVec(basis16, np.ones(16, dtype=complex), np.concatenate([[400.0], np.full(15, -1.0)]))
+    traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 120.0, 61))
+    norms = traj.node_norms()
+    rows = [norms.row(i) for i in range(traj.times.size)]
+    assert rows == [triple_norms(s) for s in traj.states]
+    assert rows[0].overflowed and not rows[-1].overflowed
+
+
+def test_trajectory_states_are_views_of_read_only_arrays(basis16):
+    rng = np.random.default_rng(2)
+    u0 = SpectralVec.from_coefficients(basis16, rng.standard_normal(16))
+    f = dh.SourceTerm(basis16, np.array([0.0, 0.5, 1.0]), rng.standard_normal((3, 16)))
+    traj = dh.solve_cauchy(u0, f, np.linspace(0.0, 1.0, 5))
+    assert traj.phase.shape == traj.logmag.shape == (5, 16)
+    assert traj.initial_state is traj.states[0] and traj.final_state is traj.states[-1]
+    assert np.array_equal(traj.states[2].logmag, traj.logmag[2])
+    with pytest.raises(ValueError):
+        traj.final_state.logmag[0] = 0.0
+    single = dh.solve_cauchy(u0, f, np.array([1.0]))
+    assert single.final_state is single.initial_state is single.states[0]
+    assert len(single.states) == 1
+
+
+def test_march_computes_phi_once_per_distinct_step(basis16, monkeypatch):
+    seen = []
+    real = dh._phi12
+
+    def counting(z):
+        seen.append(np.shape(z)[0])
+        return real(z)
+
+    monkeypatch.setattr(dh, "_phi12", counting)
+    f = dh.SourceTerm.zero(basis16, 1.0)
+    grid = np.linspace(0.0, 1.0, 1001)
+    dh.solve_cauchy(SpectralVec.unit(basis16, 1), f, grid)
+    assert seen == [np.unique(np.diff(grid)).size]
+    assert seen[0] < 20
+
+
+def test_residual_follows_the_attached_lift(basis16):
+    u0 = SpectralVec.unit(basis16, 1)
+    traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 1.0, 5))
+    before = traj.residual_dual_sq().copy()
+    traj.lift = bd.LiftPath(bd.BoundaryData.constant(1.0, -1.0, 1.0), basis16)
+    assert not np.array_equal(traj.residual_dual_sq(), before)
+
+
+# -- golden values --------------------------------------------------------
+
+def golden_values(n, kind):
+    """Every norm of one seeded trajectory, as float.hex strings."""
+    basis = build_basis(DomainSpec("interval", (np.pi,), n))
+    rng = np.random.default_rng([n, ("source", "boundary", "decay").index(kind)])
+    j = np.arange(1, n + 1, dtype=float)
+    nodes = 129
+    T = (nodes - 1) * 0.4 / float(basis.lambdas[-1])
+    tgrid = np.linspace(0.0, T, nodes)
+    u0 = SpectralVec.from_coefficients(basis, rng.standard_normal(n) * np.exp(-0.2 * j))
+    f = g = None
+    if kind != "decay":
+        f = dh.SourceTerm(basis, np.linspace(0.0, T, 5), rng.standard_normal((5, n)) * np.exp(-0.05 * basis.lambdas))
+    if kind == "boundary":
+        g = bd.BoundaryData(np.array([0.0, T / 3, T]), rng.uniform(-1.0, 1.0, (3, 2)))
+    traj = dh.solve_cauchy(u0, f, tgrid) if g is None else bd.solve_ibvp(u0, f, g, tgrid)
+    lifted = bd.solve_ibvp(u0, f, g, tgrid)
+    energy = dh.check_energy_estimate(traj)
+    out = {
+        "solution_norm": dh.solution_norm(traj),
+        "solution_norm_h1": bd.solution_norm_h1(lifted),
+        "energy_lhs": energy.energy_lhs,
+        "energy_rhs": energy.energy_rhs,
+        "sobolev_lhs": energy.sobolev_lhs,
+        "sobolev_rhs": energy.sobolev_rhs,
+    }
+    if f is not None:
+        out["source_dual_sq"] = dh.squared_source_dual_norm(f)
+        out["source_dual_sq_part"] = dh.squared_source_dual_norm(f, 0.6 * T)
+    return {k: float(v).hex() for k, v in out.items()}
+
+
+# recorded with the per-node implementation (one triple_norms call and one
+# compensated sum per node)
+GOLDEN = {
+    (16, "source"): {
+        "energy_lhs": "0x1.40eae35256916p-1", "energy_rhs": "0x1.a13519160ee9ep+0",
+        "sobolev_lhs": "0x1.8490c6debff1cp+0", "sobolev_rhs": "0x1.24de777be73f8p+2",
+        "solution_norm": "0x1.bb7dfacd6c7e5p+0", "solution_norm_h1": "0x1.c1b0a8e68f55dp+0",
+        "source_dual_sq": "0x1.ca452374ef81cp-4", "source_dual_sq_part": "0x1.2131d95925cabp-4",
+    },
+    (16, "boundary"): {
+        "energy_lhs": "0x1.b97380a32c550p+0", "energy_rhs": "0x1.105917a824990p+1",
+        "sobolev_lhs": "0x1.01376b204b4e7p+1", "sobolev_rhs": "0x1.76de91da3e0bfp+3",
+        "solution_norm": "0x1.21db7c9451293p+1", "solution_norm_h1": "0x1.11ecf6f909141p+1",
+        "source_dual_sq": "0x1.e43590fb2952ap-4", "source_dual_sq_part": "0x1.8256eda609182p-4",
+    },
+    (16, "decay"): {
+        "energy_lhs": "0x1.5affca734e1b8p-1", "energy_rhs": "0x1.2660a9859fbb2p+1",
+        "sobolev_lhs": "0x1.2660a9859fbb2p+1", "sobolev_rhs": "0x1.2f9fd124e4581p+2",
+        "solution_norm": "0x1.f8c2c1a55064dp+0", "solution_norm_h1": "0x1.04c8ffe08b54dp+1",
+    },
+    (64, "source"): {
+        "energy_lhs": "0x1.b34ea78d8103cp-3", "energy_rhs": "0x1.655ff74a29b7dp+0",
+        "sobolev_lhs": "0x1.6015a5c7c53b1p+0", "sobolev_rhs": "0x1.1766eb82ccd10p+4",
+        "solution_norm": "0x1.5af97018dddf7p+0", "solution_norm_h1": "0x1.5c4ecac69f976p+0",
+        "source_dual_sq": "0x1.529460991f316p-6", "source_dual_sq_part": "0x1.46b12c3c1f16ep-7",
+    },
+    (64, "boundary"): {
+        "energy_lhs": "0x1.0d0c49e547aa0p-2", "energy_rhs": "0x1.95a12c705c26dp-1",
+        "sobolev_lhs": "0x1.91402fd6e9e62p-1", "sobolev_rhs": "0x1.57d0b51c392b1p+4",
+        "solution_norm": "0x1.1ec571e5abbbbp+0", "solution_norm_h1": "0x1.19c6be3c82230p+0",
+        "source_dual_sq": "0x1.183f265c902c6p-7", "source_dual_sq_part": "0x1.e7a0301c7754cp-9",
+    },
+    (64, "decay"): {
+        "energy_lhs": "0x1.705070984d456p-3", "energy_rhs": "0x1.3da5e7d2c8d91p+1",
+        "sobolev_lhs": "0x1.3da5e7d2c8d91p+1", "sobolev_rhs": "0x1.d7e710432300ep+3",
+        "solution_norm": "0x1.b1472524dc21dp+0", "solution_norm_h1": "0x1.b36be0fa19c59p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"N{c[0]}-{c[1]}")
+def test_norms_match_recorded_bits(case):
+    assert golden_values(*case) == GOLDEN[case]

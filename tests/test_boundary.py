@@ -272,6 +272,29 @@ class TestTraceSurrogate:
         want = np.sqrt(trace_norm_surrogate(left) ** 2 + trace_norm_surrogate(right) ** 2)
         assert trace_norm_surrogate(both) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    def test_cosine_sum_matches_scipy_dct(self, n):
+        from scipy.fft import dct
+
+        from heatfvp.boundary import _dct2_ortho
+
+        v = np.random.default_rng(n).standard_normal((n, 2))
+        want = dct(v, type=2, norm="ortho", axis=0)
+        assert np.linalg.norm(_dct2_ortho(v) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_value_matches_scipy_dct_formula(self):
+        from scipy.fft import dct
+
+        g = ramp_data(0.7, 1.0, -0.5)
+        T, n = g.t_final, 128
+        vals = g.sample((np.arange(n) + 0.5) * (T / n))
+        k = np.arange(n, dtype=float)
+        total = 0.0
+        for v in vals.T:
+            vhat = dct(v, type=2, norm="ortho") * np.sqrt(T / n)
+            total += np.sum(v ** 2) * (T / n) + np.sum(np.sqrt(1.0 + k ** 2) * vhat ** 2)
+        assert trace_norm_surrogate(g) == pytest.approx(np.sqrt(total), rel=1e-13)
+
 
 class TestSolutionNormH1:
     def test_manufactured_decaying_lift(self, basis16):

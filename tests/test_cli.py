@@ -87,10 +87,13 @@ class TestUsage:
         assert "uT.path" in capsys.readouterr().err
 
     def test_import_leaves_scipy_unloaded(self):
-        # a cold start pays only for numpy; scipy loads where it is called
+        # a cold start pays only for numpy; scipy loads where it is called,
+        # and the boundary trace surrogate does not call it
         src = str(Path(heatfvp.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, heatfvp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = ("import sys, heatfvp.cli; from heatfvp import boundary as bd; "
+                "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5)); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
@@ -104,6 +107,13 @@ def _malformed_state(tmp_path, kind):
         write_conf(tmp_path, "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
                              "modes = 4\nT = 0.5\nu0.path = u0.json\nout.dir = out\n")
         return "forward"
+    if kind == "huge-state-norms":
+        # finite coefficients whose squared norms leave float64 range
+        payload = {"basis": {"kind": "interval", "lengths": [np.pi], "modes": 16},
+                   "coefficients": [[1e300, 0.0]] * 16}
+        (tmp_path / "u0.json").write_text(json.dumps(payload))
+        write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u0.json\n")
+        return "norms"
     basis, u0 = decayed_instance(16)
     payload = json.loads(sp.vec_to_json(u0))
     T = "0.5"
@@ -123,6 +133,7 @@ def _malformed_state(tmp_path, kind):
     "missing-kind", "missing-lengths", "missing-modes",
     "T=nan", "T=inf", "T=0",
     "nan-coefficient", "inf-coefficient",
+    "huge-state-norms",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     sub = _malformed_state(tmp_path, kind)
