@@ -11,14 +11,13 @@ from .boundary import (
     BoundaryData,
     BoundarySplit,
     HarmonicLift,
-    InhomSolution,
     LiftPath,
     SweepReport,
-    Y1NormReport,
     assemble_with_lift_perturbation,
     boundary_split,
     boundary_yield,
     boundary_yield_sweep,
+    check_final_data,
     data_norm_inhom,
     flow_identity_residual,
     harmonic_lift,

@@ -1,6 +1,12 @@
 """Inhomogeneous Dirichlet data on the interval: harmonic lift, trace
-projections, the improper boundary-flux integral, and the final value
-problem driven by (f, g, u_T).
+projections, the improper boundary-flux integral, and the one backward
+pipeline of the final value problem driven by (f, g, u_T).
+
+The pipeline forms v = u_T - (source yield) [- z(T)] once, runs the
+membership heuristic once, takes u(0) from its report, replays the forward
+solve, and builds the data-space norm from the same v and report.  g=None
+is the problem without a boundary term (`fvp.solve_final_value` is that
+case); a BoundaryData, even a zero one, is Dirichlet data on the interval.
 
 Sign convention: `boundary_yield` returns z(t) with mode values
 z_j(t) = lambda_j int_0^t e^{-(t-s) lambda_j} w_j(s) ds, where w_j are the
@@ -15,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +34,15 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .fvp import IncompatibleDataError, InconclusiveDataError
 from .logspace import kahan_sum, log_sum_exp, logspace_add
-from .semigroup import CompatReport, MembershipPolicy, check_domain_membership
+from .semigroup import (
+    CompatReport,
+    IncompatibleDataError,
+    InconclusiveDataError,
+    MembershipPolicy,
+    apply_inverse,
+    check_domain_membership,
+)
 from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, triple_norms
 
 TRACE_SURROGATE_SAMPLES = 128
@@ -354,18 +367,24 @@ def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     return float(np.sqrt(total))
 
 
+# -- the final value problem ---------------------------------------------
+
 @dataclass(frozen=True)
-class Y1NormReport:
-    """Squared parts of the inhomogeneous data-space graph norm:
-    |u_T|^2, trace surrogate of g squared, int ||f||_*^2, and the backward
-    state |e^{T A}(u_T - yield - z)|^2 in log space."""
+class YNormReport:
+    """Squared parts of the data-space graph norm.
+
+    parts: |u_T|^2, the trace surrogate of g squared (`trace_sq`, None
+    without a boundary term), int ||f||_*^2 dt, and the backward state
+    |e^{T A} v|^2 -- the last one in log space since it rides the inverse
+    flow.  `finite` mirrors the membership verdict.
+    """
 
     uT_sq: float
-    trace_sq: float
     source_sq: float
     log_backward_sq: float
     log_total: float
     finite: bool
+    trace_sq: float | None = None
 
     @property
     def total(self) -> float:
@@ -376,17 +395,93 @@ class Y1NormReport:
         def clean(x):
             return x if np.isfinite(x) else ("-inf" if x < 0 else "inf")
 
-        return json.dumps(
-            {
-                "uT_sq": clean(self.uT_sq),
-                "trace_sq": clean(self.trace_sq),
-                "source_sq": clean(self.source_sq),
-                "log_backward_sq": clean(self.log_backward_sq),
-                "log_total": clean(self.log_total),
-                "finite": self.finite,
-            },
-            sort_keys=True,
-        )
+        names = ("uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total")
+        payload = {k: clean(v) for k in names if (v := getattr(self, k)) is not None}
+        return json.dumps({**payload, "finite": self.finite}, sort_keys=True)
+
+
+@dataclass
+class FvpSolution:
+    """Everything a backward solve produces."""
+
+    trajectory: Trajectory
+    compat: CompatReport
+    ynorm: YNormReport
+    endpoint_rel_error: float
+
+
+def _validate_final_data(f, g, u_T, T):
+    """Reject a horizon that is not finite and positive and a source or
+    boundary grid short of [0, T]; boundary data need the interval."""
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidSpecError("horizon T must be finite and positive")
+    if f is not None:
+        if not f.basis.same_as(u_T.basis):
+            raise InvalidSpecError("source and final state use different bases")
+        if f.t_final < T - 1e-12:
+            raise InvalidSpecError("source grid must cover [0, T]")
+    if g is not None:
+        _require_interval(u_T.basis)
+        if g.t_final < T - 1e-12:
+            raise InvalidSpecError("boundary grid must cover [0, T]")
+
+
+def _admissible_part(f, g, u_T, T, policy):
+    """v = u_T - (source yield) [- z(T) if g is not None] and its
+    membership report."""
+    _validate_final_data(f, g, u_T, T)
+    basis = u_T.basis
+    y = source_yield(f, T) if f is not None else SpectralVec.zero(basis)
+    v = u_T - y
+    if g is not None:
+        v = v - (boundary_yield(g, T, basis) if not g.is_zero else SpectralVec.zero(basis))
+    return v, check_domain_membership(v, T, policy)
+
+
+def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
+    """Graph norm of the data from the difference v and its report:
+    (|u_T|^2 [+ trace surrogate of g^2] + int ||f||_*^2 + |e^{T A} v|^2)^{1/2}."""
+    back = report.u0 if report.u0 is not None else apply_inverse(v, T)
+    log_back_sq = log_sum_exp(2.0 * back.logmag)
+    uT_sq = triple_norms(u_T).normH ** 2
+    f_sq = squared_source_dual_norm(f, T) if f is not None else 0.0
+    trace_sq = trace_norm_surrogate(g, T) ** 2 if g is not None else None
+    squares = (uT_sq, f_sq) if g is None else (uT_sq, trace_sq, f_sq)
+    parts = [np.log(s) if s > 0 else -np.inf for s in squares] + [log_back_sq]
+    log_total = 0.5 * log_sum_exp(parts)
+    return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible", trace_sq)
+
+
+def _backward_norm(f, g, u_T, T, policy) -> YNormReport:
+    return _data_norm(f, g, u_T, T, *_admissible_part(f, g, u_T, T, policy))
+
+
+def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
+    """Form v once, certify it, take u(0) = e^{T A} v from the report, and
+    replay the forward solve, which must land back on u_T."""
+    v, report = _admissible_part(f, g, u_T, T, policy)
+    if report.verdict == "incompatible":
+        raise IncompatibleDataError(report)
+    if report.verdict == "inconclusive":
+        raise InconclusiveDataError(report)
+    if tgrid is None:
+        tgrid = f.times if f is not None else np.linspace(0.0, T, 33)
+    tgrid = np.asarray(tgrid, dtype=float)
+    traj = solve_cauchy(report.u0, f, tgrid) if g is None else solve_ibvp(report.u0, f, g, tgrid)
+    end_err = rel_distance(traj.final_state, u_T)
+    return FvpSolution(traj, report, _data_norm(f, g, u_T, T, v, report), float(end_err))
+
+
+def check_final_data(
+    f: SourceTerm | None,
+    g: BoundaryData | None,
+    u_T: SpectralVec,
+    T: float,
+    policy: MembershipPolicy | None = None,
+) -> CompatReport:
+    """Membership report of u_T - (source yield) [- z(T)]: the verdict a
+    backward solve would act on, without the solve."""
+    return _admissible_part(f, g, u_T, T, policy)[1]
 
 
 def data_norm_inhom(
@@ -395,33 +490,9 @@ def data_norm_inhom(
     u_T: SpectralVec,
     T: float,
     policy: MembershipPolicy | None = None,
-) -> Y1NormReport:
-    basis = u_T.basis
-    y = source_yield(f, T) if f is not None else SpectralVec.zero(basis)
-    z = boundary_yield(g, T, basis) if g is not None and not g.is_zero else SpectralVec.zero(basis)
-    v = u_T - y - z
-    report = check_domain_membership(v, T, policy)
-    back = v.scale_log(T * basis.lambdas)
-    log_back_sq = log_sum_exp(2.0 * back.logmag)
-    uT_sq = triple_norms(u_T).normH ** 2
-    trace_sq = trace_norm_surrogate(g, T) ** 2 if g is not None else 0.0
-    f_sq = squared_source_dual_norm(f, T) if f is not None else 0.0
-    parts = [
-        np.log(uT_sq) if uT_sq > 0 else -np.inf,
-        np.log(trace_sq) if trace_sq > 0 else -np.inf,
-        np.log(f_sq) if f_sq > 0 else -np.inf,
-        log_back_sq,
-    ]
-    log_total = 0.5 * log_sum_exp(parts)
-    return Y1NormReport(uT_sq, trace_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible")
-
-
-@dataclass
-class InhomSolution:
-    trajectory: Trajectory
-    compat: CompatReport
-    ynorm: Y1NormReport
-    endpoint_rel_error: float
+) -> YNormReport:
+    """Data-space graph norm of (f, g, u_T); g=None leaves out the trace part."""
+    return _backward_norm(f, g, u_T, T, policy)
 
 
 def solve_final_value_inhom(
@@ -431,32 +502,14 @@ def solve_final_value_inhom(
     T: float,
     policy: MembershipPolicy | None = None,
     tgrid=None,
-) -> InhomSolution:
+) -> FvpSolution:
     """Backward solve with boundary data.
 
     Forms v = u_T - (source yield) - z(T), runs the membership heuristic,
     reconstructs u(0) = e^{T A} v on `compatible`, and replays the forward
-    boundary solve.
+    boundary solve.  g=None is the problem without a boundary term.
     """
-    basis = u_T.basis
-    _require_interval(basis)
-    if g is not None and g.t_final < T - 1e-12:
-        raise InvalidSpecError("boundary grid must cover [0, T]")
-    y = source_yield(f, T) if f is not None else SpectralVec.zero(basis)
-    z = boundary_yield(g, T, basis) if g is not None and not g.is_zero else SpectralVec.zero(basis)
-    v = (u_T - y) - z
-    report = check_domain_membership(v, T, policy)
-    if report.verdict == "incompatible":
-        raise IncompatibleDataError(report)
-    if report.verdict == "inconclusive":
-        raise InconclusiveDataError(report)
-    u0 = report.u0
-    if tgrid is None:
-        tgrid = f.times if f is not None else np.linspace(0.0, T, 33)
-    traj = solve_ibvp(u0, f, g, np.asarray(tgrid, dtype=float))
-    end_err = rel_distance(traj.final_state, u_T)
-    ynorm = data_norm_inhom(f, g, u_T, T, policy)
-    return InhomSolution(traj, report, ynorm, float(end_err))
+    return _backward_solve(f, g, u_T, T, policy, tgrid)
 
 
 # -- full first-order space-time norm -------------------------------------

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: forward, backward, backward-inhom, check-compat,
-instability-demo, norms, oracle-compare, generator-lab.  Runs are driven by
-a flat `key = value` config file; outputs are CSV/JSON and byte-identical
-for identical config and seed.  Exit codes: 0 success, 2 incompatible (or
-inconclusive) final data with the compatibility report on stdout, 1 usage
-or config errors.
+instability-demo, norms, oracle-compare, generator-lab.  backward reads
+boundary data from g.path; backward-inhom is the same command under its old
+name.  Runs are driven by a flat `key = value` config file; outputs are
+CSV/JSON and byte-identical for identical config and seed.  Exit codes: 0
+success, 2 incompatible (or inconclusive) final data with the compatibility
+report on stdout, 1 usage or config errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import fdoracle as fd
 from . import fvp
 from . import generator as gl
 from . import spectral as sp
-from .semigroup import MembershipPolicy, check_domain_membership
+from .semigroup import MembershipPolicy
 from .spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
 
 USAGE = (
@@ -217,33 +218,7 @@ def _cmd_forward(args) -> int:
     return 0
 
 
-def _compat_failure(report) -> int:
-    print(report.to_json())
-    return 2
-
-
 def _cmd_backward(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
-    T = _cfg_horizon(cfg)
-    u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
-    f = _load_source(cfg, basis)
-    policy = policy_from_config(cfg)
-    data = fvp.FinalValueData(f, u_T, T)
-    try:
-        sol = fvp.solve_final_value(data, policy=policy, tgrid=_tgrid(cfg, T, f))
-    except fvp.IncompatibleDataError as exc:
-        return _compat_failure(exc.report)
-    out = _out_dir(cfg)
-    _write(out / "u0.json", sp.vec_to_json(sol.trajectory.initial_state))
-    _write(out / "trajectory.csv", sol.trajectory.to_csv())
-    _write(out / "compat.json", sol.compat.to_json())
-    _write(out / "ynorm.json", sol.ynorm.to_json())
-    print(json.dumps({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict}, sort_keys=True))
-    return 0
-
-
-def _cmd_backward_inhom(args) -> int:
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
     T = _cfg_horizon(cfg)
@@ -254,7 +229,8 @@ def _cmd_backward_inhom(args) -> int:
     try:
         sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_tgrid(cfg, T, f))
     except fvp.IncompatibleDataError as exc:
-        return _compat_failure(exc.report)
+        print(exc.report.to_json())
+        return 2
     out = _out_dir(cfg)
     _write(out / "u0.json", sp.vec_to_json(sol.trajectory.initial_state))
     _write(out / "trajectory.csv", sol.trajectory.to_csv())
@@ -271,18 +247,9 @@ def _cmd_check_compat(args) -> int:
     u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
     f = _load_source(cfg, basis)
     g = _load_boundary(cfg)
-    policy = policy_from_config(cfg)
-    y = dh.source_yield(f, T) if f is not None else SpectralVec.zero(basis)
-    z = (
-        bd.boundary_yield(g, T, basis)
-        if g is not None and not g.is_zero
-        else SpectralVec.zero(basis)
-    )
-    v = (u_T - y) - z
-    report = check_domain_membership(v, T, policy)
+    report = bd.check_final_data(f, g, u_T, T, policy_from_config(cfg))
     print(report.to_json())
-    out_raw = cfg.get("out.dir")
-    if out_raw is not None:
+    if cfg.get("out.dir") is not None:
         _write(_out_dir(cfg) / "compat.json", report.to_json())
     return 0 if report.verdict == "compatible" else 2
 
@@ -312,10 +279,7 @@ def _cmd_norms(args) -> int:
     uT_path = _cfg_path(cfg, "uT.path")
     if uT_path is not None:
         u_T = _load_vec(uT_path, basis)
-        if g is not None:
-            reports["data_norm"] = json.loads(bd.data_norm_inhom(f, g, u_T, T, policy).to_json())
-        else:
-            reports["data_norm"] = json.loads(fvp.data_norm(fvp.FinalValueData(f, u_T, T), policy).to_json())
+        reports["data_norm"] = json.loads(bd.data_norm_inhom(f, g, u_T, T, policy).to_json())
     u0_path = _cfg_path(cfg, "u0.path")
     if u0_path is not None:
         u0 = _load_vec(u0_path, basis)
@@ -441,7 +405,7 @@ def _build_parser() -> _Parser:
     for name, fn in (
         ("forward", _cmd_forward),
         ("backward", _cmd_backward),
-        ("backward-inhom", _cmd_backward_inhom),
+        ("backward-inhom", _cmd_backward),  # the old name of backward with g.path
         ("check-compat", _cmd_check_compat),
         ("norms", _cmd_norms),
     ):

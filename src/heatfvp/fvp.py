@@ -1,25 +1,28 @@
 """Backward solve: recover the full trajectory from final data (f, u_T).
 
-Solvability needs the difference u_T - (source yield) to lie in the domain
-of the backward flow; that is probed with the truncation-stabilization
-heuristic from the semigroup module.  On a `compatible` verdict the initial
-state is reconstructed in log space and the forward solver replays the
-trajectory, which must land back on u_T.
+This is the final value problem without a boundary term.  It runs the one
+backward pipeline of the boundary module with g=None: the difference
+v = u_T - (source yield) is formed once and probed for membership in the
+domain of the backward flow with the truncation-stabilization heuristic; on
+a `compatible` verdict the initial state comes from that report and the
+forward solver replays the trajectory, which must land back on u_T.  The
+data norm is built from the same v and report.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .duhamel import SourceTerm, Trajectory, solve_cauchy, source_yield, squared_source_dual_norm
+from .boundary import FvpSolution, YNormReport, _backward_norm, _backward_solve, _validate_final_data
+from .duhamel import SourceTerm
 from .logspace import log_sum_exp
-from .semigroup import CompatReport, MembershipPolicy, apply_inverse, check_domain_membership
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, triple_norms
+# the refusal errors are re-exported here, beside the solver that raises them
+from .semigroup import IncompatibleDataError, InconclusiveDataError, MembershipPolicy, apply_inverse
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, triple_norms
 
 
 @dataclass
@@ -31,135 +34,29 @@ class FinalValueData:
     T: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InvalidSpecError("horizon T must be positive")
-        if self.f is not None:
-            if not self.f.basis.same_as(self.u_T.basis):
-                raise InvalidSpecError("source and final state use different bases")
-            if self.f.t_final < self.T - 1e-12:
-                raise InvalidSpecError("source grid must cover [0, T]")
+        _validate_final_data(self.f, None, self.u_T, self.T)
 
     @property
     def basis(self) -> EigenBasis:
         return self.u_T.basis
 
 
-class IncompatibleDataError(RuntimeError):
-    """Final data rejected by the membership heuristic."""
-
-    def __init__(self, report: CompatReport):
-        self.report = report
-        super().__init__(f"final data not solvable: verdict {report.verdict!r}")
-
-
-class InconclusiveDataError(IncompatibleDataError):
-    """Verdict neither stabilized nor grew decisively."""
-
-
-@dataclass(frozen=True)
-class YNormReport:
-    """Squared parts of the data-space graph norm.
-
-    parts: |u_T|^2, int ||f||_*^2 dt, |backward state|^2 -- the last one in
-    log space since it rides the inverse flow.  `finite` mirrors the
-    membership verdict.
-    """
-
-    uT_sq: float
-    source_sq: float
-    log_backward_sq: float
-    log_total: float
-    finite: bool
-
-    @property
-    def total(self) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_total))
-
-    def to_json(self) -> str:
-        def clean(x):
-            return x if np.isfinite(x) else ("-inf" if x < 0 else "inf")
-
-        return json.dumps(
-            {
-                "uT_sq": clean(self.uT_sq),
-                "source_sq": clean(self.source_sq),
-                "log_backward_sq": clean(self.log_backward_sq),
-                "log_total": clean(self.log_total),
-                "finite": self.finite,
-            },
-            sort_keys=True,
-        )
-
-
 def data_norm(data: FinalValueData, policy: MembershipPolicy | None = None) -> YNormReport:
     """Graph norm of final data: (|u_T|^2 + int ||f||_*^2 + |u0|^2)^{1/2}."""
-    y = source_yield(data.f, data.T) if data.f is not None else SpectralVec.zero(data.basis)
-    diff = data.u_T - y
-    report = check_domain_membership(diff, data.T, policy)
-    back = apply_inverse(diff, data.T)
-    log_back_sq = log_sum_exp(2.0 * back.logmag)
-    uT_sq = triple_norms(data.u_T).normH ** 2
-    f_sq = squared_source_dual_norm(data.f, data.T) if data.f is not None else 0.0
-    parts = [np.log(uT_sq) if uT_sq > 0 else -np.inf,
-             np.log(f_sq) if f_sq > 0 else -np.inf,
-             log_back_sq]
-    log_total = 0.5 * log_sum_exp(parts)
-    return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible")
-
-
-@dataclass
-class FvpSolution:
-    """Everything a backward solve produces."""
-
-    trajectory: Trajectory
-    compat: CompatReport
-    ynorm: YNormReport
-    endpoint_rel_error: float
-    truncated_diagnostic: bool = False
+    return _backward_norm(data.f, None, data.u_T, data.T, policy)
 
 
 def solve_final_value(
     data: FinalValueData,
     policy: MembershipPolicy | None = None,
     tgrid=None,
-    truncate_modes: int | None = None,
 ) -> FvpSolution:
     """Solve the final value problem when the data admit it.
 
     Raises IncompatibleDataError / InconclusiveDataError with the attached
-    CompatReport otherwise.  `truncate_modes` forces a diagnostic
-    reconstruction from the lowest k modes regardless of verdict; the result
-    is flagged and its endpoint generally misses u_T (extra plumbing, not
-    part of the solvability theory).
+    CompatReport otherwise.
     """
-    basis = data.basis
-    y = source_yield(data.f, data.T) if data.f is not None else SpectralVec.zero(basis)
-    diff = data.u_T - y
-    report = check_domain_membership(diff, data.T, policy)
-    if tgrid is None:
-        tgrid = data.f.times if data.f is not None else np.linspace(0.0, data.T, 33)
-    tgrid = np.asarray(tgrid, dtype=float)
-
-    if truncate_modes is not None:
-        k = int(truncate_modes)
-        if not 1 <= k <= basis.n_modes:
-            raise InvalidSpecError("truncate_modes outside 1..n_modes")
-        chopped = diff.copy()
-        chopped.phase[k:] = 0.0
-        chopped.logmag[k:] = -np.inf
-        u0 = apply_inverse(chopped, data.T)
-    elif report.verdict == "compatible":
-        u0 = report.u0
-    elif report.verdict == "incompatible":
-        raise IncompatibleDataError(report)
-    else:
-        raise InconclusiveDataError(report)
-
-    traj = solve_cauchy(u0, data.f, tgrid)
-    end_err = rel_distance(traj.final_state, data.u_T)
-    ynorm = data_norm(data, policy)
-    return FvpSolution(traj, report, ynorm, float(end_err), truncated_diagnostic=truncate_modes is not None)
+    return _backward_solve(data.f, None, data.u_T, data.T, policy, tgrid)
 
 
 # -- conditioning demonstration ------------------------------------------

@@ -106,7 +106,9 @@ def split_phase(z):
     nz = mag > 0.0
     small = nz & (mag < 1e-280)
     big = mag > 1e280
-    zs = np.where(small, z * _SCALE, np.where(big, z / _SCALE, z))
+    zs = np.where(big, z / _SCALE, z)
+    # scale only the small entries: a large one times _SCALE would overflow
+    np.multiply(z, _SCALE, out=zs, where=small)
     mags = np.abs(zs)
     safe = np.where(nz, mags, 1.0)
     phase = np.where(nz, zs / safe, 0.0 + 0.0j)

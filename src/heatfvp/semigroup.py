@@ -13,6 +13,7 @@ and flagged as such in every report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,18 @@ class CompatReport:
         return json.dumps(payload, sort_keys=True)
 
 
+class IncompatibleDataError(RuntimeError):
+    """Final data rejected by the membership heuristic."""
+
+    def __init__(self, report: CompatReport):
+        self.report = report
+        super().__init__(f"final data not solvable: verdict {report.verdict!r}")
+
+
+class InconclusiveDataError(IncompatibleDataError):
+    """Verdict neither stabilized nor grew decisively."""
+
+
 def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy | None = None) -> CompatReport:
     """Stabilization test for membership of vec in D(e^{T*A}).
 
@@ -123,8 +136,8 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
       * incompatible -- some consecutive step grows by >= growth_thresh.
       * inconclusive -- anything in between.
     """
-    if T <= 0:
-        raise ValueError("the backward horizon T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("the backward horizon T must be finite and positive")
     policy = policy or MembershipPolicy()
     lam = vec.basis.lambdas
     cutoffs = policy.resolved_cutoffs(vec.basis.n_modes)

@@ -366,6 +366,17 @@ class TestInhomBackwardSolve:
         with pytest.raises(InvalidSpecError):
             solve_final_value_inhom(None, g, uT, 1.0)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_horizon_must_be_finite_and_positive(self, basis16, T, with_g):
+        # a non-finite horizon gets no verdict, not even `inconclusive`
+        uT = SpectralVec.unit(basis16, 1)
+        g = BoundaryData.zero(1.0) if with_g else None
+        with pytest.raises(InvalidSpecError):
+            solve_final_value_inhom(None, g, uT, T)
+        with pytest.raises(InvalidSpecError):
+            data_norm_inhom(None, g, uT, T)
+
 
 class TestInhomDataNorm:
     def test_parts_match_their_sources(self, basis16):
@@ -384,7 +395,7 @@ class TestInhomDataNorm:
         assert rep.total == pytest.approx(want, rel=1e-10)
 
     def test_json_fields(self, basis16):
-        rep = data_norm_inhom(None, None, SpectralVec.zero(basis16), 1.0)
+        rep = data_norm_inhom(None, BoundaryData.zero(1.0), SpectralVec.zero(basis16), 1.0)
         d = json.loads(rep.to_json())
         assert set(d) == {"uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"

@@ -256,6 +256,26 @@ class TestBackwardInhom:
         ynorm = json.loads((tmp_path / "out" / "ynorm.json").read_text())
         assert {"uT_sq", "trace_sq", "source_sq"} <= set(ynorm)
 
+    def test_backward_reads_boundary_data(self, tmp_path, capsys):
+        # one command under two names: the same verdict and the same bytes
+        inhom_files(tmp_path)
+        stdout = {}
+        for sub in ("backward", "backward-inhom", "check-compat"):
+            conf = write_conf(
+                tmp_path,
+                "modes = 16\nT = 0.05\nuT.path = uT.json\nf.path = f.csv\n"
+                f"g.path = g.csv\nout.dir = {sub}\n",
+                name=f"{sub}.conf",
+            )
+            assert cli([sub, "--config", conf]) == 0
+            stdout[sub] = capsys.readouterr().out
+        assert stdout["backward"] == stdout["backward-inhom"]
+        for fname in ("u0.json", "trajectory.csv", "compat.json", "ynorm.json"):
+            a = (tmp_path / "backward" / fname).read_bytes()
+            assert a == (tmp_path / "backward-inhom" / fname).read_bytes()
+        compat = (tmp_path / "backward" / "compat.json").read_bytes()
+        assert compat == (tmp_path / "check-compat" / "compat.json").read_bytes()
+
 
 class TestCheckCompat:
     def test_compatible_exit_0(self, tmp_path, capsys):

@@ -33,8 +33,9 @@ def smooth_data(basis, T=1.0, seed=0):
 
 class TestFinalValueData:
     def test_horizon_must_be_positive(self, basis16):
-        with pytest.raises(InvalidSpecError):
-            FinalValueData(None, SpectralVec.zero(basis16), 0.0)
+        for T in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidSpecError):
+                FinalValueData(None, SpectralVec.zero(basis16), T)
 
     def test_source_must_cover_horizon(self, basis16):
         f = SourceTerm.zero(basis16, 0.5)
@@ -99,7 +100,6 @@ class TestSolveFinalValue:
         assert sol.endpoint_rel_error <= 1e-9
         got = sol.trajectory.initial_state.coefficients
         assert np.allclose(got, u0.coefficients, rtol=1e-9, atol=1e-300)
-        assert not sol.truncated_diagnostic
         assert sol.ynorm.finite
 
     def test_default_grid_is_source_grid(self, basis64):
@@ -129,25 +129,6 @@ class TestSolveFinalValue:
             solve_final_value(FinalValueData(None, uT, 1.0))
         assert err.value.report.verdict == "inconclusive"
         assert isinstance(err.value, IncompatibleDataError)
-
-    def test_truncated_diagnostic_path(self, basis64):
-        jj = np.arange(1, 65)
-        uT = SpectralVec.from_coefficients(basis64, 1.0 / jj)
-        sol = solve_final_value(FinalValueData(None, uT, 1.0), truncate_modes=8)
-        assert sol.truncated_diagnostic
-        got = sol.trajectory.initial_state.coefficients
-        assert np.all(got[8:] == 0)
-        assert np.all(np.abs(got[:8]) > 0)
-        # the chopped reconstruction cannot reach the rough final data
-        assert sol.endpoint_rel_error > 1e-3
-
-    def test_truncate_modes_validation(self, basis64):
-        uT = SpectralVec.zero(basis64)
-        data = FinalValueData(None, uT, 1.0)
-        with pytest.raises(InvalidSpecError):
-            solve_final_value(data, truncate_modes=0)
-        with pytest.raises(InvalidSpecError):
-            solve_final_value(data, truncate_modes=65)
 
 
 class TestInstabilityTable:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,17 @@ def test_split_phase_subnormal_input():
     assert logmag[0] == pytest.approx(np.log(5e-313), rel=1e-12)
     back = merge_phase(phase, logmag)
     assert np.allclose(back, z, rtol=1e-9)
+
+
+def test_split_phase_huge_input_is_silent():
+    # only the tiny entries are scaled up, so a huge one cannot overflow
+    z = np.array([1e300, -1e300j, 1e-300, 0.0])
+    want_logmag = [np.log(1e300), np.log(1e300), np.log(1e-300), -np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase, logmag = split_phase(z)
+    assert np.allclose(phase, [1.0, -1j, 1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert logmag.tolist() == pytest.approx(want_logmag, rel=1e-15)
 
 
 def test_split_phase_unit_modulus():

@@ -112,8 +112,9 @@ def test_membership_zero_vector(basis16):
 
 
 def test_membership_invalid_horizon(basis16):
-    with pytest.raises(ValueError):
-        check_domain_membership(SpectralVec.unit(basis16, 1), 0.0)
+    for T in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            check_domain_membership(SpectralVec.unit(basis16, 1), T)
 
 
 def test_membership_norm_cap(basis64):
