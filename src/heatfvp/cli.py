@@ -358,6 +358,8 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_generator_lab(args) -> int:
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     p = Path(args.matrix)
     if not p.is_file():
         raise UsageError(f"matrix file not found: {args.matrix}")

@@ -69,6 +69,11 @@ class InstabilityRow:
     log_initial_norm: float
 
 
+def _check_horizon(T: float) -> None:
+    if not (np.isfinite(T) and T > 0):
+        raise InvalidSpecError("horizon T must be positive and finite")
+
+
 def instability_table(basis: EigenBasis, T: float, jmax: int) -> list:
     """Per-mode backward amplification: data of unit size at the final time
     require an initial state of size e^{T*lambda_j}.
@@ -77,8 +82,7 @@ def instability_table(basis: EigenBasis, T: float, jmax: int) -> list:
     """
     if not 1 <= jmax <= basis.n_modes:
         raise InvalidSpecError("jmax outside 1..n_modes")
-    if T <= 0:
-        raise InvalidSpecError("horizon T must be positive")
+    _check_horizon(T)
     rows = []
     for j in range(1, jmax + 1):
         uT = SpectralVec.unit(basis, j)
@@ -101,5 +105,6 @@ def instability_csv(rows) -> str:
 def theoretical_stability_constant(basis: EigenBasis, T: float) -> float:
     """Explicit constant c with ||u||_X <= c ||(f, u_T)||_Y, assembled from
     the triple constants along the standard a-priori chain."""
+    _check_horizon(T)
     K = 2.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T) + basis.C2 ** 2 + 4.0 * basis.C3 ** 2
     return float(np.sqrt(K * max(1.0 / basis.C4, 1.0 / basis.C4 ** 2) + 4.0))

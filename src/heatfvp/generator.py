@@ -21,6 +21,11 @@ MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8
 INJECTIVITY_SLACK = 1e2
 LOGCONVEXITY_TOL = 1e-10
+# samples per stacked pass: shifted matrices per SVD call in
+# check_sectoriality (a block of 64 x 64 complex matrices stays at 8 MB),
+# and sample vectors per margin pass in check_logconvexity_criterion, so
+# that A x and A^2 x never exist for more than one block of vectors
+_BLOCK = 128
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -37,7 +42,10 @@ def parse_matrix(text: str) -> np.ndarray:
         raise InvalidSpecError(f"expected {d} rows after the dimension line")
     rows = []
     for ln in lines[1:]:
-        vals = [float(x) for x in ln.split()]
+        try:
+            vals = [float(x) for x in ln.split()]
+        except ValueError as exc:
+            raise InvalidSpecError(f"matrix entries must be reals: {exc}") from exc
         if len(vals) != 2 * d:
             raise InvalidSpecError(f"each row needs {2 * d} reals (re im pairs)")
         rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(d)])
@@ -219,35 +227,43 @@ def check_sectoriality(
     most the configured bound.  The recommended angle is the heuristic
     arctan(decay_rate / ||A||): within that opening the numerical range of
     -A stays clear of the probed rays.
+
+    The grid is formed in one broadcast and the smallest singular values of
+    the shifted matrices come from stacked SVDs over fixed blocks of sample
+    points; every value is bit-identical to evaluating the points one by one.
     """
     sector = sector or SectorSpec()
     if n_angles < 64:
         raise InvalidSpecError("sector sampling uses at least 64 rays")
+    if n_radii < 1:
+        raise InvalidSpecError("sector sampling needs at least one radius")
     a = gen.a
-    scale = max(gen.norm2, 1.0)
+    norm2 = gen.norm2
     spectrum = -np.linalg.eigvals(a)
     phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, n_angles + 2)[1:-1]
-    radii = gen.norm2 * np.logspace(-3.0, 3.0, n_radii)
+    radii = norm2 * np.logspace(-3.0, 3.0, n_radii)
+    # ray by ray, radius by radius: the order decides which of equal maxima wins
+    lams = (sector.omega + radii * np.exp(1j * phis)[:, None]).ravel()
+    skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
+    lams = lams[~skip]
+    smin = np.empty(lams.size)
     eye = np.eye(gen.dim)
-    best = -np.inf
-    best_lam = complex(sector.omega)
-    skipped = 0
-    sampled = 0
-    for phi in phis:
-        for r in radii:
-            lam = sector.omega + r * np.exp(1j * phi)
-            if np.min(np.abs(lam - spectrum)) <= SPECTRUM_SKIP_RTOL * scale:
-                skipped += 1
-                continue
-            sampled += 1
-            smin = np.linalg.svd(lam * eye + a, compute_uv=False)[-1]
-            val = abs(lam - sector.omega) / smin
-            if val > best:
-                best = val
-                best_lam = complex(lam)
+    for i in range(0, lams.size, _BLOCK):
+        # lam * I + A entry by entry: adding lam to the diagonal of a copy of A
+        # would keep every -0.0 off the diagonal, where lam * 0.0 + -0.0 can be +0.0
+        block = np.multiply.outer(lams[i:i + _BLOCK], eye)
+        block += a
+        smin[i:i + _BLOCK] = np.linalg.svd(block, compute_uv=False)[:, -1]
+    # np.abs on a complex array may differ from libm's hypot in the last
+    # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
+    vals = np.hypot(lams.real - sector.omega, lams.imag) / smin
+    best, best_lam = -np.inf, complex(sector.omega)
+    if vals.size:
+        k = int(np.argmax(vals))  # first maximum, as a strict > scan keeps it
+        best, best_lam = vals[k], complex(lams[k])
     passed = bool(np.isfinite(best) and best <= sector.bound)
-    theta_rec = float(np.arctan2(max(gen.decay_rate, 0.0), gen.norm2))
-    return SectorReport(float(best), best_lam, passed, sampled, skipped, theta_rec)
+    theta_rec = float(np.arctan2(max(gen.decay_rate, 0.0), norm2))
+    return SectorReport(float(best), best_lam, passed, lams.size, int(np.count_nonzero(skip)), theta_rec)
 
 
 # -- decay, injectivity, convexity ----------------------------------------
@@ -339,13 +355,26 @@ class ConvexityReport:
         )
 
 
-def _criterion_margin(a: np.ndarray, x: np.ndarray, scale: float) -> float:
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of z, summed the way np.linalg.norm sums
+    one complex vector: real and imaginary dot products, then the root."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
+def _apply(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows m @ x for every row x of xs, one matrix-vector product each."""
+    return np.matmul(m, xs[:, :, None])[:, :, 0]
+
+
+def _criterion_margins(a: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarray:
     """Normalized slack of 2 (Re<Ax,x>)^2 <= (Re<A^2 x,x> + |Ax|^2) |x|^2
-    for a unit vector x."""
-    ax = a @ x
-    aax = a @ ax
-    lhs = 2.0 * float(np.real(np.vdot(x, ax))) ** 2
-    rhs = float(np.real(np.vdot(x, aax))) + float(np.real(np.vdot(ax, ax)))
+    for every unit row x of xs."""
+    ax = _apply(a, xs)
+    xax = np.vecdot(xs, ax).real
+    rhs = np.vecdot(xs, _apply(a, ax)).real + np.vecdot(ax, ax).real
+    # Python's float ** 2 calls libm pow, which can differ from x * x in the
+    # last bit; the squares stay scalar so that every margin keeps its digits
+    lhs = 2.0 * np.array([v ** 2 for v in xax.tolist()])
     return (rhs - lhs) / scale
 
 
@@ -366,13 +395,20 @@ def check_logconvexity_criterion(
     differences of log h are tested.  Both pass fractions are reported; the
     forward-implication flag records whether "criterion for all sampled x"
     was accompanied by "log-convex for all sampled trajectories".
+
+    The samples are processed as one stack: the margins in fixed blocks of
+    rows, the profiles one time at a time, keeping only the last two
+    log-norms and slopes per sample.  Every value is bit-identical to
+    evaluating the samples one by one.
     """
     if trials < 1:
         raise InvalidSpecError("need at least one trial vector")
+    ts = np.geomspace(1e-3, 10.0, 25) if times is None else np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size < 3:
+        raise InvalidSpecError("need at least three times")
     rng = np.random.default_rng(seed)
     a = gen.a
     d = gen.dim
-    ts = np.geomspace(1e-3, 10.0, 25) if times is None else np.asarray(times, dtype=float)
     xs = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
     # eigenvectors realize equality in the selfadjoint case; include them
@@ -380,14 +416,18 @@ def check_logconvexity_criterion(
     vecs = vecs / np.linalg.norm(vecs, axis=0)[None, :]
     xs = np.vstack([xs, vecs.T])
     scale = max(gen.norm2, 1.0) ** 2
-    margins = np.array([_criterion_margin(a, x, scale) for x in xs])
-    semis = [exp_semigroup(gen, t) for t in ts]
-    divdiffs = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        vals = np.array([np.linalg.norm(s @ x) for s in semis])
-        lh = np.log(vals)
-        d1 = np.diff(lh) / np.diff(ts)
-        divdiffs[i] = float(np.min(2.0 * np.diff(d1) / (ts[2:] - ts[:-2])))
+    margins = np.concatenate([
+        _criterion_margins(a, xs[i:i + _BLOCK], scale) for i in range(0, len(xs), _BLOCK)
+    ])
+    # second divided differences of log h, one time at a time
+    divdiffs = np.full(len(xs), np.inf)
+    lh = d1 = None
+    for j, t in enumerate(ts):
+        lh_prev, lh = lh, np.log(_norms(_apply(exp_semigroup(gen, t), xs)))
+        if j >= 1:
+            d1_prev, d1 = d1, (lh - lh_prev) / (ts[j] - ts[j - 1])
+        if j >= 2:
+            np.minimum(divdiffs, 2.0 * (d1 - d1_prev) / (ts[j] - ts[j - 2]), out=divdiffs)
     crit_frac = float(np.mean(margins >= -LOGCONVEXITY_TOL))
     conv_frac = float(np.mean(divdiffs >= -LOGCONVEXITY_TOL))
     return ConvexityReport(
@@ -449,12 +489,8 @@ def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, n_samples
     d = gen.dim
     vs = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
     vs = np.vstack([vs, np.eye(d)])
-    mid = exp_semigroup(gen, -t)
-    far = exp_semigroup(gen, -t_prime)
-    ratios = np.array([
-        np.linalg.norm(mid @ v) / (np.linalg.norm(v) + np.linalg.norm(far @ v))
-        for v in vs
-    ])
+    mid = _norms(_apply(exp_semigroup(gen, -t), vs))
+    ratios = mid / (_norms(vs) + _norms(_apply(exp_semigroup(gen, -t_prime), vs)))
     return ChainReport(float(t), float(t_prime), ratios, float(np.max(ratios)), gen.is_selfadjoint)
 
 

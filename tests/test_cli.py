@@ -448,3 +448,18 @@ class TestGeneratorLab:
         rc = cli(["generator-lab", "--matrix", str(tmp_path / "bad.mat")])
         assert rc == 1
         capsys.readouterr()
+
+    def test_non_numeric_entry_is_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "bad.mat").write_text("2\n1 0 abc 0\n0 0 1 0\n")
+        rc = cli(["generator-lab", "--matrix", str(tmp_path / "bad.mat")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))
+        rc = cli(["generator-lab", "--matrix", str(tmp_path / "diag.mat"), "--seed", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed" in captured.err
+        assert captured.out == ""

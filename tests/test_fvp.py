@@ -150,8 +150,9 @@ class TestInstabilityTable:
             instability_table(basis16, 1.0, 0)
         with pytest.raises(InvalidSpecError):
             instability_table(basis16, 1.0, 17)
-        with pytest.raises(InvalidSpecError):
-            instability_table(basis16, -1.0, 4)
+        for T in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidSpecError):
+                instability_table(basis16, T, 4)
 
     def test_csv_parses_back(self, basis16):
         rows = instability_table(basis16, 1.0, 8)
@@ -169,6 +170,11 @@ class TestStabilityConstant:
 
     def test_shorter_horizon_grows(self, basis16):
         assert theoretical_stability_constant(basis16, 0.5) == pytest.approx(np.sqrt(13.0), rel=1e-14)
+
+    def test_horizon_validation(self, basis16):
+        for T in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidSpecError):
+                theoretical_stability_constant(basis16, T)
 
     def test_wide_interval(self):
         basis = build_basis(DomainSpec("interval", (2 * np.pi,), 8))

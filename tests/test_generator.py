@@ -1,11 +1,15 @@
 """Matrix generator lab: classification, sector sampling, decay, injectivity,
 log-convexity, and the backward-domain chain ordering."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatfvp import generator
+from heatfvp.cli import cli
 from heatfvp.generator import (
     MAX_DIM,
     MatrixGenerator,
@@ -149,6 +153,9 @@ class TestSectoriality:
             SectorSpec(theta=2.0)
         with pytest.raises(InvalidSpecError):
             SectorSpec(bound=0.5)
+        # no radius would leave the sup at -inf, which to_json cannot print
+        with pytest.raises(InvalidSpecError):
+            check_sectoriality(MatrixGenerator([[1.0]]), n_radii=0)
 
     def test_json_keys(self):
         rep = check_sectoriality(MatrixGenerator([[1.0]]))
@@ -240,6 +247,11 @@ class TestLogConvexity:
         with pytest.raises(InvalidSpecError):
             check_logconvexity_criterion(MatrixGenerator([[1.0]]), trials=0)
 
+    def test_times_validation(self):
+        # two times have no second divided difference
+        with pytest.raises(InvalidSpecError):
+            check_logconvexity_criterion(MatrixGenerator([[1.0]]), trials=4, times=[0.1, 0.2])
+
     def test_json_keys(self):
         rep = check_logconvexity_criterion(MatrixGenerator([[2.0]]), trials=4)
         d = json.loads(rep.to_json())
@@ -291,3 +303,286 @@ class TestInverseChain:
             inverse_chain_demo(gen, 2.0, 1.0)
         with pytest.raises(InvalidSpecError):
             inverse_chain_demo(gen, 0.0, 1.0)
+
+
+# -- bit identity with the per-sample evaluation ----------------------------
+
+def _hex(x):
+    return float(x).hex()
+
+
+def _convexity_values(rep):
+    return {
+        "convexity.n_trials": rep.n_trials,
+        "convexity.criterion_fraction": _hex(rep.criterion_fraction),
+        "convexity.logconvex_fraction": _hex(rep.logconvex_fraction),
+        "convexity.min_margin": _hex(rep.min_margin),
+        "convexity.min_second_divdiff": _hex(rep.min_second_divdiff),
+        "convexity.forward_implication_observed": rep.forward_implication_observed,
+    }
+
+
+def golden_values(gen):
+    """Every SectorReport field, every ConvexityReport float and the chain
+    ratios of one generator: floats as float.hex strings, the ratios as a
+    digest."""
+    sec = check_sectoriality(gen)
+    chain = inverse_chain_demo(gen, 1.0, 2.0, seed=5)
+    return {
+        "sector.sup_value": _hex(sec.sup_value),
+        "sector.argmax_re": _hex(sec.argmax_lambda.real),
+        "sector.argmax_im": _hex(sec.argmax_lambda.imag),
+        "sector.passed": sec.passed,
+        "sector.n_sampled": sec.n_sampled,
+        "sector.n_skipped": sec.n_skipped,
+        "sector.theta_recommended": _hex(sec.theta_recommended),
+        **_convexity_values(check_logconvexity_criterion(gen, seed=5)),
+        "chain.ratios_sha256": hashlib.sha256(chain.ratios.tobytes()).hexdigest(),
+        "chain.max_ratio": _hex(chain.max_ratio),
+    }
+
+
+def _golden_generator(name):
+    """"jordan", or "<elliptic|selfadjoint>-<dim>-<seed>"."""
+    if name == "jordan":
+        return MatrixGenerator(JORDAN)
+    kind, dim, seed = name.split("-")
+    make = random_elliptic if kind == "elliptic" else random_selfadjoint
+    return make(int(dim), seed=int(seed))
+
+
+# recorded with one SVD per sample point and one matrix-vector product per
+# sample vector and time.  The seeds of dimension 2 to 16 are ones where
+# taking |lambda - omega| with np.abs on the whole grid, instead of the
+# scalar abs, moves the last bit of sup_value.
+GOLDEN = {
+    "elliptic-2-12": {
+        "sector.sup_value": "0x1.9ba0f4d7994b6p+0",
+        "sector.argmax_re": "-0x1.048cfe4f88ebap+0",
+        "sector.argmax_im": "-0x1.0764e4c492e57p+2",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.5312858b2f374p-1",
+        "convexity.n_trials": 258,
+        "convexity.criterion_fraction": "0x1.3b88ee23b88eep-1",
+        "convexity.logconvex_fraction": "0x0.0p+0",
+        "convexity.min_margin": "-0x1.8f6e4f1c88d79p-10",
+        "convexity.min_second_divdiff": "-0x1.2087fcc90512cp-6",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "bb7d6c53a0fa45ae02987d209e951fda5aa42dcf9a86f625be14458b307f427b",
+        "chain.max_ratio": "0x1.1fe64dcc385adp-4",
+    },
+    "elliptic-6-13": {
+        "sector.sup_value": "0x1.958a2377c2944p+1",
+        "sector.argmax_re": "-0x1.9ef60af50e1b2p-1",
+        "sector.argmax_im": "0x1.a37d51a7db2fcp+1",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.44b749e2ef84ap-2",
+        "convexity.n_trials": 262,
+        "convexity.criterion_fraction": "0x1.84e2afe0bb9a6p-1",
+        "convexity.logconvex_fraction": "0x1.f44659e4a4271p-9",
+        "convexity.min_margin": "-0x1.04d168ff4c8fep-4",
+        "convexity.min_second_divdiff": "-0x1.4b306d8c1bcd8p+0",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "5e779648fb54a50f2faf6c499444287cb078bc7ac7bb079e4e69e5c356a9c4af",
+        "chain.max_ratio": "0x1.4d686e7e0e050p-3",
+    },
+    "elliptic-16-18": {
+        "sector.sup_value": "0x1.18bf5a0db78c6p+5",
+        "sector.argmax_re": "-0x1.577f495c64c2dp+0",
+        "sector.argmax_im": "-0x1.5b3eea074bfc6p+2",
+        "sector.passed": False,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.3cb4d86d8c11fp-4",
+        "convexity.n_trials": 272,
+        "convexity.criterion_fraction": "0x1.c5a5a5a5a5a5ap-1",
+        "convexity.logconvex_fraction": "0x1.e1e1e1e1e1e1ep-7",
+        "convexity.min_margin": "-0x1.85d8c2cff14e6p-6",
+        "convexity.min_second_divdiff": "-0x1.306c5557209cfp+1",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "3298f1aaed0f9db160e048fe5c955d76292663794f24cfb973ecca94d18b179d",
+        "chain.max_ratio": "0x1.d840d018f4b7ep-3",
+    },
+    "elliptic-64-64": {
+        "sector.sup_value": "0x1.377ef048fdc8fp+8",
+        "sector.argmax_re": "-0x1.e0fa301dffc59p+0",
+        "sector.argmax_im": "-0x1.e639e4b9488f9p+2",
+        "sector.passed": False,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.138fe6390e3a8p-5",
+        "convexity.n_trials": 320,
+        "convexity.criterion_fraction": "0x1.c000000000000p-1",
+        "convexity.logconvex_fraction": "0x1.3333333333333p-5",
+        "convexity.min_margin": "-0x1.83f8c73888975p-8",
+        "convexity.min_second_divdiff": "-0x1.401475b43ed73p+1",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "80779fd44268dc4d4e3444fabeb3881896ff4ce0f49c1fc17cb829560aee2134",
+        "chain.max_ratio": "0x1.488b7243a7ddap-3",
+    },
+    "selfadjoint-2-5": {
+        "sector.sup_value": "0x1.07a926cc199f6p+0",
+        "sector.argmax_re": "-0x1.26e2f749e12a7p-1",
+        "sector.argmax_im": "0x1.2a1aca4724856p+1",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.a2e5a2a8a2b0ap-3",
+        "convexity.n_trials": 258,
+        "convexity.criterion_fraction": "0x1.0000000000000p+0",
+        "convexity.logconvex_fraction": "0x1.0000000000000p+0",
+        "convexity.min_margin": "-0x1.c7bc978978c54p-57",
+        "convexity.min_second_divdiff": "-0x1.679fbab2025edp-36",
+        "convexity.forward_implication_observed": True,
+        "chain.ratios_sha256": "d800c46d7ba5a52d07dd4c9e7fb41e24042d4cfdc214be73c5f1c14ffac127eb",
+        "chain.max_ratio": "0x1.96c3ce641047dp-4",
+    },
+    "selfadjoint-6-10": {
+        "sector.sup_value": "0x1.07b4b56ca43d2p+0",
+        "sector.argmax_re": "-0x1.9dc485d7670acp+0",
+        "sector.argmax_im": "0x1.a24877025940bp+2",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.1243278b4f974p-1",
+        "convexity.n_trials": 262,
+        "convexity.criterion_fraction": "0x1.0000000000000p+0",
+        "convexity.logconvex_fraction": "0x1.f63aa03e88cb4p-1",
+        "convexity.min_margin": "-0x1.a37ae14999780p-52",
+        "convexity.min_second_divdiff": "-0x1.2029038b5a83cp-32",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "c5d83e1ef27d4d416125eecd6a099c9d72e822a0da0ff3ececef7061f76eb002",
+        "chain.max_ratio": "0x1.43ef352411968p-3",
+    },
+    "selfadjoint-16-20": {
+        "sector.sup_value": "0x1.07b638dbc825fp+0",
+        "sector.argmax_re": "-0x1.5c297c6b54afcp+0",
+        "sector.argmax_im": "0x1.5ff62551e5ac0p+2",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.e33d4ebc1dd4fp-3",
+        "convexity.n_trials": 272,
+        "convexity.criterion_fraction": "0x1.0000000000000p+0",
+        "convexity.logconvex_fraction": "0x1.e787878787878p-1",
+        "convexity.min_margin": "-0x1.e5f41832178c0p-51",
+        "convexity.min_second_divdiff": "-0x1.277041888c36bp-30",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "481e262428b58dd1a866420a1940015ad7d4bcb6a34f887993906c0871b1402f",
+        "chain.max_ratio": "0x1.7bd13fb1f10e8p-4",
+    },
+    "selfadjoint-64-65": {
+        "sector.sup_value": "0x1.07b6455f11797p+0",
+        "sector.argmax_re": "-0x1.67249872fcdb4p+0",
+        "sector.argmax_im": "-0x1.6b0feebdea11ep+2",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x1.807b0d6d8955cp-3",
+        "convexity.n_trials": 320,
+        "convexity.criterion_fraction": "0x1.0000000000000p+0",
+        "convexity.logconvex_fraction": "0x1.ab33333333333p-1",
+        "convexity.min_margin": "-0x1.5684c28b327abp-50",
+        "convexity.min_second_divdiff": "-0x1.5d5d574dd699cp-28",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "073174c60f835dc3065c6af7a3207e4c25284627063dfc868c84b025f3d1481b",
+        "chain.max_ratio": "0x1.441def45f5032p-4",
+    },
+    "jordan": {
+        "sector.sup_value": "0x1.a5514eb871213p+2",
+        "sector.argmax_re": "-0x1.abfc59e88df2ep-3",
+        "sector.argmax_im": "0x1.b0a803a8a9c32p-1",
+        "sector.passed": True,
+        "sector.n_sampled": 2048,
+        "sector.n_skipped": 0,
+        "sector.theta_recommended": "0x0.0p+0",
+        "convexity.n_trials": 258,
+        "convexity.criterion_fraction": "0x1.9ec27b09ec27bp-1",
+        "convexity.logconvex_fraction": "0x1.fc07f01fc07f0p-8",
+        "convexity.min_margin": "-0x1.df40797b218ccp-4",
+        "convexity.min_second_divdiff": "-0x1.8c6bf62a85ebcp+3",
+        "convexity.forward_implication_observed": False,
+        "chain.ratios_sha256": "c46057cd0bdab0224b436a13fa58c44d755d6eb2af4bb0be5017693a111bbd1c",
+        "chain.max_ratio": "0x1.4bcdc50ed6be6p-2",
+    },
+}
+CRITERION_9_CONVEXITY = {
+    "convexity.n_trials": 1006,
+    "convexity.criterion_fraction": "0x1.0000000000000p+0",
+    "convexity.logconvex_fraction": "0x1.0000000000000p+0",
+    "convexity.min_margin": "-0x1.2791b7ae50baap-52",
+    "convexity.min_second_divdiff": "-0x1.e6bc14e5e0a82p-38",
+    "convexity.forward_implication_observed": True,
+}
+CLI_STDOUT_SHA256 = "0df539bc5326fdea3e994682536a6f30adf3e78038e231c98ed8600af931ff25"
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_reports_match_recorded_bits(name):
+    assert golden_values(_golden_generator(name)) == GOLDEN[name]
+
+
+def test_criterion_9_convexity_matches_recorded_bits():
+    rep = check_logconvexity_criterion(
+        random_selfadjoint(6, seed=11), trials=1000, seed=3, times=np.linspace(0.1, 5.0, 33)
+    )
+    assert _convexity_values(rep) == CRITERION_9_CONVEXITY
+
+
+def test_generator_lab_stdout_matches_recorded_bytes(tmp_path, capsys):
+    (tmp_path / "a.mat").write_text(format_matrix(random_elliptic(6, seed=7).a))
+    assert cli(["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--seed", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_STDOUT_SHA256
+
+
+def test_sectoriality_runs_blocked_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rep = check_sectoriality(random_elliptic(6, seed=1))
+    assert rep.n_sampled == 64 * 32
+    # every sample point is one matrix of a stack ...
+    assert sum(shape[0] for shape in calls if len(shape) == 3) == rep.n_sampled
+    # ... of at least 128 shifted matrices, plus room for the norm
+    assert len(calls) <= -(-rep.n_sampled // 128) + 2
+
+
+def test_stacked_margins_equal_the_per_vector_formula():
+    # Python's float ** 2 and numpy's x * x differ in the last bit on about
+    # one square in a thousand; on these 10000 vectors x * x would move a
+    # dozen margins
+    a = random_elliptic(2, seed=12).a
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((10000, 2)) + 1j * rng.standard_normal((10000, 2))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    want = []
+    for x in xs:
+        ax = a @ x
+        lhs = 2.0 * float(np.real(np.vdot(x, ax))) ** 2
+        rhs = float(np.real(np.vdot(x, a @ ax))) + float(np.real(np.vdot(ax, ax)))
+        want.append((rhs - lhs) / 7.0)
+    assert generator._criterion_margins(a, xs, 7.0).tobytes() == np.array(want).tobytes()
+
+
+def test_logconvexity_memory_does_not_scale_with_times():
+    gen = random_elliptic(16, seed=3)
+    check_logconvexity_criterion(gen, trials=4)  # loads scipy outside the trace
+    trials = 20000
+    tracemalloc.start()
+    try:
+        rep = check_logconvexity_criterion(gen, trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_trials == trials + 16
+    xs_bytes = rep.n_trials * 16 * np.dtype(complex).itemsize
+    assert peak < 3 * xs_bytes
