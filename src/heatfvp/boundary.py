@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .semigroup import (
     apply_inverse,
     check_domain_membership,
 )
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, triple_norms
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, strict_json, triple_norms
 
 TRACE_SURROGATE_SAMPLES = 128
 
@@ -397,7 +396,7 @@ class YNormReport:
 
         names = ("uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total")
         payload = {k: clean(v) for k in names if (v := getattr(self, k)) is not None}
-        return json.dumps({**payload, "finite": self.finite}, sort_keys=True)
+        return strict_json({**payload, "finite": self.finite})
 
 
 @dataclass

@@ -214,7 +214,7 @@ def _cmd_forward(args) -> int:
         "final_norm": sp.norm_h(traj.final_state),
         "nodes": int(traj.times.size),
     }
-    print(json.dumps(summary, sort_keys=True))
+    print(sp.strict_json(summary))
     return 0
 
 
@@ -236,7 +236,7 @@ def _cmd_backward(args) -> int:
     _write(out / "trajectory.csv", sol.trajectory.to_csv())
     _write(out / "compat.json", sol.compat.to_json())
     _write(out / "ynorm.json", sol.ynorm.to_json())
-    print(json.dumps({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict}, sort_keys=True))
+    print(sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict}))
     return 0
 
 
@@ -300,7 +300,7 @@ def _cmd_norms(args) -> int:
         }
     if not reports:
         raise UsageError("norms needs uT.path or u0.path in the config")
-    text = json.dumps(reports, sort_keys=True, allow_nan=False)
+    text = sp.strict_json(reports)
     print(text)
     if cfg.get("out.dir") is not None:
         _write(_out_dir(cfg) / "norms.json", text)
@@ -350,7 +350,7 @@ def _cmd_oracle_compare(args) -> int:
         "fd_points": fd_points,
         "steps": args.steps,
     }
-    text = json.dumps(report, sort_keys=True)
+    text = sp.strict_json(report)
     print(text)
     if cfg.get("out.dir") is not None:
         _write(_out_dir(cfg) / "oracle_compare.json", text)
@@ -390,7 +390,7 @@ def _cmd_generator_lab(args) -> int:
         },
         "decay": {"ok": decay.ok, "fitted_rate": decay.fitted_rate},
     }
-    text = json.dumps(report, sort_keys=True)
+    text = sp.strict_json(report)
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,11 @@
 Sources are piecewise linear in time with spectral coefficients per node,
 so every step of the variation-of-constants integral has a closed form in
 the phi-functions; the march is exact for that source class up to rounding.
-State magnitudes ride in log space, which keeps trajectories meaningful even
-when the initial state carries e^{T*lambda}-sized modes.
+The march keeps the two terms of u(t) = e^{-tA} u0 + int_0^t e^{-(t-s)A}
+f(s) ds apart: the decay of u0 is exact in log space, which keeps
+trajectories meaningful even when the initial state carries
+e^{T*lambda}-sized modes, and the source part is a bounded linear
+recurrence.  They join in one log-space addition on the requested nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .spectral import (
 )
 
 PHI_TAYLOR_THRESHOLD = 1e-6
+_LN2 = float(np.log(2.0))
 
 
 @dataclass
@@ -129,17 +133,25 @@ def _phi12(z: np.ndarray):
     return phi1, phi2
 
 
-def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray):
-    """Exact-per-step exponential march.
+def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray, pick: np.ndarray):
+    """Exact-per-step exponential march, split as variation of constants.
 
-    times: merged increasing node grid; node_values[k] are the (already
-    assembled) source coefficients at times[k], interpreted as piecewise
-    linear.  Returns phase/logmag state arrays at every node.
+    times: merged increasing node grid starting at t_0; node_values[k] are
+    the (already assembled) source coefficients at times[k], interpreted as
+    piecewise linear.  Returns phase/logmag state arrays at the rows `pick`
+    of the grid.
 
-    The source increment of a step does not depend on the state, so all
-    increments are formed and split in one array pass before the
-    recurrence.  The phi values are computed once per distinct step length:
-    a uniform grid has only a handful of distinct rounded steps.
+    u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k.  The homogeneous part is one
+    exact broadcast in log space, so an e^{T lambda}-sized u0 never enters a
+    recurrence.  The particular part w_{k+1} = e^{-h_k lambda} w_k + step_k
+    is bounded by the source times min(t, 1/lambda) and runs in linear
+    scale, one multiply-add per step.  A mode whose largest source value
+    lies beyond 2^512 (or below 2^-969) is first divided by an exact power
+    of two near that value, so w stays finite for any finite source unless
+    min(T, 1/lambda_1) exceeds 2^511, and the scale's log rejoins in the one
+    log-space addition of the two parts.  The phi values and the decay
+    factors are computed once per distinct step length: a uniform grid has
+    only a handful of distinct rounded steps.
     """
     lam = u0.basis.lambdas
     hs = np.diff(times)
@@ -147,22 +159,32 @@ def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray):
     z = -lengths[:, None] * lam
     phi1, phi2 = _phi12(z)
     phi_lo = phi1 - phi2
-    steps = hs[:, None] * (node_values[:-1] * phi_lo[which] + node_values[1:] * phi2[which])
-    step_p, step_l = split_phase(steps)
-    decay = z[which]
-    phase = u0.phase.copy()
-    logmag = u0.logmag.copy()
-    out_p = np.empty((times.size, lam.size), dtype=np.complex128)
-    out_l = np.empty((times.size, lam.size))
-    out_p[0] = phase
-    out_l[0] = logmag
-    for k, h in enumerate(hs.tolist()):
-        if h > 0.0:
-            logmag = logmag + decay[k]
-            phase, logmag = logspace_add(phase, logmag, step_p[k], step_l[k])
-        out_p[k + 1] = phase
-        out_l[k + 1] = logmag
-    return out_p, out_l
+    with np.errstate(under="ignore"):
+        decay = np.exp(z)
+    # max(|re|, |im|) cannot overflow where |z| can.  Only a mode whose peak
+    # lies outside 2^-969..2^512, where w could overflow or sink toward the
+    # subnormals, is scaled: the log of a scale adds a rounding, so every
+    # other mode keeps the unscaled bits.  The floor keeps 2^-expo finite
+    peak = np.maximum(np.abs(node_values.real).max(axis=0), np.abs(node_values.imag).max(axis=0))
+    expo = np.frexp(peak)[1]
+    expo = np.where((expo > 512) | (expo < -969), np.maximum(expo, -1021), 0)
+    v = node_values * np.ldexp(1.0, -expo)
+    w = np.empty_like(v)
+    w[0] = 0.0
+    np.multiply(v[:-1], phi_lo[which], out=w[1:])
+    w[1:] += v[1:] * phi2[which]
+    w[1:] *= hs[:, None]
+    del v  # the join's temporaries set a solve's peak memory; free what it does not read
+    tmp = np.empty_like(w[0])
+    for k, i in enumerate(which[1:].tolist(), start=1):
+        np.multiply(w[k], decay[i], out=tmp)
+        w[k + 1] += tmp
+    w = w[pick]
+    w_p, w_l = split_phase(w)
+    del w
+    w_l += expo * _LN2
+    logmag = u0.logmag + -(times[pick] - times[0])[:, None] * lam
+    return logspace_add(u0.phase, logmag, w_p, w_l)
 
 
 def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=None) -> np.ndarray:
@@ -310,9 +332,8 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
     values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
     if lift_coeff_path is not None:
         values = values + lift_coeff_path(merged)
-    ph, lg = _march(u0, merged, values)
-    pick = np.searchsorted(merged, ts)
-    return Trajectory(u0.basis, ts, ph[pick], lg[pick], source=f)
+    ph, lg = _march(u0, merged, values, np.searchsorted(merged, ts))
+    return Trajectory(u0.basis, ts, ph, lg, source=f)
 
 
 def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:

@@ -10,12 +10,11 @@ trajectories, which is what makes backward continuation meaningful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import InvalidSpecError
+from .spectral import InvalidSpecError, strict_json
 
 MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8
@@ -73,7 +72,7 @@ class GeneratorReport:
     spectral_abscissa: float
 
     def to_json(self) -> str:
-        return json.dumps(
+        return strict_json(
             {
                 "dim": self.dim,
                 "selfadjoint": self.selfadjoint,
@@ -83,8 +82,7 @@ class GeneratorReport:
                 "decay_rate": self.decay_rate,
                 "norm2": self.norm2,
                 "spectral_abscissa": self.spectral_abscissa,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -199,7 +197,7 @@ class SectorReport:
     theta_recommended: float
 
     def to_json(self) -> str:
-        return json.dumps(
+        return strict_json(
             {
                 "sup_value": self.sup_value,
                 "argmax_re": self.argmax_lambda.real,
@@ -208,8 +206,7 @@ class SectorReport:
                 "n_sampled": self.n_sampled,
                 "n_skipped": self.n_skipped,
                 "theta_recommended": self.theta_recommended,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -239,13 +236,18 @@ def check_sectoriality(
         raise InvalidSpecError("sector sampling needs at least one radius")
     a = gen.a
     norm2 = gen.norm2
+    if not np.isfinite(norm2 * 1e3):
+        raise InvalidSpecError("||A|| * 1e3 exceeds float64 range: the sector radii cannot be formed")
     spectrum = -np.linalg.eigvals(a)
     phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, n_angles + 2)[1:-1]
-    radii = norm2 * np.logspace(-3.0, 3.0, n_radii)
+    # A = 0 has ||A|| = 0: its radii span the decades around 1 instead of collapsing onto omega
+    radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, n_radii)
     # ray by ray, radius by radius: the order decides which of equal maxima wins
     lams = (sector.omega + radii * np.exp(1j * phis)[:, None]).ravel()
     skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
     lams = lams[~skip]
+    if lams.size == 0:
+        raise InvalidSpecError("every sample point of the sector lies on the spectrum")
     smin = np.empty(lams.size)
     eye = np.eye(gen.dim)
     for i in range(0, lams.size, _BLOCK):
@@ -257,10 +259,8 @@ def check_sectoriality(
     # np.abs on a complex array may differ from libm's hypot in the last
     # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
     vals = np.hypot(lams.real - sector.omega, lams.imag) / smin
-    best, best_lam = -np.inf, complex(sector.omega)
-    if vals.size:
-        k = int(np.argmax(vals))  # first maximum, as a strict > scan keeps it
-        best, best_lam = vals[k], complex(lams[k])
+    k = int(np.argmax(vals))  # first maximum, as a strict > scan keeps it
+    best, best_lam = vals[k], complex(lams[k])
     passed = bool(np.isfinite(best) and best <= sector.bound)
     theta_rec = float(np.arctan2(max(gen.decay_rate, 0.0), norm2))
     return SectorReport(float(best), best_lam, passed, lams.size, int(np.count_nonzero(skip)), theta_rec)
@@ -340,7 +340,7 @@ class ConvexityReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return strict_json(
             {
                 "n_trials": self.n_trials,
                 "criterion_fraction": self.criterion_fraction,
@@ -350,8 +350,7 @@ class ConvexityReport:
                 "forward_implication_observed": self.forward_implication_observed,
                 "selfadjoint": self.selfadjoint,
                 "seed": self.seed,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -415,7 +414,10 @@ def check_logconvexity_criterion(
     _, vecs = np.linalg.eig(a)
     vecs = vecs / np.linalg.norm(vecs, axis=0)[None, :]
     xs = np.vstack([xs, vecs.T])
-    scale = max(gen.norm2, 1.0) ** 2
+    norm = max(gen.norm2, 1.0)
+    if not np.isfinite(norm * norm):
+        raise InvalidSpecError("||A||^2 exceeds float64 range: the criterion margins cannot be formed")
+    scale = norm ** 2
     margins = np.concatenate([
         _criterion_margins(a, xs[i:i + _BLOCK], scale) for i in range(0, len(xs), _BLOCK)
     ])

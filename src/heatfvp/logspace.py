@@ -101,21 +101,30 @@ def split_phase(z):
 
     Zeros map to phase 0 and log magnitude -inf.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    mag = np.abs(z)
+    return _split_owned(np.array(z, dtype=np.complex128))
+
+
+def _split_owned(zs: np.ndarray):
+    """split_phase of an array it may overwrite: the phase is returned in
+    zs's buffer and the log magnitude in the one array of |zs|, so the
+    split holds one complex and one real array besides the masks."""
+    mag = np.abs(zs, out=np.empty(zs.shape))
     nz = mag > 0.0
     small = nz & (mag < 1e-280)
     big = mag > 1e280
-    zs = np.where(big, z / _SCALE, z)
-    # scale only the small entries: a large one times _SCALE would overflow
-    np.multiply(z, _SCALE, out=zs, where=small)
-    mags = np.abs(zs)
-    safe = np.where(nz, mags, 1.0)
-    phase = np.where(nz, zs / safe, 0.0 + 0.0j)
-    shift = np.where(small, -_LOG_SCALE, np.where(big, _LOG_SCALE, 0.0))
-    with np.errstate(divide="ignore"):
-        logmag = np.where(nz, np.log(safe) + shift, -np.inf)
-    return phase, logmag
+    # scale only the small entries up: a large one times _SCALE would overflow
+    np.divide(zs, _SCALE, out=zs, where=big)
+    np.multiply(zs, _SCALE, out=zs, where=small)
+    np.abs(zs, out=mag)
+    zero = ~nz
+    np.copyto(mag, 1.0, where=zero)
+    np.divide(zs, mag, out=zs)
+    np.copyto(zs, 0.0, where=zero)
+    logmag = np.log(mag, out=mag)
+    np.subtract(logmag, _LOG_SCALE, out=logmag, where=small)
+    np.add(logmag, _LOG_SCALE, out=logmag, where=big)
+    np.copyto(logmag, -np.inf, where=zero)
+    return zs, logmag
 
 
 def merge_phase(phase, logmag):
@@ -131,13 +140,19 @@ def logspace_add(p1, l1, p2, l2):
     The larger exponent is factored out, so the inner sum never overflows;
     exact cancellation yields phase 0 / logmag -inf.
     """
+    p1, p2 = np.asarray(p1), np.asarray(p2)
     l1 = np.asarray(l1, dtype=np.float64)
     l2 = np.asarray(l2, dtype=np.float64)
-    m = np.maximum(l1, l2)
+    m = np.maximum(l1, l2, out=np.empty(np.broadcast_shapes(l1.shape, l2.shape)))
     # both -inf: pin the shift at 0 so the exps evaluate to 0, not nan
-    safe_m = np.where(np.isfinite(m), m, 0.0)
+    np.copyto(m, 0.0, where=~np.isfinite(m))
+    # out= keeps 0-d operands arrays, so every step below can run in place
+    s = np.empty(np.broadcast_shapes(p1.shape, p2.shape, m.shape), dtype=np.complex128)
+    t = np.empty_like(m)
     with np.errstate(under="ignore"):
-        s = np.asarray(p1) * np.exp(l1 - safe_m) + np.asarray(p2) * np.exp(l2 - safe_m)
-    phase, lg = split_phase(s)
-    out_l = np.where(lg == -np.inf, -np.inf, safe_m + lg)
-    return phase, out_l
+        np.multiply(p1, np.exp(np.subtract(l1, m, out=t), out=t), out=s)
+        s += p2 * np.exp(np.subtract(l2, m, out=t), out=t)
+    del t
+    phase, lg = _split_owned(s)
+    np.add(m, lg, out=lg, where=lg != -np.inf)
+    return phase, lg

@@ -12,14 +12,13 @@ and flagged as such in every report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .logspace import log_sum_exp
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, strict_json
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "
@@ -109,7 +108,7 @@ class CompatReport:
             "verdict": self.verdict,
             "note": self.note,
         }
-        return json.dumps(payload, sort_keys=True)
+        return strict_json(payload)
 
 
 class IncompatibleDataError(RuntimeError):

@@ -441,6 +441,15 @@ def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
 
 # -- serialization ------------------------------------------------------
 
+def strict_json(payload) -> str:
+    """The one JSON writer: sorted keys, and no NaN or Infinity, which
+    strict JSON parsers reject."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidSpecError("a result holds a non-finite number, which JSON cannot carry") from exc
+
+
 def vec_to_json(vec: SpectralVec) -> str:
     """JSON with the basis descriptor and (re, im) coefficient pairs."""
     c = vec.coefficients
@@ -454,7 +463,7 @@ def vec_to_json(vec: SpectralVec) -> str:
         },
         "coefficients": [[float(z.real), float(z.imag)] for z in c],
     }
-    return json.dumps(payload, sort_keys=True)
+    return strict_json(payload)
 
 
 def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:

@@ -65,7 +65,9 @@ def golden_values(n, kind):
 
 
 # recorded with the two separate solvers, each of which ran the yields and
-# the membership ladder a second time for its data norm
+# the membership ladder a second time for its data norm; the source and
+# boundary cases re-recorded when the forward march was split into its
+# homogeneous and particular parts (tests/test_march_accuracy.py)
 GOLDEN = {
     (16, "decay"): {
         "log_graph_norms": ["-0x1.18d1ac4025546p+1", "-0x1.18cf3413ef80ap+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a266p+1"],
@@ -79,27 +81,27 @@ GOLDEN = {
         "trajectory_sha256": "71bdcb9185b0ba079aa64abc75668c9950c66fbceeba2b625d42b79f3cacc178",
     },
     (16, "source"): {
-        "log_graph_norms": ["-0x1.18d1ac4025548p+1", "-0x1.18cf3413ef80cp+1", "-0x1.18cf33fb8a269p+1", "-0x1.18cf33fb8a268p+1"],
+        "log_graph_norms": ["-0x1.18d1ac4025546p+1", "-0x1.18cf3413ef80ap+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a266p+1"],
         "stabilization_ratio": "0x1.00000030cab48p+0",
-        "endpoint_rel_error": "0x1.bf0ea12dbf57dp-51",
+        "endpoint_rel_error": "0x0.0p+0",
         "finite": True,
-        "uT_sq": "0x1.beadced64233dp-8",
+        "uT_sq": "0x1.beadced642357p-8",
         "source_sq": "0x1.04a955a12f247p-5",
-        "log_backward_sq": "-0x1.18cf33fb8a268p+2",
-        "log_total": "-0x1.7cc1af5751dc9p+0",
-        "trajectory_sha256": "a3f72d56c91bbc4b7d64d7ee3ee23e57e3ab774d4abab25f4560b4ee01e1f212",
+        "log_backward_sq": "-0x1.18cf33fb8a266p+2",
+        "log_total": "-0x1.7cc1af5751dc8p+0",
+        "trajectory_sha256": "89a7ee031ae37a29ef07c87fb9b5cf254ac088a9577b6bf0349111265089716f",
     },
     (16, "boundary"): {
-        "log_graph_norms": ["-0x1.18d1ac4025548p+1", "-0x1.18cf3413ef80cp+1", "-0x1.18cf33fb8a269p+1", "-0x1.18cf33fb8a268p+1"],
+        "log_graph_norms": ["-0x1.18d1ac4025547p+1", "-0x1.18cf3413ef80bp+1", "-0x1.18cf33fb8a268p+1", "-0x1.18cf33fb8a267p+1"],
         "stabilization_ratio": "0x1.00000030cab48p+0",
-        "endpoint_rel_error": "0x1.8b0e301c50ccep-51",
+        "endpoint_rel_error": "0x1.761bf8ce3c1b8p-52",
         "finite": True,
-        "uT_sq": "0x1.361e871738e43p-5",
+        "uT_sq": "0x1.361e871738e48p-5",
         "trace_sq": "0x1.7ee165a839dcfp-5",
         "source_sq": "0x1.04a955a12f247p-5",
-        "log_backward_sq": "-0x1.18cf33fb8a268p+2",
+        "log_backward_sq": "-0x1.18cf33fb8a267p+2",
         "log_total": "-0x1.064aba6421cf8p+0",
-        "trajectory_sha256": "40486d33a1d903752cb45b1c372625ff50da7deb382a5d55376a5da191b3ed60",
+        "trajectory_sha256": "ecc8cf9d63c35fb09fa47472c78bb48e35e910f631c2815ef4d8d4138eb36591",
     },
     (64, "decay"): {
         "log_graph_norms": ["-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a266p+1", "-0x1.18cf33fb8a266p+1", "-0x1.18cf33fb8a266p+1"],
@@ -113,27 +115,27 @@ GOLDEN = {
         "trajectory_sha256": "21677543b13d75939452360f17fef327eee6f5b6995e3e23487f32792fe352f5",
     },
     (64, "source"): {
-        "log_graph_norms": ["-0x1.18cf33fb8a269p+1", "-0x1.18cf33fb8a268p+1", "-0x1.18cf33fb8a268p+1", "-0x1.18cf33fb8a268p+1"],
+        "log_graph_norms": ["-0x1.18cf33fb8a268p+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a267p+1"],
         "stabilization_ratio": "0x1.0000000000000p+0",
-        "endpoint_rel_error": "0x1.16942042caf1ap-50",
+        "endpoint_rel_error": "0x1.fd0721d0374acp-52",
         "finite": True,
-        "uT_sq": "0x1.8396b66a99068p-7",
+        "uT_sq": "0x1.8396b66a99074p-7",
         "source_sq": "0x1.653fe28a8547bp-9",
-        "log_backward_sq": "-0x1.18cf33fb8a268p+2",
-        "log_total": "-0x1.ce66fe328fdf0p+0",
-        "trajectory_sha256": "593f754322e5122f75e125ce6c014fc51c4a92cf19038de29a31a9678922ad93",
+        "log_backward_sq": "-0x1.18cf33fb8a267p+2",
+        "log_total": "-0x1.ce66fe328fdedp+0",
+        "trajectory_sha256": "e3a38ae710b16fe203508d6d4cc5b3daeec5fa90e5421576d582f9c720c9cf6d",
     },
     (64, "boundary"): {
-        "log_graph_norms": ["-0x1.18cf33fb8a26bp+1", "-0x1.18cf33fb8a26ap+1", "-0x1.18cf33fb8a26ap+1", "-0x1.18cf33fb8a26ap+1"],
+        "log_graph_norms": ["-0x1.18cf33fb8a268p+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a267p+1", "-0x1.18cf33fb8a267p+1"],
         "stabilization_ratio": "0x1.0000000000000p+0",
-        "endpoint_rel_error": "0x1.8e276f574644fp-50",
+        "endpoint_rel_error": "0x1.17f3343b84524p-51",
         "finite": True,
-        "uT_sq": "0x1.5d547ac65dd1ap-6",
+        "uT_sq": "0x1.5d547ac65dd26p-6",
         "trace_sq": "0x1.6e86f7dad39f7p-9",
         "source_sq": "0x1.653fe28a8547bp-9",
-        "log_backward_sq": "-0x1.18cf33fb8a26ap+2",
-        "log_total": "-0x1.9e5ce12c47041p+0",
-        "trajectory_sha256": "a708963561819b91d2db4128d2ace6f4b89d1b1e1f4efe0e94c6c12de11a8d1a",
+        "log_backward_sq": "-0x1.18cf33fb8a267p+2",
+        "log_total": "-0x1.9e5ce12c4703cp+0",
+        "trajectory_sha256": "851f0654a28ec66da8895d93b3373c39eee5da599d33c67e5649abdb07423153",
     },
 }
 

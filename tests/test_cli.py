@@ -128,6 +128,10 @@ def _malformed_state(tmp_path, kind):
     return "check-compat"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("kind", [
     "rectangle-forward",
     "missing-kind", "missing-lengths", "missing-modes",
@@ -455,6 +459,25 @@ class TestGeneratorLab:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_zero_matrix_reports_a_finite_sup(self, tmp_path, capsys):
+        (tmp_path / "zero.mat").write_text("2\n0 0 0 0\n0 0 0 0\n")
+        rc = cli(["generator-lab", "--matrix", str(tmp_path / "zero.mat"), "--trials", "32"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["sectoriality"]["sup_value"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("entry", ["1e306", "1e200", "-1e10"])
+    def test_entries_out_of_range_are_one_line_errors(self, tmp_path, capsys, entry):
+        # 1e306: the sector radii overflow; 1e200: ||A||^2 overflows;
+        # -1e10: e^{-tA} overflows and the report holds NaN
+        (tmp_path / "big.mat").write_text(f"2\n{entry} 0 0 0\n0 0 1 0\n")
+        with np.errstate(all="ignore"):
+            rc = cli(["generator-lab", "--matrix", str(tmp_path / "big.mat"), "--trials", "32"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if ln.startswith("error:")]) == 1
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))

@@ -1,5 +1,7 @@
 """Exponential-integrator march, closed-form Duhamel checks, space-time norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from heatfvp.duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from heatfvp.spectral import InvalidSpecError, SpectralVec, rel_distance
+from heatfvp.logspace import LOG_MAX
+from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
 
 
 # phi1(z) = (e^z-1)/z, phi2(z) = (e^z-1-z)/z^2, 50-digit mpmath reference.
@@ -238,6 +241,26 @@ class TestLinearity:
         lhs = full.final_state.coefficients
         rhs = part1.final_state.coefficients + part2.final_state.coefficients
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
+
+
+class TestSourceRange:
+    def test_source_near_float_max_stays_finite_and_silent(self):
+        # u_j(T) = c (1 - e^{-lambda_j T}) / lambda_j with c = 1e307 reaches
+        # e^{710.8} on mode 1, past LOG_MAX: the particular part must carry
+        # it without a linear-scale overflow
+        basis = build_basis(DomainSpec("interval", (100.0,), 8))
+        T = 50.0
+        ts = np.linspace(0.0, T, 200)
+        f = SourceTerm(basis, ts, np.full((ts.size, 8), 1e307, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_cauchy(SpectralVec.zero(basis), f, ts)
+        lam = basis.lambdas
+        want = np.log(1e307) + np.log(-np.expm1(-lam * T) / lam)
+        assert np.all(np.isfinite(traj.logmag[1:]))
+        assert traj.final_state.logmag[0] > LOG_MAX
+        assert traj.final_state.logmag == pytest.approx(want, rel=1e-13)
+        assert np.allclose(traj.final_state.phase, 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestGridValidation:

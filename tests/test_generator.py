@@ -157,6 +157,21 @@ class TestSectoriality:
         with pytest.raises(InvalidSpecError):
             check_sectoriality(MatrixGenerator([[1.0]]), n_radii=0)
 
+    def test_zero_matrix_samples_the_unit_decades(self):
+        # radii scaled by ||A|| = 0 would all sit on omega = 0, the
+        # spectrum, and leave nothing to sample
+        rep = check_sectoriality(MatrixGenerator(np.zeros((2, 2))))
+        assert rep.n_sampled == 64 * 32 and rep.n_skipped == 0
+        assert rep.sup_value == pytest.approx(1.0, rel=1e-12)
+        assert rep.passed
+
+    def test_nothing_to_sample_is_refused(self):
+        # every point of the one radius 1e-9 lies within the skip distance
+        # of the eigenvalue 0
+        gen = MatrixGenerator([[0.0, 1e-6], [0.0, 0.0]])
+        with pytest.raises(InvalidSpecError):
+            check_sectoriality(gen, n_radii=1)
+
     def test_json_keys(self):
         rep = check_sectoriality(MatrixGenerator([[1.0]]))
         d = json.loads(rep.to_json())

@@ -21,6 +21,7 @@ from heatfvp import (
     vec_from_json,
     vec_to_json,
 )
+from heatfvp.spectral import strict_json
 
 
 def test_interval_eigenvalues_are_squares(basis16):
@@ -220,6 +221,14 @@ def test_rel_distance_huge_vectors(basis16):
     b.logmag = b.logmag + np.log(2.0)
     # |a - 2a| / |2a| = 1/2, far outside linear float range
     assert rel_distance(a, b) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_strict_json_sorts_and_refuses_non_finite_numbers():
+    payload = {"b": [1.5, -0.0], "a": {"z": 1e-300, "y": True}}
+    assert strict_json(payload) == json.dumps(payload, sort_keys=True)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidSpecError):
+            strict_json({"x": [bad]})
 
 
 def test_vec_json_round_trip(basis16):
