@@ -1,0 +1,185 @@
+"""Bit-for-bit goldens of the sine transforms and of the CLI outputs.
+
+The hashes were recorded before the sine tables, the node-series grids and
+the config loading were folded into one implementation each; any change of
+rounding in those paths shows up here as a changed digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from heatfvp import DomainSpec, SpectralVec, analyze, build_basis, project_samples, synthesize
+from heatfvp import spectral as sp
+from heatfvp.cli import cli
+
+from test_cli import inhom_files, write_conf
+
+
+def _digest(arr) -> str:
+    a = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+BASES = {
+    "interval-pi-16": DomainSpec("interval", (np.pi,), 16),
+    "interval-2.5-12": DomainSpec("interval", (2.5,), 12),
+    "rectangle-pi-4": DomainSpec("rectangle", (np.pi, np.pi), 4),
+    "rectangle-pi-2-5": DomainSpec("rectangle", (np.pi, 2.0), 5),
+}
+
+TRANSFORM_GOLDENS = {
+    "interval-pi-16": {
+        "analyze-real": "acb8fdd2d594e531",
+        "analyze-complex": "26101d3cf07c4d6e",
+        "synthesize-default": "d1362bab46b15a0c",
+        "synthesize-default-complex": "4c7ab3905b88fc85",
+        "synthesize-points": "517e7dd50493df96",
+        "project-samples": "295066f7020bfb1b",
+        "mode-values": "a9a95c9b3f43abda",
+    },
+    "interval-2.5-12": {
+        "analyze-real": "219c7c9624bcf137",
+        "analyze-complex": "14189135974a0c6c",
+        "synthesize-default": "44f8526eeb6b369f",
+        "synthesize-default-complex": "3d27dd0b58912d84",
+        "synthesize-points": "77385981c062135a",
+        "project-samples": "a21279a4957dab98",
+        "mode-values": "29dc9a6259b4f825",
+    },
+    "rectangle-pi-4": {
+        "analyze-real": "5bbccc251c08251a",
+        "analyze-complex": "bc9bb4f9eaaa9628",
+        "synthesize-default": "d1b3f479b7863206",
+        "synthesize-default-complex": "7d1945d2f7d659ca",
+        "synthesize-points": "810553cc8ca4868d",
+    },
+    "rectangle-pi-2-5": {
+        "analyze-real": "f69126dd95b02a2d",
+        "analyze-complex": "606e680a73390f85",
+        "synthesize-default": "f50cbbfe7594a30d",
+        "synthesize-default-complex": "ccf0c48f80b68a75",
+        "synthesize-points": "0e3ad434a51c156b",
+    },
+}
+
+
+def _transform_arrays(spec):
+    basis = build_basis(spec)
+    rng = np.random.default_rng(11)
+    grid = tuple(ax.size for ax in basis.axes)
+    out = {
+        "analyze-real": analyze(rng.standard_normal(grid), basis).coefficients,
+        "analyze-complex": analyze(rng.standard_normal(grid) + 1j * rng.standard_normal(grid), basis).coefficients,
+    }
+    coeffs = rng.standard_normal(basis.n_modes) * np.exp(-0.2 * np.arange(basis.n_modes))
+    real_vec = SpectralVec.from_coefficients(basis, coeffs)
+    complex_vec = SpectralVec.from_coefficients(basis, coeffs * np.exp(1j * rng.uniform(0, 6, basis.n_modes)))
+    out["synthesize-default"] = synthesize(real_vec)
+    out["synthesize-default-complex"] = synthesize(complex_vec)
+    points = tuple(np.sort(rng.uniform(0.0, L, 7)) for L in spec.lengths)
+    out["synthesize-points"] = synthesize(real_vec, points[0] if basis.ndim == 1 else points)
+    if basis.ndim == 1:
+        (L,) = spec.lengths
+        x = np.linspace(0.0, L, 65)
+        out["project-samples"] = project_samples(rng.standard_normal(65), x, basis).coefficients
+        out["mode-values"] = basis.mode_values(points[0])
+    return out
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_transforms_match_recorded_bits(name):
+    got = {key: _digest(arr) for key, arr in _transform_arrays(BASES[name]).items()}
+    assert got == TRANSFORM_GOLDENS[name]
+
+
+CLI_GOLDENS = {
+    "forward": {
+        "stdout": "c06914fb1f6b337a",
+        "final_state.json": "1c02761d095695b6",
+        "trajectory.csv": "16c3cff914e1f718",
+    },
+    "backward": {
+        "stdout": "10dff0ae3ec20f25",
+        "compat.json": "7a1e50d83fe25c95",
+        "trajectory.csv": "4d622fdf6e172fec",
+        "u0.json": "66a1de12635c64eb",
+        "ynorm.json": "c4d3ae380562c079",
+    },
+    "check-compat": {
+        "stdout": "81bc4c0ee3c330ca",
+        "compat.json": "7a1e50d83fe25c95",
+    },
+    "norms": {
+        "stdout": "485a217498377381",
+        "norms.json": "402f58f63a90068b",
+    },
+    "oracle-compare": {
+        "stdout": "dd925ddaf181f206",
+        "oracle_compare.json": "2b64c6c1dac8aa4e",
+    },
+    "instability-demo-T0.8-L3.141592653589793": {
+        "stdout": "e3b0c44298fc1c14",
+        "table.csv": "23d37ef5ef573787",
+        "stdout-table": "23d37ef5ef573787",
+    },
+    "instability-demo-T0.8-L0.37": {
+        "stdout": "e3b0c44298fc1c14",
+        "table.csv": "a71c1d64d86c512f",
+        "stdout-table": "a71c1d64d86c512f",
+    },
+    "instability-demo-T7.3-L0.01": {
+        "stdout": "e3b0c44298fc1c14",
+        "table.csv": "f9c43abbb2d62180",
+        "stdout-table": "f9c43abbb2d62180",
+    },
+}
+
+
+def _run(tmp_path, capsys, sub, argv, out_dir):
+    assert cli([sub, *argv]) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]}
+    if out_dir is not None:
+        for p in sorted(out_dir.iterdir()):
+            got[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+    return got
+
+
+def _inhom_config(tmp_path, sub):
+    basis, u0, T = inhom_files(tmp_path)
+    (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+    return write_conf(
+        tmp_path,
+        f"modes = 16\nT = {T!r}\nuT.path = uT.json\nu0.path = u0.json\n"
+        f"f.path = f.csv\ng.path = g.csv\nout.dir = out-{sub}\n",
+        name=f"{sub}.conf",
+    )
+
+
+@pytest.mark.parametrize("sub", ["forward", "backward", "check-compat", "norms"])
+def test_config_subcommands_match_recorded_bits(tmp_path, capsys, sub):
+    conf = _inhom_config(tmp_path, sub)
+    assert _run(tmp_path, capsys, sub, ["--config", conf], tmp_path / f"out-{sub}") == CLI_GOLDENS[sub]
+
+
+def test_oracle_compare_matches_recorded_bits(tmp_path, capsys):
+    conf = _inhom_config(tmp_path, "oracle-compare")
+    argv = ["--config", conf, "--fd-points", "31", "--steps", "16"]
+    got = _run(tmp_path, capsys, "oracle-compare", argv, tmp_path / "out-oracle-compare")
+    assert got == CLI_GOLDENS["oracle-compare"]
+
+
+INSTABILITY_CASES = [("0.8", "3.141592653589793"), ("0.8", "0.37"), ("7.3", "0.01")]
+
+
+@pytest.mark.parametrize("T,length", INSTABILITY_CASES)
+def test_instability_demo_matches_recorded_bits(tmp_path, capsys, T, length):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["--T", T, "--jmax", "64", "--length", length, "--out", str(out / "table.csv")]
+    got = _run(tmp_path, capsys, "instability-demo", argv, out)
+    got["stdout-table"] = _run(tmp_path, capsys, "instability-demo", argv[:-2], None)["stdout"]
+    assert got == CLI_GOLDENS[f"instability-demo-T{T}-L{length}"]
