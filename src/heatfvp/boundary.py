@@ -18,9 +18,6 @@ compatibility difference is v = u_T - (source yield) - z(T).
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +25,10 @@ import numpy as np
 from .duhamel import (
     SourceTerm,
     Trajectory,
+    _interpolate,
+    _node_csv,
+    _node_times,
+    _parse_node_csv,
     _trapezoid,
     solve_cauchy,
     source_yield,
@@ -42,9 +43,10 @@ from .semigroup import (
     apply_inverse,
     check_domain_membership,
 )
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, rel_distance, strict_json, triple_norms
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, rel_distance, strict_json, triple_norms
 
 TRACE_SURROGATE_SAMPLES = 128
+_CSV_HEADER = ["t", "g_left", "g_right"]
 
 
 def _require_interval(basis: EigenBasis):
@@ -63,12 +65,8 @@ class BoundaryData:
     values: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _node_times(self.times, "boundary data")
         self.values = np.asarray(self.values, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise InvalidSpecError("boundary data needs at least two time nodes")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidSpecError("boundary time grid must be strictly increasing")
         if self.values.shape != (self.times.size, 2) or not np.all(np.isfinite(self.values)):
             raise InvalidSpecError("boundary values must be a finite (n_nodes, 2) array")
 
@@ -89,31 +87,16 @@ class BoundaryData:
         return bool(np.all(self.values == 0.0))
 
     def sample(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < self.times[0] - 1e-12) or np.any(ts > self.times[-1] + 1e-12):
-            raise InvalidSpecError("sample times outside the boundary grid")
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 2)
-        t0 = self.times[idx]
-        t1 = self.times[idx + 1]
-        w = ((ts - t0) / (t1 - t0))[:, None]
-        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
+        """Piecewise-linear (left, right) values at arbitrary times, shape (len(ts), 2)."""
+        return _interpolate(self.times, self.values, ts, "boundary data")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["t", "g_left", "g_right"])
-        for t, (gl, gr) in zip(self.times, self.values):
-            w.writerow([repr(float(t)), repr(float(gl)), repr(float(gr))])
-        return out.getvalue()
+        return _node_csv(_CSV_HEADER, np.column_stack([self.times, self.values]))
 
     @classmethod
     def from_csv(cls, text: str) -> "BoundaryData":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or [h.strip() for h in rows[0]] != ["t", "g_left", "g_right"]:
-            raise InvalidSpecError("boundary CSV header must be t,g_left,g_right")
-        data = [[float(x) for x in row] for row in rows[1:] if row]
-        arr = np.array(data)
-        return cls(arr[:, 0], arr[:, 1:])
+        rows = _parse_node_csv(text, _CSV_HEADER, "boundary CSV header must be t,g_left,g_right")
+        return cls(rows[:, 0], rows[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,8 @@ def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     per subinterval.
     """
     _require_interval(basis)
-    if t <= 0 or t > g.t_final + 1e-12:
+    _check_horizon(t)
+    if t > g.t_final + 1e-12:
         raise InvalidSpecError("evaluation time must lie in (0, T] of the boundary data")
     lift = LiftPath(g, basis)
     lam = basis.lambdas
@@ -412,8 +396,7 @@ class FvpSolution:
 def _validate_final_data(f, g, u_T, T):
     """Reject a horizon that is not finite and positive and a source or
     boundary grid short of [0, T]; boundary data need the interval."""
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidSpecError("horizon T must be finite and positive")
+    _check_horizon(T)
     if f is not None:
         if not f.basis.same_as(u_T.basis):
             raise InvalidSpecError("source and final state use different bases")

@@ -26,7 +26,7 @@ from . import fvp
 from . import generator as gl
 from . import spectral as sp
 from .semigroup import MembershipPolicy
-from .spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
+from .spectral import DomainSpec, InvalidSpecError, _check_horizon, build_basis
 
 USAGE = (
     "usage: heatfvp <subcommand> [options]\n"
@@ -91,13 +91,6 @@ def _cfg_float(cfg: dict, key: str, default=None) -> float | None:
         raise UsageError(f"config key {key} must be a number") from exc
 
 
-def _cfg_horizon(cfg: dict) -> float:
-    T = _cfg_float(cfg, "T")
-    if not (math.isfinite(T) and T > 0.0):
-        raise UsageError("config key T must be a finite positive number")
-    return T
-
-
 def _cfg_int(cfg: dict, key: str, default=None) -> int | None:
     if key not in cfg:
         return default
@@ -138,31 +131,33 @@ def policy_from_config(cfg: dict) -> MembershipPolicy:
         raise UsageError(str(exc)) from exc
 
 
-def _load_vec(path: Path, basis: sp.EigenBasis) -> SpectralVec:
-    try:
-        return sp.vec_from_json(path.read_text(), basis)
-    except (ValueError, sp.GridMismatchError, InvalidSpecError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
-def _load_source(cfg: dict, basis: sp.EigenBasis) -> dh.SourceTerm | None:
-    p = _cfg_path(cfg, "f.path")
+def _load(cfg: dict, key: str, parse, required: bool = False):
+    """Parse the file named by `key`, or None when the key is absent; a
+    parse failure names the file.  InvalidSpecError and GridMismatchError
+    are ValueErrors."""
+    p = _cfg_path(cfg, key, required)
     if p is None:
         return None
     try:
-        return dh.SourceTerm.from_csv(p.read_text(), basis)
-    except (ValueError, InvalidSpecError) as exc:
+        return parse(p.read_text())
+    except ValueError as exc:
         raise UsageError(f"{p}: {exc}") from exc
 
 
-def _load_boundary(cfg: dict) -> bd.BoundaryData | None:
-    p = _cfg_path(cfg, "g.path")
-    if p is None:
-        return None
-    try:
-        return bd.BoundaryData.from_csv(p.read_text())
-    except (ValueError, InvalidSpecError) as exc:
-        raise UsageError(f"{p}: {exc}") from exc
+def _load_state(cfg: dict, key: str, basis: sp.EigenBasis, required: bool = True):
+    return _load(cfg, key, lambda text: sp.vec_from_json(text, basis), required)
+
+
+def _problem(args):
+    """Config, basis, horizon T, source f and boundary data g of a
+    config-driven subcommand; f and g are None when the config names none."""
+    cfg = parse_config(args.config)
+    basis = basis_from_config(cfg)
+    T = _cfg_float(cfg, "T")
+    _check_horizon(T)
+    f = _load(cfg, "f.path", lambda text: dh.SourceTerm.from_csv(text, basis))
+    g = _load(cfg, "g.path", bd.BoundaryData.from_csv)
+    return cfg, basis, T, f, g
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -185,19 +180,11 @@ def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
     return np.linspace(0.0, T, 33)
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
-
-
 # -- subcommands ------------------------------------------------------------
 
 def _cmd_forward(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
-    T = _cfg_horizon(cfg)
-    u0 = _load_vec(_cfg_path(cfg, "u0.path", required=True), basis)
-    f = _load_source(cfg, basis)
-    g = _load_boundary(cfg)
+    cfg, basis, T, f, g = _problem(args)
+    u0 = _load_state(cfg, "u0.path", basis)
     if f is not None and f.t_final < T - 1e-12:
         raise UsageError("source grid must cover [0, T]")
     tgrid = _tgrid(cfg, T, f)
@@ -206,8 +193,8 @@ def _cmd_forward(args) -> int:
     else:
         traj = dh.solve_cauchy(u0, f, tgrid)
     out = _out_dir(cfg)
-    _write(out / "trajectory.csv", traj.to_csv())
-    _write(out / "final_state.json", sp.vec_to_json(traj.final_state))
+    (out / "trajectory.csv").write_text(traj.to_csv())
+    (out / "final_state.json").write_text(sp.vec_to_json(traj.final_state))
     summary = {
         "T": T,
         "modes": basis.n_modes,
@@ -219,12 +206,8 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_backward(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
-    T = _cfg_horizon(cfg)
-    u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
-    f = _load_source(cfg, basis)
-    g = _load_boundary(cfg)
+    cfg, basis, T, f, g = _problem(args)
+    u_T = _load_state(cfg, "uT.path", basis)
     policy = policy_from_config(cfg)
     try:
         sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_tgrid(cfg, T, f))
@@ -232,57 +215,46 @@ def _cmd_backward(args) -> int:
         print(exc.report.to_json())
         return 2
     out = _out_dir(cfg)
-    _write(out / "u0.json", sp.vec_to_json(sol.trajectory.initial_state))
-    _write(out / "trajectory.csv", sol.trajectory.to_csv())
-    _write(out / "compat.json", sol.compat.to_json())
-    _write(out / "ynorm.json", sol.ynorm.to_json())
+    (out / "u0.json").write_text(sp.vec_to_json(sol.trajectory.initial_state))
+    (out / "trajectory.csv").write_text(sol.trajectory.to_csv())
+    (out / "compat.json").write_text(sol.compat.to_json())
+    (out / "ynorm.json").write_text(sol.ynorm.to_json())
     print(sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict}))
     return 0
 
 
 def _cmd_check_compat(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
-    T = _cfg_horizon(cfg)
-    u_T = _load_vec(_cfg_path(cfg, "uT.path", required=True), basis)
-    f = _load_source(cfg, basis)
-    g = _load_boundary(cfg)
+    cfg, basis, T, f, g = _problem(args)
+    u_T = _load_state(cfg, "uT.path", basis)
     report = bd.check_final_data(f, g, u_T, T, policy_from_config(cfg))
     print(report.to_json())
     if cfg.get("out.dir") is not None:
-        _write(_out_dir(cfg) / "compat.json", report.to_json())
+        (_out_dir(cfg) / "compat.json").write_text(report.to_json())
     return 0 if report.verdict == "compatible" else 2
 
 
 def _cmd_instability_demo(args) -> int:
-    if not (math.isfinite(args.T) and args.T > 0) or args.jmax < 1:
-        raise UsageError("need T > 0 and jmax >= 1")
+    # instability_table refuses a bad horizon and a jmax outside 1..n_modes
     basis = build_basis(DomainSpec("interval", (args.length,), max(args.jmax, 1)))
     rows = fvp.instability_table(basis, args.T, args.jmax)
     text = fvp.instability_csv(rows)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out), text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_norms(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
-    T = _cfg_horizon(cfg)
-    f = _load_source(cfg, basis)
-    g = _load_boundary(cfg)
+    cfg, basis, T, f, g = _problem(args)
     policy = policy_from_config(cfg)
     reports: dict = {}
-    uT_path = _cfg_path(cfg, "uT.path")
-    if uT_path is not None:
-        u_T = _load_vec(uT_path, basis)
+    u_T = _load_state(cfg, "uT.path", basis, required=False)
+    if u_T is not None:
         reports["data_norm"] = json.loads(bd.data_norm_inhom(f, g, u_T, T, policy).to_json())
-    u0_path = _cfg_path(cfg, "u0.path")
-    if u0_path is not None:
-        u0 = _load_vec(u0_path, basis)
+    u0 = _load_state(cfg, "u0.path", basis, required=False)
+    if u0 is not None:
         tgrid = _tgrid(cfg, T, f)
         if g is not None:
             traj = bd.solve_ibvp(u0, f, g, tgrid)
@@ -303,19 +275,15 @@ def _cmd_norms(args) -> int:
     text = sp.strict_json(reports)
     print(text)
     if cfg.get("out.dir") is not None:
-        _write(_out_dir(cfg) / "norms.json", text)
+        (_out_dir(cfg) / "norms.json").write_text(text)
     return 0
 
 
 def _cmd_oracle_compare(args) -> int:
-    cfg = parse_config(args.config)
-    basis = basis_from_config(cfg)
+    cfg, basis, T, f, g = _problem(args)
     if basis.ndim != 1:
         raise UsageError("oracle comparison is interval-only")
-    T = _cfg_horizon(cfg)
-    u0 = _load_vec(_cfg_path(cfg, "u0.path", required=True), basis)
-    f = _load_source(cfg, basis)
-    g = _load_boundary(cfg)
+    u0 = _load_state(cfg, "u0.path", basis)
     (L,) = basis.spec.lengths
 
     traj = bd.solve_ibvp(u0, f, g, np.linspace(0.0, T, 9))
@@ -353,7 +321,7 @@ def _cmd_oracle_compare(args) -> int:
     text = sp.strict_json(report)
     print(text)
     if cfg.get("out.dir") is not None:
-        _write(_out_dir(cfg) / "oracle_compare.json", text)
+        (_out_dir(cfg) / "oracle_compare.json").write_text(text)
     return 0
 
 
@@ -394,7 +362,7 @@ def _cmd_generator_lab(args) -> int:
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write(Path(args.out), text)
+        Path(args.out).write_text(text)
     return 0
 
 

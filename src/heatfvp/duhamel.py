@@ -25,11 +25,55 @@ from .spectral import (
     InvalidSpecError,
     SpectralVec,
     TripleNorms,
+    _check_horizon,
     stacked_norms,
 )
 
 PHI_TAYLOR_THRESHOLD = 1e-6
 _LN2 = float(np.log(2.0))
+
+
+# -- node series: the time grid, the interpolation and the CSV form shared by
+# the source f and the boundary data g
+
+def _node_times(times, what: str) -> np.ndarray:
+    """At least two finite, strictly increasing node times."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size < 2:
+        raise InvalidSpecError(f"{what} needs at least two time nodes")
+    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
+        raise InvalidSpecError(f"{what} times must be finite and strictly increasing")
+    return ts
+
+
+def _interpolate(times: np.ndarray, values: np.ndarray, ts, what: str) -> np.ndarray:
+    """Piecewise-linear values of the node series at arbitrary times, shape
+    (len(ts),) + values.shape[1:]."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.all((ts >= times[0] - 1e-12) & (ts <= times[-1] + 1e-12)):
+        raise InvalidSpecError(f"sample times outside the {what} grid")
+    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+    t0 = times[idx]
+    t1 = times[idx + 1]
+    w = ((ts - t0) / (t1 - t0))[:, None]
+    return (1.0 - w) * values[idx] + w * values[idx + 1]
+
+
+def _node_csv(header: list, table: np.ndarray) -> str:
+    """Header line, then one row of float reprs per node."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _parse_node_csv(text: str, header: list, header_error: str) -> np.ndarray:
+    """The rows under `header` as a float array of shape (n_rows, len(header))."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or [h.strip() for h in rows[0]] != header:
+        raise InvalidSpecError(header_error)
+    data = [[float(x) for x in row] for row in rows[1:] if row]
+    if any(len(row) != len(header) for row in data):
+        raise InvalidSpecError(f"every CSV row needs {len(header)} fields")
+    return np.array(data, dtype=float).reshape(len(data), len(header))
 
 
 @dataclass
@@ -45,12 +89,8 @@ class SourceTerm:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _node_times(self.times, "source")
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise InvalidSpecError("source needs at least two time nodes")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidSpecError("source time grid must be strictly increasing")
         if self.coeffs.shape != (self.times.size, self.basis.n_modes):
             raise InvalidSpecError("source coefficient array must be (n_nodes, n_modes)")
         if not np.all(np.isfinite(self.coeffs)):
@@ -64,57 +104,27 @@ class SourceTerm:
     def t_final(self) -> float:
         return float(self.times[-1])
 
-    def node(self, k: int) -> SpectralVec:
-        return SpectralVec.from_coefficients(self.basis, self.coeffs[k])
-
     def sample(self, ts) -> np.ndarray:
         """Piecewise-linear values at arbitrary times, shape (len(ts), m)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < self.times[0] - 1e-12) or np.any(ts > self.times[-1] + 1e-12):
-            raise InvalidSpecError("sample times outside the source grid")
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 2)
-        t0 = self.times[idx]
-        t1 = self.times[idx + 1]
-        w = ((ts - t0) / (t1 - t0))[:, None]
-        return (1.0 - w) * self.coeffs[idx] + w * self.coeffs[idx + 1]
+        return _interpolate(self.times, self.coeffs, ts, "source")
 
-    # CSV header: t, mode_1_re, mode_1_im, ...
+    @staticmethod
+    def _csv_header(m: int) -> list:
+        # t, mode_1_re, mode_1_im, ..., mode_m_im
+        return ["t"] + [f"mode_{j}_{p}" for j in range(1, m + 1) for p in ("re", "im")]
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out)
-        m = self.basis.n_modes
-        header = ["t"]
-        for j in range(1, m + 1):
-            header += [f"mode_{j}_re", f"mode_{j}_im"]
-        w.writerow(header)
-        for t, row in zip(self.times, self.coeffs):
-            fields = [repr(float(t))]
-            for z in row:
-                fields += [repr(float(z.real)), repr(float(z.imag))]
-            w.writerow(fields)
-        return out.getvalue()
+        table = np.empty((self.times.size, 1 + 2 * self.basis.n_modes))
+        table[:, 0] = self.times
+        table[:, 1::2] = self.coeffs.real
+        table[:, 2::2] = self.coeffs.imag
+        return _node_csv(self._csv_header(self.basis.n_modes), table)
 
     @classmethod
     def from_csv(cls, text: str, basis: EigenBasis) -> "SourceTerm":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
-            raise InvalidSpecError("empty source CSV")
-        header = [h.strip() for h in rows[0]]
-        m = basis.n_modes
-        want = ["t"] + [f"mode_{j}_{p}" for j in range(1, m + 1) for p in ("re", "im")]
-        if header != want:
-            raise InvalidSpecError("source CSV header does not match the basis mode count")
-        times = []
-        coeffs = []
-        for row in rows[1:]:
-            if not row:
-                continue
-            vals = [float(x) for x in row]
-            times.append(vals[0])
-            re = vals[1::2]
-            im = vals[2::2]
-            coeffs.append(np.array(re) + 1j * np.array(im))
-        return cls(basis, np.array(times), np.array(coeffs))
+        header = cls._csv_header(basis.n_modes)
+        rows = _parse_node_csv(text, header, "source CSV header does not match the basis mode count")
+        return cls(basis, rows[:, 0], rows[:, 1::2] + 1j * rows[:, 2::2])
 
 
 def _phi12(z: np.ndarray):
@@ -339,7 +349,8 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
 def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
     """Final-time value of the zero-initial-state solution driven by f."""
     T = f.t_final if T is None else float(T)
-    if T <= 0 or T > f.t_final + 1e-12:
+    _check_horizon(T)
+    if T > f.t_final + 1e-12:
         raise InvalidSpecError("yield horizon must lie in (0, T] of the source")
     traj = solve_cauchy(SpectralVec.zero(f.basis), f, np.array([T]))
     return traj.final_state
@@ -347,11 +358,8 @@ def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
 
 # -- space-time norms and estimates --------------------------------------
 
-_np_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
-    return float(_np_trapz(values, times))
+    return float(np.trapezoid(values, times))
 
 
 def solution_norm(traj: Trajectory) -> float:

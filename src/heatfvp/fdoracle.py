@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import InvalidSpecError
+from .spectral import InvalidSpecError, _check_horizon
 
 
 class CflViolationError(RuntimeError):
@@ -70,8 +70,9 @@ def fd_solve(
     from scipy.linalg import solve_banded  # deferred: only the oracle needs scipy
 
     scheme = scheme or FdScheme()
-    if length <= 0 or t_final <= 0 or n_steps < 1:
-        raise InvalidSpecError("need positive length, horizon and step count")
+    _check_horizon(t_final)
+    if length <= 0 or n_steps < 1:
+        raise InvalidSpecError("need a positive length and step count")
     m = scheme.m_interior
     x = np.linspace(0.0, length, m + 2)
     xin = x[1:-1]

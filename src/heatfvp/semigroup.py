@@ -12,13 +12,12 @@ and flagged as such in every report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .logspace import log_sum_exp
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, strict_json
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, strict_json
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "
@@ -135,8 +134,7 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
       * incompatible -- some consecutive step grows by >= growth_thresh.
       * inconclusive -- anything in between.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("the backward horizon T must be finite and positive")
+    _check_horizon(T)
     policy = policy or MembershipPolicy()
     lam = vec.basis.lambdas
     cutoffs = policy.resolved_cutoffs(vec.basis.n_modes)

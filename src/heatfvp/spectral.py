@@ -11,14 +11,13 @@ without overflowing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .logspace import LOG_MAX, kahan_sum, log_sum_exp, logspace_add, merge_phase, split_phase
-
-MIRROR_RTOL = 1e-12
 
 
 class InvalidSpecError(ValueError):
@@ -27,6 +26,12 @@ class InvalidSpecError(ValueError):
 
 class GridMismatchError(ValueError):
     """Sample array does not live on the expected quadrature grid."""
+
+
+def _check_horizon(T) -> None:
+    """The one check of a time horizon: finite and positive."""
+    if not (math.isfinite(T) and T > 0):
+        raise InvalidSpecError("horizon T must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,24 @@ def _simpson_weights(length: float, panels: int) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
+
+
+def _sine_table(L: float, modes: int, points) -> np.ndarray:
+    """Normalized Dirichlet eigenfunctions sqrt(2/L) sin(j pi x / L), one
+    row per mode j = 1..modes, one column per point; every sine series of
+    the package is built here."""
+    j = np.arange(1, modes + 1, dtype=float)
+    return np.sqrt(2.0 / L) * np.sin(np.outer(j, np.asarray(points, dtype=float)) * (np.pi / L))
+
+
+def _simpson_project(samples, tables, weights) -> np.ndarray:
+    """Composite-Simpson inner products of grid samples with the per-axis
+    sine tables: one axis on an interval, two on a rectangle."""
+    f = np.asarray(samples).astype(np.complex128)
+    weighted = [S * w for S, w in zip(tables, weights)]
+    if len(weighted) == 1:
+        return weighted[0] @ f
+    return weighted[0] @ f @ weighted[1].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +127,7 @@ class EigenBasis:
 
     @cached_property
     def sines(self) -> tuple:
-        jj = np.arange(1, self.spec.modes + 1, dtype=float)
-        return tuple(
-            np.sqrt(2.0 / L) * np.sin(np.outer(jj, x) * (np.pi / L))
-            for L, x in zip(self.spec.lengths, self.axes)
-        )
+        return tuple(_sine_table(L, self.spec.modes, x) for L, x in zip(self.spec.lengths, self.axes))
 
     @property
     def n_modes(self) -> int:
@@ -140,29 +159,32 @@ class EigenBasis:
         if self.spec.kind != "interval":
             raise InvalidSpecError("pointwise mode tables are interval-only")
         (L,) = self.spec.lengths
-        x = np.asarray(points, dtype=float)
-        jj = np.arange(1, self.spec.modes + 1, dtype=float)
-        return np.sqrt(2.0 / L) * np.sin(np.outer(jj, x) * (np.pi / L))
+        return _sine_table(L, self.spec.modes, points)
 
 
 def build_basis(spec: DomainSpec) -> EigenBasis:
-    """Assemble the sorted eigenbasis; quadrature tables wait for first use."""
+    """Assemble the sorted eigenbasis; quadrature tables wait for first use.
+
+    Refuses lengths whose spectrum leaves float64 range: the largest
+    eigenvalue must be finite and the smallest must have a finite
+    reciprocal, the constant C2.
+    """
     N = spec.modes
+    j = np.arange(1, N + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        axis_lambdas = [(j * np.pi / L) ** 2 for L in spec.lengths]
     if spec.kind == "interval":
-        (L,) = spec.lengths
-        j = np.arange(1, N + 1, dtype=float)
-        lambdas = (j * np.pi / L) ** 2
+        (lambdas,) = axis_lambdas
         index_map = tuple((int(i),) for i in range(1, N + 1))
     else:
-        L1, L2 = spec.lengths
-        j = np.arange(1, N + 1, dtype=float)
-        lam1 = (j * np.pi / L1) ** 2
-        lam2 = (j * np.pi / L2) ** 2
+        lam1, lam2 = axis_lambdas
         pairs = [(lam1[a] + lam2[b], a + 1, b + 1) for a in range(N) for b in range(N)]
         pairs.sort(key=lambda p: (p[0], p[1], p[2]))  # deterministic tie-break
         lambdas = np.array([p[0] for p in pairs])
         index_map = tuple((p[1], p[2]) for p in pairs)
     lam1 = float(lambdas[0])
+    if not (math.isfinite(float(lambdas[-1])) and lam1 > 0.0 and math.isfinite(1.0 / lam1)):
+        raise InvalidSpecError("domain lengths put the Dirichlet spectrum outside float64 range")
     return EigenBasis(
         spec=spec,
         lambdas=lambdas,
@@ -230,23 +252,6 @@ class SpectralVec:
 
     def copy(self) -> "SpectralVec":
         return SpectralVec(self.basis, self.phase.copy(), self.logmag.copy())
-
-    def validate(self) -> None:
-        """Check the representation invariant: unit phases and an agreeing
-        linear mirror wherever the mirror is finite."""
-        mag = np.abs(self.phase)
-        live = self.logmag > -np.inf
-        if not np.allclose(mag[live], 1.0, rtol=1e-12, atol=1e-12):
-            raise AssertionError("phase entries must be unit modulus")
-        if np.any(mag[~live] != 0.0):
-            raise AssertionError("zero modes must carry phase 0")
-        mirror = self.coefficients
-        finite = np.isfinite(mirror.real) & np.isfinite(mirror.imag)
-        back_p, back_l = split_phase(mirror[finite])
-        ref_l = self.logmag[finite]
-        both = np.isfinite(back_l) & np.isfinite(ref_l)
-        if not np.allclose(back_l[both], ref_l[both], rtol=MIRROR_RTOL, atol=1e-300):
-            raise AssertionError("linear mirror disagrees with the log representation")
 
     # -- arithmetic ----------------------------------------------------
     def scale_log(self, delta) -> "SpectralVec":
@@ -366,14 +371,9 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
     basis modes exactly (discrete orthogonality), so analyze/synthesize
     round-trip on the span at machine precision.
     """
-    f = _check_grid(samples, basis)
-    if basis.ndim == 1:
-        coeffs = (basis.sines[0] * basis.weights[0]) @ f.astype(np.complex128)
-    else:
-        Sx = basis.sines[0] * basis.weights[0]
-        Sy = basis.sines[1] * basis.weights[1]
-        grid = Sx @ f.astype(np.complex128) @ Sy.T
-        coeffs = np.array([grid[a - 1, b - 1] for a, b in basis.index_map])
+    coeffs = _simpson_project(_check_grid(samples, basis), basis.sines, basis.weights)
+    if basis.ndim == 2:
+        coeffs = np.array([coeffs[a - 1, b - 1] for a, b in basis.index_map])
     return SpectralVec.from_coefficients(basis, coeffs)
 
 
@@ -394,10 +394,8 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
         raise GridMismatchError("grid must be uniform and increasing")
     if (x.size - 1) % 2 != 0:
         raise GridMismatchError("grid needs an even panel count")
-    w = _simpson_weights(L, x.size - 1)
-    j = np.arange(1, basis.spec.modes + 1, dtype=float)
-    sines = np.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (np.pi / L))
-    coeffs = (sines * w) @ f.astype(np.complex128)
+    table = _sine_table(L, basis.spec.modes, x)
+    coeffs = _simpson_project(f, (table,), (_simpson_weights(L, x.size - 1),))
     return SpectralVec.from_coefficients(basis, coeffs)
 
 
@@ -411,29 +409,19 @@ def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
         raise OverflowError("coefficients exceed linear floating-point range")
     basis = vec.basis
     c = vec.coefficients
+    if points is None:
+        tables = basis.sines
+    else:
+        per_axis = (points,) if basis.ndim == 1 else points
+        tables = tuple(_sine_table(L, basis.spec.modes, p) for L, p in zip(basis.spec.lengths, per_axis))
     if basis.ndim == 1:
-        if points is None:
-            table = basis.sines[0]
-        else:
-            x = np.asarray(points, dtype=float)
-            (L,) = basis.spec.lengths
-            j = np.arange(1, basis.spec.modes + 1, dtype=float)
-            table = np.sqrt(2.0 / L) * np.sin(np.outer(j, x) * (np.pi / L))
-        out = c @ table
+        out = c @ tables[0]
     else:
         N = basis.spec.modes
         C = np.zeros((N, N), dtype=np.complex128)
         for pos, (a, b) in enumerate(basis.index_map):
             C[a - 1, b - 1] = c[pos]
-        if points is None:
-            Sx, Sy = basis.sines
-        else:
-            xs, ys = points
-            L1, L2 = basis.spec.lengths
-            j = np.arange(1, N + 1, dtype=float)
-            Sx = np.sqrt(2.0 / L1) * np.sin(np.outer(j, np.asarray(xs, dtype=float)) * (np.pi / L1))
-            Sy = np.sqrt(2.0 / L2) * np.sin(np.outer(j, np.asarray(ys, dtype=float)) * (np.pi / L2))
-        out = Sx.T @ C @ Sy
+        out = tables[0].T @ C @ tables[1]
     if np.max(np.abs(out.imag), initial=0.0) == 0.0:
         return out.real
     return out

@@ -60,6 +60,12 @@ class TestBoundaryData:
             BoundaryData(np.array([0.0, 1.0]), np.zeros((2, 3)))
         with pytest.raises(InvalidSpecError):
             BoundaryData(np.array([0.0, 1.0]), np.array([[0.0, np.nan]] * 2))
+        for bad in (np.nan, np.inf):
+            for at in range(3):
+                ts = np.array([0.0, 0.5, 1.0])
+                ts[at] = bad
+                with pytest.raises(InvalidSpecError, match="finite"):
+                    BoundaryData(ts, np.zeros((3, 2)))
 
     def test_sample_and_flags(self):
         g = ramp_data(1.0, 1.0, -1.0)
@@ -85,6 +91,13 @@ class TestBoundaryData:
         text = BoundaryData.zero(1.0).to_csv().replace("g_left", "gl")
         with pytest.raises(InvalidSpecError):
             BoundaryData.from_csv(text)
+
+    def test_csv_without_rows_or_with_short_rows(self):
+        header = "t,g_left,g_right\r\n"
+        with pytest.raises(InvalidSpecError, match="two time nodes"):
+            BoundaryData.from_csv(header)
+        with pytest.raises(InvalidSpecError, match="fields"):
+            BoundaryData.from_csv(header + "0.0,1.0\r\n1.0,1.0,1.0\r\n")
 
 
 class TestHarmonicLift:
@@ -166,6 +179,9 @@ class TestBoundaryYield:
             boundary_yield(g, 2.0, basis16)
         with pytest.raises(InvalidSpecError):
             boundary_yield(g, 1.0, basis_rect)
+        for t in (np.nan, np.inf):
+            with pytest.raises(InvalidSpecError, match="horizon"):
+                boundary_yield(g, t, basis16)
 
     def test_partial_needs_interior_eps(self, basis16):
         g = BoundaryData.zero(1.0)

@@ -99,22 +99,35 @@ class TestUsage:
 
 
 def _malformed_state(tmp_path, kind):
-    """Config and state JSON for one bad input; returns the subcommand."""
+    """Config and state JSON for one bad input; returns the argument list."""
+    conf = ["--config", str(tmp_path / "run.conf")]
+    if kind.startswith("demo-length="):
+        # eigenvalues beyond float64 range: (pi/L)^2 overflows at 1e-160, underflows at 1e200
+        return ["instability-demo", "--T", "1", "--jmax", "3", "--length", kind[len("demo-length="):]]
     if kind == "rectangle-forward":
         basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))
         u0 = SpectralVec.from_coefficients(basis, np.exp(-np.arange(16.0)))
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
         write_conf(tmp_path, "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
                              "modes = 4\nT = 0.5\nu0.path = u0.json\nout.dir = out\n")
-        return "forward"
+        return ["forward", *conf]
     if kind == "huge-state-norms":
         # finite coefficients whose squared norms leave float64 range
         payload = {"basis": {"kind": "interval", "lengths": [np.pi], "modes": 16},
                    "coefficients": [[1e300, 0.0]] * 16}
         (tmp_path / "u0.json").write_text(json.dumps(payload))
         write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u0.json\n")
-        return "norms"
+        return ["norms", *conf]
     basis, u0 = decayed_instance(16)
+    if kind.startswith("nan-") and kind.endswith("-time"):
+        # a NaN node time in f.csv or g.csv
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        ts = np.array([0.0, 0.25, 0.5])
+        series = {"f": dh.SourceTerm(basis, ts, np.ones((3, 16))), "g": bd.BoundaryData(ts, np.zeros((3, 2)))}
+        which = "f" if kind == "nan-source-time" else "g"
+        (tmp_path / f"{which}.csv").write_text(series[which].to_csv().replace("\r\n0.25,", "\r\nnan,"))
+        write_conf(tmp_path, f"modes = 16\nT = 0.5\nu0.path = u0.json\n{which}.path = {which}.csv\n")
+        return ["forward", *conf]
     payload = json.loads(sp.vec_to_json(u0))
     T = "0.5"
     if kind.startswith("missing-"):
@@ -124,8 +137,9 @@ def _malformed_state(tmp_path, kind):
     elif kind.endswith("-coefficient"):
         payload["coefficients"][3][0] = float(kind[: -len("-coefficient")])
     (tmp_path / "uT.json").write_text(json.dumps(payload))
-    write_conf(tmp_path, f"modes = 16\nT = {T}\nuT.path = uT.json\n")
-    return "check-compat"
+    length = kind.split("=")[1] if "length=" in kind else "3.141592653589793"
+    write_conf(tmp_path, f"domain.length = {length}\nmodes = 16\nT = {T}\nuT.path = uT.json\nu0.path = uT.json\n")
+    return ["norms" if kind.startswith("norms-") else "check-compat", *conf]
 
 
 def _reject_constant(name):
@@ -138,10 +152,12 @@ def _reject_constant(name):
     "T=nan", "T=inf", "T=0",
     "nan-coefficient", "inf-coefficient",
     "huge-state-norms",
+    "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
+    "demo-length=1e-160", "demo-length=1e200",
+    "nan-source-time", "nan-boundary-time",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
-    sub = _malformed_state(tmp_path, kind)
-    assert cli([sub, "--config", str(tmp_path / "run.conf")]) == 1
+    assert cli(_malformed_state(tmp_path, kind)) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert len([ln for ln in out.err.splitlines() if ln.startswith("error:")]) == 1

@@ -89,6 +89,19 @@ class TestSourceTerm:
         with pytest.raises(InvalidSpecError):
             SourceTerm(basis16, np.array([0.0, 0.0]), np.zeros((2, 16)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_times_must_be_finite(self, basis16, bad, at):
+        ts = np.array([0.0, 0.5, 1.0])
+        ts[at] = bad
+        with pytest.raises(InvalidSpecError, match="finite"):
+            SourceTerm(basis16, ts, np.zeros((3, 16)))
+
+    def test_csv_rows_must_match_the_header(self, basis16):
+        text = SourceTerm.zero(basis16, 1.0).to_csv()
+        with pytest.raises(InvalidSpecError, match="fields"):
+            SourceTerm.from_csv(text + "0.5,1.0\r\n", basis16)
+
     def test_shape_mismatch(self, basis16):
         with pytest.raises(InvalidSpecError):
             SourceTerm(basis16, np.array([0.0, 1.0]), np.zeros((2, 7)))
@@ -206,6 +219,9 @@ class TestClosedForms:
             source_yield(f, 2.0)
         with pytest.raises(InvalidSpecError):
             source_yield(f, 0.0)
+        for T in (np.nan, np.inf):
+            with pytest.raises(InvalidSpecError, match="horizon"):
+                source_yield(f, T)
 
 
 class TestLinearity:

@@ -43,8 +43,9 @@ class TestValidation:
             fd_solve(np.sin, None, None, 0.0, 1.0, 10)
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidSpecError):
-            fd_solve(np.sin, None, None, np.pi, -1.0, 10)
+        for T in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(InvalidSpecError, match="horizon"):
+                fd_solve(np.sin, None, None, np.pi, T, 10)
 
     def test_bad_step_count(self):
         with pytest.raises(InvalidSpecError):

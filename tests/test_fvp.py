@@ -16,7 +16,9 @@ from heatfvp.fvp import (
     solve_final_value,
     theoretical_stability_constant,
 )
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
+from heatfvp.logspace import log_sum_exp
+from heatfvp.semigroup import apply_inverse
+from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, triple_norms
 
 
 def smooth_data(basis, T=1.0, seed=0):
@@ -139,6 +141,20 @@ class TestInstabilityTable:
             assert r.final_norm == 1.0
             assert r.log_initial_norm == pytest.approx(1.0 * r.lam, rel=1e-12)
             assert r.lam == pytest.approx(float(r.j) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("T", [1e-3, 0.1, 1.0, 7.3])
+    @pytest.mark.parametrize("L", [np.pi, 1.0, 0.01])
+    def test_rows_equal_the_inverse_flow_bit_for_bit(self, T, L):
+        # the table reads the rows off the spectrum; the inverse flow of
+        # each unit vector must give the same bits
+        basis = build_basis(DomainSpec("interval", (L,), 64))
+        want = []
+        for j in range(1, 65):
+            uT = SpectralVec.unit(basis, j)
+            log_init = 0.5 * log_sum_exp(2.0 * apply_inverse(uT, T).logmag)
+            want.append((j, float(basis.lambdas[j - 1]), float(triple_norms(uT).normH), float(log_init)))
+        got = [(r.j, r.lam, r.final_norm, r.log_initial_norm) for r in instability_table(basis, T, 64)]
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
 
     def test_horizon_scaling(self, basis16):
         rows = instability_table(basis16, 2.5, 5)

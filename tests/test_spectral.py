@@ -68,6 +68,11 @@ def test_domain_spec_validation():
         DomainSpec("interval", (np.nan,), 4)
     with pytest.raises(InvalidSpecError):
         DomainSpec("rectangle", (1.0, np.inf), 4)
+    # (pi/L)^2 overflows at L = 1e-160; at L = 1e200 it underflows to 0, so C2 = 1/lambda_1 is inf
+    for lengths in ((1e-160,), (1e200,), (1.0, 1e-160), (1e200, 1e200)):
+        spec = DomainSpec("interval" if len(lengths) == 1 else "rectangle", lengths, 4)
+        with pytest.raises(InvalidSpecError, match="float64 range"):
+            build_basis(spec)
 
 
 TABLES = {"axes", "weights", "sines"}
