@@ -311,6 +311,8 @@ def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
     ts = np.asarray(tgrid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise InvalidSpecError("time grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(ts)):
+        raise InvalidSpecError("time grid must be finite")
     if np.any(np.diff(ts) <= 0):
         raise InvalidSpecError("time grid must be strictly increasing")
     if ts[0] < 0 or ts[-1] > t_end + 1e-12:
@@ -327,8 +329,7 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
     callable ts -> extra source coefficients lambda_j * w_j(ts), with its
     own node set passed via `extra_times` so kinks land on step boundaries.
     """
-    t_end = f.t_final if f is not None else float(np.asarray(tgrid, dtype=float)[-1])
-    ts = _validate_tgrid(tgrid, t_end)
+    ts = _validate_tgrid(tgrid, f.t_final if f is not None else np.inf)
     if f is not None and not f.basis.same_as(u0.basis):
         raise InvalidSpecError("source and state use different bases")
 
@@ -388,6 +389,7 @@ def solution_norm(traj: Trajectory) -> float:
 def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
     """Exact int_0^T ||f||_*^2 dt for the piecewise-linear source."""
     T = f.t_final if T is None else float(T)
+    _check_horizon(T)
     lam = f.basis.lambdas
     # the intervals that start before T; only the last can end past it
     n = int(np.count_nonzero(f.times[:-1] < T))

@@ -25,6 +25,11 @@ LOGCONVEXITY_TOL = 1e-10
 # and sample vectors per margin pass in check_logconvexity_criterion, so
 # that A x and A^2 x never exist for more than one block of vectors
 _BLOCK = 128
+# supporting lines of the numerical range that bound the scaled resolvent
+# in check_sectoriality, and the rounding allowance taken off that bound in
+# units of eps * d * (|lambda| + ||A||)
+_FOV_DIRECTIONS = 64
+_FOV_ROUNDING = 64.0
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -161,10 +166,16 @@ class MatrixGenerator:
 
 def exp_semigroup(gen: MatrixGenerator, t: float) -> np.ndarray:
     """Semigroup value e^{-tA}; negative t evaluates the (finite-dim)
-    backward extension e^{|t| A}."""
+    backward extension e^{|t| A}.  A value past float64 range is refused."""
     from scipy.linalg import expm  # deferred: only the generator lab needs scipy
 
-    return expm(-float(t) * gen.a)
+    t = float(t)
+    # an overflow inside expm leaves inf or NaN in the value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = expm(-t * gen.a)
+    if not np.isfinite(value).all():
+        raise InvalidSpecError(f"e^{{-tA}} overflows float64 at t = {t:g}")
+    return value
 
 
 # -- sectoriality ----------------------------------------------------------
@@ -210,6 +221,42 @@ class SectorReport:
         )
 
 
+def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Upper bounds on dist / sigma_min(lam I + A), with sigma_min as the SVD
+    computes it, at every lam.
+
+    sigma_min(lam I + A) >= dist(-lam, W(A)) for the numerical range W(A),
+    and every supporting line of W(A) bounds that distance from below:
+    dist(p, W(A)) >= Re(e^{-i alpha} p) - h(alpha), with support function
+    h(alpha) = lambda_max(Herm(e^{-i alpha} A)).  The largest separation over
+    the fixed directions, less an allowance for rounding in the eigenvalues,
+    the separations, the shifted matrix and the SVD, stays at or below the
+    smallest singular value that the SVD returns.  Where it is not positive
+    the bound is inf.
+    """
+    # directions alpha in [0, pi) and alpha + pi: Herm(e^{-i (alpha + pi)} A)
+    # is -Herm(e^{-i alpha} A), whose largest eigenvalue is -lambda_min
+    n = _FOV_DIRECTIONS // 2
+    alphas = np.pi * np.arange(n) / n
+    cos, sin = np.cos(alphas), np.sin(alphas)
+    # Herm(e^{-i alpha} A) = cos(alpha) Herm(A) + sin(alpha) Herm(-i A)
+    herm = 0.5 * (a + a.conj().T)
+    herm_rot = -0.5j * (a - a.conj().T)
+    eigs = np.linalg.eigvalsh(cos[:, None, None] * herm + sin[:, None, None] * herm_rot)
+    # Re(e^{-i alpha} (-lam)) = -u, one direction pair at a time in real arithmetic
+    x, y = lams.real, lams.imag
+    sep = np.full(lams.size, -np.inf)
+    for c, s, lo, hi in zip(cos.tolist(), sin.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+        u = c * x + s * y
+        np.maximum(sep, -u - hi, out=sep)
+        np.maximum(sep, u + lo, out=sep)
+    floor = sep - _FOV_ROUNDING * np.finfo(float).eps * a.shape[0] * (np.abs(x) + np.abs(y) + norm2)
+    bound = np.full(lams.size, np.inf)
+    with np.errstate(over="ignore"):  # a quotient past float64 range is still an upper bound
+        np.divide(dist, floor, out=bound, where=floor > 0.0)
+    return bound
+
+
 def check_sectoriality(
     gen: MatrixGenerator,
     sector: SectorSpec | None = None,
@@ -225,9 +272,14 @@ def check_sectoriality(
     arctan(decay_rate / ||A||): within that opening the numerical range of
     -A stays clear of the probed rays.
 
-    The grid is formed in one broadcast and the smallest singular values of
-    the shifted matrices come from stacked SVDs over fixed blocks of sample
-    points; every value is bit-identical to evaluating the points one by one.
+    The grid is formed in one broadcast.  Every sample point gets an upper
+    bound from the numerical range of A (see _fov_bounds), and the
+    smallest singular values of the shifted matrices come from stacked SVDs
+    over fixed blocks of points in descending order of that bound, until
+    the next bound falls strictly below the largest value found.  The points
+    left out cannot reach the sup, and every value computed is bit-identical
+    to evaluating the points one by one, so the report is the one of the
+    full grid.
     """
     sector = sector or SectorSpec()
     if n_angles < 64:
@@ -248,18 +300,28 @@ def check_sectoriality(
     lams = lams[~skip]
     if lams.size == 0:
         raise InvalidSpecError("every sample point of the sector lies on the spectrum")
-    smin = np.empty(lams.size)
-    eye = np.eye(gen.dim)
-    for i in range(0, lams.size, _BLOCK):
-        # lam * I + A entry by entry: adding lam to the diagonal of a copy of A
-        # would keep every -0.0 off the diagonal, where lam * 0.0 + -0.0 can be +0.0
-        block = np.multiply.outer(lams[i:i + _BLOCK], eye)
-        block += a
-        smin[i:i + _BLOCK] = np.linalg.svd(block, compute_uv=False)[:, -1]
     # np.abs on a complex array may differ from libm's hypot in the last
     # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
-    vals = np.hypot(lams.real - sector.omega, lams.imag) / smin
-    k = int(np.argmax(vals))  # first maximum, as a strict > scan keeps it
+    dist = np.hypot(lams.real - sector.omega, lams.imag)
+    bound = _fov_bounds(a, norm2, lams, dist)
+    vals = np.full(lams.size, -np.inf)
+    best = -np.inf
+    eye = np.eye(gen.dim)
+    order = np.argsort(-bound, kind="stable")
+    for i in range(0, lams.size, _BLOCK):
+        idx = order[i:i + _BLOCK]
+        # a NaN best compares False: then every point is computed, and argmax
+        # finds the first NaN as the full scan does
+        if bound[idx[0]] < best:
+            break
+        # lam * I + A entry by entry: adding lam to the diagonal of a copy of A
+        # would keep every -0.0 off the diagonal, where lam * 0.0 + -0.0 can be +0.0
+        block = np.multiply.outer(lams[idx], eye)
+        block += a
+        block_vals = dist[idx] / np.linalg.svd(block, compute_uv=False)[:, -1]
+        vals[idx] = block_vals
+        best = np.maximum(best, np.max(block_vals))
+    k = int(np.argmax(vals))  # first maximum in grid order, as a strict > scan keeps it
     best, best_lam = vals[k], complex(lams[k])
     passed = bool(np.isfinite(best) and best <= sector.bound)
     theta_rec = float(np.arctan2(max(gen.decay_rate, 0.0), norm2))
@@ -287,7 +349,8 @@ def check_decay(gen: MatrixGenerator, times) -> DecayReport:
     if ts.ndim != 1 or ts.size < 2 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise InvalidSpecError("need an increasing grid of nonnegative times")
     norms = np.array([np.linalg.norm(exp_semigroup(gen, t), 2) for t in ts])
-    bound = np.exp(-gen.decay_rate * ts)
+    with np.errstate(over="ignore"):  # past float64 range the bound is inf, which holds
+        bound = np.exp(-gen.decay_rate * ts)
     ok = bool(np.all(norms <= bound * (1.0 + 1e-10)))
     pos = (ts > 0) & (norms > 0)
     rate = float(-np.polyfit(ts[pos], np.log(norms[pos]), 1)[0]) if np.count_nonzero(pos) >= 2 else np.nan
@@ -425,7 +488,10 @@ def check_logconvexity_criterion(
     divdiffs = np.full(len(xs), np.inf)
     lh = d1 = None
     for j, t in enumerate(ts):
-        lh_prev, lh = lh, np.log(_norms(_apply(exp_semigroup(gen, t), xs)))
+        h = _norms(_apply(exp_semigroup(gen, t), xs))
+        if np.any(h == 0.0):
+            raise InvalidSpecError(f"|e^{{-tA}} x| underflows to 0 at t = {t:g}: its logarithm is undefined")
+        lh_prev, lh = lh, np.log(h)
         if j >= 1:
             d1_prev, d1 = d1, (lh - lh_prev) / (ts[j] - ts[j - 1])
         if j >= 2:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,17 +484,23 @@ class TestGeneratorLab:
         report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert report["sectoriality"]["sup_value"] == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("entry", ["1e306", "1e200", "-1e10"])
-    def test_entries_out_of_range_are_one_line_errors(self, tmp_path, capsys, entry):
-        # 1e306: the sector radii overflow; 1e200: ||A||^2 overflows;
-        # -1e10: e^{-tA} overflows and the report holds NaN
+    @pytest.mark.parametrize("entry, err", [
+        ("1e306", "error: ||A|| * 1e3 exceeds float64 range: the sector radii cannot be formed\n"),
+        ("1e200", "error: ||A||^2 exceeds float64 range: the criterion margins cannot be formed\n"),
+        ("1e10", "error: |e^{-tA} x| underflows to 0 at t = 0.001: its logarithm is undefined\n"),
+        ("-1e10", "error: e^{-tA} overflows float64 at t = 0.1\n"),
+    ], ids=["1e306", "1e200", "1e10", "-1e10"])
+    def test_entries_out_of_range_are_one_line_errors(self, tmp_path, capsys, entry, err):
+        # each is refused before numpy can warn: a warning here raises, and
+        # would end the run in a traceback
         (tmp_path / "big.mat").write_text(f"2\n{entry} 0 0 0\n0 0 1 0\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = cli(["generator-lab", "--matrix", str(tmp_path / "big.mat"), "--trials", "32"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len([ln for ln in captured.err.splitlines() if ln.startswith("error:")]) == 1
+        assert captured.err == err
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))

@@ -297,6 +297,18 @@ class TestGridValidation:
         with pytest.raises(InvalidSpecError):
             solve_cauchy(u0, f, np.array([-0.1, 1.0]))
 
+    def test_empty_grid_raises(self, basis16):
+        with pytest.raises(InvalidSpecError, match="nonempty"):
+            solve_cauchy(SpectralVec.unit(basis16, 1), None, np.array([]))
+
+    @pytest.mark.parametrize("ts", [[0.0, np.nan], [0.0, 0.5, np.inf]])
+    def test_non_finite_grid_raises(self, basis16, ts):
+        # neither fails an ordering comparison: nan compares false, and
+        # without a source the last node sets the horizon
+        u0 = SpectralVec.unit(basis16, 1)
+        with pytest.raises(InvalidSpecError, match="finite"):
+            solve_cauchy(u0, None, np.array(ts))
+
     def test_basis_mismatch_raises(self, basis16, basis64):
         u0 = SpectralVec.zero(basis64)
         f = SourceTerm.zero(basis16, 1.0)
@@ -333,6 +345,12 @@ class TestSpaceTimeNorms:
         f = const_source(basis16, 2.0, c)
         want = 2.0 * (1.0 / basis16.lambdas[0] + 4.0 / basis16.lambdas[3])
         assert squared_source_dual_norm(f) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
+    def test_dual_norm_horizon_validation(self, basis16, T):
+        f = const_source(basis16, 1.0, np.eye(16)[0])
+        with pytest.raises(InvalidSpecError, match="horizon"):
+            squared_source_dual_norm(f, T)
 
     def test_solution_norm_matches_trapezoid_of_exact_nodes(self, basis16):
         u0 = SpectralVec.unit(basis16, 1)

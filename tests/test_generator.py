@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatfvp import generator
 from heatfvp.cli import cli
@@ -198,6 +200,12 @@ class TestDecay:
         rep = check_decay(MatrixGenerator(JORDAN), np.linspace(0.0, 1.0, 5))
         assert rep.ok
         assert rep.norms[1] > 1.0
+
+    def test_bound_past_float64_range_is_inf(self):
+        # decay_rate is -999: e^{999 t} leaves float64 range, e^{-tA} does not
+        rep = check_decay(MatrixGenerator([[1.0, 2000.0], [0.0, 1.0]]), np.linspace(0.0, 5.0, 21))
+        assert rep.ok
+        assert np.isinf(rep.bound[-1]) and np.all(np.isfinite(rep.norms))
 
     def test_validation(self):
         gen = MatrixGenerator([[1.0]])
@@ -565,10 +573,76 @@ def test_sectoriality_runs_blocked_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rep = check_sectoriality(random_elliptic(6, seed=1))
     assert rep.n_sampled == 64 * 32
-    # every sample point is one matrix of a stack ...
-    assert sum(shape[0] for shape in calls if len(shape) == 3) == rep.n_sampled
-    # ... of at least 128 shifted matrices, plus room for the norm
-    assert len(calls) <= -(-rep.n_sampled // 128) + 2
+    # the numerical-range bound leaves one stack of 128 shifted matrices out
+    # of the 2048 sample points ...
+    assert sum(shape[0] for shape in calls if len(shape) == 3) <= 128
+    # ... plus room for the norm
+    assert len(calls) <= 3
+
+
+def _exhaustive_sectoriality(gen):
+    """The default sector scan with its own SVD at every sample point: the
+    sample points, their scaled resolvents and the report of the full grid."""
+    sector = SectorSpec()
+    a, norm2 = gen.a, gen.norm2
+    spectrum = -np.linalg.eigvals(a)
+    phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, 64 + 2)[1:-1]
+    radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, 32)
+    lams = (sector.omega + radii * np.exp(1j * phis)[:, None]).ravel()
+    skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= generator.SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
+    lams = lams[~skip]
+    eye = np.eye(gen.dim)
+    vals = np.array([
+        float(np.hypot(lam.real - sector.omega, lam.imag)) / np.linalg.svd(lam * eye + a, compute_uv=False)[-1]
+        for lam in lams
+    ])
+    k = int(np.argmax(vals))
+    rep = generator.SectorReport(
+        float(vals[k]),
+        complex(lams[k]),
+        bool(np.isfinite(vals[k]) and vals[k] <= sector.bound),
+        lams.size,
+        int(np.count_nonzero(skip)),
+        float(np.arctan2(max(gen.decay_rate, 0.0), norm2)),
+    )
+    return rep, lams, vals
+
+
+def _sector_hex(rep):
+    return (
+        _hex(rep.sup_value), _hex(rep.argmax_lambda.real), _hex(rep.argmax_lambda.imag),
+        rep.passed, rep.n_sampled, rep.n_skipped, _hex(rep.theta_recommended),
+    )
+
+
+def _sector_test_generator(kind, dim, seed):
+    if kind == "elliptic":
+        return random_elliptic(dim, seed=seed)
+    if kind == "selfadjoint":
+        return random_selfadjoint(dim, seed=seed)
+    if kind == "nonnormal":
+        return random_elliptic(dim, seed=seed, skew_scale=[10.0, 1e3][seed % 2])
+    if kind == "jordan":
+        return MatrixGenerator(np.eye(dim) + 10.0 * np.eye(dim, k=1))
+    if kind == "zero":
+        return MatrixGenerator(np.zeros((dim, dim)))
+    return MatrixGenerator(np.diag([float(kind)] + [1.0] * (dim - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["elliptic", "selfadjoint", "nonnormal", "jordan", "zero", "1e10", "-1e10"]),
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+)
+def test_pruned_sectoriality_equals_the_exhaustive_scan(kind, dim, seed):
+    gen = _sector_test_generator(kind, dim, seed)
+    want, lams, vals = _exhaustive_sectoriality(gen)
+    # the numerical-range bound holds at every sample point ...
+    bound = generator._fov_bounds(gen.a, gen.norm2, lams, np.hypot(lams.real, lams.imag))
+    assert np.all(vals <= bound)
+    # ... so the points it skips leave every report field as it was
+    assert _sector_hex(check_sectoriality(gen)) == _sector_hex(want)
 
 
 def test_stacked_margins_equal_the_per_vector_formula():
