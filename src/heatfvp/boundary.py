@@ -43,7 +43,7 @@ from .semigroup import (
     apply_inverse,
     check_domain_membership,
 )
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, rel_distance, strict_json, triple_norms
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, json_payload, rel_distance, strict_json, triple_norms
 
 TRACE_SURROGATE_SAMPLES = 128
 _CSV_HEADER = ["t", "g_left", "g_right"]
@@ -176,6 +176,18 @@ class LiftPath:
         vals = self.g.sample(ts)
         return np.outer(vals[:, 0], self._col_left) + np.outer(vals[:, 1], self._col_right)
 
+    def forcing(self, ts) -> np.ndarray:
+        """The mode-wise source lambda_j w_j(ts) by which the boundary data
+        enter the equation; its kinks are the node times of g."""
+        return self.coeff_matrix(ts) * self.basis.lambdas
+
+    def solve(self, u0: SpectralVec, f: SourceTerm | None, tgrid) -> Trajectory:
+        """solve_cauchy with the forcing added to f and the kinks of g on
+        step boundaries; the trajectory carries this lift."""
+        traj = solve_cauchy(u0, f, tgrid, lift_coeff_path=self.forcing, extra_times=self.g.times)
+        traj.lift = self
+        return traj
+
 
 def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     """z(t): the state accumulated from boundary data alone.
@@ -188,16 +200,7 @@ def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     _check_horizon(t)
     if t > g.t_final + 1e-12:
         raise InvalidSpecError("evaluation time must lie in (0, T] of the boundary data")
-    lift = LiftPath(g, basis)
-    lam = basis.lambdas
-    traj = solve_cauchy(
-        SpectralVec.zero(basis),
-        None,
-        np.array([float(t)]),
-        lift_coeff_path=lambda ts: lift.coeff_matrix(ts) * lam[None, :],
-        extra_times=g.times,
-    )
-    return traj.final_state
+    return LiftPath(g, basis).solve(SpectralVec.zero(basis), None, np.array([float(t)])).final_state
 
 
 def partial_boundary_yield(g: BoundaryData, t: float, eps: float, basis: EigenBasis) -> SpectralVec:
@@ -252,17 +255,7 @@ def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tg
         traj = solve_cauchy(u0, f, tgrid)
         traj.lift = LiftPath(BoundaryData.zero(t_end), u0.basis)
         return traj
-    lift = LiftPath(g, u0.basis)
-    lam = u0.basis.lambdas
-    traj = solve_cauchy(
-        u0,
-        f,
-        tgrid,
-        lift_coeff_path=lambda ts: lift.coeff_matrix(ts) * lam[None, :],
-        extra_times=g.times,
-    )
-    traj.lift = lift
-    return traj
+    return LiftPath(g, u0.basis).solve(u0, f, tgrid)
 
 
 def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
@@ -375,12 +368,7 @@ class YNormReport:
             return float(np.exp(self.log_total))
 
     def to_json(self) -> str:
-        def clean(x):
-            return x if np.isfinite(x) else ("-inf" if x < 0 else "inf")
-
-        names = ("uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total")
-        payload = {k: clean(v) for k in names if (v := getattr(self, k)) is not None}
-        return strict_json({**payload, "finite": self.finite})
+        return strict_json(json_payload(self))
 
 
 @dataclass
@@ -396,7 +384,7 @@ class FvpSolution:
 def _validate_final_data(f, g, u_T, T):
     """Reject a horizon that is not finite and positive and a source or
     boundary grid short of [0, T]; boundary data need the interval."""
-    _check_horizon(T)
+    _check_horizon(T, u_T.basis)
     if f is not None:
         if not f.basis.same_as(u_T.basis):
             raise InvalidSpecError("source and final state use different bases")

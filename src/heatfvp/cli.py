@@ -12,7 +12,6 @@ report on stdout, 1 usage or config errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -154,7 +153,7 @@ def _problem(args):
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
     T = _cfg_float(cfg, "T")
-    _check_horizon(T)
+    _check_horizon(T, basis)
     f = _load(cfg, "f.path", lambda text: dh.SourceTerm.from_csv(text, basis))
     g = _load(cfg, "g.path", bd.BoundaryData.from_csv)
     return cfg, basis, T, f, g
@@ -252,7 +251,7 @@ def _cmd_norms(args) -> int:
     reports: dict = {}
     u_T = _load_state(cfg, "uT.path", basis, required=False)
     if u_T is not None:
-        reports["data_norm"] = json.loads(bd.data_norm_inhom(f, g, u_T, T, policy).to_json())
+        reports["data_norm"] = bd.data_norm_inhom(f, g, u_T, T, policy)
     u0 = _load_state(cfg, "u0.path", basis, required=False)
     if u0 is not None:
         tgrid = _tgrid(cfg, T, f)
@@ -272,7 +271,7 @@ def _cmd_norms(args) -> int:
         }
     if not reports:
         raise UsageError("norms needs uT.path or u0.path in the config")
-    text = sp.strict_json(reports)
+    text = sp.strict_json(sp.json_payload(reports))
     print(text)
     if cfg.get("out.dir") is not None:
         (_out_dir(cfg) / "norms.json").write_text(text)
@@ -314,7 +313,7 @@ def _cmd_oracle_compare(args) -> int:
     report = {
         "coarse_rel_error": coarse,
         "fine_rel_error": fine,
-        "refinement_ratio": ratio if np.isfinite(ratio) else "inf",
+        "refinement_ratio": sp.json_payload(ratio),
         "fd_points": fd_points,
         "steps": args.steps,
     }
@@ -341,15 +340,15 @@ def _cmd_generator_lab(args) -> int:
     chain = gl.inverse_chain_demo(gen, 1.0, 2.0, seed=args.seed)
     decay = gl.check_decay(gen, np.linspace(0.0, 5.0, 21))
     report = {
-        "classification": json.loads(gen.classify().to_json()),
-        "sectoriality": json.loads(sector.to_json()),
+        "classification": gen.classify(),
+        "sectoriality": sector,
         "injectivity": {
-            "times": [float(t) for t in inj.times],
-            "sigma_min": [float(s) for s in inj.sigma_min],
+            "times": inj.times.tolist(),
+            "sigma_min": inj.sigma_min.tolist(),
             "all_positive": inj.all_positive,
             "floor_respected": inj.floor_respected,
         },
-        "logconvexity": json.loads(conv.to_json()),
+        "logconvexity": conv,
         "inverse_chain": {
             "t": chain.t,
             "t_prime": chain.t_prime,
@@ -358,7 +357,7 @@ def _cmd_generator_lab(args) -> int:
         },
         "decay": {"ok": decay.ok, "fitted_rate": decay.fitted_rate},
     }
-    text = sp.strict_json(report)
+    text = sp.strict_json(sp.json_payload(report))
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

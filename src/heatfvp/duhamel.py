@@ -271,7 +271,7 @@ class Trajectory:
             if self.source is not None:
                 res = res + self.source.sample(self.times)
             if self.lift is not None:
-                res = res + lam * self.lift.coeff_matrix(self.times)
+                res = res + self.lift.forcing(self.times)
             with np.errstate(over="ignore"):
                 res_sq = np.abs(res) ** 2 / lam
             cached = self._residual = (self.source, self.lift, kahan_sum(res_sq))

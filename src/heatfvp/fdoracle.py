@@ -44,7 +44,6 @@ class FdResult:
     x: np.ndarray          # full grid including both endpoints
     times: np.ndarray
     u_final: np.ndarray    # samples on the full grid at the final time
-    history: np.ndarray | None = None   # (n_steps + 1, m + 2) when kept
 
     @property
     def dx(self) -> float:
@@ -59,7 +58,6 @@ def fd_solve(
     t_final: float,
     n_steps: int,
     scheme: FdScheme | None = None,
-    keep_history: bool = False,
 ) -> FdResult:
     """March the heat equation u' = u_xx + f with Dirichlet data g.
 
@@ -102,12 +100,6 @@ def fd_solve(
     ab[1, :] = 1.0 + 2.0 * theta * mu
     ab[2, :-1] = -theta * mu
 
-    hist = None
-    if keep_history:
-        hist = np.empty((n_steps + 1, m + 2))
-        hist[0, 0], hist[0, -1] = gvals[0]
-        hist[0, 1:-1] = u
-
     def lap(v, gl, gr):
         out = np.empty_like(v)
         out[0] = (gl - 2.0 * v[0] + v[1]) / (dx * dx)
@@ -131,11 +123,8 @@ def fd_solve(
             u = rhs
         else:
             u = solve_banded((1, 1), ab, rhs)
-        if keep_history:
-            hist[n + 1, 0], hist[n + 1, -1] = gl1, gr1
-            hist[n + 1, 1:-1] = u
 
     u_final = np.empty(m + 2)
     u_final[0], u_final[-1] = gvals[-1]
     u_final[1:-1] = u
-    return FdResult(x, times, u_final, hist)
+    return FdResult(x, times, u_final)

@@ -10,11 +10,11 @@ trajectories, which is what makes backward continuation meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import InvalidSpecError, strict_json
+from .spectral import InvalidSpecError, json_payload, strict_json
 
 MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8
@@ -77,18 +77,7 @@ class GeneratorReport:
     spectral_abscissa: float
 
     def to_json(self) -> str:
-        return strict_json(
-            {
-                "dim": self.dim,
-                "selfadjoint": self.selfadjoint,
-                "normal": self.normal,
-                "hyponormal": self.hyponormal,
-                "elliptic": self.elliptic,
-                "decay_rate": self.decay_rate,
-                "norm2": self.norm2,
-                "spectral_abscissa": self.spectral_abscissa,
-            }
-        )
+        return strict_json(json_payload(self))
 
 
 class MatrixGenerator:
@@ -201,24 +190,20 @@ class SectorSpec:
 @dataclass(frozen=True)
 class SectorReport:
     sup_value: float
-    argmax_lambda: complex
+    argmax_lambda: complex = field(repr=False)  # held and reported as argmax_re, argmax_im
     passed: bool
     n_sampled: int
     n_skipped: int
     theta_recommended: float
+    argmax_re: float = field(init=False)
+    argmax_im: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "argmax_re", self.argmax_lambda.real)
+        object.__setattr__(self, "argmax_im", self.argmax_lambda.imag)
 
     def to_json(self) -> str:
-        return strict_json(
-            {
-                "sup_value": self.sup_value,
-                "argmax_re": self.argmax_lambda.real,
-                "argmax_im": self.argmax_lambda.imag,
-                "passed": self.passed,
-                "n_sampled": self.n_sampled,
-                "n_skipped": self.n_skipped,
-                "theta_recommended": self.theta_recommended,
-            }
-        )
+        return strict_json(json_payload(self))
 
 
 def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -403,24 +388,26 @@ class ConvexityReport:
     seed: int
 
     def to_json(self) -> str:
-        return strict_json(
-            {
-                "n_trials": self.n_trials,
-                "criterion_fraction": self.criterion_fraction,
-                "logconvex_fraction": self.logconvex_fraction,
-                "min_margin": self.min_margin,
-                "min_second_divdiff": self.min_second_divdiff,
-                "forward_implication_observed": self.forward_implication_observed,
-                "selfadjoint": self.selfadjoint,
-                "seed": self.seed,
-            }
-        )
+        return strict_json(json_payload(self))
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of z, summed the way np.linalg.norm sums
-    one complex vector: real and imaginary dot products, then the root."""
-    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    one complex vector: real and imaginary dot products, then the root.
+
+    A row whose squared sum overflows is summed again divided by its largest
+    part, so its norm stays finite where it is representable; every other
+    row keeps the unscaled bits."""
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)
+    out = np.sqrt(sq)
+    if sq.max(initial=0.0) == np.inf:
+        big = np.isinf(sq)
+        zb = z[big]
+        top = np.maximum(np.abs(zb.real).max(axis=1), np.abs(zb.imag).max(axis=1))
+        zb = zb / top[:, None]
+        out[big] = top * np.sqrt(np.vecdot(zb.real, zb.real) + np.vecdot(zb.imag, zb.imag))
+    return out
 
 
 def _apply(m: np.ndarray, xs: np.ndarray) -> np.ndarray:

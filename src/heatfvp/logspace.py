@@ -18,20 +18,18 @@ LOG_MAX = float(np.log(np.finfo(np.float64).max))
 def kahan_sum(values):
     """Compensated sum along the last axis, in ascending index order.
 
-    A 1-d input returns a Python float.  A stacked input of shape (..., n)
-    returns an array of shape (...,): every row runs the same recurrence
-    over the same columns in the same order, so each entry equals the 1-d
-    call on that row bit for bit.
+    A 1-d input is the one-row stack and returns a Python float.  A stacked
+    input of shape (..., n) returns an array of shape (...,): every row runs
+    the same recurrence over the same columns in the same order, so each
+    entry equals the 1-d call on that row bit for bit.
     """
     a = np.asarray(values, dtype=np.float64)
-    if a.ndim == 1:
-        return _kahan_row(a.tolist())
     rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
     if rows.shape[0] < _COLUMN_PASS_ROWS:
-        out = np.array([_kahan_row(r) for r in rows.tolist()], dtype=np.float64)
+        out = [_kahan_row(r) for r in rows.tolist()]
     else:
         out = _kahan_columns(rows)
-    return out.reshape(a.shape[:-1])
+    return out[0] if a.ndim == 1 else np.asarray(out, dtype=np.float64).reshape(a.shape[:-1])
 
 
 # below this many rows the per-row scalar loop beats the per-column array pass
@@ -70,24 +68,19 @@ def log_sum_exp(terms):
 
     The shifted exponentials are accumulated with `kahan_sum` in index
     order, so results are bit-reproducible, and each row of a stacked input
-    equals the 1-d call on that row.  A 1-d input returns a Python float.
+    equals the 1-d call on that row: a 1-d input is the one-row stack and
+    returns a Python float.  A row whose maximum is not finite (-inf, +inf
+    or NaN) returns that maximum.
     """
     a = np.asarray(terms, dtype=np.float64)
-    if a.ndim == 1:
-        if a.size == 0:
-            return float("-inf")
-        m = float(np.max(a))
-        if m == float("-inf") or np.isnan(m):
-            return m
-        with np.errstate(under="ignore"):
-            shifted = np.exp(a - m)
-        return m + float(np.log(kahan_sum(shifted)))
-    m = np.max(a, axis=-1, initial=-np.inf)
-    # a row whose maximum is -inf or nan returns that maximum unchanged
-    live = (m > -np.inf) | (m == np.inf)
+    m = a.max(axis=-1, initial=-np.inf, keepdims=True)
+    # a row whose maximum is not finite sums to NaN (or to 0 when empty);
+    # the masked add below leaves it at its maximum
     with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
-        shifted = np.exp(a - np.where(live, m, 0.0)[..., None])
-        return np.where(live, m + np.log(kahan_sum(shifted)), m)
+        log_s = np.log(kahan_sum(np.exp(a - m)))
+    out = m[..., 0]
+    np.add(out, log_s, out=out, where=np.isfinite(out))
+    return float(out) if a.ndim == 1 else out
 
 
 # exact power-of-two rescaling keeps phase division away from the subnormal

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logspace import log_sum_exp
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, strict_json
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, json_payload, strict_json
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "
@@ -94,20 +94,7 @@ class CompatReport:
     u0: SpectralVec | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
-        def clean(x):
-            if x is None or (isinstance(x, float) and not np.isfinite(x)):
-                return None if x is None or np.isnan(x) else ("-inf" if x < 0 else "inf")
-            return x
-
-        payload = {
-            "T": self.T,
-            "cutoffs": list(self.cutoffs),
-            "log_graph_norms": [clean(float(v)) for v in self.log_graph_norms],
-            "stabilization_ratio": clean(float(self.stabilization_ratio)),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-        return strict_json(payload)
+        return strict_json(json_payload(self))
 
 
 class IncompatibleDataError(RuntimeError):
@@ -134,7 +121,7 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
       * incompatible -- some consecutive step grows by >= growth_thresh.
       * inconclusive -- anything in between.
     """
-    _check_horizon(T)
+    _check_horizon(T, vec.basis)
     policy = policy or MembershipPolicy()
     lam = vec.basis.lambdas
     cutoffs = policy.resolved_cutoffs(vec.basis.n_modes)
@@ -188,9 +175,7 @@ def height_function(u0: SpectralVec, times) -> HeightProfile:
     if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("times must be a strictly increasing nonnegative array")
     degenerate = bool(np.all(u0.logmag == -np.inf))
-    logs = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        logs[i] = 0.5 * log_sum_exp(2.0 * (u0.logmag - t * u0.basis.lambdas))
+    logs = 0.5 * log_sum_exp(2.0 * (u0.logmag - ts[:, None] * u0.basis.lambdas))
     with np.errstate(over="ignore"):
         vals = np.exp(logs)
     return HeightProfile(ts, vals, logs, degenerate)

@@ -3,16 +3,16 @@
 Eigenpairs are closed form, so no numerical eigensolver is involved; the
 variational-triple constants and the three norms (pivot space, form domain,
 dual) are computed directly from the coefficients.  Coefficient vectors are
-stored as (phase, log-magnitude) pairs with a linear mirror kept whenever it
-is representable, which lets downstream code carry factors like e^{T*lambda}
-without overflowing.
+stored as (phase, log-magnitude) pairs, which lets downstream code carry
+factors like e^{T*lambda} without overflowing; the linear coefficients are
+recomputed on demand, and are inf where they leave float64 range.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,10 +28,14 @@ class GridMismatchError(ValueError):
     """Sample array does not live on the expected quadrature grid."""
 
 
-def _check_horizon(T) -> None:
-    """The one check of a time horizon: finite and positive."""
+def _check_horizon(T, basis: "EigenBasis | None" = None) -> None:
+    """The one check of a time horizon: finite and positive, and with a
+    basis also short enough that the backward exponent 2 T lambda_N of the
+    graph norms is finite."""
     if not (math.isfinite(T) and T > 0):
         raise InvalidSpecError("horizon T must be finite and positive")
+    if basis is not None and not math.isfinite(2.0 * float(T) * float(basis.lambdas[-1])):
+        raise InvalidSpecError("horizon T is too long for this basis: 2 T lambda_N leaves float64 range")
 
 
 @dataclass(frozen=True)
@@ -428,6 +432,34 @@ def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
 
 
 # -- serialization ------------------------------------------------------
+
+def json_payload(value):
+    """The one JSON form of a result, with the one rule for a number JSON
+    cannot carry: +-inf becomes the string "inf" or "-inf", and NaN is kept,
+    so that `strict_json` refuses it.
+
+    A report dataclass becomes a dict of its fields by name, leaving out the
+    fields that are None and those kept out of its repr: an attached state
+    (CompatReport.u0) or a value also held as its parts
+    (SectorReport.argmax_lambda).  Dicts, lists and tuples are mapped item
+    by item.
+    """
+    if is_dataclass(value):
+        return {
+            f.name: json_payload(v)
+            for f in fields(value)
+            if f.repr and (v := getattr(value, f.name)) is not None
+        }
+    if isinstance(value, dict):
+        return {k: json_payload(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_payload(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
 
 def strict_json(payload) -> str:
     """The one JSON writer: sorted keys, and no NaN or Infinity, which

@@ -31,12 +31,14 @@ ENTRIES = st.one_of(
 
 
 def _with_special_rows(a, data):
-    """Overwrite some rows with -inf, zeros, or values past LOG_MAX."""
+    """Overwrite some rows with -inf, zeros, values past LOG_MAX, or one +inf."""
     a = a.copy()
     for i in range(a.shape[0]):
-        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "past-log-max"]))
+        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "past-log-max", "pos-inf"]))
         if kind == "neg-inf":
             a[i] = -np.inf
+        elif kind == "pos-inf" and a.shape[1]:
+            a[i, data.draw(st.integers(0, a.shape[1] - 1))] = np.inf
         elif kind == "zero":
             a[i] = 0.0
         elif kind == "past-log-max":
@@ -68,6 +70,15 @@ def test_stacked_log_sum_exp_rows_equal_1d_calls(a, data):
         want = [log_sum_exp(row) for row in a]
     assert got.shape == (a.shape[0],)
     assert bits(got) == bits(want)
+    # a row holding +inf sums to +inf, never to NaN
+    has_inf = np.any(a == np.inf, axis=1)
+    assert np.all(got[has_inf] == np.inf)
+
+
+def test_log_sum_exp_of_a_positive_infinity_is_infinite():
+    with np.errstate(all="raise"):
+        assert log_sum_exp(np.array([np.inf, 0.0])) == np.inf
+        assert log_sum_exp(np.array([[np.inf, 0.0], [0.0, -np.inf]])).tolist() == [np.inf, 0.0]
 
 
 def test_1d_sums_return_python_floats():

@@ -8,6 +8,7 @@ import pytest
 
 from heatfvp.boundary import (
     BoundaryData,
+    YNormReport,
     assemble_with_lift_perturbation,
     boundary_split,
     boundary_yield,
@@ -416,6 +417,12 @@ class TestInhomDataNorm:
         assert set(d) == {"uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"
         assert d["finite"] is True
+
+    def test_json_refuses_nan(self):
+        # the same rule as CompatReport: NaN is refused, not written as "inf"
+        rep = YNormReport(1.0, 0.0, np.nan, np.nan, False)
+        with pytest.raises(InvalidSpecError):
+            rep.to_json()
 
 
 class TestStabilityRatioFamily:

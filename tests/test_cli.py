@@ -164,6 +164,23 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     assert len([ln for ln in out.err.splitlines() if ln.startswith("error:")]) == 1
 
 
+@pytest.mark.parametrize("T", ["1e307", "1.7e308"])
+@pytest.mark.parametrize("command", ["forward", "backward", "check-compat", "norms"])
+def test_horizon_past_the_basis_is_one_line_error(tmp_path, capsys, command, T):
+    # finite and positive, but 2 T lambda_16 leaves float64 range: refused
+    # before any verdict or norm is formed, so no warning and no JSON
+    basis, u0 = decayed_instance(16)
+    (tmp_path / "u.json").write_text(sp.vec_to_json(u0))
+    conf = write_conf(tmp_path, f"modes = 16\nT = {T}\nuT.path = u.json\nu0.path = u.json\nout.dir = out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli([command, "--config", conf])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert out.err == "error: horizon T is too long for this basis: 2 T lambda_N leaves float64 range\n"
+
+
 class TestForward:
     def test_pure_decay_run(self, tmp_path, capsys):
         basis, u0 = decayed_instance(16)
@@ -501,6 +518,19 @@ class TestGeneratorLab:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == err
+
+    def test_stiff_decay_reports_finite_norms_without_warnings(self, tmp_path, capsys):
+        # e^{-10 A} x has entries near e^{500}: their squares overflow, the norms do not
+        (tmp_path / "stiff.mat").write_text("2\n-50 0 0 0\n0 0 1 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli(["generator-lab", "--matrix", str(tmp_path / "stiff.mat")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # strict JSON with no "inf" string: every number is finite
+        json.loads(captured.out, parse_constant=_reject_constant)
+        assert "inf" not in captured.out
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))

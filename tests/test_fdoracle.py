@@ -81,14 +81,6 @@ class TestResultLayout:
         assert res.dx == pytest.approx(np.pi / 32, rel=1e-15)
         assert res.times.shape == (9,)
         assert res.times[-1] == pytest.approx(0.5, rel=1e-15)
-        assert res.history is None
-
-    def test_history_shape(self):
-        sch = FdScheme(m_interior=15)
-        res = fd_solve(np.sin, None, None, np.pi, 0.5, 6, sch, keep_history=True)
-        assert res.history.shape == (7, 17)
-        np.testing.assert_array_equal(res.history[-1], res.u_final)
-        np.testing.assert_allclose(res.history[0], np.sin(res.x), atol=1e-15)
 
     def test_final_endpoints_match_boundary_data(self):
         g = BoundaryData(

@@ -164,6 +164,28 @@ def test_compat_report_json_infinities(basis16):
     assert payload["stabilization_ratio"] == "inf"
 
 
+def test_compat_report_json_refuses_nan(basis16):
+    # NaN gets no verdict in JSON: it is refused, not written as null
+    rep = CompatReport(1.0, (1, 2), (np.nan, 3.0), np.nan, "inconclusive")
+    with pytest.raises(InvalidSpecError):
+        rep.to_json()
+
+
+def test_membership_refuses_a_horizon_past_the_basis(basis16):
+    for T in (1e307, 1.7e308):
+        with pytest.raises(InvalidSpecError, match="too long"):
+            check_domain_membership(SpectralVec.unit(basis16, 1), T)
+
+
+def test_height_function_rows_equal_one_time_calls(basis16):
+    rng = np.random.default_rng(3)
+    u0 = SpectralVec.from_coefficients(basis16, rng.standard_normal(16))
+    ts = np.linspace(0.0, 2.0, 40)  # past the switch to the column pass
+    prof = height_function(u0, ts)
+    want = [height_function(u0, [t]).log_values[0] for t in ts]
+    assert [float(v).hex() for v in prof.log_values] == [float(v).hex() for v in want]
+
+
 def test_height_function_decreasing_logconvex(basis16):
     rng = np.random.default_rng(8)
     u0 = SpectralVec.from_coefficients(basis16, np.abs(rng.standard_normal(16)) + 0.1)

@@ -21,7 +21,7 @@ from heatfvp import (
     vec_from_json,
     vec_to_json,
 )
-from heatfvp.spectral import strict_json
+from heatfvp.spectral import _check_horizon, json_payload, strict_json
 
 
 def test_interval_eigenvalues_are_squares(basis16):
@@ -234,6 +234,23 @@ def test_strict_json_sorts_and_refuses_non_finite_numbers():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(InvalidSpecError):
             strict_json({"x": [bad]})
+
+
+def test_json_payload_has_one_rule_for_non_finite_numbers():
+    payload = {"a": [np.float64(np.inf), -np.inf, 1.5], "b": (np.bool_(True), np.int64(3)), "c": None}
+    assert json_payload(payload) == {"a": ["inf", "-inf", 1.5], "b": [True, 3], "c": None}
+    assert strict_json(json_payload({"x": 1e-300})) == strict_json({"x": 1e-300})
+    with pytest.raises(InvalidSpecError):
+        strict_json(json_payload({"x": [np.nan]}))
+
+
+def test_horizon_with_a_basis_keeps_the_backward_exponent_finite(basis16):
+    # lambda_16 = 256: 2 T lambda_N overflows between T = 1e305 and 1e306
+    _check_horizon(1e305, basis16)
+    _check_horizon(1e306)
+    for T in (1e306, 1e307, 1.7e308):
+        with pytest.raises(InvalidSpecError, match="too long"):
+            _check_horizon(T, basis16)
 
 
 def test_vec_json_round_trip(basis16):
