@@ -74,11 +74,13 @@ def instability_table(basis: EigenBasis, T: float, jmax: int) -> list:
 
     The unit vector e_j has norm 1, and the inverse flow scales it by
     e^{T*lambda_j} exactly, so each row is read off the spectrum; the rows
-    equal those of `apply_inverse` on each e_j bit for bit.
+    equal those of `apply_inverse` on each e_j bit for bit.  A horizon the
+    basis refuses (2 T lambda_N past float64 range) is an error, so no row
+    reads inf.
     """
     if not 1 <= jmax <= basis.n_modes:
         raise InvalidSpecError("jmax outside 1..n_modes")
-    _check_horizon(T)
+    _check_horizon(T, basis)
     T = float(T)
     return [InstabilityRow(j, lam, 1.0, T * lam) for j, lam in enumerate(basis.lambdas[:jmax].tolist(), start=1)]
 

@@ -31,16 +31,19 @@ ENTRIES = st.one_of(
 
 
 def _with_special_rows(a, data):
-    """Overwrite some rows with -inf, zeros, values past LOG_MAX, or one +inf."""
+    """Overwrite some rows with -inf, zeros, a suffix of zeros, values past
+    LOG_MAX, or one +inf."""
     a = a.copy()
     for i in range(a.shape[0]):
-        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "past-log-max", "pos-inf"]))
+        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "zero-tail", "past-log-max", "pos-inf"]))
         if kind == "neg-inf":
             a[i] = -np.inf
         elif kind == "pos-inf" and a.shape[1]:
             a[i, data.draw(st.integers(0, a.shape[1] - 1))] = np.inf
         elif kind == "zero":
             a[i] = 0.0
+        elif kind == "zero-tail":
+            a[i, data.draw(st.integers(0, a.shape[1])):] = 0.0
         elif kind == "past-log-max":
             a[i] = LOG_MAX + 1.0 + np.arange(a.shape[1])
     return a
@@ -73,6 +76,72 @@ def test_stacked_log_sum_exp_rows_equal_1d_calls(a, data):
     # a row holding +inf sums to +inf, never to NaN
     has_inf = np.any(a == np.inf, axis=1)
     assert np.all(got[has_inf] == np.inf)
+
+
+def reference_kahan(row) -> float:
+    """Kahan's recurrence written out, one Python float at a time over every
+    entry: the sums must equal it, whatever shortcut they take."""
+    s = 0.0
+    c = 0.0
+    for x in row:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+@st.composite
+def zero_tailed_stacks(draw):
+    """Stacks of 1 to 44 rows, each row ending in a run of +0.0 of its own
+    length, then a run of all-+0.0 columns; entries include -0.0, +-inf and
+    NaN."""
+    m = draw(st.integers(1, 44))
+    a = draw(arrays(np.float64, (m, draw(st.integers(0, 12))), elements=st.one_of(ENTRIES, st.just(np.nan))))
+    for i in range(m):
+        a[i, draw(st.integers(0, a.shape[1])):] = 0.0
+    return np.concatenate([a, np.zeros((m, draw(st.integers(0, 6))))], axis=1)
+
+
+# float.hex keeps every bit of a number, the sign of zero included; it reads
+# every NaN as "nan", because numpy's loops and Python's scalar arithmetic
+# may give a NaN of another sign or payload
+@settings(max_examples=200, deadline=None)
+@given(zero_tailed_stacks())
+def test_sums_equal_the_plain_kahan_loop(a):
+    want = bits([reference_kahan(row) for row in a.tolist()])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert bits(kahan_sum(a)) == want
+        assert bits([kahan_sum(row) for row in a]) == want
+
+
+# sums to 0x1.f9a81c6fe99c0p-17, yet one +0.0 step folds c into s
+TWO_TERMS = [3.7784749705309803e-06, 1.1291268541044503e-05]
+
+
+@pytest.mark.parametrize("zeros, want", [
+    (0, "0x1.f9a81c6fe99c0p-17"),
+    (1, "0x1.f9a81c6fe99c1p-17"),
+    (5, "0x1.f9a81c6fe99c1p-17"),
+])
+def test_a_zero_tail_is_summed_not_dropped(zeros, want):
+    row = TWO_TERMS + [0.0] * zeros
+    assert reference_kahan(row) == float.fromhex(want)
+    assert kahan_sum(row).hex() == want
+    assert bits(kahan_sum(np.tile(row, (40, 1)))) == [want] * 40
+
+
+def test_first_zero_column_changes_some_rows_only():
+    # in rows 0, 2, ... the first +0.0 step moves (s, c); in rows 1, 3, ...
+    # (s, c) is already a fixed point, so the tail must run until every row
+    # has settled, on both sides of the switch to the column pass
+    settled = [0.25, 0.5]
+    for m in (2, 31, 32, 40):
+        a = np.array([TWO_TERMS if i % 2 == 0 else settled for i in range(m)])
+        a = np.concatenate([a, np.zeros((m, 4))], axis=1)
+        want = bits([reference_kahan(row) for row in a.tolist()])
+        assert want[:2] == ["0x1.f9a81c6fe99c1p-17", "0x1.8000000000000p-1"]
+        assert bits(kahan_sum(a)) == want
 
 
 def test_log_sum_exp_of_a_positive_infinity_is_infinite():

@@ -456,6 +456,17 @@ class TestInstabilityDemo:
         assert cli(["instability-demo", "--T", "-1.0", "--jmax", "8"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("T", ["1e307", "1.7e308"])
+    def test_horizon_past_the_basis_is_one_line_error(self, capsys, T):
+        # T lambda_j of the later rows would be inf: refused before any row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli(["instability-demo", "--T", T, "--jmax", "16"])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err == "error: horizon T is too long for this basis: 2 T lambda_N leaves float64 range\n"
+
 
 class TestGeneratorLab:
     def test_selfadjoint_report(self, tmp_path, capsys):

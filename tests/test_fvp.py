@@ -166,7 +166,7 @@ class TestInstabilityTable:
             instability_table(basis16, 1.0, 0)
         with pytest.raises(InvalidSpecError):
             instability_table(basis16, 1.0, 17)
-        for T in (0.0, -1.0, np.nan, np.inf):
+        for T in (0.0, -1.0, np.nan, np.inf, 1e307):
             with pytest.raises(InvalidSpecError):
                 instability_table(basis16, T, 4)
 
