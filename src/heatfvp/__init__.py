@@ -13,7 +13,7 @@ from .boundary import (
     HarmonicLift,
     LiftPath,
     SweepReport,
-    assemble_with_lift_perturbation,
+    YNormReport,
     boundary_split,
     boundary_yield,
     boundary_yield_sweep,
@@ -43,12 +43,9 @@ from .fvp import (
     FvpSolution,
     IncompatibleDataError,
     InconclusiveDataError,
-    YNormReport,
-    data_norm,
     instability_csv,
     instability_table,
     solve_final_value,
-    theoretical_stability_constant,
 )
 from .generator import (
     ChainReport,
@@ -62,9 +59,7 @@ from .generator import (
     check_logconvexity_criterion,
     check_sectoriality,
     exp_semigroup,
-    format_matrix,
     inverse_chain_demo,
-    logconvexity_profile,
     parse_matrix,
     random_elliptic,
     random_selfadjoint,
@@ -72,13 +67,10 @@ from .generator import (
 from .logspace import LOG_MAX, kahan_sum, log_sum_exp, logspace_add, merge_phase, split_phase
 from .semigroup import (
     CompatReport,
-    HeightProfile,
     MembershipPolicy,
-    SemigroupAction,
     apply_forward,
     apply_inverse,
     check_domain_membership,
-    height_function,
 )
 from .spectral import (
     DomainSpec,

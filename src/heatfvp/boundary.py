@@ -34,12 +34,13 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .logspace import kahan_sum, log_sum_exp, logspace_add
+from .logspace import kahan_sum, log_sum_exp
 from .semigroup import (
     CompatReport,
     IncompatibleDataError,
     InconclusiveDataError,
     MembershipPolicy,
+    apply_forward,
     apply_inverse,
     check_domain_membership,
 )
@@ -208,8 +209,7 @@ def partial_boundary_yield(g: BoundaryData, t: float, eps: float, basis: EigenBa
     that demonstrates convergence of the improper integral."""
     if not 0.0 < eps < t:
         raise InvalidSpecError("need 0 < eps < t")
-    inner = boundary_yield(g, t - eps, basis)
-    return inner.scale_log(-eps * basis.lambdas)
+    return apply_forward(boundary_yield(g, t - eps, basis), eps)
 
 
 @dataclass(frozen=True)
@@ -263,48 +263,12 @@ def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
     u(T) = e^{T Delta} u(0) + source yield + z(T) on a computed trajectory."""
     basis = traj.basis
     T = float(traj.times[-1])
-    rhs = traj.initial_state.scale_log(-T * basis.lambdas)
+    rhs = apply_forward(traj.initial_state, T)
     if traj.source is not None:
         rhs = rhs + source_yield(traj.source, T)
     if g is not None and not g.is_zero:
         rhs = rhs + boundary_yield(g, T, basis)
     return rel_distance(traj.final_state, rhs)
-
-
-def assemble_with_lift_perturbation(
-    u0: SpectralVec,
-    f: SourceTerm | None,
-    g: BoundaryData,
-    phi: SourceTerm,
-    tgrid,
-) -> list:
-    """Cross-check assembly of the boundary solve through a perturbed lift.
-
-    Any interior path phi(t) with zero trace can be added to the affine
-    lift; the two extra convolution terms it introduces cancel exactly in
-    the algebra, so the assembled states must match solve_ibvp.  Computing
-    them separately and letting them cancel numerically is the point of
-    this mode.
-    """
-    _require_interval(u0.basis)
-    basis = u0.basis
-    lam = basis.lambdas
-    ts = np.asarray(tgrid, dtype=float)
-    lift = LiftPath(g, basis)
-
-    base = solve_cauchy(u0, f, ts, extra_times=np.union1d(g.times, phi.times))
-    # interior Laplacian of the perturbation acts as the source -lambda*phi
-    phi_src = SourceTerm(basis, phi.times, phi.coeffs * lam[None, :])
-    term_phi = solve_cauchy(SpectralVec.zero(basis), phi_src, ts, extra_times=g.times)
-    # boundary term with the perturbed lift w + phi
-    merged = np.union1d(g.times, phi.times)
-    wtilde = lift.coeff_matrix(merged) + phi.sample(merged)
-    tilde_src = SourceTerm(basis, merged, wtilde * lam[None, :])
-    term_lift = solve_cauchy(SpectralVec.zero(basis), tilde_src, ts)
-
-    p, l = logspace_add(base.phase, base.logmag, -term_phi.phase, term_phi.logmag)
-    p, l = logspace_add(p, l, term_lift.phase, term_lift.logmag)
-    return [SpectralVec(basis, pk, lk) for pk, lk in zip(p, l)]
 
 
 # -- data-space norm with boundary term ----------------------------------
@@ -422,10 +386,6 @@ def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
     return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible", trace_sq)
 
 
-def _backward_norm(f, g, u_T, T, policy) -> YNormReport:
-    return _data_norm(f, g, u_T, T, *_admissible_part(f, g, u_T, T, policy))
-
-
 def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
     """Form v once, certify it, take u(0) = e^{T A} v from the report, and
     replay the forward solve, which must land back on u_T."""
@@ -462,7 +422,7 @@ def data_norm_inhom(
     policy: MembershipPolicy | None = None,
 ) -> YNormReport:
     """Data-space graph norm of (f, g, u_T); g=None leaves out the trace part."""
-    return _backward_norm(f, g, u_T, T, policy)
+    return _data_norm(f, g, u_T, T, *_admissible_part(f, g, u_T, T, policy))
 
 
 def solve_final_value_inhom(

@@ -419,6 +419,10 @@ def cli(argv=None) -> int:
     except InvalidSpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        # a mode or sample count past what memory holds
+        sys.stderr.write(f"error: {exc or 'out of memory'}\n")
+        return 1
 
 
 def main():

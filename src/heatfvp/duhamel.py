@@ -214,7 +214,7 @@ class Trajectory:
     `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
     at times[k] in the phase/log-magnitude form of SpectralVec.  They are
     made read-only, since the per-node norms computed from them are cached.
-    `states` wraps the rows as SpectralVec views on first read.
+    `initial_state` and `final_state` wrap the end rows as SpectralVec views.
 
     `lift` is attached by the boundary solver; it carries the affine
     boundary lift per node so full first-order space norms can be assembled.
@@ -245,12 +245,6 @@ class Trajectory:
     @cached_property
     def final_state(self) -> SpectralVec:
         return self.initial_state if self.times.size == 1 else self._state(-1)
-
-    @cached_property
-    def states(self) -> list:
-        # the end states are shared with initial_state / final_state
-        inner = [self._state(k) for k in range(1, self.times.size - 1)]
-        return [self.initial_state, *inner, self.final_state][: self.times.size]
 
     def node_norms(self) -> TripleNorms:
         """H, V and V* norms of every node; each field has shape (n_nodes,)."""

@@ -45,10 +45,6 @@ class FdResult:
     times: np.ndarray
     u_final: np.ndarray    # samples on the full grid at the final time
 
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
 
 def fd_solve(
     u0,
@@ -61,9 +57,11 @@ def fd_solve(
 ) -> FdResult:
     """March the heat equation u' = u_xx + f with Dirichlet data g.
 
-    `u0` is a callable of x or an array on the full grid; `source` is None
-    or a callable (x_interior, t) -> values; `g` is None for homogeneous
-    data or an object with .sample(ts) -> (n, 2) endpoint values.
+    `u0` is an array of samples on the full grid, the m_interior + 2
+    points of np.linspace(0, length, m_interior + 2) with both endpoints;
+    `source` is None or a callable (x_interior, t) -> values; `g` is None
+    for homogeneous data or an object with .sample(ts) -> (n, 2) endpoint
+    values.
     """
     from scipy.linalg import solve_banded  # deferred: only the oracle needs scipy
 
@@ -83,12 +81,9 @@ def fd_solve(
     mu = dt / (dx * dx)
     theta = scheme.theta
 
-    if callable(u0):
-        u_full = np.asarray(u0(x), dtype=float)
-    else:
-        u_full = np.array(u0, dtype=float)
-        if u_full.shape != x.shape:
-            raise InvalidSpecError("initial samples must live on the full grid")
+    u_full = np.array(u0, dtype=float)
+    if u_full.shape != x.shape:
+        raise InvalidSpecError("initial samples must live on the full grid")
     u = u_full[1:-1].copy()
 
     times = np.linspace(0.0, t_final, n_steps + 1)

@@ -6,7 +6,8 @@ v = u_T - (source yield) is formed once and probed for membership in the
 domain of the backward flow with the truncation-stabilization heuristic; on
 a `compatible` verdict the initial state comes from that report and the
 forward solver replays the trajectory, which must land back on u_T.  The
-data norm is built from the same v and report.
+data norm of (f, u_T) is `boundary.data_norm_inhom(f, None, u_T, T)`, built
+from the same v and report.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-import numpy as np
-
-from .boundary import FvpSolution, YNormReport, _backward_norm, _backward_solve, _validate_final_data
+from .boundary import FvpSolution, _backward_solve, _validate_final_data
 from .duhamel import SourceTerm
 # the refusal errors are re-exported here, beside the solver that raises them
 from .semigroup import IncompatibleDataError, InconclusiveDataError, MembershipPolicy
@@ -38,11 +37,6 @@ class FinalValueData:
     @property
     def basis(self) -> EigenBasis:
         return self.u_T.basis
-
-
-def data_norm(data: FinalValueData, policy: MembershipPolicy | None = None) -> YNormReport:
-    """Graph norm of final data: (|u_T|^2 + int ||f||_*^2 + |u0|^2)^{1/2}."""
-    return _backward_norm(data.f, None, data.u_T, data.T, policy)
 
 
 def solve_final_value(
@@ -92,11 +86,3 @@ def instability_csv(rows) -> str:
     for r in rows:
         w.writerow([r.j, repr(r.lam), repr(r.final_norm), repr(r.log_initial_norm)])
     return out.getvalue()
-
-
-def theoretical_stability_constant(basis: EigenBasis, T: float) -> float:
-    """Explicit constant c with ||u||_X <= c ||(f, u_T)||_Y, assembled from
-    the triple constants along the standard a-priori chain."""
-    _check_horizon(T)
-    K = 2.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T) + basis.C2 ** 2 + 4.0 * basis.C3 ** 2
-    return float(np.sqrt(K * max(1.0 / basis.C4, 1.0 / basis.C4 ** 2) + 4.0))

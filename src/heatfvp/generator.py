@@ -56,15 +56,6 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def format_matrix(a: np.ndarray) -> str:
-    a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    lines = [str(d)]
-    for row in a:
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class GeneratorReport:
     dim: int
@@ -495,29 +486,6 @@ def check_logconvexity_criterion(
         selfadjoint=gen.is_selfadjoint,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class ConvexityProfile:
-    times: np.ndarray
-    log_h: np.ndarray
-    min_second_divdiff: float
-
-
-def logconvexity_profile(gen: MatrixGenerator, x, times) -> ConvexityProfile:
-    """h(t) = |e^{-tA} x| along a grid, with the smallest second divided
-    difference of log h.  Nonnegative values certify discrete convexity."""
-    ts = np.asarray(times, dtype=float)
-    if ts.size < 3 or np.any(np.diff(ts) <= 0):
-        raise InvalidSpecError("need at least three increasing times")
-    x = np.asarray(x, dtype=complex)
-    vals = np.array([np.linalg.norm(exp_semigroup(gen, t) @ x) for t in ts])
-    if np.any(vals == 0.0):
-        raise InvalidSpecError("trajectory hit zero; log-profile undefined")
-    lh = np.log(vals)
-    d1 = np.diff(lh) / np.diff(ts)
-    dd = 2.0 * np.diff(d1) / (ts[2:] - ts[:-2])
-    return ConvexityProfile(ts, lh, float(np.min(dd)))
 
 
 @dataclass(frozen=True)

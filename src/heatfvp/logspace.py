@@ -22,7 +22,10 @@ def kahan_sum(values):
     A 1-d input is the one-row stack and returns a Python float.  A stacked
     input of shape (..., n) returns an array of shape (...,): every row runs
     the same recurrence over the same columns in the same order, so each
-    entry equals the 1-d call on that row bit for bit.
+    entry equals the 1-d call on that row bit for bit.  A NaN result is the
+    exception: it is NaN in both, but its sign and payload may differ,
+    because numpy's vectorized loops and Python's scalar arithmetic pick
+    different operands to propagate when both are NaN.
 
     A trailing run of +0.0 entries (bit pattern zero, so -0.0 is not part
     of it; in a stack, a trailing run of all-+0.0 columns) is summed only

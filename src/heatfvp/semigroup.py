@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logspace import log_sum_exp
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, json_payload, strict_json
+from .spectral import InvalidSpecError, SpectralVec, _check_horizon, json_payload, strict_json
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "
     "not an exact domain-membership test"
 )
+# a `compatible` verdict needs the log backward norm at or below this
+MAX_LOG_NORM = 700.0
 
 
 def apply_forward(vec: SpectralVec, t: float) -> SpectralVec:
@@ -41,30 +43,12 @@ def apply_inverse(vec: SpectralVec, t: float) -> SpectralVec:
 
 
 @dataclass(frozen=True)
-class SemigroupAction:
-    """The formal flow e^{-t*A} for a fixed signed time.
-
-    Negative t is the unbounded inverse; log-space magnitudes keep every
-    truncated action finite.
-    """
-
-    basis: EigenBasis
-    t: float
-
-    def apply(self, vec: SpectralVec) -> SpectralVec:
-        if not vec.basis.same_as(self.basis):
-            raise InvalidSpecError("basis mismatch in semigroup action")
-        return vec.scale_log(-self.t * self.basis.lambdas)
-
-
-@dataclass(frozen=True)
 class MembershipPolicy:
     """Cutoff ladder and thresholds for the stabilization verdict."""
 
     cutoffs: tuple = ()
     rtol_compat: float = 1e-6
     growth_thresh: float = 10.0
-    max_log_norm: float = 700.0
 
     def resolved_cutoffs(self, n_modes: int) -> tuple:
         if self.cutoffs:
@@ -117,7 +101,7 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
     (`stabilization_ratio`) and watches per-step growth:
 
       * compatible  -- ratio <= 1 + rtol_compat and every log norm is below
-        policy.max_log_norm; the backward state u0 is attached.
+        MAX_LOG_NORM; the backward state u0 is attached.
       * incompatible -- some consecutive step grows by >= growth_thresh.
       * inconclusive -- anything in between.
     """
@@ -146,36 +130,9 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
 
     if grew:
         verdict = "incompatible"
-    elif ratio <= 1.0 + policy.rtol_compat and logs[-1] <= policy.max_log_norm:
+    elif ratio <= 1.0 + policy.rtol_compat and logs[-1] <= MAX_LOG_NORM:
         verdict = "compatible"
     else:
         verdict = "inconclusive"
     u0 = apply_inverse(vec, T) if verdict == "compatible" else None
     return CompatReport(T, cutoffs, logs, ratio, verdict, u0=u0)
-
-
-@dataclass(frozen=True)
-class HeightProfile:
-    """Pivot-norm decay of a state along the forward flow."""
-
-    times: np.ndarray
-    values: np.ndarray
-    log_values: np.ndarray
-    degenerate: bool
-
-
-def height_function(u0: SpectralVec, times) -> HeightProfile:
-    """Sample t -> |e^{-tA} u0|_H.
-
-    For a nonzero state the profile is positive, strictly decreasing, and
-    log-convex for this diagonal flow.  u0 = 0 degenerates to the zero
-    profile and is flagged.
-    """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be a strictly increasing nonnegative array")
-    degenerate = bool(np.all(u0.logmag == -np.inf))
-    logs = 0.5 * log_sum_exp(2.0 * (u0.logmag - ts[:, None] * u0.basis.lambdas))
-    with np.errstate(over="ignore"):
-        vals = np.exp(logs)
-    return HeightProfile(ts, vals, logs, degenerate)

@@ -171,8 +171,6 @@ def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
 def test_data_norm_equals_the_solve_norm(kind):
     f, g, uT, T, tgrid = _instance(16, kind)
     sol = _solve(16, kind)
-    if g is None:
-        assert fvp.data_norm(fvp.FinalValueData(f, uT, T)) == sol.ynorm
     assert bd.data_norm_inhom(f, g, uT, T) == sol.ynorm
     assert bd.check_final_data(f, g, uT, T).to_json() == sol.compat.to_json()
 

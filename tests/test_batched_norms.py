@@ -7,7 +7,7 @@ per-node loops were replaced by array passes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,33 +30,39 @@ ENTRIES = st.one_of(
 )
 
 
-def _with_special_rows(a, data):
-    """Overwrite some rows with -inf, zeros, a suffix of zeros, values past
-    LOG_MAX, or one +inf."""
-    a = a.copy()
+# row counts on both sides of the switch from per-row loops to column passes
+SHAPES = st.tuples(st.integers(1, 48), st.integers(0, 12))
+
+
+@st.composite
+def stacks(draw):
+    """Stacks of 1 to 48 rows; some rows are overwritten with -inf, zeros, a
+    suffix of zeros, values past LOG_MAX, or one +inf."""
+    a = draw(arrays(np.float64, SHAPES, elements=ENTRIES)).copy()
     for i in range(a.shape[0]):
-        kind = data.draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "zero-tail", "past-log-max", "pos-inf"]))
+        kind = draw(st.sampled_from(["keep", "keep", "neg-inf", "zero", "zero-tail", "past-log-max", "pos-inf"]))
         if kind == "neg-inf":
             a[i] = -np.inf
         elif kind == "pos-inf" and a.shape[1]:
-            a[i, data.draw(st.integers(0, a.shape[1] - 1))] = np.inf
+            a[i, draw(st.integers(0, a.shape[1] - 1))] = np.inf
         elif kind == "zero":
             a[i] = 0.0
         elif kind == "zero-tail":
-            a[i, data.draw(st.integers(0, a.shape[1])):] = 0.0
+            a[i, draw(st.integers(0, a.shape[1])):] = 0.0
         elif kind == "past-log-max":
             a[i] = LOG_MAX + 1.0 + np.arange(a.shape[1])
     return a
 
 
-# row counts on both sides of the switch from per-row loops to column passes
-SHAPES = st.tuples(st.integers(1, 48), st.integers(0, 12))
+# every row sums to NaN: the column pass gives rows 0-31 a NaN of the other
+# sign than the 1-d call, which float.hex does not see (see kahan_sum)
+NAN_ROWS = np.tile([np.inf, -0.0, np.nan, -np.inf], (35, 1))
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrays(np.float64, SHAPES, elements=ENTRIES), st.data())
-def test_stacked_kahan_rows_equal_1d_calls(a, data):
-    a = _with_special_rows(a, data)
+@given(stacks())
+@example(NAN_ROWS)
+def test_stacked_kahan_rows_equal_1d_calls(a):
     with np.errstate(invalid="ignore", over="ignore"):
         got = kahan_sum(a)
         want = [kahan_sum(row) for row in a]
@@ -65,9 +71,8 @@ def test_stacked_kahan_rows_equal_1d_calls(a, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(arrays(np.float64, SHAPES, elements=ENTRIES), st.data())
-def test_stacked_log_sum_exp_rows_equal_1d_calls(a, data):
-    a = _with_special_rows(a, data)
+@given(stacks())
+def test_stacked_log_sum_exp_rows_equal_1d_calls(a):
     with np.errstate(invalid="ignore", over="ignore"):
         got = log_sum_exp(a)
         want = [log_sum_exp(row) for row in a]
@@ -192,7 +197,7 @@ def test_node_norms_equal_triple_norms_including_overflow(basis16):
     traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 120.0, 61))
     norms = traj.node_norms()
     rows = [norms.row(i) for i in range(traj.times.size)]
-    assert rows == [triple_norms(s) for s in traj.states]
+    assert rows == [triple_norms(SpectralVec(basis16, p, l)) for p, l in zip(traj.phase, traj.logmag)]
     assert rows[0].overflowed and not rows[-1].overflowed
 
 
@@ -202,13 +207,13 @@ def test_trajectory_states_are_views_of_read_only_arrays(basis16):
     f = dh.SourceTerm(basis16, np.array([0.0, 0.5, 1.0]), rng.standard_normal((3, 16)))
     traj = dh.solve_cauchy(u0, f, np.linspace(0.0, 1.0, 5))
     assert traj.phase.shape == traj.logmag.shape == (5, 16)
-    assert traj.initial_state is traj.states[0] and traj.final_state is traj.states[-1]
-    assert np.array_equal(traj.states[2].logmag, traj.logmag[2])
+    assert np.shares_memory(traj.initial_state.logmag, traj.logmag[0])
+    assert np.shares_memory(traj.final_state.phase, traj.phase[-1])
     with pytest.raises(ValueError):
         traj.final_state.logmag[0] = 0.0
     single = dh.solve_cauchy(u0, f, np.array([1.0]))
-    assert single.final_state is single.initial_state is single.states[0]
-    assert len(single.states) == 1
+    assert single.final_state is single.initial_state
+    assert single.logmag.shape == (1, 16)
 
 
 def test_march_computes_phi_once_per_distinct_step(basis16, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 
 from heatfvp.boundary import (
     BoundaryData,
+    LiftPath,
     YNormReport,
-    assemble_with_lift_perturbation,
     boundary_split,
     boundary_yield,
     boundary_yield_sweep,
@@ -24,6 +24,7 @@ from heatfvp.boundary import (
 )
 from heatfvp.duhamel import SourceTerm, solve_cauchy
 from heatfvp.fvp import IncompatibleDataError
+from heatfvp.logspace import logspace_add
 from heatfvp.spectral import InvalidSpecError, SpectralVec, rel_distance, triple_norms
 
 
@@ -218,8 +219,7 @@ class TestSolveIbvp:
         ts = np.linspace(0.0, 1.0, 9)
         a = solve_ibvp(u0, f, BoundaryData.zero(1.0), ts)
         b = solve_cauchy(u0, f, ts)
-        for sa, sb in zip(a.states, b.states):
-            assert rel_distance(sa, sb) == 0.0
+        assert np.array_equal(a.phase, b.phase) and np.array_equal(a.logmag, b.logmag)
         assert a.lift is not None and a.lift.g.is_zero
 
     def test_steady_state_approach(self, basis64):
@@ -254,6 +254,35 @@ class TestSolveIbvp:
             solve_ibvp(SpectralVec.zero(basis_rect), None, BoundaryData.zero(1.0), np.array([0.0, 1.0]))
 
 
+def assemble_with_lift_perturbation(u0, f, g, phi, tgrid) -> list:
+    """Cross-check assembly of the boundary solve through a perturbed lift.
+
+    Any interior path phi(t) with zero trace can be added to the affine
+    lift; the two extra convolution terms it introduces cancel exactly in
+    the algebra, so the assembled states must match solve_ibvp.  Computing
+    them separately and letting them cancel numerically is the point of
+    this check.
+    """
+    basis = u0.basis
+    lam = basis.lambdas
+    ts = np.asarray(tgrid, dtype=float)
+    lift = LiftPath(g, basis)
+
+    base = solve_cauchy(u0, f, ts, extra_times=np.union1d(g.times, phi.times))
+    # interior Laplacian of the perturbation acts as the source -lambda*phi
+    phi_src = SourceTerm(basis, phi.times, phi.coeffs * lam[None, :])
+    term_phi = solve_cauchy(SpectralVec.zero(basis), phi_src, ts, extra_times=g.times)
+    # boundary term with the perturbed lift w + phi
+    merged = np.union1d(g.times, phi.times)
+    wtilde = lift.coeff_matrix(merged) + phi.sample(merged)
+    tilde_src = SourceTerm(basis, merged, wtilde * lam[None, :])
+    term_lift = solve_cauchy(SpectralVec.zero(basis), tilde_src, ts)
+
+    p, l = logspace_add(base.phase, base.logmag, -term_phi.phase, term_phi.logmag)
+    p, l = logspace_add(p, l, term_lift.phase, term_lift.logmag)
+    return [SpectralVec(basis, pk, lk) for pk, lk in zip(p, l)]
+
+
 class TestLiftPerturbationAssembly:
     def test_matches_direct_solve(self, basis16):
         rng = np.random.default_rng(7)
@@ -265,9 +294,9 @@ class TestLiftPerturbationAssembly:
         u0 = SpectralVec.from_coefficients(basis16, rng.standard_normal(16) * np.exp(-jj / 2))
         ref = solve_ibvp(u0, f, g, ts)
         alt = assemble_with_lift_perturbation(u0, f, g, phi, ts)
-        assert len(alt) == len(ref.states)
-        for a, s in zip(alt[1:], ref.states[1:]):
-            assert rel_distance(a, s) <= 1e-9
+        assert len(alt) == ref.times.size
+        for k in range(1, ref.times.size):
+            assert rel_distance(alt[k], SpectralVec(basis16, ref.phase[k], ref.logmag[k])) <= 1e-9
 
 
 class TestTraceSurrogate:

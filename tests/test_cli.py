@@ -13,10 +13,11 @@ import pytest
 import heatfvp
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
-from heatfvp import generator as gl
 from heatfvp import spectral as sp
 from heatfvp.cli import cli, parse_config
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
+
+from conftest import format_matrix
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -179,6 +180,25 @@ def test_horizon_past_the_basis_is_one_line_error(tmp_path, capsys, command, T):
     assert rc == 1
     assert out.out == ""
     assert out.err == "error: horizon T is too long for this basis: 2 T lambda_N leaves float64 range\n"
+
+
+@pytest.mark.parametrize("command, modes", [("instability-demo", 10 ** 12), ("check-compat", 10 ** 11)])
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch, command, modes):
+    # a mode count past what memory holds; the refusal is simulated, so the
+    # suite never asks the system for the memory
+    def refuse(spec):
+        raise MemoryError(f"Unable to allocate {8 * spec.modes} bytes for an array with shape ({spec.modes},)")
+
+    monkeypatch.setattr("heatfvp.cli.build_basis", refuse)
+    if command == "instability-demo":
+        argv = [command, "--T", "1", "--jmax", str(modes)]
+    else:
+        (tmp_path / "u.json").write_text(sp.vec_to_json(decayed_instance(16)[1]))
+        argv = [command, "--config", write_conf(tmp_path, f"modes = {modes}\nT = 1\nuT.path = u.json\n")]
+    assert cli(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: Unable to allocate {8 * modes} bytes for an array with shape ({modes},)\n"
 
 
 class TestForward:
@@ -470,7 +490,7 @@ class TestInstabilityDemo:
 
 class TestGeneratorLab:
     def test_selfadjoint_report(self, tmp_path, capsys):
-        (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))
+        (tmp_path / "diag.mat").write_text(format_matrix(np.diag([1.0, 2.0])))
         out = tmp_path / "report.json"
         rc = cli(["generator-lab", "--matrix", str(tmp_path / "diag.mat"),
                   "--trials", "32", "--out", str(out)])
@@ -544,7 +564,7 @@ class TestGeneratorLab:
         assert "inf" not in captured.out
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
-        (tmp_path / "diag.mat").write_text(gl.format_matrix(np.diag([1.0, 2.0])))
+        (tmp_path / "diag.mat").write_text(format_matrix(np.diag([1.0, 2.0])))
         rc = cli(["generator-lab", "--matrix", str(tmp_path / "diag.mat"), "--seed", "-1"])
         assert rc == 1
         captured = capsys.readouterr()

@@ -5,16 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from heatfvp.boundary import data_norm_inhom
 from heatfvp.duhamel import SourceTerm, solve_cauchy, source_yield
 from heatfvp.fvp import (
     FinalValueData,
     IncompatibleDataError,
     InconclusiveDataError,
-    data_norm,
     instability_csv,
     instability_table,
     solve_final_value,
-    theoretical_stability_constant,
 )
 from heatfvp.logspace import log_sum_exp
 from heatfvp.semigroup import apply_inverse
@@ -54,7 +53,7 @@ class TestDataNorm:
     def test_single_decayed_mode(self, basis64):
         # u_T = e^{-1} e_1, T = 1: parts are (e^{-2}, 0, 1)
         uT = SpectralVec.from_coefficients(basis64, np.exp(-1.0) * np.eye(64)[0])
-        rep = data_norm(FinalValueData(None, uT, 1.0))
+        rep = data_norm_inhom(None, None, uT, 1.0)
         assert rep.uT_sq == pytest.approx(np.exp(-2.0), rel=1e-12)
         assert rep.source_sq == 0.0
         assert rep.log_backward_sq == pytest.approx(0.0, abs=1e-12)
@@ -66,7 +65,7 @@ class TestDataNorm:
         fc = np.eye(64)[0]
         f = SourceTerm(basis64, np.array([0.0, 1.0]), np.vstack([fc, fc]))
         uT = source_yield(f)
-        rep = data_norm(FinalValueData(f, uT, 1.0))
+        rep = data_norm_inhom(f, None, uT, 1.0)
         assert rep.log_backward_sq == -np.inf
         assert rep.source_sq == pytest.approx(1.0, rel=1e-14)
         want = np.sqrt((1 - np.exp(-1.0)) ** 2 + 1.0)
@@ -74,7 +73,7 @@ class TestDataNorm:
         assert rep.finite
 
     def test_zero_data(self, basis64):
-        rep = data_norm(FinalValueData(None, SpectralVec.zero(basis64), 1.0))
+        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0)
         assert rep.total == 0.0
         assert rep.log_total == -np.inf
         assert rep.finite
@@ -82,12 +81,12 @@ class TestDataNorm:
     def test_rough_data_is_flagged_infinite(self, basis64):
         jj = np.arange(1, 65)
         uT = SpectralVec.from_coefficients(basis64, 1.0 / jj)
-        rep = data_norm(FinalValueData(None, uT, 1.0))
+        rep = data_norm_inhom(None, None, uT, 1.0)
         assert not rep.finite
         assert rep.log_backward_sq > 1000.0
 
     def test_json_round_trip(self, basis64):
-        rep = data_norm(FinalValueData(None, SpectralVec.zero(basis64), 1.0))
+        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0)
         d = json.loads(rep.to_json())
         assert set(d) == {"uT_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"
@@ -178,21 +177,3 @@ class TestInstabilityTable:
         got = [float(x) for x in lines[3].split(",")]
         assert got == pytest.approx([3.0, 9.0, 1.0, 9.0], rel=1e-13)
 
-
-class TestStabilityConstant:
-    def test_unit_constants_horizon_one(self, basis16):
-        # C1..C4 all equal 1 here: K = 8, c = sqrt(12)
-        assert theoretical_stability_constant(basis16, 1.0) == pytest.approx(np.sqrt(12.0), rel=1e-14)
-
-    def test_shorter_horizon_grows(self, basis16):
-        assert theoretical_stability_constant(basis16, 0.5) == pytest.approx(np.sqrt(13.0), rel=1e-14)
-
-    def test_horizon_validation(self, basis16):
-        for T in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(InvalidSpecError):
-                theoretical_stability_constant(basis16, T)
-
-    def test_wide_interval(self):
-        basis = build_basis(DomainSpec("interval", (2 * np.pi,), 8))
-        # C1 = 2, C2 = 4: K = 2 + 16/4 + 16 + 4 = 26, c = sqrt(30)
-        assert theoretical_stability_constant(basis, 1.0) == pytest.approx(np.sqrt(30.0), rel=1e-14)

@@ -21,14 +21,14 @@ from heatfvp.generator import (
     check_logconvexity_criterion,
     check_sectoriality,
     exp_semigroup,
-    format_matrix,
     inverse_chain_demo,
-    logconvexity_profile,
     parse_matrix,
     random_elliptic,
     random_selfadjoint,
 )
 from heatfvp.spectral import InvalidSpecError
+
+from conftest import format_matrix
 
 JORDAN = [[1.0, 10.0], [0.0, 1.0]]
 
@@ -287,16 +287,21 @@ class TestLogConvexity:
 class TestConvexityProfile:
     def test_selfadjoint_profile(self):
         gen = MatrixGenerator(np.diag([1.0, 2.0]))
-        prof = logconvexity_profile(gen, np.array([1.0, 1.0]) / np.sqrt(2), np.geomspace(0.01, 5.0, 17))
-        assert prof.min_second_divdiff >= -1e-10
-        assert np.all(np.diff(prof.log_h) < 0)
+        ts = np.geomspace(0.01, 5.0, 17)
+        rep = check_logconvexity_criterion(gen, trials=16, times=ts)
+        assert rep.min_second_divdiff >= -1e-10
+        assert rep.logconvex_fraction == 1.0
+        # |e^{-(t+s)A} x| <= ||e^{-sA}|| |e^{-tA} x|: every profile falls
+        # because ||e^{-sA}|| < 1 for s > 0
+        decay = check_decay(gen, ts)
+        assert decay.ok and np.all(decay.norms < 1.0)
 
     def test_validation(self):
-        gen = MatrixGenerator(np.diag([1.0, 2.0]))
         with pytest.raises(InvalidSpecError):
-            logconvexity_profile(gen, [1.0, 0.0], [0.1, 0.2])
-        with pytest.raises(InvalidSpecError):
-            logconvexity_profile(gen, [0.0, 0.0], [0.1, 0.2, 0.3])
+            check_logconvexity_criterion(MatrixGenerator(np.diag([1.0, 2.0])), trials=4, times=[0.1, 0.2])
+        # e^{-1000 t} |x| reaches 0 in float64: its log profile is undefined
+        with pytest.raises(InvalidSpecError, match="underflows"):
+            check_logconvexity_criterion(MatrixGenerator([[1000.0]]), trials=4, times=[0.1, 0.5, 1.0])
 
 
 class TestInverseChain:
