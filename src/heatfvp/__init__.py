@@ -87,6 +87,7 @@ from .spectral import (
     stacked_norms,
     synthesize,
     triple_norms,
+    uniform_samples,
     vec_from_json,
     vec_to_json,
 )

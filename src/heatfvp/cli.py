@@ -279,6 +279,9 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    # the Simpson projection of the FD samples needs an even panel count
+    if args.fd_points is not None and args.fd_points % 2 == 0:
+        raise UsageError(f"--fd-points must be odd, got {args.fd_points}")
     cfg, basis, T, f, g = _problem(args)
     if basis.ndim != 1:
         raise UsageError("oracle comparison is interval-only")
@@ -290,16 +293,16 @@ def _cmd_oracle_compare(args) -> int:
 
     def fd_error(m_interior: int, n_steps: int) -> float:
         scheme = fd.FdScheme(theta=0.5, m_interior=m_interior)
-        x = np.linspace(0.0, L, m_interior + 2)
-        u0_samples = np.real(sp.synthesize(u0, x))
+        u0_samples = np.real(sp.uniform_samples(u0, m_interior + 1))
         if g is not None:
             u0_samples[0], u0_samples[-1] = g.sample([0.0])[0]
         src = None
         if f is not None:
-            sines = basis.mode_values(x[1:-1])
+            sines = basis.mode_values(np.linspace(0.0, L, m_interior + 2)[1:-1])
 
+            # the table is real: take the real part first and keep the product real
             def src(xin, t, sines=sines):
-                return np.real(f.sample([t])[0] @ sines)
+                return np.real(f.sample([t])[0]) @ sines
 
         res = fd.fd_solve(u0_samples, src, g, L, T, n_steps, scheme)
         projected = sp.project_samples(res.u_final, res.x, basis)

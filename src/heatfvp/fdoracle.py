@@ -1,10 +1,12 @@
 """Theta-scheme finite difference solver on the interval.
 
-Completely independent of the spectral machinery: second-order three-point
-Laplacian on a uniform grid, Dirichlet values injected through the matrix
-rows next to the boundary, implicit part solved with a banded factorization.
-Used as a cross-check oracle for the spectral solver, never as the primary
-path.
+The oracle's discretization is its own: the second-order three-point
+Laplacian on a uniform grid, its finite-difference eigenvalues and the
+theta-scheme in time, with Dirichlet values entering through the rows next
+to the boundary.  It shares only the DST-I with the spectral machinery:
+that transform diagonalizes the three-point Dirichlet Laplacian exactly, so
+each time step is a scalar recurrence per grid mode.  Used as a cross-check
+oracle for the spectral solver, never as the primary path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import InvalidSpecError, _check_horizon
+from .spectral import InvalidSpecError, _check_horizon, _dst1
 
 
 class CflViolationError(RuntimeError):
@@ -59,12 +61,16 @@ def fd_solve(
 
     `u0` is an array of samples on the full grid, the m_interior + 2
     points of np.linspace(0, length, m_interior + 2) with both endpoints;
-    `source` is None or a callable (x_interior, t) -> values; `g` is None
-    for homogeneous data or an object with .sample(ts) -> (n, 2) endpoint
-    values.
-    """
-    from scipy.linalg import solve_banded  # deferred: only the oracle needs scipy
+    `source` is None or a callable (x_interior, t) -> values, called once
+    per time node; `g` is None for homogeneous data or an object with
+    .sample(ts) -> (n, 2) endpoint values.
 
+    The discrete affine lift of g is subtracted first.  The three-point
+    Laplacian annihilates it, so the remainder solves the same scheme with
+    homogeneous Dirichlet rows and the lift increments as a forcing; in the
+    DST-I basis its Laplacian is diag(-mu_k), and the theta-scheme is
+    w_k <- (1 - (1 - theta) dt mu_k) / (1 + theta dt mu_k) w_k + forcing_k.
+    """
     scheme = scheme or FdScheme()
     _check_horizon(t_final)
     if length <= 0 or n_steps < 1:
@@ -78,48 +84,36 @@ def fd_solve(
         raise CflViolationError(
             f"dt = {dt:.3e} exceeds the stability bound {scheme.max_stable_dt(dx):.3e}"
         )
-    mu = dt / (dx * dx)
     theta = scheme.theta
 
     u_full = np.array(u0, dtype=float)
     if u_full.shape != x.shape:
         raise InvalidSpecError("initial samples must live on the full grid")
-    u = u_full[1:-1].copy()
 
     times = np.linspace(0.0, t_final, n_steps + 1)
     gvals = g.sample(times) if g is not None else np.zeros((n_steps + 1, 2))
+    # the lift at node n is gvals[n] @ shapes, so its increments need the
+    # transforms of the two shapes only, not one per step
+    ramp = np.arange(1, m + 1) / (m + 1)
+    shapes = np.stack([1.0 - ramp, ramp])
+    forcing = -np.diff(gvals, axis=0) @ _dst1(shapes)
+    if source is not None:
+        fvals = np.empty((n_steps + 1, m))
+        for n, t in enumerate(times):
+            fvals[n] = source(xin, t)
+        fhat = _dst1(fvals)
+        forcing += dt * ((1.0 - theta) * fhat[:-1] + theta * fhat[1:])
 
-    # constant banded LHS: (I - theta dt Lap)
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -theta * mu
-    ab[1, :] = 1.0 + 2.0 * theta * mu
-    ab[2, :-1] = -theta * mu
-
-    def lap(v, gl, gr):
-        out = np.empty_like(v)
-        out[0] = (gl - 2.0 * v[0] + v[1]) / (dx * dx)
-        out[-1] = (v[-2] - 2.0 * v[-1] + gr) / (dx * dx)
-        if m > 2:
-            out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (dx * dx)
-        return out
-
-    for n in range(n_steps):
-        gl0, gr0 = gvals[n]
-        gl1, gr1 = gvals[n + 1]
-        rhs = u + (1.0 - theta) * dt * lap(u, gl0, gr0)
-        # implicit boundary injection lives on the RHS of the banded solve
-        rhs[0] += theta * mu * gl1
-        rhs[-1] += theta * mu * gr1
-        if source is not None:
-            f0 = np.asarray(source(xin, times[n]), dtype=float)
-            f1 = np.asarray(source(xin, times[n + 1]), dtype=float)
-            rhs += dt * ((1.0 - theta) * f0 + theta * f1)
-        if theta == 0.0:
-            u = rhs
-        else:
-            u = solve_banded((1, 1), ab, rhs)
+    k = np.arange(1, m + 1)
+    mu = (4.0 / (dx * dx)) * np.sin(k * (np.pi / (2 * (m + 1)))) ** 2
+    implicit = 1.0 + theta * dt * mu
+    gain = (1.0 - (1.0 - theta) * dt * mu) / implicit
+    forcing /= implicit
+    w = _dst1(u_full[1:-1] - gvals[0] @ shapes)
+    for r in forcing:
+        w = gain * w + r
 
     u_final = np.empty(m + 2)
     u_final[0], u_final[-1] = gvals[-1]
-    u_final[1:-1] = u
+    u_final[1:-1] = _dst1(w) * (2.0 / (m + 1)) + gvals[-1] @ shapes
     return FdResult(x, times, u_final)

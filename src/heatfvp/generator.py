@@ -25,6 +25,9 @@ LOGCONVEXITY_TOL = 1e-10
 # and sample vectors per margin pass in check_logconvexity_criterion, so
 # that A x and A^2 x never exist for more than one block of vectors
 _BLOCK = 128
+# the first sectoriality block: the points whose bound reaches the sup are
+# usually among the first few, so the blocks start here and double to _BLOCK
+_FIRST_BLOCK = 8
 # supporting lines of the numerical range that bound the scaled resolvent
 # in check_sectoriality, and the rounding allowance taken off that bound in
 # units of eps * d * (|lambda| + ||A||)
@@ -251,11 +254,11 @@ def check_sectoriality(
     The grid is formed in one broadcast.  Every sample point gets an upper
     bound from the numerical range of A (see _fov_bounds), and the
     smallest singular values of the shifted matrices come from stacked SVDs
-    over fixed blocks of points in descending order of that bound, until
-    the next bound falls strictly below the largest value found.  The points
-    left out cannot reach the sup, and every value computed is bit-identical
-    to evaluating the points one by one, so the report is the one of the
-    full grid.
+    over blocks of points in descending order of that bound, 8 points first
+    and doubling up to 128, until the next bound falls strictly below the
+    largest value found.  The points left out cannot reach the sup, and
+    every value computed is bit-identical to evaluating the points one by
+    one, so the report is the one of the full grid.
     """
     sector = sector or SectorSpec()
     if n_angles < 64:
@@ -284,8 +287,10 @@ def check_sectoriality(
     best = -np.inf
     eye = np.eye(gen.dim)
     order = np.argsort(-bound, kind="stable")
-    for i in range(0, lams.size, _BLOCK):
-        idx = order[i:i + _BLOCK]
+    start, size = 0, _FIRST_BLOCK
+    while start < lams.size:
+        idx = order[start:start + size]
+        start, size = start + size, min(2 * size, _BLOCK)
         # a NaN best compares False: then every point is computed, and argmax
         # finds the first NaN as the full scan does
         if bound[idx[0]] < best:

@@ -80,6 +80,33 @@ def _sine_table(L: float, modes: int, points) -> np.ndarray:
     return np.sqrt(2.0 / L) * np.sin(np.outer(j, np.asarray(points, dtype=float)) * (np.pi / L))
 
 
+def _dst1(a) -> np.ndarray:
+    """Unnormalized DST-I along the last axis: y_k = sum_i a_i sin(pi i k / (n + 1))
+    for i, k = 1..n, read off the real FFT of the odd extension (Martucci,
+    IEEE Trans. Signal Process. 42(5), 1994).  Applied twice it returns
+    (n + 1) / 2 times its input.  numpy.fft is reached at call time, so
+    importing the package does not load it."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return _dst1(a.real) + 1j * _dst1(a.imag)
+    n = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:n + 1] = a
+    ext[..., n + 2:] = -a[..., ::-1]
+    return -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1:n + 1]
+
+
+def _alias(modes: int, panels: int):
+    """Where mode j = 1..modes lands on the M - 1 interior nodes of a uniform
+    grid of M = panels panels: sin(j pi i / M) equals sign * sin(k pi i / M)
+    for the DST-I bin k - 1 returned, and vanishes at every node where
+    `live` is False."""
+    r = np.arange(1, modes + 1) % (2 * panels)
+    upper = r > panels
+    k = np.where(upper, 2 * panels - r, r)
+    return k - 1, np.where(upper, -1.0, 1.0), (k > 0) & (k < panels)
+
+
 def _simpson_project(samples, tables, weights) -> np.ndarray:
     """Composite-Simpson inner products of grid samples with the per-axis
     sine tables: one axis on an interval, two on a rectangle."""
@@ -383,7 +410,12 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
 
 def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     """Like analyze, but on a caller-supplied uniform 1-d grid covering
-    [0, L] with an even panel count (used to project oracle output)."""
+    [0, L] with an even panel count (used to project oracle output).
+
+    Every mode vanishes at both ends, so the Simpson sums are one DST-I of
+    the weighted interior samples; a mode j >= panels takes the value of
+    the bin it aliases to on the grid.
+    """
     if basis.ndim != 1:
         raise InvalidSpecError("sample projection on custom grids is 1-d only")
     x = np.asarray(grid, dtype=float)
@@ -396,11 +428,39 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     steps = np.diff(x)
     if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10):
         raise GridMismatchError("grid must be uniform and increasing")
-    if (x.size - 1) % 2 != 0:
+    panels = x.size - 1
+    if panels % 2 != 0:
         raise GridMismatchError("grid needs an even panel count")
-    table = _sine_table(L, basis.spec.modes, x)
-    coeffs = _simpson_project(f, (table,), (_simpson_weights(L, x.size - 1),))
+    bins = np.sqrt(2.0 / L) * _dst1((_simpson_weights(L, panels) * f)[1:-1])
+    k, sign, live = _alias(basis.spec.modes, panels)
+    coeffs = np.zeros(basis.spec.modes, dtype=bins.dtype)
+    coeffs[live] = sign[live] * bins[k[live]]
     return SpectralVec.from_coefficients(basis, coeffs)
+
+
+def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
+    """Evaluate the mode sum of an interval vector on
+    np.linspace(0, L, panels + 1), endpoints included: the coefficients are
+    folded onto the panels - 1 interior nodes as their modes alias there,
+    and one DST-I sums them.  Real where every coefficient is real.
+    """
+    basis = vec.basis
+    if basis.ndim != 1:
+        raise InvalidSpecError("uniform sampling is 1-d only")
+    if not (isinstance(panels, (int, np.integer)) and panels >= 2):
+        raise InvalidSpecError("uniform sampling needs an integer panel count >= 2")
+    if vec.overflowed:
+        raise OverflowError("coefficients exceed linear floating-point range")
+    c = vec.coefficients
+    if not np.any(c.imag):
+        c = c.real
+    k, sign, live = _alias(basis.spec.modes, panels)
+    folded = np.zeros(panels - 1, dtype=c.dtype)
+    np.add.at(folded, k[live], sign[live] * c[live])
+    (L,) = basis.spec.lengths
+    out = np.zeros(panels + 1, dtype=c.dtype)
+    out[1:-1] = np.sqrt(2.0 / L) * _dst1(folded)
+    return out
 
 
 def synthesize(vec: SpectralVec, points=None) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Every public function and class of heatfvp has a user.
+"""Every public function and class of heatfvp has a user, and every name a
+test module imports is used there.
 
 The users are the library itself, the CLI, the acceptance criteria and the
 benchmark harness.  A name that only the unit tests call is API nobody
@@ -56,3 +57,23 @@ def test_the_allowlist_names_only_unused_definitions():
     for qual in ALLOWED_UNUSED:
         assert qual in defined
         assert defined[qual] not in used
+
+
+def _unused_imports(path):
+    """Names a module binds by import but never reads as a Name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read)
+
+
+def test_test_modules_import_only_what_they_use():
+    unused = [hit for path in sorted((ROOT / "tests").glob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []

@@ -7,7 +7,6 @@ the solvers cannot move a digit.
 
 import hashlib
 import json
-import warnings
 
 import numpy as np
 import pytest

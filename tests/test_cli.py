@@ -91,13 +91,33 @@ class TestUsage:
     def test_import_leaves_scipy_unloaded(self):
         # a cold start pays only for numpy; scipy loads where it is called,
         # and the boundary trace surrogate does not call it
-        src = str(Path(heatfvp.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, heatfvp.cli; from heatfvp import boundary as bd; "
                 "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5)); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _fresh_python(code) == "[]"
+
+    # generator-lab still calls scipy's expm: a numpy Pade expm changes
+    # log-convexity verdicts until that criterion reads a rounding floor
+    @pytest.mark.parametrize("sub", ["forward", "backward", "check-compat", "norms", "oracle-compare"])
+    def test_config_subcommands_leave_scipy_unloaded(self, tmp_path, sub):
+        basis, u0, T = inhom_files(tmp_path)
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        conf = write_conf(tmp_path, f"modes = 16\nT = {T!r}\nuT.path = uT.json\nu0.path = u0.json\n"
+                                    "f.path = f.csv\ng.path = g.csv\n")
+        argv = [sub, "--config", conf] + (["--fd-points", "31", "--steps", "16"] if sub == "oracle-compare" else [])
+        code = ("import contextlib, io, sys; from heatfvp.cli import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = cli({argv!r})\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _fresh_python(code) == "0 []"
+
+
+def _fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this checkout."""
+    src = str(Path(heatfvp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def _malformed_state(tmp_path, kind):
@@ -449,6 +469,18 @@ class TestOracleCompare:
         )
         assert cli(["oracle-compare", "--config", conf]) == 1
         assert "interval-only" in capsys.readouterr().err
+
+    def test_even_fd_points_refused(self, tmp_path, capsys):
+        # an even point count gives the coarse grid an odd panel count,
+        # which the Simpson projection cannot take
+        basis, u0 = decayed_instance(16)
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        conf = write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u0.json\n")
+        assert cli(["oracle-compare", "--config", conf, "--fd-points", "128"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: --fd-points must be odd, got 128"]
+        assert "Traceback" not in err
 
 
 class TestInstabilityDemo:

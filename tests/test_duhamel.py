@@ -7,9 +7,7 @@ import pytest
 
 from heatfvp.duhamel import (
     PHI_TAYLOR_THRESHOLD,
-    EnergyReport,
     SourceTerm,
-    Trajectory,
     _phi12,
     check_energy_estimate,
     solution_norm,

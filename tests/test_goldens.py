@@ -2,7 +2,12 @@
 
 The hashes were recorded before the sine tables, the node-series grids and
 the config loading were folded into one implementation each; any change of
-rounding in those paths shows up here as a changed digest.
+rounding in those paths shows up here as a changed digest.  The interval
+`project-samples` digests and the `oracle-compare` outputs were re-recorded
+when projection became one DST-I and the oracle a DST-diagonalized
+theta-scheme, after `project_samples` agreed with the sine-table formula to
+1e-13 and `fd_solve` with the banded solve to 1e-12 and with a 40-digit
+theta-scheme to 1e-13 (tests/test_spectral.py, tests/test_fdoracle.py).
 """
 
 import hashlib
@@ -38,7 +43,7 @@ TRANSFORM_GOLDENS = {
         "synthesize-default": "d1362bab46b15a0c",
         "synthesize-default-complex": "4c7ab3905b88fc85",
         "synthesize-points": "517e7dd50493df96",
-        "project-samples": "295066f7020bfb1b",
+        "project-samples": "2744d2c85af6fb1c",
         "mode-values": "a9a95c9b3f43abda",
     },
     "interval-2.5-12": {
@@ -47,7 +52,7 @@ TRANSFORM_GOLDENS = {
         "synthesize-default": "44f8526eeb6b369f",
         "synthesize-default-complex": "3d27dd0b58912d84",
         "synthesize-points": "77385981c062135a",
-        "project-samples": "a21279a4957dab98",
+        "project-samples": "5f6ce8657cd5cf86",
         "mode-values": "29dc9a6259b4f825",
     },
     "rectangle-pi-4": {
@@ -118,8 +123,8 @@ CLI_GOLDENS = {
         "norms.json": "402f58f63a90068b",
     },
     "oracle-compare": {
-        "stdout": "dd925ddaf181f206",
-        "oracle_compare.json": "2b64c6c1dac8aa4e",
+        "stdout": "b7ad0a6a40796061",
+        "oracle_compare.json": "d70bb123c4285993",
     },
     "instability-demo-T0.8-L3.141592653589793": {
         "stdout": "e3b0c44298fc1c14",

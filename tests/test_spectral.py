@@ -13,15 +13,15 @@ from heatfvp import (
     SpectralVec,
     analyze,
     build_basis,
-    norm_h,
     project_samples,
     rel_distance,
     synthesize,
     triple_norms,
+    uniform_samples,
     vec_from_json,
     vec_to_json,
 )
-from heatfvp.spectral import _check_horizon, json_payload, strict_json
+from heatfvp.spectral import _check_horizon, _simpson_weights, _sine_table, json_payload, strict_json
 
 
 def test_interval_eigenvalues_are_squares(basis16):
@@ -184,6 +184,55 @@ def test_project_samples_odd_panels_rejected(basis16):
     x = np.linspace(0, np.pi, 130)
     with pytest.raises(GridMismatchError):
         project_samples(np.zeros(130), x, basis16)
+
+
+# (modes, panels): a mode count above the panel count aliases on the grid
+TRANSFORM_SIZES = [(16, 64), (64, 130), (100, 64), (256, 514), (256, 200), (1024, 2050), (1024, 600)]
+
+
+def _rel_max(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
+def test_project_samples_matches_the_table_formula(modes, panels):
+    L = 2.5
+    basis = build_basis(DomainSpec("interval", (L,), modes))
+    x = np.linspace(0.0, L, panels + 1)
+    rng = np.random.default_rng(modes + panels)
+    samples = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    got = project_samples(samples, x, basis).coefficients
+    want = (_sine_table(L, modes, x) * _simpson_weights(L, panels)) @ samples
+    assert _rel_max(got, want) <= (1e-12 if modes > 256 else 1e-13)
+
+
+@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
+def test_uniform_samples_match_the_table_formula(modes, panels):
+    L = 2.5
+    basis = build_basis(DomainSpec("interval", (L,), modes))
+    x = np.linspace(0.0, L, panels + 1)
+    rng = np.random.default_rng(modes * panels)
+    vec = SpectralVec.from_coefficients(basis, rng.standard_normal(modes))
+    got = uniform_samples(vec, panels)
+    assert got.dtype == np.float64
+    want = vec.coefficients.real @ _sine_table(L, modes, x)
+    assert _rel_max(got, want) <= (1e-12 if modes > 256 else 1e-13)
+    complex_vec = SpectralVec.from_coefficients(basis, rng.standard_normal(modes) * (1 + 2j))
+    got = uniform_samples(complex_vec, panels)
+    assert _rel_max(got, complex_vec.coefficients @ _sine_table(L, modes, x)) <= (1e-12 if modes > 256 else 1e-13)
+
+
+def test_uniform_samples_refusals(basis16):
+    with pytest.raises(InvalidSpecError):
+        uniform_samples(SpectralVec.unit(basis16, 1), 1)
+    v = SpectralVec.zero(basis16)
+    v.phase[0] = 1.0
+    v.logmag[0] = 800.0
+    with pytest.raises(OverflowError):
+        uniform_samples(v, 64)
+    rect = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 3))
+    with pytest.raises(InvalidSpecError):
+        uniform_samples(SpectralVec.unit(rect, 1), 8)
 
 
 def test_norm_values_single_mode(basis16):
