@@ -166,6 +166,12 @@ class LiftPath:
         # lift coefficients are linear in (g_left, g_right); precompute both columns
         self._col_left = self.basis.lift_coefficients(1.0, 0.0)
         self._col_right = self.basis.lift_coefficients(0.0, 1.0)
+        # forcing and slope are piecewise linear in t: finite at g's node
+        # times means finite everywhere
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.all(np.isfinite(self.forcing(self.g.times))) and np.all(np.isfinite(self.ab(self.g.times)[1]))
+        if not finite:
+            raise InvalidSpecError("boundary data too large: the lift forcing leaves float64 range")
 
     def ab(self, ts):
         """Offset a and slope b of the lift a + b x at each time."""

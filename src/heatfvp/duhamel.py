@@ -198,12 +198,16 @@ def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray, pick: np
 
 
 def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=None) -> np.ndarray:
-    merged = np.union1d(np.asarray(tgrid, dtype=float), [0.0, t_end])
+    parts = [np.asarray(tgrid, dtype=float).ravel(), [0.0, t_end]]
     if f is not None:
-        merged = np.union1d(merged, f.times[f.times <= t_end + 1e-15])
+        parts.append(f.times[f.times <= t_end + 1e-15])
     if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        merged = np.union1d(merged, extra[extra <= t_end + 1e-15])
+        extra = np.asarray(extra, dtype=float).ravel()
+        parts.append(extra[extra <= t_end + 1e-15])
+    # np.unique's own sort and adjacent-difference mask, without the
+    # numpy.ma import that a first plain np.unique call pays
+    merged = np.sort(np.concatenate(parts))
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
     return merged[(merged >= 0.0) & (merged <= t_end + 1e-15)]
 
 

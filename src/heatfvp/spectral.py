@@ -74,7 +74,7 @@ def _simpson_weights(length: float, panels: int) -> np.ndarray:
 
 def _sine_table(L: float, modes: int, points) -> np.ndarray:
     """Normalized Dirichlet eigenfunctions sqrt(2/L) sin(j pi x / L), one
-    row per mode j = 1..modes, one column per point; every sine series of
+    row per mode j = 1..modes, one column per point; every sine table of
     the package is built here."""
     j = np.arange(1, modes + 1, dtype=float)
     return np.sqrt(2.0 / L) * np.sin(np.outer(j, np.asarray(points, dtype=float)) * (np.pi / L))
@@ -107,20 +107,35 @@ def _alias(modes: int, panels: int):
     return k - 1, np.where(upper, -1.0, 1.0), (k > 0) & (k < panels)
 
 
-def _simpson_project(samples, tables, weights) -> np.ndarray:
-    """Composite-Simpson inner products of grid samples with the per-axis
-    sine tables: one axis on an interval, two on a rectangle."""
-    f = np.asarray(samples).astype(np.complex128)
-    weighted = [S * w for S, w in zip(tables, weights)]
-    if len(weighted) == 1:
-        return weighted[0] @ f
-    return weighted[0] @ f @ weighted[1].T
+def _simpson_dst(f, L: float, panels: int, modes: int) -> np.ndarray:
+    """Composite-Simpson inner products, along the last axis, of samples on
+    np.linspace(0, L, panels + 1) with the sines of modes 1..modes.  Every
+    mode vanishes at both ends, so the sums are one DST-I of the weighted
+    interior samples; a mode j >= panels takes the value of the bin it
+    aliases to on the grid."""
+    bins = np.sqrt(2.0 / L) * _dst1((_simpson_weights(L, panels) * f)[..., 1:-1])
+    k, sign, live = _alias(modes, panels)
+    coeffs = np.zeros(bins.shape[:-1] + (modes,), dtype=bins.dtype)
+    coeffs[..., live] = sign[live] * bins[..., k[live]]
+    return coeffs
+
+
+def _uniform_dst(c, L: float, panels: int) -> np.ndarray:
+    """Mode sums, along the last axis, of coefficients of modes
+    1..c.shape[-1] on np.linspace(0, L, panels + 1), endpoints included: the
+    coefficients are folded onto the panels - 1 interior nodes as their
+    modes alias there, and one DST-I sums them."""
+    k, sign, live = _alias(c.shape[-1], panels)
+    folded = np.zeros(c.shape[:-1] + (panels - 1,), dtype=c.dtype)
+    np.add.at(folded, (..., k[live]), sign[live] * c[..., live])
+    out = np.zeros(c.shape[:-1] + (panels + 1,), dtype=c.dtype)
+    out[..., 1:-1] = np.sqrt(2.0 / L) * _dst1(folded)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Sorted Dirichlet eigenpairs; the Simpson quadrature grid is built on
-    first use.
+    """Sorted Dirichlet eigenpairs.
 
     Attributes:
         spec: the generating DomainSpec.
@@ -130,12 +145,13 @@ class EigenBasis:
             form, valid for the spectral representation: ||v||_* <= C1 |v|
             <= C2 ||v||, |a(u,v)| <= C3 ||u|| ||v||, Re a(v,v) >= C4 ||v||^2.
 
-    The quadrature tables `axes` (per-axis nodes, 8*modes panels per axis),
-    `weights` (Simpson weights) and `sines` (per-axis modes-by-nodes sine
-    tables, O(N^2) memory) are cached properties: they are computed the
-    first time `analyze`, a default-grid `synthesize` or a caller reads
-    them, so the spectral solve, the verdict and the norms never pay for
-    them.
+    `axes` holds the per-axis nodes of the quadrature grid, 8*modes panels
+    per axis, on which `analyze` reads and the default `synthesize` writes
+    samples; both run as sine transforms and build no table.  `weights`
+    (Simpson weights) and `sines` (per-axis modes-by-nodes sine tables,
+    O(N^2) memory) are read by nothing in the package, only by
+    `_table_bytes` in perfbench/spans.py; they go once that probe stops
+    reading them.  All three are cached properties, computed on first read.
     """
 
     spec: DomainSpec
@@ -387,35 +403,27 @@ def rel_distance(a: SpectralVec, b: SpectralVec) -> float:
 
 # -- transforms ---------------------------------------------------------
 
-def _check_grid(samples: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    want = tuple(ax.size for ax in basis.axes)
-    got = np.asarray(samples)
-    if got.shape != want:
-        raise GridMismatchError(f"samples have shape {got.shape}, quadrature grid is {want}")
-    return got
-
-
 def analyze(samples, basis: EigenBasis) -> SpectralVec:
     """Project samples on the basis quadrature grid onto the eigenmodes.
 
     Composite Simpson with 8*modes panels per axis integrates products of
     basis modes exactly (discrete orthogonality), so analyze/synthesize
-    round-trip on the span at machine precision.
+    round-trip on the span at machine precision.  The sums run as one
+    Simpson-weighted DST-I per axis, the last axis first.
     """
-    coeffs = _simpson_project(_check_grid(samples, basis), basis.sines, basis.weights)
-    if basis.ndim == 2:
-        coeffs = np.array([coeffs[a - 1, b - 1] for a, b in basis.index_map])
-    return SpectralVec.from_coefficients(basis, coeffs)
+    N = basis.spec.modes
+    grid = (8 * N + 1,) * basis.ndim
+    coeffs = np.asarray(samples)
+    if coeffs.shape != grid:
+        raise GridMismatchError(f"samples have shape {coeffs.shape}, quadrature grid is {grid}")
+    for L in reversed(basis.spec.lengths):
+        coeffs = np.moveaxis(_simpson_dst(coeffs, L, 8 * N, N), -1, 0)
+    return SpectralVec.from_coefficients(basis, coeffs[tuple(np.array(basis.index_map).T - 1)])
 
 
 def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     """Like analyze, but on a caller-supplied uniform 1-d grid covering
-    [0, L] with an even panel count (used to project oracle output).
-
-    Every mode vanishes at both ends, so the Simpson sums are one DST-I of
-    the weighted interior samples; a mode j >= panels takes the value of
-    the bin it aliases to on the grid.
-    """
+    [0, L] with an even panel count (used to project oracle output)."""
     if basis.ndim != 1:
         raise InvalidSpecError("sample projection on custom grids is 1-d only")
     x = np.asarray(grid, dtype=float)
@@ -431,18 +439,13 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     panels = x.size - 1
     if panels % 2 != 0:
         raise GridMismatchError("grid needs an even panel count")
-    bins = np.sqrt(2.0 / L) * _dst1((_simpson_weights(L, panels) * f)[1:-1])
-    k, sign, live = _alias(basis.spec.modes, panels)
-    coeffs = np.zeros(basis.spec.modes, dtype=bins.dtype)
-    coeffs[live] = sign[live] * bins[k[live]]
-    return SpectralVec.from_coefficients(basis, coeffs)
+    return SpectralVec.from_coefficients(basis, _simpson_dst(f, L, panels, basis.spec.modes))
 
 
 def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     """Evaluate the mode sum of an interval vector on
-    np.linspace(0, L, panels + 1), endpoints included: the coefficients are
-    folded onto the panels - 1 interior nodes as their modes alias there,
-    and one DST-I sums them.  Real where every coefficient is real.
+    np.linspace(0, L, panels + 1), endpoints included, by one DST-I.  Real
+    where every coefficient is real.
     """
     basis = vec.basis
     if basis.ndim != 1:
@@ -452,40 +455,33 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     if vec.overflowed:
         raise OverflowError("coefficients exceed linear floating-point range")
     c = vec.coefficients
-    if not np.any(c.imag):
-        c = c.real
-    k, sign, live = _alias(basis.spec.modes, panels)
-    folded = np.zeros(panels - 1, dtype=c.dtype)
-    np.add.at(folded, k[live], sign[live] * c[live])
     (L,) = basis.spec.lengths
-    out = np.zeros(panels + 1, dtype=c.dtype)
-    out[1:-1] = np.sqrt(2.0 / L) * _dst1(folded)
-    return out
+    return _uniform_dst(c if np.any(c.imag) else c.real, L, panels)
 
 
 def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
     """Evaluate the mode sum pointwise.
 
-    Defaults to the quadrature grid; pass per-axis points for custom grids.
-    Raises if any coefficient exceeds linear float range.
+    Defaults to the quadrature grid, one inverse DST-I per axis; pass
+    per-axis points for custom grids.  Raises if any coefficient exceeds
+    linear float range.
     """
     if vec.overflowed:
         raise OverflowError("coefficients exceed linear floating-point range")
     basis = vec.basis
-    c = vec.coefficients
+    N = basis.spec.modes
+    c = C = vec.coefficients
+    if basis.ndim == 2:
+        C = np.zeros((N, N), dtype=c.dtype)
+        C[tuple(np.array(basis.index_map).T - 1)] = c
     if points is None:
-        tables = basis.sines
+        out = C if np.any(C.imag) else C.real
+        for L in reversed(basis.spec.lengths):
+            out = np.moveaxis(_uniform_dst(out, L, 8 * N), -1, 0)
     else:
         per_axis = (points,) if basis.ndim == 1 else points
-        tables = tuple(_sine_table(L, basis.spec.modes, p) for L, p in zip(basis.spec.lengths, per_axis))
-    if basis.ndim == 1:
-        out = c @ tables[0]
-    else:
-        N = basis.spec.modes
-        C = np.zeros((N, N), dtype=np.complex128)
-        for pos, (a, b) in enumerate(basis.index_map):
-            C[a - 1, b - 1] = c[pos]
-        out = tables[0].T @ C @ tables[1]
+        tables = [_sine_table(L, N, p) for L, p in zip(basis.spec.lengths, per_axis)]
+        out = c @ tables[0] if basis.ndim == 1 else tables[0].T @ C @ tables[1]
     if np.max(np.abs(out.imag), initial=0.0) == 0.0:
         return out.real
     return out

@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "heatfvp"
 
-# analyze stays for the benchmark's table hook, which reads the lazy
-# quadrature tables that analyze consumes; the FFT sine transform planned
-# for those tables decides its fate
+# analyze is the inverse of the default-grid synthesize and the one way from
+# samples on the basis grid to a state: the analyze-synthesize round trip,
+# which must keep holding as N grows, is checked through it
 ALLOWED_UNUSED = {"spectral.analyze"}
 
 

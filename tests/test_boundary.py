@@ -2,6 +2,7 @@
 full first-order norms, and the backward solve with boundary terms."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,16 @@ from heatfvp.boundary import (
 from heatfvp.duhamel import SourceTerm, solve_cauchy
 from heatfvp.fvp import IncompatibleDataError
 from heatfvp.logspace import logspace_add
-from heatfvp.spectral import InvalidSpecError, SpectralVec, rel_distance, triple_norms
+from heatfvp.spectral import (
+    DomainSpec,
+    InvalidSpecError,
+    SpectralVec,
+    analyze,
+    build_basis,
+    rel_distance,
+    synthesize,
+    triple_norms,
+)
 
 
 def ramp_data(T, left_mid, right_mid, left_end=0.3, right_end=0.2):
@@ -252,6 +262,29 @@ class TestSolveIbvp:
     def test_rejects_rectangle(self, basis_rect):
         with pytest.raises(InvalidSpecError):
             solve_ibvp(SpectralVec.zero(basis_rect), None, BoundaryData.zero(1.0), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("modes", [4096, 8192])
+    def test_round_trip_and_flow_identity_at_large_n(self, modes):
+        # the sine transforms build no N x (8N+1) table, which would take
+        # 1.07 GB at N = 4096; the whole check stays under 100 MB
+        T = 0.05
+        tracemalloc.start()
+        try:
+            basis = build_basis(DomainSpec("interval", (np.pi,), modes))
+            x = basis.axes[0]
+            u0 = analyze(x * (np.pi - x) * np.exp(np.cos(3.0 * x)), basis)
+            back = analyze(synthesize(u0), basis)
+            fc = np.exp(-0.5 * np.arange(modes))
+            f = SourceTerm(basis, np.array([0.0, T]), np.vstack([fc, 0.5 * fc]))
+            g = ramp_data(T, 0.8, -0.5)
+            residual = flow_identity_residual(solve_ibvp(u0, f, g, np.linspace(0.0, T, 9)), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "sines" not in vars(basis)
+        assert np.max(np.abs(back.coefficients - u0.coefficients)) <= 1e-13 * np.max(np.abs(u0.coefficients))
+        assert residual <= 1e-10
+        assert peak < 100 * 2 ** 20
 
 
 def assemble_with_lift_perturbation(u0, f, g, phi, tgrid) -> list:

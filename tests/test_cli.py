@@ -97,7 +97,8 @@ class TestUsage:
         assert _fresh_python(code) == "[]"
 
     # generator-lab still calls scipy's expm: a numpy Pade expm changes
-    # log-convexity verdicts until that criterion reads a rounding floor
+    # log-convexity verdicts until that criterion reads a rounding floor.
+    # numpy.ma stays unloaded too: a first plain np.unique would import it
     @pytest.mark.parametrize("sub", ["forward", "backward", "check-compat", "norms", "oracle-compare"])
     def test_config_subcommands_leave_scipy_unloaded(self, tmp_path, sub):
         basis, u0, T = inhom_files(tmp_path)
@@ -108,8 +109,8 @@ class TestUsage:
         code = ("import contextlib, io, sys; from heatfvp.cli import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    rc = cli({argv!r})\n"
-                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        assert _fresh_python(code) == "0 []"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.ma' in sys.modules)")
+        assert _fresh_python(code) == "0 [] False"
 
 
 def _fresh_python(code):
@@ -141,6 +142,13 @@ def _malformed_state(tmp_path, kind):
         write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u0.json\n")
         return ["norms", *conf]
     basis, u0 = decayed_instance(16)
+    if kind.startswith("huge-lift-"):
+        # finite boundary values whose lift forcing lambda_j w_j overflows
+        (tmp_path / "u.json").write_text(sp.vec_to_json(u0))
+        g = bd.BoundaryData(np.array([0.0, 0.05]), np.array([[0.0, 0.0], [1e308, -1e308]]))
+        (tmp_path / "g.csv").write_text(g.to_csv())
+        write_conf(tmp_path, "modes = 16\nT = 0.05\nu0.path = u.json\nuT.path = u.json\ng.path = g.csv\nout.dir = out\n")
+        return [kind[len("huge-lift-"):], *conf]
     if kind.startswith("nan-") and kind.endswith("-time"):
         # a NaN node time in f.csv or g.csv
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
@@ -177,6 +185,7 @@ def _reject_constant(name):
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
     "demo-length=1e-160", "demo-length=1e200",
     "nan-source-time", "nan-boundary-time",
+    "huge-lift-forward", "huge-lift-check-compat", "huge-lift-backward",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     assert cli(_malformed_state(tmp_path, kind)) == 1

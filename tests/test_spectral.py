@@ -91,12 +91,12 @@ def test_build_basis_defers_quadrature_tables():
 
 
 def test_lazy_tables_round_trip():
+    # the round trip runs as sine transforms: it builds no quadrature table
     basis = build_basis(DomainSpec("interval", (np.pi,), 64))
-    assert not TABLES & set(vars(basis))
     rng = np.random.default_rng(5)
     vec = SpectralVec.from_coefficients(basis, rng.standard_normal(64))
     back = analyze(synthesize(vec), basis)
-    assert TABLES <= set(vars(basis))
+    assert not {"sines", "weights"} & set(vars(basis))
     assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
 
 
@@ -186,40 +186,73 @@ def test_project_samples_odd_panels_rejected(basis16):
         project_samples(np.zeros(130), x, basis16)
 
 
-# (modes, panels): a mode count above the panel count aliases on the grid
-TRANSFORM_SIZES = [(16, 64), (64, 130), (100, 64), (256, 514), (256, 200), (1024, 2050), (1024, 600)]
+def _case(modes, panels, lengths=(2.5,)):
+    name = f"{modes}-{panels}" if len(lengths) == 1 else f"rectangle-{modes}-{panels}"
+    return pytest.param(lengths, modes, panels, id=name)
+
+
+# a mode count above the panel count aliases on the grid; panels = 8 * modes
+# is the basis quadrature grid, where analyze and the default synthesize run
+TRANSFORM_SIZES = [
+    _case(16, 64), _case(64, 130), _case(100, 64), _case(256, 514), _case(256, 200), _case(1024, 2050), _case(1024, 600),
+    _case(16, 128), _case(64, 512), _case(256, 2048),
+    _case(4, 32, (2.5, 1.5)), _case(5, 40, (np.pi, 2.0)), _case(32, 256, (2.5, 1.5)),
+]
 
 
 def _rel_max(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
-def test_project_samples_matches_the_table_formula(modes, panels):
-    L = 2.5
-    basis = build_basis(DomainSpec("interval", (L,), modes))
-    x = np.linspace(0.0, L, panels + 1)
+def _basis_and_tables(lengths, modes, panels):
+    basis = build_basis(DomainSpec("interval" if len(lengths) == 1 else "rectangle", lengths, modes))
+    return basis, [_sine_table(L, modes, np.linspace(0.0, L, panels + 1)) for L in lengths]
+
+
+@pytest.mark.parametrize("lengths,modes,panels", TRANSFORM_SIZES)
+def test_project_samples_matches_the_table_formula(lengths, modes, panels):
+    basis, tables = _basis_and_tables(lengths, modes, panels)
+    W = [S * _simpson_weights(L, panels) for S, L in zip(tables, lengths)]
     rng = np.random.default_rng(modes + panels)
-    samples = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
-    got = project_samples(samples, x, basis).coefficients
-    want = (_sine_table(L, modes, x) * _simpson_weights(L, panels)) @ samples
-    assert _rel_max(got, want) <= (1e-12 if modes > 256 else 1e-13)
+    shape = (panels + 1,) * len(lengths)
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if len(W) == 1:
+        want = W[0] @ samples
+        transforms = [lambda f: project_samples(f, np.linspace(0.0, lengths[0], panels + 1), basis)]
+    else:
+        grid = W[0] @ samples @ W[1].T
+        want = np.array([grid[a - 1, b - 1] for a, b in basis.index_map])
+        transforms = []
+    if panels == 8 * modes:
+        transforms.append(lambda f: analyze(f, basis))
+    for transform in transforms:
+        assert _rel_max(transform(samples).coefficients, want) <= (1e-12 if modes > 256 else 1e-13)
 
 
-@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
-def test_uniform_samples_match_the_table_formula(modes, panels):
-    L = 2.5
-    basis = build_basis(DomainSpec("interval", (L,), modes))
-    x = np.linspace(0.0, L, panels + 1)
+@pytest.mark.parametrize("lengths,modes,panels", TRANSFORM_SIZES)
+def test_uniform_samples_match_the_table_formula(lengths, modes, panels):
+    basis, tables = _basis_and_tables(lengths, modes, panels)
     rng = np.random.default_rng(modes * panels)
-    vec = SpectralVec.from_coefficients(basis, rng.standard_normal(modes))
-    got = uniform_samples(vec, panels)
-    assert got.dtype == np.float64
-    want = vec.coefficients.real @ _sine_table(L, modes, x)
-    assert _rel_max(got, want) <= (1e-12 if modes > 256 else 1e-13)
-    complex_vec = SpectralVec.from_coefficients(basis, rng.standard_normal(modes) * (1 + 2j))
-    got = uniform_samples(complex_vec, panels)
-    assert _rel_max(got, complex_vec.coefficients @ _sine_table(L, modes, x)) <= (1e-12 if modes > 256 else 1e-13)
+    vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes))
+    complex_vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes) * (1 + 2j))
+
+    def table_formula(c):
+        if len(tables) == 1:
+            return c @ tables[0]
+        C = np.zeros((modes, modes), dtype=c.dtype)
+        for pos, (a, b) in enumerate(basis.index_map):
+            C[a - 1, b - 1] = c[pos]
+        return tables[0].T @ C @ tables[1]
+
+    transforms = [lambda v: uniform_samples(v, panels)] if len(lengths) == 1 else []
+    if panels == 8 * modes:
+        transforms.append(synthesize)
+    tol = 1e-12 if modes > 256 else 1e-13
+    for transform in transforms:
+        got = transform(vec)
+        assert got.dtype == np.float64
+        assert _rel_max(got, table_formula(vec.coefficients.real)) <= tol
+        assert _rel_max(transform(complex_vec), table_formula(complex_vec.coefficients)) <= tol
 
 
 def test_uniform_samples_refusals(basis16):
