@@ -6,7 +6,8 @@ boundary data from g.path; backward-inhom is the same command under its old
 name.  Runs are driven by a flat `key = value` config file; outputs are
 CSV/JSON and byte-identical for identical config and seed.  Exit codes: 0
 success, 2 incompatible (or inconclusive) final data with the compatibility
-report on stdout, 1 usage or config errors.
+report on stdout, 1 usage, config or data errors: a usage error is followed
+by the usage text, a data error is one `error:` line.
 """
 
 from __future__ import annotations
@@ -107,10 +108,7 @@ def basis_from_config(cfg: dict) -> sp.EigenBasis:
     except ValueError as exc:
         raise UsageError("domain.length must be a number or comma pair") from exc
     modes = _cfg_int(cfg, "modes", 64)
-    try:
-        return build_basis(DomainSpec(kind=kind, lengths=lengths, modes=modes))
-    except InvalidSpecError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_basis(DomainSpec(kind=kind, lengths=lengths, modes=modes))
 
 
 def policy_from_config(cfg: dict) -> MembershipPolicy:
@@ -132,15 +130,15 @@ def policy_from_config(cfg: dict) -> MembershipPolicy:
 
 def _load(cfg: dict, key: str, parse, required: bool = False):
     """Parse the file named by `key`, or None when the key is absent; a
-    parse failure names the file.  InvalidSpecError and GridMismatchError
-    are ValueErrors."""
+    parse failure is a data error that names the file.  InvalidSpecError
+    and GridMismatchError are ValueErrors."""
     p = _cfg_path(cfg, key, required)
     if p is None:
         return None
     try:
         return parse(p.read_text())
     except ValueError as exc:
-        raise UsageError(f"{p}: {exc}") from exc
+        raise InvalidSpecError(f"{p}: {exc}") from exc
 
 
 def _load_state(cfg: dict, key: str, basis: sp.EigenBasis, required: bool = True):
@@ -263,7 +261,7 @@ def _cmd_norms(args) -> int:
             reports["solution_norm"] = dh.solution_norm(traj)
         energy = dh.check_energy_estimate(traj)
         if not all(math.isfinite(x) for x in (reports["solution_norm"], energy.energy_lhs, energy.energy_rhs)):
-            raise UsageError("the solution norm or the energy bound leaves floating-point range")
+            raise InvalidSpecError("the solution norm or the energy bound leaves floating-point range")
         reports["energy"] = {
             "lhs": energy.energy_lhs,
             "rhs": energy.energy_rhs,
@@ -333,10 +331,7 @@ def _cmd_generator_lab(args) -> int:
     p = Path(args.matrix)
     if not p.is_file():
         raise UsageError(f"matrix file not found: {args.matrix}")
-    try:
-        gen = gl.MatrixGenerator(gl.parse_matrix(p.read_text()))
-    except InvalidSpecError as exc:
-        raise UsageError(str(exc)) from exc
+    gen = gl.MatrixGenerator(gl.parse_matrix(p.read_text()))
     sector = gl.check_sectoriality(gen)
     inj = gl.check_injectivity(gen, [0.1, 1.0, 10.0])
     conv = gl.check_logconvexity_criterion(gen, trials=args.trials, seed=args.seed)

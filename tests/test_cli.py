@@ -89,16 +89,15 @@ class TestUsage:
         assert "uT.path" in capsys.readouterr().err
 
     def test_import_leaves_scipy_unloaded(self):
-        # a cold start pays only for numpy; scipy loads where it is called,
-        # and the boundary trace surrogate does not call it
+        # a cold start pays only for numpy, and the boundary trace
+        # surrogate computes its cosine transform without scipy
         code = ("import sys, heatfvp.cli; from heatfvp import boundary as bd; "
                 "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5)); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert _fresh_python(code) == "[]"
 
-    # generator-lab still calls scipy's expm: a numpy Pade expm changes
-    # log-convexity verdicts until that criterion reads a rounding floor.
-    # numpy.ma stays unloaded too: a first plain np.unique would import it
+    # no subcommand loads scipy, and numpy.ma stays unloaded too: a first
+    # plain np.unique would import it
     @pytest.mark.parametrize("sub", ["forward", "backward", "check-compat", "norms", "oracle-compare"])
     def test_config_subcommands_leave_scipy_unloaded(self, tmp_path, sub):
         basis, u0, T = inhom_files(tmp_path)
@@ -106,11 +105,24 @@ class TestUsage:
         conf = write_conf(tmp_path, f"modes = 16\nT = {T!r}\nuT.path = uT.json\nu0.path = u0.json\n"
                                     "f.path = f.csv\ng.path = g.csv\n")
         argv = [sub, "--config", conf] + (["--fd-points", "31", "--steps", "16"] if sub == "oracle-compare" else [])
-        code = ("import contextlib, io, sys; from heatfvp.cli import cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    rc = cli({argv!r})\n"
-                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.ma' in sys.modules)")
-        assert _fresh_python(code) == "0 [] False"
+        assert _modules_after(argv) == "0 [] False"
+
+    @pytest.mark.parametrize("sub", ["generator-lab", "instability-demo"])
+    def test_other_subcommands_leave_scipy_unloaded(self, tmp_path, sub):
+        (tmp_path / "a.mat").write_text(format_matrix([[1.0, 10.0], [0.0, 1.0]]))
+        argv = {"generator-lab": ["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--trials", "32"],
+                "instability-demo": ["instability-demo", "--T", "0.1", "--jmax", "8"]}[sub]
+        assert _modules_after(argv) == "0 [] False"
+
+
+def _modules_after(argv):
+    """Exit code of `cli(argv)` in a fresh interpreter, the scipy modules it
+    loaded, and whether it loaded numpy.ma."""
+    code = ("import contextlib, io, sys; from heatfvp.cli import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.ma' in sys.modules)")
+    return _fresh_python(code)
 
 
 def _fresh_python(code):
@@ -191,7 +203,8 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     assert cli(_malformed_state(tmp_path, kind)) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert len([ln for ln in out.err.splitlines() if ln.startswith("error:")]) == 1
+    # one line: a data error is not followed by the usage text
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
 
 
 @pytest.mark.parametrize("T", ["1e307", "1.7e308"])
