@@ -198,14 +198,15 @@ def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
     exactly; any other runs Pade-13 scaling and squaring (_expm_pade13).  A
     value past float64 range is refused, naming the first such time.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
         raise InvalidSpecError("times must be a scalar or a 1-d array")
+    ts = np.atleast_1d(t)
     a = gen.a
-    m = np.multiply.outer(-np.atleast_1d(ts), a)
+    m = np.multiply.outer(-ts, a)
     # an overflow leaves inf or NaN in the value, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):  # zero off the diagonal
             values = np.zeros_like(m)
             idx = np.arange(gen.dim)
             values[:, idx, idx] = np.exp(m[:, idx, idx])
@@ -213,8 +214,8 @@ def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
             values = _expm_pade13(m)
     bad = ~np.isfinite(values).all(axis=(1, 2))
     if bad.any():
-        raise InvalidSpecError(f"e^{{-tA}} overflows float64 at t = {np.atleast_1d(ts)[np.argmax(bad)]:g}")
-    return values if ts.ndim else values[0]
+        raise InvalidSpecError(f"e^{{-tA}} overflows float64 at t = {ts[np.argmax(bad)]:g}")
+    return values if t.ndim else values[0]
 
 
 # -- sectoriality ----------------------------------------------------------

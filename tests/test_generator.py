@@ -416,10 +416,9 @@ def golden_values(gen):
 
 
 # recorded with one SVD per sample point and one matrix-vector product per
-# sample vector and time; the convexity.logconvex_fraction and
-# forward_implication_observed entries since re-recorded against the
-# rounding floor, and the convexity.min_second_divdiff and chain.* entries
-# with the Pade-13 exp_semigroup.  The seeds of dimension 2 to 16 are ones where
+# sample vector and time, the convexity and chain entries with the
+# Pade-13 exp_semigroup and the rounding floor of the log-convexity check.
+# The seeds of dimension 2 to 16 are ones where
 # taking |lambda - omega| with np.abs on the whole grid, instead of the
 # scalar abs, moves the last bit of sup_value.
 GOLDEN = {
