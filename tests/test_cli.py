@@ -17,7 +17,7 @@ from heatfvp import spectral as sp
 from heatfvp.cli import cli, parse_config
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
-from conftest import format_matrix
+from conftest import JORDAN, format_matrix
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -109,7 +109,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("sub", ["generator-lab", "instability-demo"])
     def test_other_subcommands_leave_scipy_unloaded(self, tmp_path, sub):
-        (tmp_path / "a.mat").write_text(format_matrix([[1.0, 10.0], [0.0, 1.0]]))
+        (tmp_path / "a.mat").write_text(format_matrix(JORDAN))
         argv = {"generator-lab": ["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--trials", "32"],
                 "instability-demo": ["instability-demo", "--T", "0.1", "--jmax", "8"]}[sub]
         assert _modules_after(argv) == "0 [] False"
