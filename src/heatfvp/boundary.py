@@ -4,9 +4,14 @@ pipeline of the final value problem driven by (f, g, u_T).
 
 The pipeline forms v = u_T - (source yield) [- z(T)] once, runs the
 membership heuristic once, takes u(0) from its report, replays the forward
-solve, and builds the data-space norm from the same v and report.  g=None
-is the problem without a boundary term (`fvp.solve_final_value` is that
-case); a BoundaryData, even a zero one, is Dirichlet data on the interval.
+solve, and builds the data-space norm from the same v and report.  The
+source yield is the T row of one march of f on the yield grid (f's nodes in
+[0, T] plus 0 and T).  Without boundary data, a replay on that grid (the
+default, or any tgrid whose nodes lie on it) joins e^{-tA} u(0) with that
+march's rows, so a source-only solve marches once; boundary data, or a
+tgrid that adds nodes, replay on their own march.  g=None is the problem
+without a boundary term (`fvp.solve_final_value` is that case); a
+BoundaryData, even a zero one, is Dirichlet data on the interval.
 
 Sign convention: `boundary_yield` returns z(t) with mode values
 z_j(t) = lambda_j int_0^t e^{-(t-s) lambda_j} w_j(s) ds, where w_j are the
@@ -29,7 +34,9 @@ from .duhamel import (
     _node_csv,
     _node_times,
     _parse_node_csv,
+    _source_yield,
     _trapezoid,
+    _validate_tgrid,
     solve_cauchy,
     source_yield,
     squared_source_dual_norm,
@@ -367,15 +374,16 @@ def _validate_final_data(f, g, u_T, T):
 
 
 def _admissible_part(f, g, u_T, T, policy):
-    """v = u_T - (source yield) [- z(T) if g is not None] and its
-    membership report."""
+    """v = u_T - (source yield) [- z(T) if g is not None], its membership
+    report, and the source march whose T row is the yield (None without a
+    source)."""
     _validate_final_data(f, g, u_T, T)
     basis = u_T.basis
-    y = source_yield(f, T) if f is not None else SpectralVec.zero(basis)
+    y, march = _source_yield(f, T) if f is not None else (SpectralVec.zero(basis), None)
     v = u_T - y
     if g is not None:
         v = v - (boundary_yield(g, T, basis) if not g.is_zero else SpectralVec.zero(basis))
-    return v, check_domain_membership(v, T, policy)
+    return v, check_domain_membership(v, T, policy), march
 
 
 def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
@@ -392,18 +400,32 @@ def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
     return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible", trace_sq)
 
 
+def _replay_grid(tgrid, T, march) -> np.ndarray:
+    """The nodes a backward solve replays: `tgrid`, which must run from 0 to
+    T so that u(0) and the endpoint check read the right rows, or by default
+    the yield grid, or 33 uniform nodes without a source."""
+    if tgrid is None:
+        return march.times if march is not None else np.linspace(0.0, T, 33)
+    ts = _validate_tgrid(tgrid, T)
+    if ts[0] != 0.0 or ts[-1] != T:
+        raise InvalidSpecError("a backward solve's time grid must start at 0 and end at T")
+    return ts
+
+
 def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
     """Form v once, certify it, take u(0) = e^{T A} v from the report, and
-    replay the forward solve, which must land back on u_T."""
-    v, report = _admissible_part(f, g, u_T, T, policy)
+    replay the forward solve, which must land back on u_T.  Without boundary
+    data the replay reuses the yield's march when its grid is the same."""
+    v, report, march = _admissible_part(f, g, u_T, T, policy)
+    tgrid = _replay_grid(tgrid, T, march)
     if report.verdict == "incompatible":
         raise IncompatibleDataError(report)
     if report.verdict == "inconclusive":
         raise InconclusiveDataError(report)
-    if tgrid is None:
-        tgrid = f.times if f is not None else np.linspace(0.0, T, 33)
-    tgrid = np.asarray(tgrid, dtype=float)
-    traj = solve_cauchy(report.u0, f, tgrid) if g is None else solve_ibvp(report.u0, f, g, tgrid)
+    if g is None:
+        traj = solve_cauchy(report.u0, f, tgrid, march=march)
+    else:
+        traj = solve_ibvp(report.u0, f, g, tgrid)
     end_err = rel_distance(traj.final_state, u_T)
     return FvpSolution(traj, report, _data_norm(f, g, u_T, T, v, report), float(end_err))
 
@@ -428,7 +450,8 @@ def data_norm_inhom(
     policy: MembershipPolicy | None = None,
 ) -> YNormReport:
     """Data-space graph norm of (f, g, u_T); g=None leaves out the trace part."""
-    return _data_norm(f, g, u_T, T, *_admissible_part(f, g, u_T, T, policy))
+    v, report, _ = _admissible_part(f, g, u_T, T, policy)
+    return _data_norm(f, g, u_T, T, v, report)
 
 
 def solve_final_value_inhom(
@@ -444,6 +467,8 @@ def solve_final_value_inhom(
     Forms v = u_T - (source yield) - z(T), runs the membership heuristic,
     reconstructs u(0) = e^{T A} v on `compatible`, and replays the forward
     boundary solve.  g=None is the problem without a boundary term.
+    `tgrid` must start at 0 and end at T; see `fvp.solve_final_value` for
+    its default.
     """
     return _backward_solve(f, g, u_T, T, policy, tgrid)
 

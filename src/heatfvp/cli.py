@@ -166,15 +166,21 @@ def _out_dir(cfg: dict) -> Path:
     return p
 
 
-def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
+def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
+    """The configured tgrid.nodes uniform nodes on [0, T], or None."""
     n = _cfg_int(cfg, "tgrid.nodes", 0)
     if n:
         if n < 2:
             raise UsageError("tgrid.nodes must be at least 2")
         return np.linspace(0.0, T, n)
-    if f is not None:
-        return f.times
-    return np.linspace(0.0, T, 33)
+    return None
+
+
+def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
+    tgrid = _uniform_tgrid(cfg, T)
+    if tgrid is None:
+        tgrid = f.times if f is not None else np.linspace(0.0, T, 33)
+    return tgrid
 
 
 # -- subcommands ------------------------------------------------------------
@@ -207,7 +213,8 @@ def _cmd_backward(args) -> int:
     u_T = _load_state(cfg, "uT.path", basis)
     policy = policy_from_config(cfg)
     try:
-        sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_tgrid(cfg, T, f))
+        # without tgrid.nodes the pipeline replays on its default grid
+        sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_uniform_tgrid(cfg, T))
     except fvp.IncompatibleDataError as exc:
         print(exc.report.to_json())
         return 2

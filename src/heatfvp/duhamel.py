@@ -8,6 +8,9 @@ f(s) ds apart: the decay of u0 is exact in log space, which keeps
 trajectories meaningful even when the initial state carries
 e^{T*lambda}-sized modes, and the source part is a bounded linear
 recurrence.  They join in one log-space addition on the requested nodes.
+The particular part depends on the source and the grid only, so a backward
+solve keeps the march of its source yield and joins the replay's rows from
+it when the replay runs on the same grid.
 """
 
 from __future__ import annotations
@@ -131,39 +134,54 @@ def _phi12(z: np.ndarray):
     """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2 for z <= 0.
 
     Below |z| = 1e-6 the expm1 difference in phi2 loses digits, so a 4-term
-    Taylor branch takes over.
+    Taylor branch takes over.  It is evaluated on those entries only: its
+    cube is a libm pow, which costs far more per entry than the rest of the
+    function on the large |z| of the stiff modes.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < PHI_TAYLOR_THRESHOLD
     zs = np.where(small, 1.0, z)  # dummy to keep the division defined
     with np.errstate(over="ignore", under="ignore"):
         em1 = np.expm1(zs)
-        phi1 = np.where(small, 1.0 + z / 2 + z * z / 6 + z ** 3 / 24, em1 / zs)
-        phi2 = np.where(small, 0.5 + z / 6 + z * z / 24 + z ** 3 / 120, (em1 - zs) / (zs * zs))
+        phi1 = em1 / zs
+        phi2 = (em1 - zs) / (zs * zs)
+        if small.any():
+            zt = z[small]
+            phi1[small] = 1.0 + zt / 2 + zt * zt / 6 + zt ** 3 / 24
+            phi2[small] = 0.5 + zt / 6 + zt * zt / 24 + zt ** 3 / 120
     return phi1, phi2
 
 
-def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray, pick: np.ndarray):
-    """Exact-per-step exponential march, split as variation of constants.
+@dataclass(frozen=True)
+class _Particular:
+    """The particular part of a march, kept linear on its merged grid.
+
+    Row k of `w` times 2^`expo` (per mode) is the zero-initial-state
+    response at times[k] to the marched node values.  `source` is the
+    SourceTerm when it was marched alone, so a later solve of the same
+    source on the same grid can join these rows instead of marching again.
+    """
+
+    times: np.ndarray
+    w: np.ndarray
+    expo: np.ndarray
+    source: SourceTerm | None = None
+
+
+def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, source=None) -> _Particular:
+    """The particular part w of the exact-per-step exponential march.
 
     times: merged increasing node grid starting at t_0; node_values[k] are
     the (already assembled) source coefficients at times[k], interpreted as
-    piecewise linear.  Returns phase/logmag state arrays at the rows `pick`
-    of the grid.
-
-    u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k.  The homogeneous part is one
-    exact broadcast in log space, so an e^{T lambda}-sized u0 never enters a
-    recurrence.  The particular part w_{k+1} = e^{-h_k lambda} w_k + step_k
-    is bounded by the source times min(t, 1/lambda) and runs in linear
-    scale, one multiply-add per step.  A mode whose largest source value
-    lies beyond 2^512 (or below 2^-969) is first divided by an exact power
-    of two near that value, so w stays finite for any finite source unless
-    min(T, 1/lambda_1) exceeds 2^511, and the scale's log rejoins in the one
-    log-space addition of the two parts.  The phi values and the decay
-    factors are computed once per distinct step length: a uniform grid has
-    only a handful of distinct rounded steps.
+    piecewise linear.  w_0 = 0 and w_{k+1} = e^{-h_k lambda} w_k + step_k is
+    bounded by the source times min(t, 1/lambda) and runs in linear scale,
+    one multiply-add per step.  A mode whose largest source value lies
+    beyond 2^512 (or below 2^-969) is first divided by an exact power of two
+    near that value, so w stays finite for any finite source unless
+    min(T, 1/lambda_1) exceeds 2^511; the scale's log rejoins in `_join`.
+    The phi values and the decay factors are computed once per distinct
+    step length: a uniform grid has only a handful of distinct rounded steps.
     """
-    lam = u0.basis.lambdas
     hs = np.diff(times)
     lengths, which = np.unique(hs, return_inverse=True)
     z = -lengths[:, None] * lam
@@ -189,11 +207,27 @@ def _march(u0: SpectralVec, times: np.ndarray, node_values: np.ndarray, pick: np
     for k, i in enumerate(which[1:].tolist(), start=1):
         np.multiply(w[k], decay[i], out=tmp)
         w[k + 1] += tmp
-    w = w[pick]
+    return _Particular(times, w, expo, source)
+
+
+def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
+    """Phase/logmag states u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k at the
+    rows `pick` of the march's grid.
+
+    The homogeneous part is one exact broadcast in log space, so an
+    e^{T lambda}-sized u0 never enters a recurrence; only the picked rows
+    of w are split to log form, and the two parts meet in one log-space
+    addition.  `part` is read, never written, so a kept march can be joined
+    again.
+    """
+    times, expo, w = part.times, part.expo, part.w[pick]
+    # a march made for this call alone is freed here: the temporaries of
+    # the split and the addition set a solve's peak memory
+    del part
     w_p, w_l = split_phase(w)
     del w
     w_l += expo * _LN2
-    logmag = u0.logmag + -(times[pick] - times[0])[:, None] * lam
+    logmag = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
     return logspace_add(u0.phase, logmag, w_p, w_l)
 
 
@@ -318,7 +352,8 @@ def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
     return ts
 
 
-def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=None, extra_times=None) -> Trajectory:
+def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=None, extra_times=None,
+                 march: _Particular | None = None) -> Trajectory:
     """March u' + A u = f from u(0) = u0 and record the requested nodes.
 
     The step formula integrates the piecewise-linear source exactly, so the
@@ -326,6 +361,10 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
     `lift_coeff_path` is internal plumbing for the boundary solver: a
     callable ts -> extra source coefficients lambda_j * w_j(ts), with its
     own node set passed via `extra_times` so kinks land on step boundaries.
+    `march` is internal plumbing for the backward solve: the particular part
+    of f already marched alone (`_source_yield`).  When the grid this call
+    merges is the march's grid, its rows are joined and nothing is marched
+    again; the result is the same floats either way.
     """
     ts = _validate_tgrid(tgrid, f.t_final if f is not None else np.inf)
     if f is not None and not f.basis.same_as(u0.basis):
@@ -338,11 +377,27 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=N
         return Trajectory(u0.basis, ts, phase, logmag, source=f)
 
     merged = _merged_grid(f, ts, ts[-1], extra=extra_times)
-    values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
-    if lift_coeff_path is not None:
-        values = values + lift_coeff_path(merged)
-    ph, lg = _march(u0, merged, values, np.searchsorted(merged, ts))
+    pick = np.searchsorted(merged, ts)
+    if (march is not None and march.source is f and lift_coeff_path is None
+            and np.array_equal(march.times, merged)):
+        ph, lg = _join(u0, march, pick)
+    else:
+        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
+        if lift_coeff_path is not None:
+            values = values + lift_coeff_path(merged)
+        ph, lg = _join(u0, _particular(u0.basis.lambdas, merged, values), pick)
     return Trajectory(u0.basis, ts, ph, lg, source=f)
+
+
+def _source_yield(f: SourceTerm, T: float):
+    """y_f(T) and the march it is the T row of, unchecked.  The march runs
+    on the yield grid, f's nodes in [0, T] plus 0 and T, and stays linear:
+    only the T row is split to log form."""
+    ts = np.array([T])
+    times = _merged_grid(f, ts, T)
+    march = _particular(f.basis.lambdas, times, f.sample(times), source=f)
+    ph, lg = _join(SpectralVec.zero(f.basis), march, np.searchsorted(times, ts))
+    return SpectralVec(f.basis, ph[0], lg[0]), march
 
 
 def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
@@ -351,8 +406,7 @@ def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
     _check_horizon(T)
     if T > f.t_final + 1e-12:
         raise InvalidSpecError("yield horizon must lie in (0, T] of the source")
-    traj = solve_cauchy(SpectralVec.zero(f.basis), f, np.array([T]))
-    return traj.final_state
+    return _source_yield(f, T)[0]
 
 
 # -- space-time norms and estimates --------------------------------------

@@ -6,6 +6,8 @@ v = u_T - (source yield) is formed once and probed for membership in the
 domain of the backward flow with the truncation-stabilization heuristic; on
 a `compatible` verdict the initial state comes from that report and the
 forward solver replays the trajectory, which must land back on u_T.  The
+replay joins e^{-tA} u(0) with the rows of the march that gave the source
+yield, so a solve on the source's own grid (the default) marches once.  The
 data norm of (f, u_T) is `boundary.data_norm_inhom(f, None, u_T, T)`, built
 from the same v and report.
 """
@@ -47,7 +49,9 @@ def solve_final_value(
     """Solve the final value problem when the data admit it.
 
     Raises IncompatibleDataError / InconclusiveDataError with the attached
-    CompatReport otherwise.
+    CompatReport otherwise.  `tgrid` must start at 0 and end at T; by
+    default it is the source's nodes in [0, T] plus 0 and T, or 33 uniform
+    nodes without a source.
     """
     return _backward_solve(data.f, None, data.u_T, data.T, policy, tgrid)
 

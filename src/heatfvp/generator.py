@@ -569,6 +569,8 @@ def check_logconvexity_criterion(
     ts = np.geomspace(1e-3, 10.0, 25) if times is None else np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 3:
         raise InvalidSpecError("need at least three times")
+    if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
+        raise InvalidSpecError("times must be finite and strictly increasing")
     a = gen.a
     # eigenvectors realize equality in the selfadjoint case; include them
     xs = _convexity_samples(a, trials, seed)

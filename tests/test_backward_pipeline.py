@@ -5,6 +5,7 @@ The recorded values below fix every float of a certified solve, so merging
 the solvers cannot move a digit.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,7 +15,7 @@ import pytest
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import fvp
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
+from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
 
 
 def _instance(n, kind, seed=0):
@@ -144,26 +145,88 @@ def test_solve_matches_recorded_bits(case):
     assert golden_values(*case) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("kind", ["source", "boundary"])
-def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
-    f, g, uT, T, tgrid = _instance(16, kind)
-    calls = {}
-    for name in ("source_yield", "boundary_yield", "check_domain_membership"):
-        def counting(*args, _real=getattr(bd, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+def _count_calls(monkeypatch, module, name, calls):
+    def counting(*args, _real=getattr(module, name), **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return _real(*args, **kwargs)
 
-        for mod in (fvp, bd):
-            monkeypatch.setattr(mod, name, counting, raising=False)
+    monkeypatch.setattr(module, name, counting)
+
+
+# marches per solve: the source yield's, then z(T)'s with boundary data,
+# then the replay's unless it reuses the yield's march
+MARCHES = {"source": 1, "boundary": 3, "source-extra-node": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(MARCHES))
+def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
+    f, g, uT, T, tgrid = _instance(16, kind.split("-")[0])
+    if kind == "source-extra-node":
+        tgrid = np.sort(np.append(tgrid, T / 3))
+    calls = {}
+    _count_calls(monkeypatch, dh, "_particular", calls)
+    for name in ("boundary_yield", "check_domain_membership"):
+        _count_calls(monkeypatch, bd, name, calls)
     if g is None:
         sol = fvp.solve_final_value(fvp.FinalValueData(f, uT, T), tgrid=tgrid)
     else:
         sol = bd.solve_final_value_inhom(f, g, uT, T, tgrid=tgrid)
     assert sol.compat.verdict == "compatible" and sol.ynorm.finite
-    want = {"source_yield": 1, "check_domain_membership": 1}
+    want = {"_particular": MARCHES[kind], "check_domain_membership": 1}
     if g is not None:
         want["boundary_yield"] = 1
     assert calls == want
+
+
+def _source_case(n, seed, span):
+    """Forward-manufactured source-only data whose source grid runs to
+    span * T: (f, u_T, T)."""
+    basis = build_basis(DomainSpec("interval", (np.pi,), n))
+    rng = np.random.default_rng([n, seed, int(span)])
+    j = np.arange(1, n + 1, dtype=float)
+    T = 0.05 * (16 / n) ** 2
+    nodes = int(rng.integers(3, 12))
+    u0 = SpectralVec.from_coefficients(basis, rng.choice([-1.0, 1.0], n) * np.exp(-2.2 * j))
+    fc = rng.choice([-1.0, 1.0], n) * np.exp(-1.2 * T * basis.lambdas)
+    f = dh.SourceTerm(basis, np.linspace(0.0, span * T, nodes), rng.uniform(0.5, 1.0, (nodes, 1)) * fc)
+    return f, dh.solve_cauchy(u0, f, np.array([0.0, T])).final_state, T
+
+
+def _hex(report):
+    return [float(x).hex() if isinstance(x, float) else x for x in dataclasses.astuple(report)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("span", [1, 2], ids=["source-to-T", "source-to-2T"])
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_reused_replay_has_the_bits_of_a_fresh_march(n, span, seed, monkeypatch):
+    f, uT, T = _source_case(n, seed, span)
+    calls = {}
+    _count_calls(monkeypatch, dh, "_particular", calls)
+    sol = fvp.solve_final_value(fvp.FinalValueData(f, uT, T))
+    assert sol.compat.verdict == "compatible" and calls == {"_particular": 1}
+    # the default grid: f's nodes in [0, T] plus T
+    want_times = np.union1d(f.times[f.times <= T], [T])
+    assert np.array_equal(sol.trajectory.times, want_times)
+    fresh = dh.solve_cauchy(sol.compat.u0, f, want_times)
+    assert calls == {"_particular": 2}
+    assert _same_bits(sol.trajectory.phase, fresh.phase)
+    assert _same_bits(sol.trajectory.logmag, fresh.logmag)
+    assert float(sol.endpoint_rel_error).hex() == float(rel_distance(fresh.final_state, uT)).hex()
+    assert _hex(sol.ynorm) == _hex(bd.data_norm_inhom(f, None, uT, T))
+
+    # a tgrid that adds a node marches its own grid, as solve_cauchy does
+    extra = np.sort(np.append(want_times, 0.4 * T))
+    calls.clear()
+    sol = fvp.solve_final_value(fvp.FinalValueData(f, uT, T), tgrid=extra)
+    assert calls == {"_particular": 2}
+    fresh = dh.solve_cauchy(sol.compat.u0, f, extra)
+    assert _same_bits(sol.trajectory.phase, fresh.phase)
+    assert _same_bits(sol.trajectory.logmag, fresh.logmag)
 
 
 @pytest.mark.parametrize("kind", ["decay", "source", "boundary"])

@@ -318,6 +318,24 @@ class TestBackward:
         assert report["verdict"] == "incompatible"
         assert not (tmp_path / "out" / "u0.json").exists()
 
+    def test_source_past_T_replays_to_T(self, tmp_path, capsys):
+        # the source grid runs to 2T; the trajectory and the endpoint check
+        # stop at T
+        basis, u0 = decayed_instance(64)
+        f = dh.SourceTerm(basis, np.linspace(0.0, 2.0, 9), np.outer(np.linspace(1.0, 0.2, 9), np.exp(-basis.lambdas)))
+        uT = dh.solve_cauchy(u0, f, np.array([0.0, 1.0])).final_state
+        (tmp_path / "uT.json").write_text(sp.vec_to_json(uT))
+        (tmp_path / "f.csv").write_text(f.to_csv())
+        conf = write_conf(
+            tmp_path, "modes = 64\nT = 1.0\nuT.path = uT.json\nf.path = f.csv\nout.dir = out\n"
+        )
+        assert cli(["backward", "--config", conf]) == 0
+        assert json.loads(capsys.readouterr().out)["endpoint_rel_error"] < 1e-12
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        assert sorted({float(r.split(",")[0]) for r in rows}) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        got = sp.vec_from_json((tmp_path / "out" / "u0.json").read_text(), basis)
+        assert sp.rel_distance(got, u0) < 1e-6
+
     def test_deterministic_outputs(self, tmp_path, capsys):
         basis, u0 = decayed_instance(64)
         uT = u0.scale_log(-basis.lambdas)

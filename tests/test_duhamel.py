@@ -64,6 +64,17 @@ class TestPhiFunctions:
         # the expm1 side of phi2 carries ~eps/|z| of cancellation noise
         assert abs(below[1][0] - above[1][0]) < 1e-9
 
+    def test_each_entry_is_its_own_branch(self):
+        # a stack mixing both branches equals its entries taken one by one,
+        # bit for bit
+        rng = np.random.default_rng(4)
+        z = -(10.0 ** rng.uniform(-12, 6, (3, 40)))
+        z[0, :5] = 0.0
+        stacked = _phi12(z)
+        for k, zk in np.ndenumerate(z):
+            alone = _phi12(np.array([zk]))
+            assert [p[k].hex() for p in stacked] == [p[0].hex() for p in alone]
+
 
 class TestSourceTerm:
     def test_sample_interpolates(self, basis16):

@@ -132,6 +132,52 @@ class TestSolveFinalValue:
         assert isinstance(err.value, IncompatibleDataError)
 
 
+def long_source_data(basis, ts, T, seed=0):
+    """Decay data whose source grid `ts` runs past the horizon T."""
+    rng = np.random.default_rng(seed)
+    jj = np.arange(1, basis.n_modes + 1)
+    u0 = SpectralVec.from_coefficients(basis, rng.choice([-1.0, 1.0], basis.n_modes) * np.exp(-0.3 * jj))
+    fc = rng.choice([-1.0, 1.0], basis.n_modes) * np.exp(-1.2 * T * basis.lambdas)
+    f = SourceTerm(basis, ts, np.outer(np.linspace(1.0, 0.2, ts.size), fc))
+    return u0, FinalValueData(f, solve_cauchy(u0, f, np.array([0.0, T])).final_state, T)
+
+
+class TestReplayGrid:
+    """A backward solve replays on [0, T]: u(0) is its first row and the
+    endpoint check reads its last."""
+
+    @pytest.fixture(scope="class")
+    def basis256(self):
+        return build_basis(DomainSpec("interval", (np.pi,), 256))
+
+    @pytest.mark.parametrize("ts, want", [
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 0.5, 5)),   # T is a source node
+        (np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.0, 0.3, 0.5])),
+    ], ids=["on-node", "off-node"])
+    def test_default_grid_stops_at_T(self, basis256, ts, want):
+        # the source runs to 2T; the replay used to follow it there and
+        # compare u(2T) with u_T
+        u0, data = long_source_data(basis256, ts, 0.5)
+        sol = solve_final_value(data)
+        assert np.array_equal(sol.trajectory.times, want)
+        assert sol.endpoint_rel_error <= 1e-12
+        assert triple_norms(sol.trajectory.initial_state - u0).normH <= 1e-9 * triple_norms(u0).normH
+
+    @pytest.mark.parametrize("tgrid", [np.linspace(0.0, 0.4, 5), np.linspace(0.05, 0.5, 5), np.array([0.5])],
+                             ids=["ends-before-T", "starts-after-0", "T-only"])
+    def test_tgrid_must_run_from_0_to_T(self, basis256, tgrid):
+        # ending early compared u(tgrid[-1]) with u_T; starting late made
+        # u(tgrid[0]) the initial state
+        _, data = long_source_data(basis256, np.linspace(0.0, 1.0, 9), 0.5)
+        with pytest.raises(InvalidSpecError, match="start at 0 and end at T"):
+            solve_final_value(data, tgrid=tgrid)
+
+    def test_tgrid_error_comes_before_a_refusal(self, basis64):
+        rough = SpectralVec.from_coefficients(basis64, 1.0 / np.arange(1, 65))
+        with pytest.raises(InvalidSpecError):
+            solve_final_value(FinalValueData(None, rough, 1.0), tgrid=np.linspace(0.0, 0.5, 3))
+
+
 class TestInstabilityTable:
     def test_log_column_is_T_lambda(self, basis64):
         rows = instability_table(basis64, 1.0, 30)

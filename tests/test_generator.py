@@ -273,6 +273,14 @@ class TestLogConvexity:
         with pytest.raises(InvalidSpecError):
             check_logconvexity_criterion(MatrixGenerator([[1.0]]), trials=4, times=[0.1, 0.2])
 
+    @pytest.mark.parametrize("times", [[0.1, 0.1, 0.2], [0.3, 0.2, 0.1], [0.1, np.nan, 0.2], [0.1, 0.2, np.inf]],
+                             ids=["repeated", "decreasing", "nan", "inf"])
+    def test_times_must_be_finite_and_increasing(self, times):
+        # a repeated time divides by a zero step; decreasing times were
+        # accepted silently
+        with pytest.raises(InvalidSpecError, match="strictly increasing"):
+            check_logconvexity_criterion(MatrixGenerator(np.diag([1.0, 2.0])), trials=4, times=times)
+
     def test_json_keys(self):
         rep = check_logconvexity_criterion(MatrixGenerator([[2.0]]), trials=4)
         d = json.loads(rep.to_json())
