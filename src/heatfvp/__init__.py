@@ -64,7 +64,7 @@ from .generator import (
     random_elliptic,
     random_selfadjoint,
 )
-from .logspace import LOG_MAX, kahan_sum, log_sum_exp, logspace_add, merge_phase, split_phase
+from .logspace import LOG_MAX, log_sum_exp, logspace_add, merge_phase, split_phase
 from .semigroup import (
     CompatReport,
     MembershipPolicy,

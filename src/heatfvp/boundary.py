@@ -41,7 +41,7 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .logspace import kahan_sum, log_sum_exp
+from .logspace import log_sum_exp
 from .semigroup import (
     CompatReport,
     IncompatibleDataError,
@@ -505,10 +505,10 @@ def solution_norm_h1(traj: Trajectory) -> float:
     p2 = np.abs(p) ** 2
     lift_l2_sq = (np.abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (np.abs(b) ** 2) * L ** 3 / 3.0
     cross = 2.0 * np.real(np.vecdot(w, p))  # <p, lift> over the span
-    l2_sq = kahan_sum(p2) + cross + lift_l2_sq
-    h1_sq = l2_sq + (kahan_sum(lam * p2) + (np.abs(b) ** 2) * L)
-    dual_sq = kahan_sum(np.abs(c) ** 2 / lam)
-    res_dual_sq = kahan_sum(np.abs(f_nodes - lam * p) ** 2 / lam)
+    l2_sq = p2.sum(axis=-1) + cross + lift_l2_sq
+    h1_sq = l2_sq + ((lam * p2).sum(axis=-1) + (np.abs(b) ** 2) * L)
+    dual_sq = (np.abs(c) ** 2 / lam).sum(axis=-1)
+    res_dual_sq = (np.abs(f_nodes - lam * p) ** 2 / lam).sum(axis=-1)
     total = (
         _trapezoid(h1_sq, traj.times)
         + float(np.max(l2_sq))

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .logspace import LOG_MAX, kahan_sum, logspace_add, merge_phase, split_phase
+from .logspace import LOG_MAX, logspace_add, merge_phase, split_phase
 from .spectral import (
     EigenBasis,
     InvalidSpecError,
@@ -306,7 +306,7 @@ class Trajectory:
                 res = res + self.lift.forcing(self.times)
             with np.errstate(over="ignore"):
                 res_sq = np.abs(res) ** 2 / lam
-            cached = self._residual = (self.source, self.lift, kahan_sum(res_sq))
+            cached = self._residual = (self.source, self.lift, res_sq.sum(axis=-1))
         return cached[2]
 
     def to_csv(self, n_space: int = 65) -> str:
@@ -452,10 +452,7 @@ def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
     h = np.minimum(f.times[1 : n + 1], T) - f.times[:n]
     # int |fa(1-s)+fb s|^2 = (|fa|^2 + Re<fa,fb> + |fb|^2)/3 per unit step
     quad = (np.abs(fa) ** 2 + np.real(fa * np.conj(fb)) + np.abs(fb) ** 2) / 3.0
-    total = 0.0
-    for hk, qk in zip(h.tolist(), kahan_sum(quad / lam).tolist()):
-        total += hk * qk
-    return float(total)
+    return float(h @ (quad / lam).sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,18 @@
-"""Row-wise compensated sums and the array pass over trajectory nodes.
+"""Row-wise sums and the array pass over trajectory nodes.
 
 Every stacked result must equal the one-row computation bit for bit, and
-the trajectory norms must keep the exact values recorded before the
-per-node loops were replaced by array passes.
+the trajectory norms must keep their recorded values.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
-from heatfvp.logspace import LOG_MAX, kahan_sum, log_sum_exp
+from heatfvp.logspace import LOG_MAX, log_sum_exp
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, stacked_norms, triple_norms
 
 
@@ -30,7 +29,6 @@ ENTRIES = st.one_of(
 )
 
 
-# row counts on both sides of the switch from per-row loops to column passes
 SHAPES = st.tuples(st.integers(1, 48), st.integers(0, 12))
 
 
@@ -54,22 +52,6 @@ def stacks(draw):
     return a
 
 
-# every row sums to NaN: the column pass gives rows 0-31 a NaN of the other
-# sign than the 1-d call, which float.hex does not see (see kahan_sum)
-NAN_ROWS = np.tile([np.inf, -0.0, np.nan, -np.inf], (35, 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(stacks())
-@example(NAN_ROWS)
-def test_stacked_kahan_rows_equal_1d_calls(a):
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = kahan_sum(a)
-        want = [kahan_sum(row) for row in a]
-    assert got.shape == (a.shape[0],)
-    assert bits(got) == bits(want)
-
-
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_stacked_log_sum_exp_rows_equal_1d_calls(a):
@@ -83,72 +65,6 @@ def test_stacked_log_sum_exp_rows_equal_1d_calls(a):
     assert np.all(got[has_inf] == np.inf)
 
 
-def reference_kahan(row) -> float:
-    """Kahan's recurrence written out, one Python float at a time over every
-    entry: the sums must equal it, whatever shortcut they take."""
-    s = 0.0
-    c = 0.0
-    for x in row:
-        y = x - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-@st.composite
-def zero_tailed_stacks(draw):
-    """Stacks of 1 to 44 rows, each row ending in a run of +0.0 of its own
-    length, then a run of all-+0.0 columns; entries include -0.0, +-inf and
-    NaN."""
-    m = draw(st.integers(1, 44))
-    a = draw(arrays(np.float64, (m, draw(st.integers(0, 12))), elements=st.one_of(ENTRIES, st.just(np.nan))))
-    for i in range(m):
-        a[i, draw(st.integers(0, a.shape[1])):] = 0.0
-    return np.concatenate([a, np.zeros((m, draw(st.integers(0, 6))))], axis=1)
-
-
-# float.hex keeps every bit of a number, the sign of zero included; it reads
-# every NaN as "nan", because numpy's loops and Python's scalar arithmetic
-# may give a NaN of another sign or payload
-@settings(max_examples=200, deadline=None)
-@given(zero_tailed_stacks())
-def test_sums_equal_the_plain_kahan_loop(a):
-    want = bits([reference_kahan(row) for row in a.tolist()])
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert bits(kahan_sum(a)) == want
-        assert bits([kahan_sum(row) for row in a]) == want
-
-
-# sums to 0x1.f9a81c6fe99c0p-17, yet one +0.0 step folds c into s
-TWO_TERMS = [3.7784749705309803e-06, 1.1291268541044503e-05]
-
-
-@pytest.mark.parametrize("zeros, want", [
-    (0, "0x1.f9a81c6fe99c0p-17"),
-    (1, "0x1.f9a81c6fe99c1p-17"),
-    (5, "0x1.f9a81c6fe99c1p-17"),
-])
-def test_a_zero_tail_is_summed_not_dropped(zeros, want):
-    row = TWO_TERMS + [0.0] * zeros
-    assert reference_kahan(row) == float.fromhex(want)
-    assert kahan_sum(row).hex() == want
-    assert bits(kahan_sum(np.tile(row, (40, 1)))) == [want] * 40
-
-
-def test_first_zero_column_changes_some_rows_only():
-    # in rows 0, 2, ... the first +0.0 step moves (s, c); in rows 1, 3, ...
-    # (s, c) is already a fixed point, so the tail must run until every row
-    # has settled, on both sides of the switch to the column pass
-    settled = [0.25, 0.5]
-    for m in (2, 31, 32, 40):
-        a = np.array([TWO_TERMS if i % 2 == 0 else settled for i in range(m)])
-        a = np.concatenate([a, np.zeros((m, 4))], axis=1)
-        want = bits([reference_kahan(row) for row in a.tolist()])
-        assert want[:2] == ["0x1.f9a81c6fe99c1p-17", "0x1.8000000000000p-1"]
-        assert bits(kahan_sum(a)) == want
-
-
 def test_log_sum_exp_of_a_positive_infinity_is_infinite():
     with np.errstate(all="raise"):
         assert log_sum_exp(np.array([np.inf, 0.0])) == np.inf
@@ -156,14 +72,13 @@ def test_log_sum_exp_of_a_positive_infinity_is_infinite():
 
 
 def test_1d_sums_return_python_floats():
-    assert type(kahan_sum(np.arange(4.0))) is float
     assert type(log_sum_exp(np.arange(4.0))) is float
 
 
 def test_stacked_sums_keep_leading_axes():
     a = np.random.default_rng(0).standard_normal((3, 40, 7))
-    assert bits(kahan_sum(a)) == bits([kahan_sum(r) for r in a.reshape(-1, 7)])
-    assert kahan_sum(a).shape == (3, 40)
+    assert bits(log_sum_exp(a)) == bits([log_sum_exp(r) for r in a.reshape(-1, 7)])
+    assert log_sum_exp(a).shape == (3, 40)
     assert log_sum_exp(np.zeros((5, 0))).tolist() == [-np.inf] * 5
 
 
@@ -306,41 +221,42 @@ def golden_values(n, kind):
 # recorded with the per-node implementation (one triple_norms call and one
 # compensated sum per node); the source and boundary cases re-recorded when
 # the forward march was split into its homogeneous and particular parts
-# (tests/test_march_accuracy.py)
+# (tests/test_march_accuracy.py), and every case when the compensated sums
+# became numpy's sums (tests/test_norm_accuracy.py)
 GOLDEN = {
     (16, "source"): {
         "energy_lhs": "0x1.40eae3525691ap-1", "energy_rhs": "0x1.a13519160ee9ep+0",
         "sobolev_lhs": "0x1.8490c6debff1cp+0", "sobolev_rhs": "0x1.24de777be73fcp+2",
         "solution_norm": "0x1.bb7dfacd6c7e5p+0", "solution_norm_h1": "0x1.c1b0a8e68f55ep+0",
-        "source_dual_sq": "0x1.ca452374ef81cp-4", "source_dual_sq_part": "0x1.2131d95925cabp-4",
+        "source_dual_sq": "0x1.ca452374ef81dp-4", "source_dual_sq_part": "0x1.2131d95925cabp-4",
     },
     (16, "boundary"): {
         "energy_lhs": "0x1.b97380a32c554p+0", "energy_rhs": "0x1.105917a824990p+1",
         "sobolev_lhs": "0x1.01376b204b4e7p+1", "sobolev_rhs": "0x1.76de91da3e0c3p+3",
         "solution_norm": "0x1.21db7c9451294p+1", "solution_norm_h1": "0x1.11ecf6f909142p+1",
-        "source_dual_sq": "0x1.e43590fb2952ap-4", "source_dual_sq_part": "0x1.8256eda609182p-4",
+        "source_dual_sq": "0x1.e43590fb29529p-4", "source_dual_sq_part": "0x1.8256eda609181p-4",
     },
     (16, "decay"): {
-        "energy_lhs": "0x1.5affca734e1b8p-1", "energy_rhs": "0x1.2660a9859fbb2p+1",
-        "sobolev_lhs": "0x1.2660a9859fbb2p+1", "sobolev_rhs": "0x1.2f9fd124e4581p+2",
+        "energy_lhs": "0x1.5affca734e1b7p-1", "energy_rhs": "0x1.2660a9859fbb2p+1",
+        "sobolev_lhs": "0x1.2660a9859fbb2p+1", "sobolev_rhs": "0x1.2f9fd124e4580p+2",
         "solution_norm": "0x1.f8c2c1a55064dp+0", "solution_norm_h1": "0x1.04c8ffe08b54dp+1",
     },
     (64, "source"): {
-        "energy_lhs": "0x1.b34ea78d8103ep-3", "energy_rhs": "0x1.655ff74a29b7dp+0",
+        "energy_lhs": "0x1.b34ea78d8103dp-3", "energy_rhs": "0x1.655ff74a29b7dp+0",
         "sobolev_lhs": "0x1.6015a5c7c53b1p+0", "sobolev_rhs": "0x1.1766eb82ccd11p+4",
         "solution_norm": "0x1.5af97018dddf7p+0", "solution_norm_h1": "0x1.5c4ecac69f976p+0",
         "source_dual_sq": "0x1.529460991f316p-6", "source_dual_sq_part": "0x1.46b12c3c1f16ep-7",
     },
     (64, "boundary"): {
-        "energy_lhs": "0x1.0d0c49e547aa9p-2", "energy_rhs": "0x1.95a12c705c26dp-1",
-        "sobolev_lhs": "0x1.91402fd6e9e62p-1", "sobolev_rhs": "0x1.57d0b51c392bdp+4",
-        "solution_norm": "0x1.1ec571e5abbbdp+0", "solution_norm_h1": "0x1.19c6be3c82232p+0",
-        "source_dual_sq": "0x1.183f265c902c6p-7", "source_dual_sq_part": "0x1.e7a0301c7754cp-9",
+        "energy_lhs": "0x1.0d0c49e547aaap-2", "energy_rhs": "0x1.95a12c705c26dp-1",
+        "sobolev_lhs": "0x1.91402fd6e9e62p-1", "sobolev_rhs": "0x1.57d0b51c392bep+4",
+        "solution_norm": "0x1.1ec571e5abbbdp+0", "solution_norm_h1": "0x1.19c6be3c82231p+0",
+        "source_dual_sq": "0x1.183f265c902c7p-7", "source_dual_sq_part": "0x1.e7a0301c7754cp-9",
     },
     (64, "decay"): {
-        "energy_lhs": "0x1.705070984d456p-3", "energy_rhs": "0x1.3da5e7d2c8d91p+1",
-        "sobolev_lhs": "0x1.3da5e7d2c8d91p+1", "sobolev_rhs": "0x1.d7e710432300ep+3",
-        "solution_norm": "0x1.b1472524dc21dp+0", "solution_norm_h1": "0x1.b36be0fa19c59p+0",
+        "energy_lhs": "0x1.705070984d458p-3", "energy_rhs": "0x1.3da5e7d2c8d91p+1",
+        "sobolev_lhs": "0x1.3da5e7d2c8d91p+1", "sobolev_rhs": "0x1.d7e7104323010p+3",
+        "solution_norm": "0x1.b1472524dc21dp+0", "solution_norm_h1": "0x1.b36be0fa19c58p+0",
     },
 }
 
