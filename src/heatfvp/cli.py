@@ -177,9 +177,12 @@ def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
 
 
 def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
+    """The forward grid: tgrid.nodes uniform nodes, or by default f's nodes
+    in [0, T] plus 0 and T (the backward default), or 33 uniform nodes
+    without a source."""
     tgrid = _uniform_tgrid(cfg, T)
     if tgrid is None:
-        tgrid = f.times if f is not None else np.linspace(0.0, T, 33)
+        tgrid = dh._merged_grid(f, [T], T) if f is not None else np.linspace(0.0, T, 33)
     return tgrid
 
 

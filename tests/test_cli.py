@@ -285,6 +285,28 @@ class TestForward:
         assert first[1] == 0.0 and first[2] == pytest.approx(0.3, abs=1e-12)
         assert last[1] == pytest.approx(np.pi) and last[2] == pytest.approx(-0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("sub", ["forward", "norms"])
+    def test_source_past_T_stops_at_T(self, tmp_path, capsys, sub):
+        # the source grid runs to 2T and has no node at T; the default grid
+        # is its nodes in [0, T] plus T
+        basis, u0 = decayed_instance(16)
+        ts = np.array([0.0, 0.3, 0.7, 1.4, 2.0])
+        f = dh.SourceTerm(basis, ts, np.outer(np.linspace(1.0, 0.2, ts.size), np.exp(-0.1 * basis.lambdas)))
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        (tmp_path / "f.csv").write_text(f.to_csv())
+        conf = write_conf(tmp_path, "modes = 16\nT = 1.0\nu0.path = u0.json\nf.path = f.csv\nout.dir = out\n")
+        assert cli([sub, "--config", conf]) == 0
+        out = json.loads(capsys.readouterr().out)
+        want = dh.solve_cauchy(u0, f, np.array([0.0, 0.3, 0.7, 1.0]))
+        if sub == "norms":
+            assert out["solution_norm"] == dh.solution_norm(want)
+            return
+        assert out["T"] == 1.0 and out["nodes"] == 4
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        assert sorted({float(r.split(",")[0]) for r in rows}) == [0.0, 0.3, 0.7, 1.0]
+        final = (tmp_path / "out" / "final_state.json").read_text()
+        assert final == sp.vec_to_json(want.final_state)
+
 
 class TestBackward:
     def test_round_trip(self, tmp_path, capsys):
