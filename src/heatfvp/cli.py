@@ -180,6 +180,8 @@ def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
     """The forward grid: tgrid.nodes uniform nodes, or by default f's nodes
     in [0, T] plus 0 and T (the backward default), or 33 uniform nodes
     without a source."""
+    if f is not None and f.t_final < T - 1e-12:
+        raise InvalidSpecError("source grid must cover [0, T]")
     tgrid = _uniform_tgrid(cfg, T)
     if tgrid is None:
         tgrid = dh._merged_grid(f, [T], T) if f is not None else np.linspace(0.0, T, 33)
@@ -191,8 +193,6 @@ def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
 def _cmd_forward(args) -> int:
     cfg, basis, T, f, g = _problem(args)
     u0 = _load_state(cfg, "u0.path", basis)
-    if f is not None and f.t_final < T - 1e-12:
-        raise UsageError("source grid must cover [0, T]")
     tgrid = _tgrid(cfg, T, f)
     if g is not None:
         traj = bd.solve_ibvp(u0, f, g, tgrid)

@@ -307,6 +307,16 @@ class TestForward:
         final = (tmp_path / "out" / "final_state.json").read_text()
         assert final == sp.vec_to_json(want.final_state)
 
+    @pytest.mark.parametrize("sub", ["forward", "norms"])
+    def test_source_short_of_T_is_refused(self, tmp_path, capsys, sub):
+        basis, u0 = decayed_instance(16)
+        f = dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16)))
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        (tmp_path / "f.csv").write_text(f.to_csv())
+        conf = write_conf(tmp_path, "modes = 16\nT = 1.0\nu0.path = u0.json\nf.path = f.csv\n")
+        assert cli([sub, "--config", conf]) == 1
+        assert capsys.readouterr().err.strip() == "error: source grid must cover [0, T]"
+
 
 class TestBackward:
     def test_round_trip(self, tmp_path, capsys):
