@@ -2,14 +2,16 @@
 projections, the improper boundary-flux integral, and the one backward
 pipeline of the final value problem driven by (f, g, u_T).
 
-The pipeline forms v = u_T - (source yield) [- z(T)] once, runs the
-membership heuristic once, takes u(0) from its report, replays the forward
-solve, and builds the data-space norm from the same v and report.  The
-source yield is the T row of one march of f on the yield grid (f's nodes in
-[0, T] plus 0 and T).  Without boundary data, a replay on that grid (the
-default, or any tgrid whose nodes lie on it) joins e^{-tA} u(0) with that
-march's rows, so a source-only solve marches once; boundary data, or a
-tgrid that adds nodes, replay on their own march.  g=None is the problem
+g enters the one forward path of `duhamel` as the lift forcing
+lambda_j w_j(t): `solve_ibvp` is `solve_cauchy` with a `LiftPath` (exactly
+`solve_cauchy` with g=None), and z(T) and the source yield are T rows of
+marches from the zero state.  The pipeline forms v = u_T - (source yield)
+[- z(T)] once, runs the membership heuristic once, takes u(0) from its
+report, replays the forward solve, and builds the data-space norm from the
+same v and report.  Without boundary data or with a zero g (which marches
+nothing), a replay on the yield grid (f's nodes in [0, T] plus 0 and T: the
+default, or any tgrid whose nodes lie on it) joins e^{-tA} u(0) with the
+yield march's rows, so the solve marches once.  g=None is the problem
 without a boundary term (`fvp.solve_final_value` is that case); a
 BoundaryData, even a zero one, is Dirichlet data on the interval.
 
@@ -30,13 +32,14 @@ import numpy as np
 from .duhamel import (
     SourceTerm,
     Trajectory,
+    _default_grid,
     _interpolate,
     _node_csv,
     _node_times,
     _parse_node_csv,
-    _source_yield,
     _trapezoid,
     _validate_tgrid,
+    _yield,
     solve_cauchy,
     source_yield,
     squared_source_dual_norm,
@@ -195,13 +198,6 @@ class LiftPath:
         enter the equation; its kinks are the node times of g."""
         return self.coeff_matrix(ts) * self.basis.lambdas
 
-    def solve(self, u0: SpectralVec, f: SourceTerm | None, tgrid) -> Trajectory:
-        """solve_cauchy with the forcing added to f and the kinks of g on
-        step boundaries; the trajectory carries this lift."""
-        traj = solve_cauchy(u0, f, tgrid, lift_coeff_path=self.forcing, extra_times=self.g.times)
-        traj.lift = self
-        return traj
-
 
 def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     """z(t): the state accumulated from boundary data alone.
@@ -214,7 +210,7 @@ def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     _check_horizon(t)
     if t > g.t_final + 1e-12:
         raise InvalidSpecError("evaluation time must lie in (0, T] of the boundary data")
-    return LiftPath(g, basis).solve(SpectralVec.zero(basis), None, np.array([float(t)])).final_state
+    return _yield(basis, None, LiftPath(g, basis), float(t))[0]
 
 
 def partial_boundary_yield(g: BoundaryData, t: float, eps: float, basis: EigenBasis) -> SpectralVec:
@@ -254,21 +250,16 @@ def boundary_yield_sweep(g: BoundaryData, t: float, basis: EigenBasis, exponents
     return SweepReport(eps, diffs, float(slope), float(gap))
 
 
-def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tgrid) -> Trajectory:
+def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tgrid, *, march=None) -> Trajectory:
     """Forward solve with Dirichlet boundary data.
 
-    The boundary enters as the extra mode-wise source lambda_j w_j(t); with
-    g identically zero this is exactly solve_cauchy.  The returned
-    trajectory carries the lift path so full first-order space norms and
-    pointwise synthesis include the boundary part.
+    The boundary enters as the extra mode-wise source lambda_j w_j(t), and
+    the returned trajectory carries the lift path so full first-order space
+    norms and pointwise synthesis include the boundary part; a zero g is
+    attached but marches nothing.  g=None is exactly `solve_cauchy`.
     """
-    _require_interval(u0.basis)
-    if g is None or g.is_zero:
-        t_end = f.t_final if f is not None else float(np.asarray(tgrid, dtype=float)[-1])
-        traj = solve_cauchy(u0, f, tgrid)
-        traj.lift = LiftPath(BoundaryData.zero(t_end), u0.basis)
-        return traj
-    return LiftPath(g, u0.basis).solve(u0, f, tgrid)
+    lift = LiftPath(g, u0.basis) if g is not None else None
+    return solve_cauchy(u0, f, tgrid, lift=lift, march=march)
 
 
 def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
@@ -298,6 +289,7 @@ def _dct2_ortho(values: np.ndarray) -> np.ndarray:
     return (scale[:, None] * np.cos(angle)) @ values
 
 
+@np.errstate(over="ignore")  # data past the square root of float64's range read inf
 def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     """Half-order Sobolev surrogate of the boundary signal in time.
 
@@ -358,19 +350,23 @@ class FvpSolution:
     endpoint_rel_error: float
 
 
+def _check_coverage(f, g, T):
+    """Reject a source or boundary grid short of [0, T]."""
+    if f is not None and f.t_final < T - 1e-12:
+        raise InvalidSpecError("source grid must cover [0, T]")
+    if g is not None and g.t_final < T - 1e-12:
+        raise InvalidSpecError("boundary grid must cover [0, T]")
+
+
 def _validate_final_data(f, g, u_T, T):
     """Reject a horizon that is not finite and positive and a source or
     boundary grid short of [0, T]; boundary data need the interval."""
     _check_horizon(T, u_T.basis)
-    if f is not None:
-        if not f.basis.same_as(u_T.basis):
-            raise InvalidSpecError("source and final state use different bases")
-        if f.t_final < T - 1e-12:
-            raise InvalidSpecError("source grid must cover [0, T]")
+    if f is not None and not f.basis.same_as(u_T.basis):
+        raise InvalidSpecError("source and final state use different bases")
     if g is not None:
         _require_interval(u_T.basis)
-        if g.t_final < T - 1e-12:
-            raise InvalidSpecError("boundary grid must cover [0, T]")
+    _check_coverage(f, g, T)
 
 
 def _admissible_part(f, g, u_T, T, policy):
@@ -378,11 +374,10 @@ def _admissible_part(f, g, u_T, T, policy):
     report, and the source march whose T row is the yield (None without a
     source)."""
     _validate_final_data(f, g, u_T, T)
-    basis = u_T.basis
-    y, march = _source_yield(f, T) if f is not None else (SpectralVec.zero(basis), None)
+    y, march = _yield(u_T.basis, f, None, T)
     v = u_T - y
     if g is not None:
-        v = v - (boundary_yield(g, T, basis) if not g.is_zero else SpectralVec.zero(basis))
+        v = v - boundary_yield(g, T, u_T.basis)
     return v, check_domain_membership(v, T, policy), march
 
 
@@ -391,7 +386,10 @@ def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
     (|u_T|^2 [+ trace surrogate of g^2] + int ||f||_*^2 + |e^{T A} v|^2)^{1/2}."""
     back = report.u0 if report.u0 is not None else apply_inverse(v, T)
     log_back_sq = log_sum_exp(2.0 * back.logmag)
-    uT_sq = triple_norms(u_T).normH ** 2
+    try:
+        uT_sq = triple_norms(u_T).normH ** 2
+    except OverflowError:  # a norm past the square root of float64's range
+        uT_sq = np.inf
     f_sq = squared_source_dual_norm(f, T) if f is not None else 0.0
     trace_sq = trace_norm_surrogate(g, T) ** 2 if g is not None else None
     squares = (uT_sq, f_sq) if g is None else (uT_sq, trace_sq, f_sq)
@@ -400,12 +398,12 @@ def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
     return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible", trace_sq)
 
 
-def _replay_grid(tgrid, T, march) -> np.ndarray:
+def _replay_grid(tgrid, T, f) -> np.ndarray:
     """The nodes a backward solve replays: `tgrid`, which must run from 0 to
     T so that u(0) and the endpoint check read the right rows, or by default
     the yield grid, or 33 uniform nodes without a source."""
     if tgrid is None:
-        return march.times if march is not None else np.linspace(0.0, T, 33)
+        return _default_grid(f, T)
     ts = _validate_tgrid(tgrid, T)
     if ts[0] != 0.0 or ts[-1] != T:
         raise InvalidSpecError("a backward solve's time grid must start at 0 and end at T")
@@ -414,18 +412,15 @@ def _replay_grid(tgrid, T, march) -> np.ndarray:
 
 def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
     """Form v once, certify it, take u(0) = e^{T A} v from the report, and
-    replay the forward solve, which must land back on u_T.  Without boundary
-    data the replay reuses the yield's march when its grid is the same."""
+    replay the forward solve, which must land back on u_T.  Without nonzero
+    g the replay reuses the yield's march when its grid is the same."""
     v, report, march = _admissible_part(f, g, u_T, T, policy)
-    tgrid = _replay_grid(tgrid, T, march)
+    tgrid = _replay_grid(tgrid, T, f)
     if report.verdict == "incompatible":
         raise IncompatibleDataError(report)
     if report.verdict == "inconclusive":
         raise InconclusiveDataError(report)
-    if g is None:
-        traj = solve_cauchy(report.u0, f, tgrid, march=march)
-    else:
-        traj = solve_ibvp(report.u0, f, g, tgrid)
+    traj = solve_ibvp(report.u0, f, g, tgrid, march=march)
     end_err = rel_distance(traj.final_state, u_T)
     return FvpSolution(traj, report, _data_norm(f, g, u_T, T, v, report), float(end_err))
 
@@ -475,6 +470,7 @@ def solve_final_value_inhom(
 
 # -- full first-order space-time norm -------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a trajectory past float64 range reads inf or NaN
 def solution_norm_h1(traj: Trajectory) -> float:
     """Space-time norm with the full first-order space norm.
 

@@ -147,13 +147,14 @@ def _load_state(cfg: dict, key: str, basis: sp.EigenBasis, required: bool = True
 
 def _problem(args):
     """Config, basis, horizon T, source f and boundary data g of a
-    config-driven subcommand; f and g are None when the config names none."""
+    config-driven subcommand; f and g are None or cover [0, T]."""
     cfg = parse_config(args.config)
     basis = basis_from_config(cfg)
     T = _cfg_float(cfg, "T")
     _check_horizon(T, basis)
     f = _load(cfg, "f.path", lambda text: dh.SourceTerm.from_csv(text, basis))
     g = _load(cfg, "g.path", bd.BoundaryData.from_csv)
+    bd._check_coverage(f, g, T)
     return cfg, basis, T, f, g
 
 
@@ -177,15 +178,10 @@ def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
 
 
 def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
-    """The forward grid: tgrid.nodes uniform nodes, or by default f's nodes
-    in [0, T] plus 0 and T (the backward default), or 33 uniform nodes
-    without a source."""
-    if f is not None and f.t_final < T - 1e-12:
-        raise InvalidSpecError("source grid must cover [0, T]")
+    """The forward grid: tgrid.nodes uniform nodes, or by default the
+    backward default (`duhamel._default_grid`)."""
     tgrid = _uniform_tgrid(cfg, T)
-    if tgrid is None:
-        tgrid = dh._merged_grid(f, [T], T) if f is not None else np.linspace(0.0, T, 33)
-    return tgrid
+    return dh._default_grid(f, T) if tgrid is None else tgrid
 
 
 # -- subcommands ------------------------------------------------------------
@@ -193,11 +189,7 @@ def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
 def _cmd_forward(args) -> int:
     cfg, basis, T, f, g = _problem(args)
     u0 = _load_state(cfg, "u0.path", basis)
-    tgrid = _tgrid(cfg, T, f)
-    if g is not None:
-        traj = bd.solve_ibvp(u0, f, g, tgrid)
-    else:
-        traj = dh.solve_cauchy(u0, f, tgrid)
+    traj = bd.solve_ibvp(u0, f, g, _tgrid(cfg, T, f))
     out = _out_dir(cfg)
     (out / "trajectory.csv").write_text(traj.to_csv())
     (out / "final_state.json").write_text(sp.vec_to_json(traj.final_state))
@@ -262,13 +254,8 @@ def _cmd_norms(args) -> int:
         reports["data_norm"] = bd.data_norm_inhom(f, g, u_T, T, policy)
     u0 = _load_state(cfg, "u0.path", basis, required=False)
     if u0 is not None:
-        tgrid = _tgrid(cfg, T, f)
-        if g is not None:
-            traj = bd.solve_ibvp(u0, f, g, tgrid)
-            reports["solution_norm"] = bd.solution_norm_h1(traj)
-        else:
-            traj = dh.solve_cauchy(u0, f, tgrid)
-            reports["solution_norm"] = dh.solution_norm(traj)
+        traj = bd.solve_ibvp(u0, f, g, _tgrid(cfg, T, f))
+        reports["solution_norm"] = (bd.solution_norm_h1 if g is not None else dh.solution_norm)(traj)
         energy = dh.check_energy_estimate(traj)
         if not all(math.isfinite(x) for x in (reports["solution_norm"], energy.energy_lhs, energy.energy_rhs)):
             raise InvalidSpecError("the solution norm or the energy bound leaves floating-point range")

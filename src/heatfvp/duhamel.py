@@ -8,7 +8,10 @@ f(s) ds apart: the decay of u0 is exact in log space, which keeps
 trajectories meaningful even when the initial state carries
 e^{T*lambda}-sized modes, and the source part is a bounded linear
 recurrence.  They join in one log-space addition on the requested nodes.
-The particular part depends on the source and the grid only, so a backward
+Every forward solve and every yield runs one path (`_forward`): the
+boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
+march, and a yield is the T row of a march from the zero state.  The
+particular part depends on the forcing and the grid only, so a backward
 solve keeps the march of its source yield and joins the replay's rows from
 it when the replay runs on the same grid.
 """
@@ -221,9 +224,6 @@ def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
     again.
     """
     times, expo, w = part.times, part.expo, part.w[pick]
-    # a march made for this call alone is freed here: the temporaries of
-    # the split and the addition set a solve's peak memory
-    del part
     w_p, w_l = split_phase(w)
     del w
     w_l += expo * _LN2
@@ -343,61 +343,72 @@ def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
     ts = np.asarray(tgrid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise InvalidSpecError("time grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise InvalidSpecError("time grid must be finite")
-    if np.any(np.diff(ts) <= 0):
+    if not (ts[1:] > ts[:-1]).all():
         raise InvalidSpecError("time grid must be strictly increasing")
     if ts[0] < 0 or ts[-1] > t_end + 1e-12:
-        raise InvalidSpecError("time grid must lie inside [0, T] of the source")
+        raise InvalidSpecError("time grid must lie inside [0, T] of the data")
     return ts
 
 
-def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, lift_coeff_path=None, extra_times=None,
-                 march: _Particular | None = None) -> Trajectory:
+def _default_grid(f: SourceTerm | None, T: float) -> np.ndarray:
+    """The grid of a solve that names none: the yield grid, f's nodes in
+    [0, T] plus 0 and T, or 33 uniform nodes without a source."""
+    return _merged_grid(f, [T], T) if f is not None else np.linspace(0.0, T, 33)
+
+
+def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
+    """The one forward path: the grid, the phase and logmag rows of u on it,
+    and the march they were joined from (None on pure decay).  `tgrid` must
+    lie in [0, T] of f and of the lift's g.  The lift adds its forcing
+    lambda_j w_j(t) to f and its kinks to the merged grid; a zero lift
+    marches nothing.  A kept `march` of f alone on the merged grid is joined
+    as it is, with the same floats as a fresh one."""
+    t_end = min(np.inf if f is None else f.t_final, np.inf if lift is None else lift.g.t_final)
+    ts = _validate_tgrid(tgrid, t_end)
+    if f is not None and not f.basis.same_as(u0.basis):
+        raise InvalidSpecError("source and state use different bases")
+    if lift is not None and lift.g.is_zero:
+        lift = None
+    if f is None and lift is None:
+        # pure decay: evaluate the flow directly at each node, no stepping
+        logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
+        phase = np.broadcast_to(u0.phase, logmag.shape).copy()
+        return ts, phase, logmag, None
+
+    merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
+    if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
+        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
+        if lift is not None:
+            values = values + lift.forcing(merged)
+        march = _particular(u0.basis.lambdas, merged, values, source=f if lift is None else None)
+        del values  # the march is kept: free the values before the join, whose temporaries set a solve's peak memory
+    ph, lg = _join(u0, march, np.searchsorted(merged, ts))
+    return ts, ph, lg, march
+
+
+def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, march: _Particular | None = None) -> Trajectory:
     """March u' + A u = f from u(0) = u0 and record the requested nodes.
 
     The step formula integrates the piecewise-linear source exactly, so the
     endpoint satisfies the variation-of-constants identity to rounding.
-    `lift_coeff_path` is internal plumbing for the boundary solver: a
-    callable ts -> extra source coefficients lambda_j * w_j(ts), with its
-    own node set passed via `extra_times` so kinks land on step boundaries.
-    `march` is internal plumbing for the backward solve: the particular part
-    of f already marched alone (`_source_yield`).  When the grid this call
-    merges is the march's grid, its rows are joined and nothing is marched
-    again; the result is the same floats either way.
+    `lift` is the boundary solver's `LiftPath`: its forcing joins f, and
+    the trajectory carries it.  `march` is the particular part of f already
+    marched alone (`_yield`); when the grid this call merges is the march's
+    grid, its rows are joined and nothing is marched again.
     """
-    ts = _validate_tgrid(tgrid, f.t_final if f is not None else np.inf)
-    if f is not None and not f.basis.same_as(u0.basis):
-        raise InvalidSpecError("source and state use different bases")
-
-    if f is None and lift_coeff_path is None:
-        # pure decay: evaluate the flow directly at each node, no stepping
-        logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
-        phase = np.broadcast_to(u0.phase, logmag.shape).copy()
-        return Trajectory(u0.basis, ts, phase, logmag, source=f)
-
-    merged = _merged_grid(f, ts, ts[-1], extra=extra_times)
-    pick = np.searchsorted(merged, ts)
-    if (march is not None and march.source is f and lift_coeff_path is None
-            and np.array_equal(march.times, merged)):
-        ph, lg = _join(u0, march, pick)
-    else:
-        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
-        if lift_coeff_path is not None:
-            values = values + lift_coeff_path(merged)
-        ph, lg = _join(u0, _particular(u0.basis.lambdas, merged, values), pick)
-    return Trajectory(u0.basis, ts, ph, lg, source=f)
+    ts, ph, lg, _ = _forward(u0, f, tgrid, lift, march)
+    return Trajectory(u0.basis, ts, ph, lg, source=f, lift=lift)
 
 
-def _source_yield(f: SourceTerm, T: float):
-    """y_f(T) and the march it is the T row of, unchecked.  The march runs
-    on the yield grid, f's nodes in [0, T] plus 0 and T, and stays linear:
-    only the T row is split to log form."""
-    ts = np.array([T])
-    times = _merged_grid(f, ts, T)
-    march = _particular(f.basis.lambdas, times, f.sample(times), source=f)
-    ph, lg = _join(SpectralVec.zero(f.basis), march, np.searchsorted(times, ts))
-    return SpectralVec(f.basis, ph[0], lg[0]), march
+def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):
+    """The state at T of the solution from zero driven by f and the lift,
+    and the march it is the T row of (None when nothing is marched).  The
+    march runs on the yield grid, f's and g's nodes in [0, T] plus 0 and T,
+    and stays linear: only the T row is split to log form."""
+    _, ph, lg, march = _forward(SpectralVec.zero(basis), f, [T], lift, None)
+    return SpectralVec(basis, ph[0], lg[0]), march
 
 
 def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
@@ -406,7 +417,7 @@ def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
     _check_horizon(T)
     if T > f.t_final + 1e-12:
         raise InvalidSpecError("yield horizon must lie in (0, T] of the source")
-    return _source_yield(f, T)[0]
+    return _yield(f.basis, f, None, T)[0]
 
 
 # -- space-time norms and estimates --------------------------------------
@@ -438,6 +449,7 @@ def solution_norm(traj: Trajectory) -> float:
     return float(np.sqrt(total))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # f past the square root of float64's range reads inf or NaN
 def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
     """Exact int_0^T ||f||_*^2 dt for the piecewise-linear source."""
     T = f.t_final if T is None else float(T)

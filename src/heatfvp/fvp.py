@@ -5,9 +5,10 @@ backward pipeline of the boundary module with g=None: the difference
 v = u_T - (source yield) is formed once and probed for membership in the
 domain of the backward flow with the truncation-stabilization heuristic; on
 a `compatible` verdict the initial state comes from that report and the
-forward solver replays the trajectory, which must land back on u_T.  The
-replay joins e^{-tA} u(0) with the rows of the march that gave the source
-yield, so a solve on the source's own grid (the default) marches once.  The
+forward solver replays the trajectory (`boundary.solve_ibvp` with g=None,
+which is `duhamel.solve_cauchy`), which must land back on u_T.  The replay
+joins e^{-tA} u(0) with the rows of the march that gave the source yield,
+so a solve on the source's own grid (the default) marches once.  The
 data norm of (f, u_T) is `boundary.data_norm_inhom(f, None, u_T, T)`, built
 from the same v and report.
 """

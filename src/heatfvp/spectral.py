@@ -398,7 +398,8 @@ def rel_distance(a: SpectralVec, b: SpectralVec) -> float:
     den = _weighted_norm(b.logmag, np.zeros_like(a.basis.lambdas))
     if den == -np.inf:
         return 0.0 if num == -np.inf else np.inf
-    return float(np.exp(num - den))
+    with np.errstate(over="ignore"):  # a distance past float64 range reads inf
+        return float(np.exp(num - den))
 
 
 # -- transforms ---------------------------------------------------------

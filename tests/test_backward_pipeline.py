@@ -156,8 +156,9 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 # marches per solve: the source yield's, then z(T)'s with boundary data,
-# then the replay's unless it reuses the yield's march
-MARCHES = {"source": 1, "boundary": 3, "source-extra-node": 2}
+# then the replay's unless it reuses the yield's march; a zero g marches
+# nothing
+MARCHES = {"source": 1, "boundary": 3, "source-extra-node": 2, "source-zero-boundary": 1}
 
 
 @pytest.mark.parametrize("kind", sorted(MARCHES))
@@ -165,6 +166,8 @@ def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
     f, g, uT, T, tgrid = _instance(16, kind.split("-")[0])
     if kind == "source-extra-node":
         tgrid = np.sort(np.append(tgrid, T / 3))
+    if kind == "source-zero-boundary":
+        g = bd.BoundaryData.zero(T)
     calls = {}
     _count_calls(monkeypatch, dh, "_particular", calls)
     for name in ("boundary_yield", "check_domain_membership"):
@@ -178,6 +181,11 @@ def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
     if g is not None:
         want["boundary_yield"] = 1
     assert calls == want
+    if kind == "source-zero-boundary":
+        # the replay joined the yield's march, with the bits of a fresh one
+        fresh = dh.solve_cauchy(sol.compat.u0, f, tgrid)
+        assert _same_bits(sol.trajectory.phase, fresh.phase) and _same_bits(sol.trajectory.logmag, fresh.logmag)
+        assert sol.trajectory.lift.g is g
 
 
 def _source_case(n, seed, span):
@@ -229,6 +237,22 @@ def test_reused_replay_has_the_bits_of_a_fresh_march(n, span, seed, monkeypatch)
     fresh = dh.solve_cauchy(sol.compat.u0, f, extra)
     assert _same_bits(sol.trajectory.phase, fresh.phase)
     assert _same_bits(sol.trajectory.logmag, fresh.logmag)
+
+
+@pytest.mark.parametrize("kind", ["decay", "source"])
+def test_forward_without_boundary_term_is_solve_cauchy(kind, basis_rect):
+    # g=None needs no interval and attaches no lift
+    rng = np.random.default_rng(5)
+    u0 = SpectralVec.from_coefficients(basis_rect, rng.standard_normal(basis_rect.n_modes))
+    f = None
+    if kind == "source":
+        f = dh.SourceTerm(basis_rect, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, basis_rect.n_modes)))
+    tgrid = np.linspace(0.0, 1.0, 7)
+    got = bd.solve_ibvp(u0, f, None, tgrid)
+    want = dh.solve_cauchy(u0, f, tgrid)
+    assert got.lift is None and got.source is f
+    assert _same_bits(got.times, want.times)
+    assert _same_bits(got.phase, want.phase) and _same_bits(got.logmag, want.logmag)
 
 
 @pytest.mark.parametrize("kind", ["decay", "source", "boundary"])

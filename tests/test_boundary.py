@@ -301,10 +301,15 @@ def assemble_with_lift_perturbation(u0, f, g, phi, tgrid) -> list:
     ts = np.asarray(tgrid, dtype=float)
     lift = LiftPath(g, basis)
 
-    base = solve_cauchy(u0, f, ts, extra_times=np.union1d(g.times, phi.times))
+    def on_kinks(src, *kinks):
+        # the same piecewise-linear source, with nodes at every kink
+        times = np.union1d(src.times, np.concatenate(kinks))
+        return SourceTerm(basis, times, src.sample(times))
+
+    base = solve_cauchy(u0, on_kinks(f, g.times, phi.times), ts)
     # interior Laplacian of the perturbation acts as the source -lambda*phi
     phi_src = SourceTerm(basis, phi.times, phi.coeffs * lam[None, :])
-    term_phi = solve_cauchy(SpectralVec.zero(basis), phi_src, ts, extra_times=g.times)
+    term_phi = solve_cauchy(SpectralVec.zero(basis), on_kinks(phi_src, g.times), ts)
     # boundary term with the perturbed lift w + phi
     merged = np.union1d(g.times, phi.times)
     wtilde = lift.coeff_matrix(merged) + phi.sample(merged)

@@ -307,15 +307,24 @@ class TestForward:
         final = (tmp_path / "out" / "final_state.json").read_text()
         assert final == sp.vec_to_json(want.final_state)
 
-    @pytest.mark.parametrize("sub", ["forward", "norms"])
-    def test_source_short_of_T_is_refused(self, tmp_path, capsys, sub):
+    @pytest.mark.parametrize("sub, data", [
+        *(pytest.param(sub, "source", id=sub) for sub in ("forward", "norms", "oracle-compare")),
+        *(pytest.param(sub, "boundary", id=f"{sub}-boundary") for sub in ("forward", "norms", "oracle-compare")),
+    ])
+    def test_source_short_of_T_is_refused(self, tmp_path, capsys, sub, data):
+        # every subcommand refuses data short of T with the backward
+        # pipeline's message, before it solves anything
         basis, u0 = decayed_instance(16)
-        f = dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16)))
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
-        (tmp_path / "f.csv").write_text(f.to_csv())
-        conf = write_conf(tmp_path, "modes = 16\nT = 1.0\nu0.path = u0.json\nf.path = f.csv\n")
+        if data == "source":
+            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16))).to_csv())
+            key = "f.path = f.csv"
+        else:
+            (tmp_path / "g.csv").write_text(bd.BoundaryData.constant(1.0, 0.0, 0.5).to_csv())
+            key = "g.path = g.csv"
+        conf = write_conf(tmp_path, f"modes = 16\nT = 1.0\nu0.path = u0.json\n{key}\n")
         assert cli([sub, "--config", conf]) == 1
-        assert capsys.readouterr().err.strip() == "error: source grid must cover [0, T]"
+        assert capsys.readouterr().err == f"error: {data} grid must cover [0, T]\n"
 
 
 class TestBackward:
