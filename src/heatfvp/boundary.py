@@ -351,11 +351,10 @@ class FvpSolution:
 
 
 def _check_coverage(f, g, T):
-    """Reject a source or boundary grid short of [0, T]."""
-    if f is not None and f.t_final < T - 1e-12:
-        raise InvalidSpecError("source grid must cover [0, T]")
-    if g is not None and g.t_final < T - 1e-12:
-        raise InvalidSpecError("boundary grid must cover [0, T]")
+    """Reject a source or boundary grid that starts after 0 or ends short of T."""
+    for data, what in ((f, "source"), (g, "boundary")):
+        if data is not None and (data.times[0] > 1e-12 or data.t_final < T - 1e-12):
+            raise InvalidSpecError(f"{what} grid must cover [0, T]")
 
 
 def _validate_final_data(f, g, u_T, T):
@@ -386,16 +385,30 @@ def _data_norm(f, g, u_T, T, v, report) -> YNormReport:
     (|u_T|^2 [+ trace surrogate of g^2] + int ||f||_*^2 + |e^{T A} v|^2)^{1/2}."""
     back = report.u0 if report.u0 is not None else apply_inverse(v, T)
     log_back_sq = log_sum_exp(2.0 * back.logmag)
-    try:
-        uT_sq = triple_norms(u_T).normH ** 2
-    except OverflowError:  # a norm past the square root of float64's range
-        uT_sq = np.inf
+    uT_norms = triple_norms(u_T)
+    uT_sq, log_uT_sq = _square(uT_norms.normH, uT_norms.log_normH)
+    parts = [log_uT_sq]
+    trace_sq = None
+    if g is not None:
+        trace_sq, log_trace_sq = _square(trace_norm_surrogate(g, T))
+        parts.append(log_trace_sq)
     f_sq = squared_source_dual_norm(f, T) if f is not None else 0.0
-    trace_sq = trace_norm_surrogate(g, T) ** 2 if g is not None else None
-    squares = (uT_sq, f_sq) if g is None else (uT_sq, trace_sq, f_sq)
-    parts = [np.log(s) if s > 0 else -np.inf for s in squares] + [log_back_sq]
+    parts += [np.log(f_sq) if f_sq > 0 else -np.inf, log_back_sq]
     log_total = 0.5 * log_sum_exp(parts)
     return YNormReport(uT_sq, f_sq, log_back_sq, log_total, report.verdict == "compatible", trace_sq)
+
+
+def _square(x: float, log_x: float | None = None):
+    """x^2 and its log.  A square past float64's range reads inf, and its
+    log is then 2 log_x (log x by default), which stays finite wherever x
+    is."""
+    try:
+        sq = x ** 2
+    except OverflowError:
+        sq = np.inf
+    if sq == np.inf:
+        return sq, 2.0 * (np.log(x) if log_x is None else log_x)
+    return sq, np.log(sq) if sq > 0 else -np.inf
 
 
 def _replay_grid(tgrid, T, f) -> np.ndarray:

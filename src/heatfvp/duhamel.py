@@ -7,7 +7,9 @@ The march keeps the two terms of u(t) = e^{-tA} u0 + int_0^t e^{-(t-s)A}
 f(s) ds apart: the decay of u0 is exact in log space, which keeps
 trajectories meaningful even when the initial state carries
 e^{T*lambda}-sized modes, and the source part is a bounded linear
-recurrence.  They join in one log-space addition on the requested nodes.
+recurrence.  On the requested nodes they add in linear scale wherever the
+decayed state fits in float64, and by a log-space addition where it does
+not; a yield keeps the log path.
 Every forward solve and every yield runs one path (`_forward`): the
 boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .logspace import LOG_MAX, logspace_add, merge_phase, split_phase
+from .logspace import LOG_MAX, _split_owned, logspace_add, merge_phase, split_phase
 from .spectral import (
     EigenBasis,
     InvalidSpecError,
@@ -37,6 +39,9 @@ from .spectral import (
 
 PHI_TAYLOR_THRESHOLD = 1e-6
 _LN2 = float(np.log(2.0))
+# below the log of the smallest normal float64, exp loses bits to the subnormals
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+_LOG_EPS = float(np.log(np.finfo(np.float64).eps))
 
 
 # -- node series: the time grid, the interpolation and the CSV form shared by
@@ -213,22 +218,65 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
     return _Particular(times, w, expo, source)
 
 
+def _linear_entries(hom: np.ndarray, expo: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Where e^{hom} + w fits in linear scale: the mode is unscaled (`expo`
+    0), e^{hom} is at most e^{LOG_MAX - 1}, so the sum cannot overflow, and
+    exp flushes no value that counts: hom is at least the log of the
+    smallest normal float64, or -inf, or more than eps below a nonzero |w|."""
+    fits = hom <= LOG_MAX - 1.0
+    fits &= expo == 0
+    low = hom < _LOG_TINY
+    low &= hom > -np.inf
+    low &= fits
+    if low.any():
+        with np.errstate(divide="ignore"):
+            fits[low] = hom[low] < np.log(np.abs(w[low])) + _LOG_EPS
+    return fits
+
+
+def _log_join(phase, hom, w, expo):
+    """e^{hom} phase + w 2^expo by one log-space addition; `w` is a copy the
+    split may overwrite."""
+    w_p, w_l = _split_owned(w)
+    w_l += expo * _LN2
+    return logspace_add(phase, hom, w_p, w_l)
+
+
 def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
-    """Phase/logmag states u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k at the
-    rows `pick` of the march's grid.
+    """Phase/logmag states u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k 2^expo
+    at the rows `pick` of the march's grid.
 
     The homogeneous part is one exact broadcast in log space, so an
-    e^{T lambda}-sized u0 never enters a recurrence; only the picked rows
-    of w are split to log form, and the two parts meet in one log-space
-    addition.  `part` is read, never written, so a kept march can be joined
-    again.
+    e^{T lambda}-sized u0 never enters a recurrence.  Where an entry fits
+    (`_linear_entries`), the two parts add in linear scale and the sum is
+    split to log form once; only the other entries (past LOG_MAX - 1, in a
+    mode the march scaled, or flushed toward the subnormals) meet in a
+    log-space addition.  A join from the zero state is a yield's: it keeps
+    the log path whole, and its bits, since the membership ladder reads
+    v = u_T - (yields) down to the rounding floor, where an ulp can flip a
+    verdict.  A row at t_0 is u0 itself, copied.  `part` is read, never
+    written, so a kept march can be joined again.
     """
     times, expo, w = part.times, part.expo, part.w[pick]
-    w_p, w_l = split_phase(w)
-    del w
-    w_l += expo * _LN2
-    logmag = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
-    return logspace_add(u0.phase, logmag, w_p, w_l)
+    hom = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
+    fits = None if np.all(u0.logmag == -np.inf) else _linear_entries(hom, expo, w)
+    if fits is None or not fits.any():
+        return _log_join(u0.phase, hom, w, expo)
+    rest = np.nonzero(~fits)
+    tail = None
+    if rest[0].size:
+        modes = rest[1]
+        tail = _log_join(u0.phase[modes], hom[rest], w[rest], expo[modes])
+        hom[rest] = -np.inf  # the log path's entries add as zeros below
+        w[rest] = 0.0
+    s = merge_phase(u0.phase, hom)
+    s += w
+    phase, logmag = _split_owned(s)
+    if tail is not None:
+        phase[rest], logmag[rest] = tail
+    if pick[0] == 0:  # the state at t_0 is u0 itself, kept in its exact log form
+        phase[0], logmag[0] = u0.phase, u0.logmag
+    return phase, logmag
 
 
 def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=None) -> np.ndarray:

@@ -50,23 +50,29 @@ def split_phase(z):
 def _split_owned(zs: np.ndarray):
     """split_phase of an array it may overwrite: the phase is returned in
     zs's buffer and the log magnitude in the one array of |zs|, so the
-    split holds one complex and one real array besides the masks."""
+    split holds one complex and one real array besides the masks.  The
+    rescaling and the zero fix-ups run only when some entry needs them."""
     mag = np.abs(zs, out=np.empty(zs.shape))
     nz = mag > 0.0
     small = nz & (mag < 1e-280)
     big = mag > 1e280
-    # scale only the small entries up: a large one times _SCALE would overflow
-    np.divide(zs, _SCALE, out=zs, where=big)
-    np.multiply(zs, _SCALE, out=zs, where=small)
-    np.abs(zs, out=mag)
-    zero = ~nz
-    np.copyto(mag, 1.0, where=zero)
+    scaled = small.any() or big.any()
+    if scaled:
+        # scale only the small entries up: a large one times _SCALE would overflow
+        np.divide(zs, _SCALE, out=zs, where=big)
+        np.multiply(zs, _SCALE, out=zs, where=small)
+        np.abs(zs, out=mag)
+    zero = None if nz.all() else ~nz
+    if zero is not None:
+        np.copyto(mag, 1.0, where=zero)
     np.divide(zs, mag, out=zs)
-    np.copyto(zs, 0.0, where=zero)
     logmag = np.log(mag, out=mag)
-    np.subtract(logmag, _LOG_SCALE, out=logmag, where=small)
-    np.add(logmag, _LOG_SCALE, out=logmag, where=big)
-    np.copyto(logmag, -np.inf, where=zero)
+    if scaled:
+        np.subtract(logmag, _LOG_SCALE, out=logmag, where=small)
+        np.add(logmag, _LOG_SCALE, out=logmag, where=big)
+    if zero is not None:
+        np.copyto(zs, 0.0, where=zero)
+        np.copyto(logmag, -np.inf, where=zero)
     return zs, logmag
 
 

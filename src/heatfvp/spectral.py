@@ -330,7 +330,10 @@ class TripleNorms:
     row of a stack (then every field is an array of shape (rows,)).
 
     normVstar <= C1 * normH <= C2 * normV always holds for a Dirichlet
-    basis.  When the linear mirror overflows, the linear fields are inf and
+    basis.  The log fields are half the log of the linear sums, or, for a
+    row past float64 range or sinking toward the subnormals, sums in log
+    space.  When the linear mirror overflows, the linear fields are the
+    exponentials of the log fields (inf past float64 range) and
     `overflowed` is set; the log fields stay exact either way.
     """
 
@@ -361,15 +364,17 @@ def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> T
     stack in phase/log-magnitude form.
 
     Every term is nonnegative, so numpy's sum along the modes errs by about
-    ceil(log2 n_modes) eps relative; a row where any term would overflow
-    takes the values computed in log space and is flagged.
+    ceil(log2 n_modes) eps relative, and the log fields are half the log of
+    those sums.  A row where any term would overflow takes the values
+    computed in log space and is flagged; a sum whose largest term lies so
+    low that the terms flushed toward the subnormals could count (or a zero
+    sum) takes its log field from `log_sum_exp`.
     """
     lam = basis.lambdas
+    n = max(basis.n_modes, 1)
     log_lam = np.log(lam)
-    # the H, V and V* sums of every row run as one stack of 3 * rows rows
-    logs = _weighted_norm(logmag[..., None, :], np.stack([np.zeros_like(lam), log_lam, -log_lam]))
     # linear path is valid while the largest weighted term stays in range
-    top = 2.0 * np.max(logmag, axis=-1, initial=-np.inf) + float(np.max(log_lam)) + np.log(max(basis.n_modes, 1))
+    top = 2.0 * np.max(logmag, axis=-1, initial=-np.inf) + float(np.max(log_lam)) + np.log(n)
     overflowed = np.isfinite(top) & (top > LOG_MAX - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.abs(merge_phase(phase, logmag)) ** 2
@@ -377,7 +382,21 @@ def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> T
         terms[..., 0, :] = c2
         np.multiply(lam, c2, out=terms[..., 1, :])
         np.divide(c2, lam, out=terms[..., 2, :])
-        norms = np.where(overflowed[..., None], np.exp(logs), np.sqrt(terms.sum(axis=-1)))
+        sums = terms.sum(axis=-1)
+        # a term that sinks below the smallest normal float64 errs by at
+        # most 2^-1075 before its weight w and again after it; past this
+        # floor on the largest term, the n such errors stay below eps / 4
+        # of the sum
+        floor = n * 2.0 ** -1021 * (1.0 + np.array([1.0, float(lam.max()), 1.0 / float(lam.min())]))
+        linear = ~overflowed[..., None] & (terms.max(axis=-1) >= floor)
+        logs = np.empty(sums.shape)
+        logs[linear] = 0.5 * np.log(sums[linear])
+        rest = np.nonzero(~linear)
+        if rest[0].size:
+            # the H, V and V* sums of every such row run as one stack
+            log_weight = np.stack([np.zeros_like(lam), log_lam, -log_lam])
+            logs[rest] = _weighted_norm(logmag[rest[:-1]], log_weight[rest[-1]])
+        norms = np.where(overflowed[..., None], np.exp(logs), np.sqrt(sums))
     return TripleNorms(*norms.T, *logs.T, overflowed)
 
 

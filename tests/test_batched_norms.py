@@ -147,8 +147,12 @@ def test_march_computes_phi_once_per_distinct_step(basis16, monkeypatch):
     assert seen[0] < 20
 
 
-@pytest.mark.parametrize("kind", ["source", "boundary"])
+@pytest.mark.parametrize("kind", ["source", "boundary", "mixed"])
 def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
+    # an in-range solve joins in linear scale and makes no log-space
+    # addition; a solve whose top mode starts past LOG_MAX adds only the
+    # entries that do not fit in log space; a yield, a join from the zero
+    # state, makes its one log-space addition over its one row
     calls = []
     real = dh.logspace_add
 
@@ -159,12 +163,18 @@ def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
     monkeypatch.setattr(dh, "logspace_add", counting)
     grid = np.linspace(0.0, 1.0, 257)
     f = dh.SourceTerm(basis16, np.array([0.0, 0.3, 1.0]), np.ones((3, 16)))
-    if kind == "source":
-        dh.solve_cauchy(SpectralVec.unit(basis16, 1), f, grid)
+    u0 = SpectralVec.unit(basis16, 1)
+    if kind == "mixed":
+        u0.phase[-1], u0.logmag[-1] = 1.0, 800.0
+    if kind == "boundary":
+        bd.solve_ibvp(u0, f, bd.BoundaryData.constant(1.0, -1.0, 1.0), grid)
     else:
-        bd.solve_ibvp(SpectralVec.unit(basis16, 1), f, bd.BoundaryData.constant(1.0, -1.0, 1.0), grid)
-    # one join, over the requested rows only
-    assert calls == [(grid.size, 16)]
+        dh.solve_cauchy(u0, f, grid)
+    if kind == "mixed":
+        past = np.count_nonzero(800.0 - grid * basis16.lambdas[-1] > LOG_MAX - 1.0)
+        assert 0 < past < grid.size and calls == [(past,)]
+    else:
+        assert calls == []
     calls.clear()
     dh.source_yield(f, 0.5)
     assert calls == [(1, 16)]
@@ -221,8 +231,9 @@ def golden_values(n, kind):
 # recorded with the per-node implementation (one triple_norms call and one
 # compensated sum per node); the source and boundary cases re-recorded when
 # the forward march was split into its homogeneous and particular parts
-# (tests/test_march_accuracy.py), and every case when the compensated sums
-# became numpy's sums (tests/test_norm_accuracy.py)
+# (tests/test_march_accuracy.py), every case when the compensated sums
+# became numpy's sums (tests/test_norm_accuracy.py), and the N = 16
+# boundary case when the march joined in-range states in linear scale
 GOLDEN = {
     (16, "source"): {
         "energy_lhs": "0x1.40eae3525691ap-1", "energy_rhs": "0x1.a13519160ee9ep+0",
@@ -231,8 +242,8 @@ GOLDEN = {
         "source_dual_sq": "0x1.ca452374ef81dp-4", "source_dual_sq_part": "0x1.2131d95925cabp-4",
     },
     (16, "boundary"): {
-        "energy_lhs": "0x1.b97380a32c554p+0", "energy_rhs": "0x1.105917a824990p+1",
-        "sobolev_lhs": "0x1.01376b204b4e7p+1", "sobolev_rhs": "0x1.76de91da3e0c3p+3",
+        "energy_lhs": "0x1.b97380a32c555p+0", "energy_rhs": "0x1.105917a824990p+1",
+        "sobolev_lhs": "0x1.01376b204b4e7p+1", "sobolev_rhs": "0x1.76de91da3e0c4p+3",
         "solution_norm": "0x1.21db7c9451294p+1", "solution_norm_h1": "0x1.11ecf6f909142p+1",
         "source_dual_sq": "0x1.e43590fb29529p-4", "source_dual_sq_part": "0x1.8256eda609181p-4",
     },

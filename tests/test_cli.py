@@ -326,6 +326,27 @@ class TestForward:
         assert cli([sub, "--config", conf]) == 1
         assert capsys.readouterr().err == f"error: {data} grid must cover [0, T]\n"
 
+    @pytest.mark.parametrize("sub, data", [
+        *(pytest.param(sub, "source", id=sub) for sub in ("forward", "norms", "backward")),
+        *(pytest.param(sub, "boundary", id=f"{sub}-boundary") for sub in ("forward", "norms", "backward")),
+    ])
+    def test_data_starting_after_0_is_refused(self, tmp_path, capsys, sub, data):
+        # data on [0.02, 0.05] with T = 0.05 end at T but leave [0, 0.02)
+        # uncovered: refused with the same message, before any solve
+        basis, u0 = decayed_instance(16)
+        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
+        (tmp_path / "uT.json").write_text(sp.vec_to_json(u0))
+        ts = np.array([0.02, 0.05])
+        if data == "source":
+            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, ts, np.ones((2, 16))).to_csv())
+            key = "f.path = f.csv"
+        else:
+            (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.ones((2, 2))).to_csv())
+            key = "g.path = g.csv"
+        conf = write_conf(tmp_path, f"modes = 16\nT = 0.05\nu0.path = u0.json\nuT.path = uT.json\n{key}\n")
+        assert cli([sub, "--config", conf]) == 1
+        assert capsys.readouterr().err == f"error: {data} grid must cover [0, T]\n"
+
 
 class TestBackward:
     def test_round_trip(self, tmp_path, capsys):
@@ -501,6 +522,19 @@ class TestNorms:
         assert reports["energy"]["lhs"] < reports["energy"]["rhs"]
         assert reports["solution_norm"] > 0
         assert (tmp_path / "out" / "norms.json").read_text() == stdout.strip()
+
+    def test_huge_final_data_keep_a_finite_log_norm(self, tmp_path, capsys):
+        # |u_T|^2 leaves float64 range and reads inf; the log of the data
+        # norm takes that part from the log of |u_T| and stays finite
+        basis = build_basis(DomainSpec("interval", (np.pi,), 16))
+        uT = SpectralVec.from_coefficients(basis, np.full(16, 1e300))
+        (tmp_path / "uT.json").write_text(sp.vec_to_json(uT))
+        conf = write_conf(tmp_path, "modes = 16\nT = 0.1\nuT.path = uT.json\n")
+        assert cli(["norms", "--config", conf]) == 0
+        report = json.loads(capsys.readouterr().out)["data_norm"]
+        assert report["uT_sq"] == "inf"
+        assert report["log_total"] == bd.data_norm_inhom(None, None, uT, 0.1).log_total
+        assert sp.triple_norms(uT).log_normH < report["log_total"] < 1e3
 
     def test_requires_some_input(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "modes = 16\nT = 1.0\n")

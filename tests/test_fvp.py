@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from heatfvp.boundary import data_norm_inhom
+from heatfvp.boundary import BoundaryData, data_norm_inhom
 from heatfvp.duhamel import SourceTerm, solve_cauchy, source_yield
 from heatfvp.fvp import (
     FinalValueData,
@@ -77,6 +77,20 @@ class TestDataNorm:
         assert rep.total == 0.0
         assert rep.log_total == -np.inf
         assert rep.finite
+
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_huge_data_keep_a_finite_log_total(self, basis16, with_g):
+        # |u_T|^2 overflows to inf; its log comes from 2 log |u_T|, so the
+        # total's log stays finite and sums the same parts
+        uT = SpectralVec.from_coefficients(basis16, np.full(16, 1e300))
+        g = BoundaryData.constant(1.0, -1.0, 0.1) if with_g else None
+        rep = data_norm_inhom(None, g, uT, 0.1)
+        assert rep.uT_sq == np.inf and np.isfinite(rep.log_backward_sq)
+        parts = [2.0 * triple_norms(uT).log_normH]
+        if with_g:
+            parts.append(np.log(rep.trace_sq))
+        want = 0.5 * log_sum_exp(parts + [-np.inf, rep.log_backward_sq])
+        assert rep.log_total == want and np.isfinite(want)
 
     def test_rough_data_is_flagged_infinite(self, basis64):
         jj = np.arange(1, 65)

@@ -2,22 +2,31 @@
 
 The forward march (`duhamel._join` of `duhamel._particular`) writes u(t_k)
 as the homogeneous flow e^{-t_k lambda} u0, one broadcast in log space, plus
-the particular part w_k, a linear recurrence over the phi-function steps.  The march it replaced carried the
-whole state through one log-space addition per step; it is kept below as
-`_logspace_march`, the yardstick of the gate.
+the particular part w_k, a linear recurrence over the phi-function steps.
+The join adds the two in linear scale where they fit and by a log-space
+addition elsewhere.  Two yardsticks are kept: the march before the split,
+which carried the whole state through one log-space addition per step
+(`_logspace_march`), and the join before the linear path, one log-space
+addition over every entry (`duhamel._log_join`).
 
-Both marches take the same float64 phi steps (the step formula did not
+All of them take the same float64 phi steps (the step formula did not
 change), so the reference runs the same steps at 50 digits and evaluates
-the homogeneous flow exactly.  The errors then measure the recurrence and
-the phase/log-magnitude representation, which is what the split changes.
+the homogeneous flow exactly.  The errors then measure the recurrence, the
+join and the phase/log-magnitude representation.
 
-Gate, on seeded decay, source and boundary cases at N = 16, 64 and 256, at
-every requested node and every mode whose reference magnitude exceeds
-1e-300:
-  * the new march's relative error is at most the old march's, or within
-    a few units of float64 rounding of that entry's condition number, the
-    floor below which no float64 march can separate the two;
-  * per case, the largest error of the new march is at most the old one's.
+Gate, on seeded decay, source, boundary and mixed-range cases at N = 16, 64
+and 256, at every requested node and every mode whose reference magnitude
+exceeds 1e-300:
+  * the march's relative error exceeds the log join's by at most a few
+    units of float64 rounding of that entry's condition number, the floor
+    below which no float64 join can separate the two;
+  * except in the mixed case, it is at most the old march's error, or
+    within that floor;
+  * per case, the largest error of the march is at most the old march's.
+The mixed case starts from exponents of about 880, and the rounding of
+e^{-t lambda} u0's exponent, which both joins share, exceeds the floor
+there: the log join also errs beyond it, and beyond the old march, on a
+few entries.
 """
 
 import mpmath
@@ -62,9 +71,11 @@ def _case(n, kind):
     decay: u0 up to e^{900}, past LOG_MAX, and no source.  source and
     boundary: a replay-sized u0 ~ e^{T lambda_j - 2.2 j} with a
     piecewise-linear source, and for boundary the lift source of Dirichlet
-    data on top."""
+    data on top.  mixed: a u0 whose high modes start past LOG_MAX and end
+    below the smallest normal float64, with a source that leaves the top
+    mode unforced, so the join takes both paths in one solve."""
     basis = build_basis(DomainSpec("interval", (np.pi,), n))
-    rng = np.random.default_rng([n, ("decay", "source", "boundary").index(kind)])
+    rng = np.random.default_rng([n, ("decay", "source", "boundary", "mixed").index(kind)])
     lam = basis.lambdas
     j = np.arange(1, n + 1, dtype=float)
     phase = np.exp(2j * np.pi * rng.uniform(size=n))
@@ -73,10 +84,13 @@ def _case(n, kind):
         times = np.linspace(0.0, T, 17)
         u0 = SpectralVec(basis, phase, 0.9 * T * lam - 2.2 * j)
         return u0, times, np.zeros((times.size, n), dtype=complex), np.arange(0, 17, 2)
-    T = 12.8 / lam[-1]
+    T = (1600.0 if kind == "mixed" else 12.8) / lam[-1]
     tgrid = np.linspace(0.0, T, 17)
-    u0 = SpectralVec(basis, phase, T * lam - 2.2 * j)
-    f = dh.SourceTerm(basis, np.linspace(0.0, T, 5), rng.standard_normal((5, n)) * np.exp(-0.2 * j))
+    u0 = SpectralVec(basis, phase, 0.55 * T * lam - 0.1 * j if kind == "mixed" else T * lam - 2.2 * j)
+    coeffs = rng.standard_normal((5, n)) * np.exp(-0.2 * j)
+    if kind == "mixed":
+        coeffs[:, -1] = 0.0
+    f = dh.SourceTerm(basis, np.linspace(0.0, T, 5), coeffs)
     g = bd.BoundaryData(np.array([0.0, T / 3, T]), rng.uniform(-1.0, 1.0, (3, 2))) if kind == "boundary" else None
     times = dh._merged_grid(f, tgrid, T, extra=None if g is None else g.times)
     values = f.sample(times)
@@ -143,24 +157,33 @@ def _condition(u0, times, steps, pick, logref):
         return np.exp(total - logref) + np.abs(logref)
 
 
-@pytest.mark.parametrize("kind", ["decay", "source", "boundary"])
+@pytest.mark.parametrize("kind", ["decay", "source", "boundary", "mixed"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_split_march_is_no_less_accurate(n, kind):
     u0, times, values, pick = _case(n, kind)
     steps = _steps(u0.basis.lambdas, times, values)
     ref = _reference(u0, times, steps, pick)
+    part = dh._particular(u0.basis.lambdas, times, values)
+    hom = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
+    fits = dh._linear_entries(hom, part.expo, part.w[pick])
+    if kind == "mixed":
+        assert fits.any() and not fits.all()
     with np.errstate(invalid="ignore"):
         old = _rel_errors(ref, *_logspace_march(u0, times, values, pick))
-        new = _rel_errors(ref, *dh._join(u0, dh._particular(u0.basis.lambdas, times, values), pick))
+        log_join = _rel_errors(ref, *dh._log_join(u0.phase, hom, part.w[pick], part.expo))
+        new = _rel_errors(ref, *dh._join(u0, part, pick))
     live = ~np.isnan(old)
     assert live.sum() > 0.5 * live.size and np.array_equal(live, ~np.isnan(new))
     floor = ROUNDING_UNITS * U * _condition(u0, times, steps, pick, ref[2])
-    worse = live & (new > np.maximum(old, floor))
+    worse = live & (new > log_join + floor)
+    if kind != "mixed":
+        worse |= live & (new > np.maximum(old, floor))
     report = (
-        f"N={n} {kind}: max rel error old {np.nanmax(old):.3e} new {np.nanmax(new):.3e}; "
-        f"new lower on {np.count_nonzero(new[live] < old[live])}, "
-        f"equal on {np.count_nonzero(new[live] == old[live])}, "
-        f"higher but within the rounding floor on {np.count_nonzero(new[live] > old[live])} of {live.sum()} entries"
+        f"N={n} {kind}: {np.count_nonzero(fits)} of {fits.size} entries joined in linear scale; "
+        f"max rel error old march {np.nanmax(old):.3e}, log join {np.nanmax(log_join):.3e}, "
+        f"new {np.nanmax(new):.3e}; against the log join new lower on {np.count_nonzero(new[live] < log_join[live])}, "
+        f"equal on {np.count_nonzero(new[live] == log_join[live])}, "
+        f"higher but within the rounding floor on {np.count_nonzero(new[live] > log_join[live])} of {live.sum()} entries"
     )
     print(report)
     assert not worse.any(), f"{report}; worse at (row, mode) {np.argwhere(worse)[:5].tolist()}"

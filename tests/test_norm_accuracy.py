@@ -22,7 +22,9 @@ N = 16, 64, 256 and 1024: every error is at most ceil(log2 N) * 4 eps,
 times the condition of the sum for `solution_norm_h1` (see `errors`).
 For `log_sum_exp` the error is |got - ref| / max(1, |ref|): its absolute
 error is the relative error of the sum it takes the log of, and a result
-of size |ref| > 1 is itself stored only to within eps |ref|.
+of size |ref| > 1 is itself stored only to within eps |ref|.  The log
+fields of `stacked_norms` (half the log of the linear sums on these
+in-range rows) are held to the same bound as an absolute error on the log.
 """
 
 import math
@@ -87,6 +89,10 @@ def _rel(got, ref):
     return max(float(abs(g - r) / abs(r)) for g, r in zip(np.ravel(got).tolist(), ref))
 
 
+def _abs(got, ref):
+    return max(float(abs(g - r)) for g, r in zip(np.ravel(got).tolist(), ref))
+
+
 def _mixed(got, ref):
     return max(float(abs(g - r) / max(1, abs(r))) for g, r in zip(np.ravel(got).tolist(), ref))
 
@@ -115,6 +121,7 @@ def errors(traj):
         assert not norms.overflowed.any()
         for name, ref in (("normH", h2), ("normV", v2), ("normVstar", vs2)):
             out[f"stacked_norms.{name}"] = (_rel(getattr(norms, name), map(mpmath.sqrt, ref)), 1)
+            out[f"stacked_norms.log_{name}"] = (_abs(getattr(norms, f"log_{name}"), [mpmath.log(r) / 2 for r in ref]), 1)
 
         # the zero-trace part p = c - w, with w the lift's real coefficients,
         # and u' = f - lambda p from the equation
