@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -293,17 +293,19 @@ def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=No
     return merged[(merged >= 0.0) & (merged <= t_end + 1e-15)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """States of one solve on its requested time grid, stored as arrays.
 
     `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
-    at times[k] in the phase/log-magnitude form of SpectralVec.  They are
-    made read-only, since the per-node norms computed from them are cached.
+    at times[k] in the phase/log-magnitude form of SpectralVec.  The
+    trajectory is frozen and its arrays are made read-only, so the per-node
+    norms and the residual are computed once, on first use.
     `initial_state` and `final_state` wrap the end rows as SpectralVec views.
 
-    `lift` is attached by the boundary solver; it carries the affine
-    boundary lift per node so full first-order space norms can be assembled.
+    `lift` is the boundary solver's `LiftPath`, passed in at construction:
+    it carries the affine boundary lift per node so full first-order space
+    norms can be assembled.
     """
 
     basis: EigenBasis
@@ -312,12 +314,8 @@ class Trajectory:
     logmag: np.ndarray
     source: SourceTerm | None = None
     lift: object | None = None
-    _node_norms: TripleNorms | None = field(default=None, init=False, repr=False, compare=False)
-    _residual: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phase = np.asarray(self.phase, dtype=np.complex128)
-        self.logmag = np.asarray(self.logmag, dtype=np.float64)
         self.phase.setflags(write=False)
         self.logmag.setflags(write=False)
 
@@ -332,37 +330,41 @@ class Trajectory:
     def final_state(self) -> SpectralVec:
         return self.initial_state if self.times.size == 1 else self._state(-1)
 
+    @cached_property
+    def _node_norms(self) -> TripleNorms:
+        return stacked_norms(self.basis, self.phase, self.logmag)
+
     def node_norms(self) -> TripleNorms:
         """H, V and V* norms of every node; each field has shape (n_nodes,)."""
-        if self._node_norms is None:
-            self._node_norms = stacked_norms(self.basis, self.phase, self.logmag)
         return self._node_norms
 
     def state_coeff_matrix(self) -> np.ndarray:
         return merge_phase(self.phase, self.logmag)
 
-    def residual_dual_sq(self) -> np.ndarray:
-        """||u'(t_k)||_*^2 per node, with u' = f - A u - A w from the
-        equation itself, not from numerical differencing."""
-        cached = self._residual
-        if cached is None or cached[0] is not self.source or cached[1] is not self.lift:
-            lam = self.basis.lambdas
-            res = -self.state_coeff_matrix() * lam
-            if self.source is not None:
-                res = res + self.source.sample(self.times)
-            if self.lift is not None:
-                res = res + self.lift.forcing(self.times)
-            with np.errstate(over="ignore"):
-                res_sq = np.abs(res) ** 2 / lam
-            cached = self._residual = (self.source, self.lift, res_sq.sum(axis=-1))
-        return cached[2]
+    @cached_property
+    def _residual_dual_sq(self) -> np.ndarray:
+        lam = self.basis.lambdas
+        c = self.state_coeff_matrix()
+        res = lam * (c if self.lift is None else c - self.lift.coeff_matrix(self.times))
+        if self.source is not None:
+            res = self.source.sample(self.times) - res
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_sq = (np.abs(res) ** 2 / lam).sum(axis=-1)
+        res_sq.setflags(write=False)
+        return res_sq
 
-    def to_csv(self, n_space: int = 65) -> str:
-        """Long-format space-time samples: t, x, u."""
+    def residual_dual_sq(self) -> np.ndarray:
+        """||u'(t_k)||_*^2 per node, read-only, with u' = f - A (u - w) from
+        the equation itself (w the boundary lift), not from numerical
+        differencing."""
+        return self._residual_dual_sq
+
+    def to_csv(self) -> str:
+        """Long-format space-time samples: t, x, u at 65 uniform points per node."""
         if self.basis.spec.kind != "interval":
             raise InvalidSpecError("space-time CSV is interval-only")
         (L,) = self.basis.spec.lengths
-        xs = np.linspace(0.0, L, n_space)
+        xs = np.linspace(0.0, L, 65)
         table = self.basis.mode_values(xs)
         phase, logmag = self.phase, self.logmag
         if self.lift is not None:

@@ -11,6 +11,7 @@ trajectories, which is what makes backward continuation meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,8 @@ _FIRST_BLOCK = 8
 # units of eps * d * (|lambda| + ||A||)
 _FOV_DIRECTIONS = 64
 _FOV_ROUNDING = 64.0
+# rays and radii of the check_sectoriality grid, and random vectors of inverse_chain_demo
+_SECTOR_RAYS, _SECTOR_RADII, _CHAIN_SAMPLES = 64, 32, 64
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -60,6 +63,11 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class GeneratorReport:
     dim: int
@@ -77,65 +85,67 @@ class GeneratorReport:
 
 class MatrixGenerator:
     """Square complex matrix (dimension <= 64) wrapped with the derived
-    quantities the semigroup checks need."""
+    quantities the semigroup checks need.  A is a private read-only copy,
+    so each quantity is computed once, on first use."""
 
     def __init__(self, a):
-        a = np.asarray(a, dtype=complex)
+        a = np.array(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidSpecError("generator must be a square matrix")
         if a.shape[0] > MAX_DIM:
             raise InvalidSpecError(f"generator dimension capped at {MAX_DIM}")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise InvalidSpecError("generator entries must be finite")
-        self.a = a
+        self._a = _read_only(a)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self._a
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def hermitian_part(self) -> np.ndarray:
-        return 0.5 * (self.a + self.a.conj().T)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """eigvals(A), read-only."""
+        return _read_only(np.linalg.eigvals(self.a))
 
-    @property
-    def skew_part(self) -> np.ndarray:
-        return 0.5 * (self.a - self.a.conj().T)
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvector matrix of eig(A), read-only."""
+        return _read_only(np.linalg.eig(self.a)[1])
 
-    @property
-    def _scale(self) -> float:
-        return max(self.norm2, 1.0)
-
-    @property
+    @cached_property
     def is_selfadjoint(self) -> bool:
-        return bool(np.linalg.norm(self.skew_part, 2) <= 1e-12 * self._scale)
+        return bool(np.linalg.norm(0.5 * (self.a - self.a.conj().T), 2) <= 1e-12 * max(self.norm2, 1.0))
 
     @property
     def is_normal(self) -> bool:
         comm = self.a @ self.a.conj().T - self.a.conj().T @ self.a
-        return bool(np.linalg.norm(comm, 2) <= 1e-12 * self._scale ** 2)
+        return bool(np.linalg.norm(comm, 2) <= 1e-12 * max(self.norm2, 1.0) ** 2)
 
     @property
     def is_hyponormal(self) -> bool:
         # |A* x| <= |A x| for all x is positivity of the commutator A*A - AA*
         comm = self.a.conj().T @ self.a - self.a @ self.a.conj().T
-        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * self._scale ** 2)
+        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * max(self.norm2, 1.0) ** 2)
 
-    @property
+    @cached_property
     def decay_rate(self) -> float:
         """Exact minimum of Re<Av,v>/|v|^2 over v != 0; positive means the
         semigroup e^{-tA} contracts at least like e^{-(this) t}."""
-        return float(np.linalg.eigvalsh(self.hermitian_part)[0])
+        return float(np.linalg.eigvalsh(0.5 * (self.a + self.a.conj().T))[0])
 
     @property
     def is_elliptic(self) -> bool:
         return self.decay_rate > 0.0
 
-    @property
+    @cached_property
     def norm2(self) -> float:
         return float(np.linalg.norm(self.a, 2))
 
     def classify(self) -> GeneratorReport:
-        eigs = np.linalg.eigvals(self.a)
         return GeneratorReport(
             dim=self.dim,
             selfadjoint=self.is_selfadjoint,
@@ -144,7 +154,7 @@ class MatrixGenerator:
             elliptic=self.is_elliptic,
             decay_rate=self.decay_rate,
             norm2=self.norm2,
-            spectral_abscissa=float(np.max(eigs.real)),
+            spectral_abscissa=float(np.max(self.eigenvalues.real)),
         )
 
 
@@ -293,12 +303,7 @@ def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray)
     return bound
 
 
-def check_sectoriality(
-    gen: MatrixGenerator,
-    sector: SectorSpec | None = None,
-    n_angles: int = 64,
-    n_radii: int = 32,
-) -> SectorReport:
+def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -> SectorReport:
     """Sample sup |lambda - omega| ||(lambda I + A)^{-1}|| over the sector.
 
     The resolvent is the one of the decay generator -A.  Sample points that
@@ -318,18 +323,14 @@ def check_sectoriality(
     one, so the report is the one of the full grid.
     """
     sector = sector or SectorSpec()
-    if n_angles < 64:
-        raise InvalidSpecError("sector sampling uses at least 64 rays")
-    if n_radii < 1:
-        raise InvalidSpecError("sector sampling needs at least one radius")
     a = gen.a
     norm2 = gen.norm2
     if not np.isfinite(norm2 * 1e3):
         raise InvalidSpecError("||A|| * 1e3 exceeds float64 range: the sector radii cannot be formed")
-    spectrum = -np.linalg.eigvals(a)
-    phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, n_angles + 2)[1:-1]
+    spectrum = -gen.eigenvalues
+    phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, _SECTOR_RAYS + 2)[1:-1]
     # A = 0 has ||A|| = 0: its radii span the decades around 1 instead of collapsing onto omega
-    radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, n_radii)
+    radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, _SECTOR_RADII)
     # ray by ray, radius by radius: the order decides which of equal maxima wins
     lams = (sector.omega + radii * np.exp(1j * phis)[:, None]).ravel()
     skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
@@ -415,11 +416,9 @@ def check_injectivity(gen: MatrixGenerator, times) -> InjectivityReport:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.size < 1 or np.any(ts <= 0):
         raise InvalidSpecError("need strictly positive times")
-    _, vecs = np.linalg.eig(gen.a)
-    cond_v = float(np.linalg.cond(vecs))
-    smax = float(np.linalg.svd(gen.a, compute_uv=False)[0])
+    cond_v = float(np.linalg.cond(gen.eigenvectors))
     smins = np.linalg.svd(exp_semigroup(gen, ts), compute_uv=False)[:, -1]
-    floor = np.exp(-smax * ts) / cond_v
+    floor = np.exp(-gen.norm2 * ts) / cond_v
     return InjectivityReport(
         ts,
         smins,
@@ -480,14 +479,14 @@ def _criterion_margins(a: np.ndarray, xs: np.ndarray, scale: float) -> np.ndarra
     return (rhs - lhs) / scale
 
 
-def _convexity_samples(a: np.ndarray, trials: int, seed: int) -> np.ndarray:
+def _convexity_samples(gen: MatrixGenerator, trials: int, seed: int) -> np.ndarray:
     """Rows: `trials` random complex unit vectors drawn from the seed, then
-    the unit eigenvectors of a."""
+    the unit eigenvectors of A."""
     rng = np.random.default_rng(seed)
-    d = a.shape[0]
+    d = gen.dim
     xs = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
     xs /= np.linalg.norm(xs, axis=1)[:, None]
-    _, vecs = np.linalg.eig(a)
+    vecs = gen.eigenvectors
     vecs = vecs / np.linalg.norm(vecs, axis=0)[None, :]
     return np.vstack([xs, vecs.T])
 
@@ -573,7 +572,7 @@ def check_logconvexity_criterion(
         raise InvalidSpecError("times must be finite and strictly increasing")
     a = gen.a
     # eigenvectors realize equality in the selfadjoint case; include them
-    xs = _convexity_samples(a, trials, seed)
+    xs = _convexity_samples(gen, trials, seed)
     norm = max(gen.norm2, 1.0)
     if not np.isfinite(norm * norm):
         raise InvalidSpecError("||A||^2 exceeds float64 range: the criterion margins cannot be formed")
@@ -605,7 +604,7 @@ class ChainReport:
     selfadjoint: bool
 
 
-def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, n_samples: int = 64, seed: int = 0) -> ChainReport:
+def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, seed: int = 0) -> ChainReport:
     """Graph-norm ordering behind the descending chain of backward domains.
 
     For 0 < t < t_prime and sampled v the ratio
@@ -618,7 +617,7 @@ def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, n_samples
         raise InvalidSpecError("need 0 < t < t_prime")
     rng = np.random.default_rng(seed)
     d = gen.dim
-    vs = rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d))
+    vs = rng.standard_normal((_CHAIN_SAMPLES, d)) + 1j * rng.standard_normal((_CHAIN_SAMPLES, d))
     vs = np.vstack([vs, np.eye(d)])
     back_t, back_t_prime = exp_semigroup(gen, [-t, -t_prime])
     mid = _norms(_apply(back_t, vs))

@@ -297,9 +297,6 @@ class SpectralVec:
     def overflowed(self) -> bool:
         return bool(np.any(self.logmag > LOG_MAX))
 
-    def copy(self) -> "SpectralVec":
-        return SpectralVec(self.basis, self.phase.copy(), self.logmag.copy())
-
     # -- arithmetic ----------------------------------------------------
     def scale_log(self, delta) -> "SpectralVec":
         """Multiply each mode by e^{delta_j}; exact in log space."""

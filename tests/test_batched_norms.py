@@ -4,6 +4,8 @@ Every stacked result must equal the one-row computation bit for bit, and
 the trajectory norms must keep their recorded values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,12 +182,34 @@ def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
     assert calls == [(1, 16)]
 
 
-def test_residual_follows_the_attached_lift(basis16):
-    u0 = SpectralVec.unit(basis16, 1)
-    traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 1.0, 5))
-    before = traj.residual_dual_sq().copy()
-    traj.lift = bd.LiftPath(bd.BoundaryData.constant(1.0, -1.0, 1.0), basis16)
-    assert not np.array_equal(traj.residual_dual_sq(), before)
+def test_trajectory_is_frozen(basis16):
+    # its norms and residual are cached: a lift attached after the solve
+    # would leave them stale
+    traj = dh.solve_cauchy(SpectralVec.unit(basis16, 1), None, np.linspace(0.0, 1.0, 5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.lift = bd.LiftPath(bd.BoundaryData.constant(1.0, -1.0, 1.0), basis16)
+
+
+def test_boundary_norms_sample_the_source_once(basis16, monkeypatch):
+    # solution_norm_h1 and the energy check read one residual, which samples
+    # f once at the nodes; f's grid ends at T, so the exact dual norm of f
+    # samples nothing
+    rng = np.random.default_rng(4)
+    f = dh.SourceTerm(basis16, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, 16)))
+    g = bd.BoundaryData(np.array([0.0, 0.5, 1.0]), rng.uniform(-1.0, 1.0, (3, 2)))
+    grid = np.linspace(0.0, 1.0, 33)
+    traj = bd.solve_ibvp(SpectralVec.unit(basis16, 1), f, g, grid)
+    calls = []
+    real = dh.SourceTerm.sample
+
+    def counting(self, ts):
+        calls.append(np.size(ts))
+        return real(self, ts)
+
+    monkeypatch.setattr(dh.SourceTerm, "sample", counting)
+    bd.solution_norm_h1(traj)
+    dh.check_energy_estimate(traj)
+    assert calls == [grid.size]
 
 
 # -- golden values --------------------------------------------------------

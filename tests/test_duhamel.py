@@ -330,9 +330,9 @@ class TestTrajectoryCsv:
     def test_layout(self, basis16):
         u0 = SpectralVec.unit(basis16, 1)
         traj = solve_cauchy(u0, None, np.array([0.0, 1.0]))
-        lines = traj.to_csv(n_space=5).strip().splitlines()
+        lines = traj.to_csv().strip().splitlines()
         assert lines[0] == "t,x,u"
-        assert len(lines) == 1 + 2 * 5
+        assert len(lines) == 1 + 2 * 65
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
         assert float(first[2]) == pytest.approx(0.0, abs=1e-14)

@@ -7,12 +7,13 @@ import functools
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from heatfvp.generator import MatrixGenerator, exp_semigroup
 from heatfvp.spectral import InvalidSpecError
 
 from conftest import golden_generator
+
+expm = pytest.importorskip("scipy.linalg").expm
 
 EPS = np.finfo(float).eps
 TIMES = (1e-3, 0.1, 1.0, 10.0, -1.0)

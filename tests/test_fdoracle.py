@@ -160,7 +160,7 @@ def _banded_reference(u0, source, g, length, t_final, n_steps, scheme):
     """The theta-scheme as a banded solve per step: the three-point
     Laplacian with the Dirichlet values injected into the rows next to the
     boundary, and the source sampled at both ends of every step."""
-    from scipy.linalg import solve_banded
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
 
     m, theta = scheme.m_interior, scheme.theta
     x = np.linspace(0.0, length, m + 2)
