@@ -166,7 +166,8 @@ def boundary_split(samples, basis: EigenBasis) -> BoundarySplit:
 
 @dataclass
 class LiftPath:
-    """Time-dependent affine lift of boundary data against a basis."""
+    """Time-dependent affine lift of boundary data against a basis; `sample`
+    gives both of its forms, a + b x and the sine coefficients w."""
 
     g: BoundaryData
     basis: EigenBasis
@@ -176,27 +177,21 @@ class LiftPath:
         # lift coefficients are linear in (g_left, g_right); precompute both columns
         self._col_left = self.basis.lift_coefficients(1.0, 0.0)
         self._col_right = self.basis.lift_coefficients(0.0, 1.0)
-        # forcing and slope are piecewise linear in t: finite at g's node
-        # times means finite everywhere
+        # the forcing lambda_j w_j(t) and the slope are piecewise linear in
+        # t: finite at g's node times means finite everywhere
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.all(np.isfinite(self.forcing(self.g.times))) and np.all(np.isfinite(self.ab(self.g.times)[1]))
+            _, b, w = self.sample(self.g.times)
+            finite = np.all(np.isfinite(w * self.basis.lambdas)) and np.all(np.isfinite(b))
         if not finite:
             raise InvalidSpecError("boundary data too large: the lift forcing leaves float64 range")
 
-    def ab(self, ts):
-        """Offset a and slope b of the lift a + b x at each time."""
+    def sample(self, ts):
+        """Offset a and slope b of the lift a + b x at each time, and its
+        coefficient rows w, shape (len(ts), n_modes), from one sample of g."""
         vals = self.g.sample(ts)
         (L,) = self.basis.spec.lengths
-        return vals[:, 0], (vals[:, 1] - vals[:, 0]) / L
-
-    def coeff_matrix(self, ts) -> np.ndarray:
-        vals = self.g.sample(ts)
-        return np.outer(vals[:, 0], self._col_left) + np.outer(vals[:, 1], self._col_right)
-
-    def forcing(self, ts) -> np.ndarray:
-        """The mode-wise source lambda_j w_j(ts) by which the boundary data
-        enter the equation; its kinks are the node times of g."""
-        return self.coeff_matrix(ts) * self.basis.lambdas
+        w = np.outer(vals[:, 0], self._col_left) + np.outer(vals[:, 1], self._col_right)
+        return vals[:, 0], (vals[:, 1] - vals[:, 0]) / L, w
 
 
 def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
@@ -250,7 +245,7 @@ def boundary_yield_sweep(g: BoundaryData, t: float, basis: EigenBasis) -> SweepR
     return SweepReport(eps, diffs, float(slope), float(gap))
 
 
-def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tgrid, *, march=None) -> Trajectory:
+def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tgrid) -> Trajectory:
     """Forward solve with Dirichlet boundary data.
 
     The boundary enters as the extra mode-wise source lambda_j w_j(t), and
@@ -258,8 +253,7 @@ def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tg
     norms and pointwise synthesis include the boundary part; a zero g is
     attached but marches nothing.  g=None is exactly `solve_cauchy`.
     """
-    lift = LiftPath(g, u0.basis) if g is not None else None
-    return solve_cauchy(u0, f, tgrid, lift=lift, march=march)
+    return solve_cauchy(u0, f, tgrid, lift=None if g is None else LiftPath(g, u0.basis))
 
 
 def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
@@ -433,7 +427,7 @@ def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
         raise IncompatibleDataError(report)
     if report.verdict == "inconclusive":
         raise InconclusiveDataError(report)
-    traj = solve_ibvp(report.u0, f, g, tgrid, march=march)
+    traj = solve_cauchy(report.u0, f, tgrid, lift=None if g is None else LiftPath(g, u_T.basis), march=march)
     end_err = rel_distance(traj.final_state, u_T)
     return FvpSolution(traj, report, _data_norm(f, g, u_T, T, v, report), float(end_err))
 
@@ -490,9 +484,9 @@ def solution_norm_h1(traj: Trajectory) -> float:
     Square root of int ||u||_{H^1}^2 dt + sup_t ||u||_{L2}^2 + int
     (||u||_{H^{-1}}^2 + ||u'||_{H^{-1}}^2) dt.  The supremum term is kept:
     for boundary-driven runs it is not dominated by the other two terms.
-    Spatial pieces use the exact affine-lift formulas plus the spectral
-    part; u' comes from the equation.  Every node is one row of the same
-    array pass.
+    Spatial pieces use the zero-trace part p plus the exact affine-lift
+    formulas; u' comes from the equation.  Every node is one row of one
+    array pass over the arrays the trajectory keeps.
     """
     if traj.times.size < 2:
         raise InvalidSpecError("a trajectory norm needs at least two nodes")
@@ -500,24 +494,20 @@ def solution_norm_h1(traj: Trajectory) -> float:
     _require_interval(basis)
     (L,) = basis.spec.lengths
     lam = basis.lambdas
-    n = traj.times.size
     # first, so that its temporaries are freed before the norm's own
     res_dual_sq = traj.residual_dual_sq()
-    if traj.lift is not None:
-        a, b = traj.lift.ab(traj.times)
-        w = traj.lift.coeff_matrix(traj.times)
-    else:
-        a = b = np.zeros(n)
-        w = np.zeros((n, basis.n_modes))
-    c = traj.state_coeff_matrix()
-    # zero-trace part p plus the affine lift, with exact lift integrals
-    p = c - w
+    p = traj._zero_trace
     p2 = np.abs(p) ** 2
-    lift_l2_sq = (np.abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (np.abs(b) ** 2) * L ** 3 / 3.0
-    cross = 2.0 * np.real(np.vecdot(w, p))  # <p, lift> over the span
-    l2_sq = p2.sum(axis=-1) + cross + lift_l2_sq
-    h1_sq = l2_sq + ((lam * p2).sum(axis=-1) + (np.abs(b) ** 2) * L)
-    dual_sq = (np.abs(c) ** 2 / lam).sum(axis=-1)
+    l2_sq = p2.sum(axis=-1)
+    grad_sq = (lam * p2).sum(axis=-1)
+    if traj.lift is not None:
+        a, b, w = traj._lift_rows
+        lift_l2_sq = (np.abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (np.abs(b) ** 2) * L ** 3 / 3.0
+        cross = 2.0 * np.real(np.vecdot(w, p))  # <p, lift> over the span
+        l2_sq = l2_sq + cross + lift_l2_sq
+        grad_sq = grad_sq + (np.abs(b) ** 2) * L
+    h1_sq = l2_sq + grad_sq
+    dual_sq = (np.abs(traj._coeffs) ** 2 / lam).sum(axis=-1)
     total = (
         _trapezoid(h1_sq, traj.times)
         + float(np.max(l2_sq))

@@ -158,13 +158,15 @@ def _problem(args):
     return cfg, basis, T, f, g
 
 
-def _out_dir(cfg: dict) -> Path:
-    raw = cfg.get("out.dir", ".")
-    p = Path(raw)
-    if not p.is_absolute():
-        p = cfg["__dir__"] / p
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _write_outputs(cfg: dict, texts: dict) -> None:
+    """Write each named text into out.dir (relative to the config file).  A
+    subcommand forms all its texts first, so a refusal leaves no file."""
+    out = Path(cfg.get("out.dir", "."))
+    if not out.is_absolute():
+        out = cfg["__dir__"] / out
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
 
 
 def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
@@ -190,16 +192,15 @@ def _cmd_forward(args) -> int:
     cfg, basis, T, f, g = _problem(args)
     u0 = _load_state(cfg, "u0.path", basis)
     traj = bd.solve_ibvp(u0, f, g, _tgrid(cfg, T, f))
-    out = _out_dir(cfg)
-    (out / "trajectory.csv").write_text(traj.to_csv())
-    (out / "final_state.json").write_text(sp.vec_to_json(traj.final_state))
-    summary = {
+    texts = {"trajectory.csv": traj.to_csv(), "final_state.json": sp.vec_to_json(traj.final_state)}
+    summary = sp.strict_json({
         "T": T,
         "modes": basis.n_modes,
         "final_norm": sp.norm_h(traj.final_state),
         "nodes": int(traj.times.size),
-    }
-    print(sp.strict_json(summary))
+    })
+    _write_outputs(cfg, texts)
+    print(summary)
     return 0
 
 
@@ -213,12 +214,11 @@ def _cmd_backward(args) -> int:
     except fvp.IncompatibleDataError as exc:
         print(exc.report.to_json())
         return 2
-    out = _out_dir(cfg)
-    (out / "u0.json").write_text(sp.vec_to_json(sol.trajectory.initial_state))
-    (out / "trajectory.csv").write_text(sol.trajectory.to_csv())
-    (out / "compat.json").write_text(sol.compat.to_json())
-    (out / "ynorm.json").write_text(sol.ynorm.to_json())
-    print(sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict}))
+    texts = {"u0.json": sp.vec_to_json(sol.trajectory.initial_state), "trajectory.csv": sol.trajectory.to_csv(),
+             "compat.json": sol.compat.to_json(), "ynorm.json": sol.ynorm.to_json()}
+    summary = sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict})
+    _write_outputs(cfg, texts)
+    print(summary)
     return 0
 
 
@@ -228,7 +228,7 @@ def _cmd_check_compat(args) -> int:
     report = bd.check_final_data(f, g, u_T, T, policy_from_config(cfg))
     print(report.to_json())
     if cfg.get("out.dir") is not None:
-        (_out_dir(cfg) / "compat.json").write_text(report.to_json())
+        _write_outputs(cfg, {"compat.json": report.to_json()})
     return 0 if report.verdict == "compatible" else 2
 
 
@@ -269,7 +269,7 @@ def _cmd_norms(args) -> int:
     text = sp.strict_json(sp.json_payload(reports))
     print(text)
     if cfg.get("out.dir") is not None:
-        (_out_dir(cfg) / "norms.json").write_text(text)
+        _write_outputs(cfg, {"norms.json": text})
     return 0
 
 
@@ -318,7 +318,7 @@ def _cmd_oracle_compare(args) -> int:
     text = sp.strict_json(report)
     print(text)
     if cfg.get("out.dir") is not None:
-        (_out_dir(cfg) / "oracle_compare.json").write_text(text)
+        _write_outputs(cfg, {"oracle_compare.json": text})
     return 0
 
 

@@ -5,12 +5,11 @@ backward pipeline of the boundary module with g=None: the difference
 v = u_T - (source yield) is formed once and probed for membership in the
 domain of the backward flow with the truncation-stabilization heuristic; on
 a `compatible` verdict the initial state comes from that report and the
-forward solver replays the trajectory (`boundary.solve_ibvp` with g=None,
-which is `duhamel.solve_cauchy`), which must land back on u_T.  The replay
-joins e^{-tA} u(0) with the rows of the march that gave the source yield,
-so a solve on the source's own grid (the default) marches once.  The
-data norm of (f, u_T) is `boundary.data_norm_inhom(f, None, u_T, T)`, built
-from the same v and report.
+forward solver replays the trajectory (`duhamel.solve_cauchy`), which
+must land back on u_T.  The replay joins e^{-tA} u(0) with the rows of the
+march that gave the source yield, so a solve on the source's own grid (the
+default) marches once.  The data norm of (f, u_T) is
+`boundary.data_norm_inhom(f, None, u_T, T)`, built from the same v and report.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ class FinalValueData:
 
     def __post_init__(self):
         _validate_final_data(self.f, None, self.u_T, self.T)
-
-    @property
-    def basis(self) -> EigenBasis:
-        return self.u_T.basis
 
 
 def solve_final_value(

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import InvalidSpecError, json_payload, strict_json
+from .spectral import InvalidSpecError, _read_only, json_payload, strict_json
 
 MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8
@@ -61,11 +61,6 @@ def parse_matrix(text: str) -> np.ndarray:
             raise InvalidSpecError(f"each row needs {2 * d} reals (re im pairs)")
         rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(d)])
     return np.array(rows, dtype=complex)
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    x.setflags(write=False)
-    return x
 
 
 @dataclass(frozen=True)

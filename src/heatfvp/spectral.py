@@ -28,6 +28,11 @@ class GridMismatchError(ValueError):
     """Sample array does not live on the expected quadrature grid."""
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
 def _check_horizon(T, basis: "EigenBasis | None" = None) -> None:
     """The one check of a time horizon: finite and positive, and with a
     basis also short enough that the backward exponent 2 T lambda_N of the
@@ -365,8 +370,14 @@ def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> T
     those sums.  A row where any term would overflow takes the values
     computed in log space and is flagged; a sum whose largest term lies so
     low that the terms flushed toward the subnormals could count (or a zero
-    sum) takes its log field from `log_sum_exp`.
+    sum) takes its log field from `log_sum_exp`.  The stack is merged to
+    linear scale once, and `_stacked_norms` takes it from there.
     """
+    return _stacked_norms(basis, merge_phase(phase, logmag), logmag)
+
+
+def _stacked_norms(basis: EigenBasis, coeffs: np.ndarray, logmag: np.ndarray) -> TripleNorms:
+    """`stacked_norms` of rows already merged: `coeffs` is merge_phase(phase, logmag)."""
     lam = basis.lambdas
     n = max(basis.n_modes, 1)
     log_lam = np.log(lam)
@@ -374,7 +385,7 @@ def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> T
     top = 2.0 * np.max(logmag, axis=-1, initial=-np.inf) + float(np.max(log_lam)) + np.log(n)
     overflowed = np.isfinite(top) & (top > LOG_MAX - 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        c2 = np.abs(merge_phase(phase, logmag)) ** 2
+        c2 = np.abs(coeffs) ** 2
         terms = np.empty(c2.shape[:-1] + (3, lam.size))
         terms[..., 0, :] = c2
         np.multiply(lam, c2, out=terms[..., 1, :])

@@ -14,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
+from heatfvp import logspace
+from heatfvp import spectral as sp
 from heatfvp.logspace import LOG_MAX, log_sum_exp
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, stacked_norms, triple_norms
 
@@ -190,26 +192,48 @@ def test_trajectory_is_frozen(basis16):
         traj.lift = bd.LiftPath(bd.BoundaryData.constant(1.0, -1.0, 1.0), basis16)
 
 
-def test_boundary_norms_sample_the_source_once(basis16, monkeypatch):
-    # solution_norm_h1 and the energy check read one residual, which samples
-    # f once at the nodes; f's grid ends at T, so the exact dual norm of f
-    # samples nothing
-    rng = np.random.default_rng(4)
-    f = dh.SourceTerm(basis16, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, 16)))
-    g = bd.BoundaryData(np.array([0.0, 0.5, 1.0]), rng.uniform(-1.0, 1.0, (3, 2)))
-    grid = np.linspace(0.0, 1.0, 33)
-    traj = bd.solve_ibvp(SpectralVec.unit(basis16, 1), f, g, grid)
+def _count_calls(monkeypatch, owner, name, where=()):
+    """Record the size of the first argument of every call of owner.name,
+    also through the names `where` binds it under."""
     calls = []
-    real = dh.SourceTerm.sample
+    real = getattr(owner, name)
 
-    def counting(self, ts):
-        calls.append(np.size(ts))
-        return real(self, ts)
+    def counting(*args):
+        calls.append(np.size(args[1] if isinstance(owner, type) else args[0]))
+        return real(*args)
 
-    monkeypatch.setattr(dh.SourceTerm, "sample", counting)
-    bd.solution_norm_h1(traj)
+    for target in (owner, *where):
+        monkeypatch.setattr(target, name, counting)
+    return calls
+
+
+def _norm_pass_calls(basis, monkeypatch, with_g):
+    """The sizes of the f and g samples and the number of merges to linear
+    scale in the norm, the energy check and the CSV of one trajectory."""
+    rng = np.random.default_rng(4)
+    f = dh.SourceTerm(basis, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, 16)))
+    g = bd.BoundaryData(np.array([0.0, 0.5, 1.0]), rng.uniform(-1.0, 1.0, (3, 2))) if with_g else None
+    traj = bd.solve_ibvp(SpectralVec.unit(basis, 1), f, g, np.linspace(0.0, 1.0, 33))
+    f_calls = _count_calls(monkeypatch, dh.SourceTerm, "sample")
+    g_calls = _count_calls(monkeypatch, bd.BoundaryData, "sample")
+    merges = _count_calls(monkeypatch, logspace, "merge_phase", where=(dh, sp))
+    (bd.solution_norm_h1 if with_g else dh.solution_norm)(traj)
     dh.check_energy_estimate(traj)
-    assert calls == [grid.size]
+    traj.to_csv()
+    return f_calls, g_calls, len(merges)
+
+
+def test_boundary_norms_sample_the_source_once(basis16, monkeypatch):
+    # the norm, the energy check and the CSV read one residual, which
+    # samples f once at the 33 nodes (f's grid ends at T, so the exact dual
+    # norm of f samples nothing); the lift's (a, b) and w come from one
+    # sample of g; the trajectory's linear rows are merged once, and the
+    # CSV's phase/log round trip of p merges once more
+    assert _norm_pass_calls(basis16, monkeypatch, with_g=True) == ([33], [33], 2)
+
+
+def test_norms_without_boundary_data_merge_once(basis16, monkeypatch):
+    assert _norm_pass_calls(basis16, monkeypatch, with_g=False) == ([33], [], 1)
 
 
 # -- golden values --------------------------------------------------------

@@ -312,7 +312,7 @@ def assemble_with_lift_perturbation(u0, f, g, phi, tgrid) -> list:
     term_phi = solve_cauchy(SpectralVec.zero(basis), on_kinks(phi_src, g.times), ts)
     # boundary term with the perturbed lift w + phi
     merged = np.union1d(g.times, phi.times)
-    wtilde = lift.coeff_matrix(merged) + phi.sample(merged)
+    wtilde = lift.sample(merged)[2] + phi.sample(merged)
     tilde_src = SourceTerm(basis, merged, wtilde * lam[None, :])
     term_lift = solve_cauchy(SpectralVec.zero(basis), tilde_src, ts)
 

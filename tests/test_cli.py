@@ -153,6 +153,21 @@ def _malformed_state(tmp_path, kind):
         (tmp_path / "u0.json").write_text(json.dumps(payload))
         write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u0.json\n")
         return ["norms", *conf]
+    if kind.startswith("overflowing-"):
+        # finite u0 whose samples in trajectory.csv and whose norms
+        # overflow, with or without f and g
+        payload = {"basis": {"kind": "interval", "lengths": [np.pi], "modes": 8},
+                   "coefficients": [[1.7e308, 0.0]] * 8}
+        (tmp_path / "u0.json").write_text(json.dumps(payload))
+        text = "modes = 8\nT = 0.01\nu0.path = u0.json\nout.dir = out\n"
+        if kind.endswith("-fg"):
+            ts = np.array([0.0, 0.01])
+            basis = build_basis(DomainSpec("interval", (np.pi,), 8))
+            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, ts, np.ones((2, 8))).to_csv())
+            (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.array([[0.0, 1.0], [1.0, 0.0]])).to_csv())
+            text += "f.path = f.csv\ng.path = g.csv\n"
+        write_conf(tmp_path, text)
+        return [kind.split("-")[1], *conf]
     basis, u0 = decayed_instance(16)
     if kind.startswith("huge-lift-"):
         # finite boundary values whose lift forcing lambda_j w_j overflows
@@ -198,13 +213,19 @@ def _reject_constant(name):
     "demo-length=1e-160", "demo-length=1e200",
     "nan-source-time", "nan-boundary-time",
     "huge-lift-forward", "huge-lift-check-compat", "huge-lift-backward",
+    "overflowing-forward", "overflowing-forward-fg", "overflowing-norms",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
-    assert cli(_malformed_state(tmp_path, kind)) == 1
+    argv = _malformed_state(tmp_path, kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     # one line: a data error is not followed by the usage text
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
+    # every output is formed before any is written
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("T", ["1e307", "1.7e308"])

@@ -247,7 +247,7 @@ class TestLinearity:
         scaled = solve_cauchy(
             SpectralVec.from_coefficients(basis16, 3.0 * u0c), const_source(basis16, 1.0, 3.0 * fc), ts
         )
-        assert np.allclose(3.0 * base.state_coeff_matrix(), scaled.state_coeff_matrix(), rtol=1e-13, atol=1e-16)
+        assert np.allclose(3.0 * base._coeffs, scaled._coeffs, rtol=1e-13, atol=1e-16)
 
     def test_superposition(self, basis16):
         rng = np.random.default_rng(7)

@@ -17,6 +17,9 @@ unchanged by that step.  The `forward`, `backward` and `oracle-compare`
 digests were re-recorded when the forward march joined in-range states in
 linear scale, after tests/test_march_accuracy.py showed that join no less
 accurate than the log-space one, within rounding, at N = 16, 64 and 256.
+The `*-source-only` digests, runs without g.path, were recorded before
+`Trajectory` kept its coefficient rows and its lift; they pin a lift-free
+trajectory.csv and `duhamel.solution_norm` through the CLI.
 """
 
 import hashlib
@@ -131,6 +134,15 @@ CLI_GOLDENS = {
         "stdout": "485a217498377381",
         "norms.json": "402f58f63a90068b",
     },
+    "forward-source-only": {
+        "stdout": "db72d428695dee6d",
+        "final_state.json": "c365b32b51a55da6",
+        "trajectory.csv": "43336cf75c00aa92",
+    },
+    "norms-source-only": {
+        "stdout": "96cf2dad40962974",
+        "norms.json": "05247b663b738ff0",
+    },
     "oracle-compare": {
         "stdout": "b10580c65ec56fdf",
         "oracle_compare.json": "de2a8265c2b99fe7",
@@ -162,13 +174,13 @@ def _run(tmp_path, capsys, sub, argv, out_dir):
     return got
 
 
-def _inhom_config(tmp_path, sub):
+def _inhom_config(tmp_path, sub, boundary=True):
     basis, u0, T = inhom_files(tmp_path)
     (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
     return write_conf(
         tmp_path,
         f"modes = 16\nT = {T!r}\nuT.path = uT.json\nu0.path = u0.json\n"
-        f"f.path = f.csv\ng.path = g.csv\nout.dir = out-{sub}\n",
+        f"f.path = f.csv\n{'g.path = g.csv' if boundary else ''}\nout.dir = out-{sub}\n",
         name=f"{sub}.conf",
     )
 
@@ -177,6 +189,14 @@ def _inhom_config(tmp_path, sub):
 def test_config_subcommands_match_recorded_bits(tmp_path, capsys, sub):
     conf = _inhom_config(tmp_path, sub)
     assert _run(tmp_path, capsys, sub, ["--config", conf], tmp_path / f"out-{sub}") == CLI_GOLDENS[sub]
+
+
+# without g.path: the lift-free trajectory.csv and `duhamel.solution_norm`
+@pytest.mark.parametrize("sub", ["forward", "norms"])
+def test_source_only_subcommands_match_recorded_bits(tmp_path, capsys, sub):
+    conf = _inhom_config(tmp_path, sub, boundary=False)
+    got = _run(tmp_path, capsys, sub, ["--config", conf], tmp_path / f"out-{sub}")
+    assert got == CLI_GOLDENS[f"{sub}-source-only"]
 
 
 def test_oracle_compare_matches_recorded_bits(tmp_path, capsys):

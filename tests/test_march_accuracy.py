@@ -95,7 +95,7 @@ def _case(n, kind):
     times = dh._merged_grid(f, tgrid, T, extra=None if g is None else g.times)
     values = f.sample(times)
     if g is not None:
-        values = values + bd.LiftPath(g, basis).coeff_matrix(times) * lam
+        values = values + bd.LiftPath(g, basis).sample(times)[2] * lam
     return u0, times, values, np.searchsorted(times, tgrid[::2])
 
 

@@ -10,9 +10,9 @@ Algorithms, 2nd ed. 2002, sec. 4.2): there is no cancellation for a
 compensated sum to recover.
 
 The reference reads the float64 arrays each function starts from: the
-linear-scale coefficients (`Trajectory.state_coeff_matrix`), the source
-and lift samples at the nodes, the node times, the eigenvalues and the
-basis constants.  It forms every difference, square, weight, sum,
+linear-scale coefficients (`Trajectory._coeffs`), the source and lift
+samples at the nodes, the node times, the eigenvalues and the basis
+constants.  It forms every difference, square, weight, sum,
 trapezoid and square root from them at 50 digits.
 
 Gate, on the golden trajectories of tests/test_batched_norms.py (forward
@@ -106,7 +106,7 @@ def errors(traj):
     basis = traj.basis
     lam = basis.lambdas
     (L,) = basis.spec.lengths
-    c = traj.state_coeff_matrix()
+    c = traj._coeffs
     out = {}
     with mpmath.workdps(50):
         lam_mp = _rows(lam)[0]
@@ -128,7 +128,8 @@ def errors(traj):
         if traj.lift is None:
             pr, w, p2 = cr, None, c2
         else:
-            w = _rows(traj.lift.coeff_matrix(traj.times))
+            a, b, w = traj.lift.sample(traj.times)
+            a, b, w = _rows(a)[0], _rows(b)[0], _rows(w)
             pr = [[x - y for x, y in zip(r, wr)] for r, wr in zip(cr, w)]
             p2 = _abs2(pr, ci)
         lam_p2 = [mpmath.fdot(r, lam_mp) for r in p2]
@@ -149,7 +150,6 @@ def errors(traj):
             l2 = l2_abs = [mpmath.fsum(r) for r in p2]
             b = [0] * len(ts)
         else:
-            a, b = (_rows(x)[0] for x in traj.lift.ab(traj.times))
             l2, l2_abs = [], []
             for r2, r, wr, ak, bk in zip(p2, pr, w, a, b):
                 cross = [2 * x * y for x, y in zip(r, wr)]
