@@ -8,6 +8,12 @@ CSV/JSON and byte-identical for identical config and seed.  Exit codes: 0
 success, 2 incompatible (or inconclusive) final data with the compatibility
 report on stdout, 1 usage, config or data errors: a usage error is followed
 by the usage text, a data error is one `error:` line.
+
+Each subcommand returns its exit code, its stdout text and the texts of its
+output files by path, and writes nothing; `cli` alone writes the files,
+creating their parents, and then stdout.  An input that cannot be read or
+decoded, and a destination that cannot be written, is one `error:` line; a
+failed write can leave the files of the same run written before it.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ def parse_config(path: str) -> dict:
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
     cfg: dict = {"__dir__": p.parent}
-    for lineno, raw in enumerate(p.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read(p, str).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,17 +134,20 @@ def policy_from_config(cfg: dict) -> MembershipPolicy:
         raise UsageError(str(exc)) from exc
 
 
-def _load(cfg: dict, key: str, parse, required: bool = False):
-    """Parse the file named by `key`, or None when the key is absent; a
-    parse failure is a data error that names the file.  InvalidSpecError
-    and GridMismatchError are ValueErrors."""
-    p = _cfg_path(cfg, key, required)
-    if p is None:
-        return None
+def _read(p: Path, parse):
+    """The one reader: parse the text of file p.  A file that does not
+    decode or parse is a data error that names it; UnicodeDecodeError,
+    InvalidSpecError and GridMismatchError are ValueErrors."""
     try:
         return parse(p.read_text())
     except ValueError as exc:
         raise InvalidSpecError(f"{p}: {exc}") from exc
+
+
+def _load(cfg: dict, key: str, parse, required: bool = False):
+    """Parse the file named by `key`, or None when the key is absent."""
+    p = _cfg_path(cfg, key, required)
+    return None if p is None else _read(p, parse)
 
 
 def _load_state(cfg: dict, key: str, basis: sp.EigenBasis, required: bool = True):
@@ -158,15 +167,13 @@ def _problem(args):
     return cfg, basis, T, f, g
 
 
-def _write_outputs(cfg: dict, texts: dict) -> None:
-    """Write each named text into out.dir (relative to the config file).  A
-    subcommand forms all its texts first, so a refusal leaves no file."""
-    out = Path(cfg.get("out.dir", "."))
-    if not out.is_absolute():
-        out = cfg["__dir__"] / out
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
+def _outputs(cfg: dict, texts: dict, default: str | None = None) -> dict:
+    """Each named text by its path in out.dir (relative to the config file),
+    or no file when out.dir is unset and there is no default."""
+    out = cfg.get("out.dir", default)
+    if out is None:
+        return {}
+    return {cfg["__dir__"] / out / name: text for name, text in texts.items()}
 
 
 def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
@@ -187,8 +194,9 @@ def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:
 
 
 # -- subcommands ------------------------------------------------------------
+# each returns (exit code, stdout text, {path: file text}) and writes nothing
 
-def _cmd_forward(args) -> int:
+def _cmd_forward(args):
     cfg, basis, T, f, g = _problem(args)
     u0 = _load_state(cfg, "u0.path", basis)
     traj = bd.solve_ibvp(u0, f, g, _tgrid(cfg, T, f))
@@ -199,12 +207,10 @@ def _cmd_forward(args) -> int:
         "final_norm": sp.norm_h(traj.final_state),
         "nodes": int(traj.times.size),
     })
-    _write_outputs(cfg, texts)
-    print(summary)
-    return 0
+    return 0, summary + "\n", _outputs(cfg, texts, ".")
 
 
-def _cmd_backward(args) -> int:
+def _cmd_backward(args):
     cfg, basis, T, f, g = _problem(args)
     u_T = _load_state(cfg, "uT.path", basis)
     policy = policy_from_config(cfg)
@@ -212,40 +218,30 @@ def _cmd_backward(args) -> int:
         # without tgrid.nodes the pipeline replays on its default grid
         sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_uniform_tgrid(cfg, T))
     except fvp.IncompatibleDataError as exc:
-        print(exc.report.to_json())
-        return 2
+        return 2, exc.report.to_json() + "\n", {}
     texts = {"u0.json": sp.vec_to_json(sol.trajectory.initial_state), "trajectory.csv": sol.trajectory.to_csv(),
              "compat.json": sol.compat.to_json(), "ynorm.json": sol.ynorm.to_json()}
     summary = sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict})
-    _write_outputs(cfg, texts)
-    print(summary)
-    return 0
+    return 0, summary + "\n", _outputs(cfg, texts, ".")
 
 
-def _cmd_check_compat(args) -> int:
+def _cmd_check_compat(args):
     cfg, basis, T, f, g = _problem(args)
     u_T = _load_state(cfg, "uT.path", basis)
     report = bd.check_final_data(f, g, u_T, T, policy_from_config(cfg))
-    print(report.to_json())
-    if cfg.get("out.dir") is not None:
-        _write_outputs(cfg, {"compat.json": report.to_json()})
-    return 0 if report.verdict == "compatible" else 2
+    text = report.to_json()
+    return 0 if report.verdict == "compatible" else 2, text + "\n", _outputs(cfg, {"compat.json": text})
 
 
-def _cmd_instability_demo(args) -> int:
+def _cmd_instability_demo(args):
     # instability_table refuses a bad horizon and a jmax outside 1..n_modes
     basis = build_basis(DomainSpec("interval", (args.length,), max(args.jmax, 1)))
     rows = fvp.instability_table(basis, args.T, args.jmax)
     text = fvp.instability_csv(rows)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return (0, "", {Path(args.out): text}) if args.out else (0, text, {})
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args):
     cfg, basis, T, f, g = _problem(args)
     policy = policy_from_config(cfg)
     reports: dict = {}
@@ -267,13 +263,10 @@ def _cmd_norms(args) -> int:
     if not reports:
         raise UsageError("norms needs uT.path or u0.path in the config")
     text = sp.strict_json(sp.json_payload(reports))
-    print(text)
-    if cfg.get("out.dir") is not None:
-        _write_outputs(cfg, {"norms.json": text})
-    return 0
+    return 0, text + "\n", _outputs(cfg, {"norms.json": text})
 
 
-def _cmd_oracle_compare(args) -> int:
+def _cmd_oracle_compare(args):
     # the Simpson projection of the FD samples needs an even panel count
     if args.fd_points is not None and args.fd_points % 2 == 0:
         raise UsageError(f"--fd-points must be odd, got {args.fd_points}")
@@ -316,48 +309,25 @@ def _cmd_oracle_compare(args) -> int:
         "steps": args.steps,
     }
     text = sp.strict_json(report)
-    print(text)
-    if cfg.get("out.dir") is not None:
-        _write_outputs(cfg, {"oracle_compare.json": text})
-    return 0
+    return 0, text + "\n", _outputs(cfg, {"oracle_compare.json": text})
 
 
-def _cmd_generator_lab(args) -> int:
+def _cmd_generator_lab(args):
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    p = Path(args.matrix)
-    if not p.is_file():
-        raise UsageError(f"matrix file not found: {args.matrix}")
-    gen = gl.MatrixGenerator(gl.parse_matrix(p.read_text()))
-    sector = gl.check_sectoriality(gen)
-    inj = gl.check_injectivity(gen, [0.1, 1.0, 10.0])
-    conv = gl.check_logconvexity_criterion(gen, trials=args.trials, seed=args.seed)
-    chain = gl.inverse_chain_demo(gen, 1.0, 2.0, seed=args.seed)
-    decay = gl.check_decay(gen, np.linspace(0.0, 5.0, 21))
+    a = _load({"__dir__": Path(), "--matrix": args.matrix}, "--matrix", gl.parse_matrix, required=True)
+    gen = gl.MatrixGenerator(a)
     report = {
+        "sectoriality": gl.check_sectoriality(gen),
+        "injectivity": gl.check_injectivity(gen, [0.1, 1.0, 10.0]),
+        "logconvexity": gl.check_logconvexity_criterion(gen, trials=args.trials, seed=args.seed),
+        "inverse_chain": gl.inverse_chain_demo(gen, 1.0, 2.0, seed=args.seed),
+        "decay": gl.check_decay(gen, np.linspace(0.0, 5.0, 21)),
+        # last: the probes refuse entries past float64 range before it can warn
         "classification": gen.classify(),
-        "sectoriality": sector,
-        "injectivity": {
-            "times": inj.times.tolist(),
-            "sigma_min": inj.sigma_min.tolist(),
-            "all_positive": inj.all_positive,
-            "floor_respected": inj.floor_respected,
-        },
-        "logconvexity": conv,
-        "inverse_chain": {
-            "t": chain.t,
-            "t_prime": chain.t_prime,
-            "max_ratio": chain.max_ratio,
-            "selfadjoint": chain.selfadjoint,
-        },
-        "decay": {"ok": decay.ok, "fitted_rate": decay.fitted_rate},
     }
     text = sp.strict_json(sp.json_payload(report))
-    print(text)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    return 0
+    return 0, text + "\n", {Path(args.out): text} if args.out else {}
 
 
 # -- driver ------------------------------------------------------------------
@@ -407,7 +377,10 @@ def cli(argv=None) -> int:
         if getattr(args, "fn", None) is None:
             sys.stderr.write(USAGE)
             return 1
-        return args.fn(args)
+        code, stdout, files = args.fn(args)
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n{USAGE}")
         return 1
@@ -418,6 +391,12 @@ def cli(argv=None) -> int:
         # a mode or sample count past what memory holds
         sys.stderr.write(f"error: {exc or 'out of memory'}\n")
         return 1
+    except OSError as exc:
+        # an unreadable input or an unwritable destination, named with the reason
+        sys.stderr.write(f"error: {exc.filename}: {exc.strerror}\n")
+        return 1
+    sys.stdout.write(stdout)
+    return code
 
 
 def main():

@@ -366,9 +366,10 @@ def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -
 
 @dataclass(frozen=True)
 class DecayReport:
-    times: np.ndarray
-    norms: np.ndarray
-    bound: np.ndarray
+    # the curves behind the verdict, kept out of the report's JSON
+    times: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
+    bound: np.ndarray = field(repr=False)
     ok: bool
     fitted_rate: float
 
@@ -395,7 +396,7 @@ def check_decay(gen: MatrixGenerator, times) -> DecayReport:
 class InjectivityReport:
     times: np.ndarray
     sigma_min: np.ndarray
-    heuristic_floor: np.ndarray
+    heuristic_floor: np.ndarray = field(repr=False)  # indicative only, kept out of the report's JSON
     all_positive: bool
     floor_respected: bool
 
@@ -594,7 +595,7 @@ def check_logconvexity_criterion(
 class ChainReport:
     t: float
     t_prime: float
-    ratios: np.ndarray
+    ratios: np.ndarray = field(repr=False)  # reported as max_ratio
     max_ratio: float
     selfadjoint: bool
 

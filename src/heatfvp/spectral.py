@@ -473,7 +473,8 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
 def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     """Evaluate the mode sum of an interval vector on
     np.linspace(0, L, panels + 1), endpoints included, by one DST-I.  Real
-    where every coefficient is real.
+    where every coefficient is real.  A sample past float64 range is
+    refused.
     """
     basis = vec.basis
     if basis.ndim != 1:
@@ -484,7 +485,11 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
         raise OverflowError("coefficients exceed linear floating-point range")
     c = vec.coefficients
     (L,) = basis.spec.lengths
-    return _uniform_dst(c if np.any(c.imag) else c.real, L, panels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _uniform_dst(c if np.any(c.imag) else c.real, L, panels)
+    if not np.all(np.isfinite(out)):
+        raise InvalidSpecError("uniform samples leave floating-point range")
+    return out
 
 
 def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
@@ -524,8 +529,9 @@ def json_payload(value):
 
     A report dataclass becomes a dict of its fields by name, leaving out the
     fields that are None and those kept out of its repr: an attached state
-    (CompatReport.u0) or a value also held as its parts
-    (SectorReport.argmax_lambda).  Dicts, lists and tuples are mapped item
+    (CompatReport.u0), a value also held as its parts
+    (SectorReport.argmax_lambda) or the curves behind a verdict
+    (DecayReport.norms).  Dicts, lists, tuples and arrays are mapped item
     by item.
     """
     if is_dataclass(value):
@@ -536,6 +542,8 @@ def json_payload(value):
         }
     if isinstance(value, dict):
         return {k: json_payload(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [json_payload(v) for v in value]
     if isinstance(value, np.generic):

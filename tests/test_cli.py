@@ -136,6 +136,15 @@ def _fresh_python(code):
 def _malformed_state(tmp_path, kind):
     """Config and state JSON for one bad input; returns the argument list."""
     conf = ["--config", str(tmp_path / "run.conf")]
+    if kind.startswith("out-"):
+        return _unwritable_destination(tmp_path, kind)
+    if kind.startswith("non-utf8-"):
+        # a Latin-1 byte that is not UTF-8
+        if kind == "non-utf8-config":
+            (tmp_path / "run.conf").write_bytes(b"# r\xe9glage\nmodes = 16\nT = 0.5\n")
+            return ["norms", *conf]
+        (tmp_path / "a.mat").write_bytes(b"2\n1 0 0 0\n0 0 1 0 # \xe9\n")
+        return ["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--trials", "4"]
     if kind.startswith("demo-length="):
         # eigenvalues beyond float64 range: (pi/L)^2 overflows at 1e-160, underflows at 1e200
         return ["instability-demo", "--T", "1", "--jmax", "3", "--length", kind[len("demo-length="):]]
@@ -167,7 +176,7 @@ def _malformed_state(tmp_path, kind):
             (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.array([[0.0, 1.0], [1.0, 0.0]])).to_csv())
             text += "f.path = f.csv\ng.path = g.csv\n"
         write_conf(tmp_path, text)
-        return [kind.split("-")[1], *conf]
+        return [kind[len("overflowing-"):].removesuffix("-fg"), *conf]
     basis, u0 = decayed_instance(16)
     if kind.startswith("huge-lift-"):
         # finite boundary values whose lift forcing lambda_j w_j overflows
@@ -199,6 +208,24 @@ def _malformed_state(tmp_path, kind):
     return ["norms" if kind.startswith("norms-") else "check-compat", *conf]
 
 
+def _unwritable_destination(tmp_path, kind):
+    """A run whose output goes to an existing file named "taken", to a path
+    under it, or to the existing directory "out"; returns the argument list."""
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out").mkdir()
+    sub = kind.removeprefix("out-dir-").removeprefix("out-under-file-").removeprefix("out-is-dir-")
+    if sub in ("generator-lab", "instability-demo"):
+        dest = tmp_path / "out" if kind.startswith("out-is-dir-") else tmp_path / "taken" / "result"
+        if sub == "generator-lab":
+            (tmp_path / "a.mat").write_text(format_matrix(np.diag([1.0, 2.0])))
+            return [sub, "--matrix", str(tmp_path / "a.mat"), "--trials", "4", "--out", str(dest)]
+        return [sub, "--T", "0.1", "--jmax", "8", "--out", str(dest)]
+    # out.dir names the file
+    (tmp_path / "u.json").write_text(sp.vec_to_json(decayed_instance(16)[1]))
+    conf = write_conf(tmp_path, "modes = 16\nT = 0.5\nu0.path = u.json\nuT.path = u.json\nout.dir = taken\n")
+    return [sub, "--config", conf]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -213,7 +240,11 @@ def _reject_constant(name):
     "demo-length=1e-160", "demo-length=1e200",
     "nan-source-time", "nan-boundary-time",
     "huge-lift-forward", "huge-lift-check-compat", "huge-lift-backward",
-    "overflowing-forward", "overflowing-forward-fg", "overflowing-norms",
+    "overflowing-forward", "overflowing-forward-fg", "overflowing-norms", "overflowing-oracle-compare",
+    "out-dir-forward", "out-dir-check-compat", "out-dir-norms",
+    "out-under-file-generator-lab", "out-is-dir-generator-lab",
+    "out-under-file-instability-demo", "out-is-dir-instability-demo",
+    "non-utf8-config", "non-utf8-matrix",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     argv = _malformed_state(tmp_path, kind)
@@ -226,6 +257,9 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
     # every output is formed before any is written
     assert not list((tmp_path / "out").glob("*"))
+    if kind.startswith(("out-", "non-utf8-")):
+        # the error names the file or directory that could not be used
+        assert str(tmp_path) in out.err
 
 
 @pytest.mark.parametrize("T", ["1e307", "1.7e308"])
@@ -399,7 +433,8 @@ class TestBackward:
         assert cli(["backward", "--config", conf]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "incompatible"
-        assert not (tmp_path / "out" / "u0.json").exists()
+        # a refused backward run writes no file and makes no directory
+        assert not (tmp_path / "out").exists()
 
     def test_source_past_T_replays_to_T(self, tmp_path, capsys):
         # the source grid runs to 2T; the trajectory and the endpoint check
@@ -496,11 +531,14 @@ class TestCheckCompat:
         basis = build_basis(DomainSpec("interval", (np.pi,), 64))
         rough = SpectralVec.from_coefficients(basis, 1.0 / np.arange(1, 65))
         (tmp_path / "uT.json").write_text(sp.vec_to_json(rough))
-        conf = write_conf(tmp_path, "modes = 64\nT = 1.0\nuT.path = uT.json\n")
+        conf = write_conf(tmp_path, "modes = 64\nT = 1.0\nuT.path = uT.json\nout.dir = out\n")
         assert cli(["check-compat", "--config", conf]) == 2
-        report = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        report = json.loads(stdout)
         assert report["verdict"] == "incompatible"
         assert {"cutoffs", "log_graph_norms", "stabilization_ratio"} <= set(report)
+        # the refused verdict is still written where out.dir asks
+        assert (tmp_path / "out" / "compat.json").read_text() + "\n" == stdout
 
     def test_policy_overrides_accepted(self, tmp_path, capsys):
         # at 16 modes the truncation ladder of this tail stabilizes only to

@@ -1,12 +1,15 @@
 """Bounded fuzz of the command-line driver, run in process.
 
 Every input -- a mutated config, state JSON, source or boundary CSV, or
-matrix -- must end in a result (exit 0), a refusal (exit 2) or an error
-(exit 1): no exception escapes `cli`, an error is reported on stderr, and
-every JSON the run prints or writes parses with NaN and Infinity refused.
-The draws lean on the edges: horizons whose 2 T lambda_N leaves float64,
-lengths of 1e-160 and 1e200, sources and boundary data that end before or
-after T, and huge or stiff matrices.  The runtime needs numpy only.
+matrix, and an output destination -- must end in a result (exit 0), a
+refusal (exit 2) or an error (exit 1): no exception escapes `cli`, an error
+is one line on stderr with nothing on stdout, and every JSON the run prints
+or writes parses with NaN and Infinity refused.  The draws lean on the
+edges: horizons whose 2 T lambda_N leaves float64, lengths of 1e-160 and
+1e200, sources and boundary data that end before or after T, huge or stiff
+matrices, a byte that is not UTF-8 in a config, state or matrix file, and
+an out.dir or --out that names an existing file, a path under it or an
+existing directory.  The runtime needs numpy only.
 """
 
 import io
@@ -32,6 +35,7 @@ VALID = {
     "kind": "interval", "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
     "cutoffs": None, "u0": "valid", "uT": "valid",
     "f_span": 1.0, "f_scale": 1.0, "f_form": "valid", "g_span": 1.0, "g_scale": 1.0, "g_form": "valid",
+    "out": "out",
 }
 LENGTHS = ("1e-160", "1e200", "2.5", "0", "-1", "nan", "x")
 HORIZONS = ("1.0", "1e-300", "1e-12", "1e300", "1e306", "0", "-1", "inf", "nan")
@@ -43,6 +47,8 @@ EDGES = {
     # the fraction of T that a source or boundary grid reaches
     "f_span": (0.5, 2.0), "f_scale": (0.0, 1e-300, 1e300), "f_form": ("garbage", "non-finite", "wrong-shape"),
     "g_span": (0.5, 2.0), "g_scale": (0.0, 1e-300, 1e300), "g_form": ("garbage", "non-finite", "wrong-shape"),
+    # every run finds the file "taken" and the empty directory "out" in its directory
+    "out": ("taken", "taken/sub"),
 }
 STATE_SCALES = {"huge": 1e300, "tiny": 1e-300, "zero": 0.0}
 MATRICES = {
@@ -53,6 +59,13 @@ MATRICES = {
     "tiny": [[1e-300, 0.0], [1e-300, 1e-300]],
     "zero": [[0.0, 0.0], [0.0, 0.0]],
     "rotation": [[0.0, -1.0], [1.0, 0.0]],
+}
+# the same for the options of instability-demo and generator-lab; "{}"
+# stands for the output file's name
+OTHER_VALID = {"T": "0.05", "jmax": "4", "length": VALID["length"], "seed": "0", "matrix": "jordan", "out": "out/{}"}
+OTHER_EDGES = {
+    "T": HORIZONS, "jmax": ("1", "0", "-1"), "length": LENGTHS, "seed": ("3", "-1"),
+    "matrix": tuple(sorted(MATRICES)) + ("garbage", "non-finite", "non-utf8"), "out": ("out", "taken", "taken/{}"),
 }
 
 
@@ -70,6 +83,14 @@ def _basis_or_none(kind, length, modes):
         return build_basis(DomainSpec(kind=kind, lengths=lengths, modes=int(modes)))
     except ValueError:  # InvalidSpecError is one
         return None
+
+
+def _garble(draw, text):
+    """`text` as UTF-8 bytes with one byte that cannot start or continue a
+    UTF-8 character there inserted at a drawn position."""
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
 
 
 def _horizon(text):
@@ -134,7 +155,8 @@ def config_runs(draw):
     length = c["length"] if c["kind"] != "rectangle" else f"{c['length']},{c['length']}"
     basis = _basis_or_none(c["kind"], length, c["modes"])
     T = _horizon(c["T"])
-    lines = [f"domain.kind = {c['kind']}", f"domain.length = {length}", f"modes = {c['modes']}", "out.dir = out"]
+    lines = [f"domain.kind = {c['kind']}", f"domain.length = {length}", f"modes = {c['modes']}",
+             f"out.dir = {c['out']}"]
     for key, value in (("T", c["T"]), ("tgrid.nodes", c["nodes"]), ("policy.cutoffs", c["cutoffs"])):
         if value is not None:
             lines.append(f"{key} = {value}")
@@ -151,6 +173,9 @@ def config_runs(draw):
         lines.append("g.path = g.csv")
         files["g.csv"] = _boundary_csv(T, c["g_span"], draw(st.integers(2, 5)), c["g_scale"], c["g_form"])
     files["run.conf"] = "\n".join(lines) + "\n"
+    garbled = draw(st.sampled_from((None,) * 6 + ("run.conf", "u0.json", "uT.json")))
+    if garbled in files:
+        files[garbled] = _garble(draw, files[garbled])
     sub = draw(st.sampled_from(CONFIG_SUBCOMMANDS))
     argv = [sub, "--config", "run.conf"]
     if sub == "oracle-compare":
@@ -161,34 +186,41 @@ def config_runs(draw):
 
 @st.composite
 def other_runs(draw):
-    """instability-demo and generator-lab, which take no config."""
+    """instability-demo and generator-lab, which take no config; a draw
+    mutates at most two options, so most runs reach their output."""
+    c = dict(OTHER_VALID)
+    for field in draw(st.sets(st.sampled_from(sorted(OTHER_EDGES)), max_size=2)):
+        c[field] = draw(st.sampled_from(OTHER_EDGES[field]))
     if draw(st.booleans()):
-        argv = ["instability-demo", "--T", draw(st.sampled_from(("0.05",) + HORIZONS)),
-                "--jmax", draw(st.sampled_from(["1", "4", "0", "-1"])),
-                "--length", draw(st.sampled_from((VALID["length"],) + LENGTHS)), "--out", "out/table.csv"]
+        argv = ["instability-demo", "--T", c["T"], "--jmax", c["jmax"], "--length", c["length"],
+                "--out", c["out"].format("table.csv")]
         return argv, {}
-    name = draw(st.sampled_from(sorted(MATRICES) + ["garbage", "non-finite"]))
+    name = c["matrix"]
     if name == "garbage":
         text = "2\n1 0 0\n"
     elif name == "non-finite":
         text = format_matrix(JORDAN).replace("10.0", "nan")
+    elif name == "non-utf8":
+        text = _garble(draw, format_matrix(JORDAN))
     else:
         text = format_matrix(MATRICES[name])
-    argv = ["generator-lab", "--matrix", "matrix.txt", "--trials", "4", "--seed",
-            draw(st.sampled_from(["0", "3", "-1"])), "--out", "out/lab.json"]
+    argv = ["generator-lab", "--matrix", "matrix.txt", "--trials", "4", "--seed", c["seed"],
+            "--out", c["out"].format("lab.json")]
     return argv, {"matrix.txt": text}
 
 
 def _run(argv, files):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        (root / "taken").write_text("")
+        (root / "out").mkdir()
         for name, text in files.items():
-            (root / name).write_text(text)
-        argv = [str(root / a) if a in files or a.startswith("out/") else a for a in argv]
+            (root / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        argv = [str(root / a) if a in files or a.split("/")[0] in ("out", "taken") else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = cli(argv)
-        written = {p.name: p.read_text() for p in (root / "out").glob("*.json")} if (root / "out").is_dir() else {}
+        written = {p.name: p.read_text() for p in (root / "out").glob("*.json")}
     return rc, out.getvalue(), err.getvalue(), written
 
 
@@ -196,6 +228,8 @@ def _check(argv, rc, out, err, written):
     assert rc in (0, 1, 2), (argv, rc, err)
     if rc == 1:
         assert err.startswith("error: ") and out == "", (argv, out, err)
+        # a usage error alone is followed by the usage text
+        assert len(err.splitlines()) == 1 or err.splitlines()[1].startswith("usage:"), (argv, err)
     elif argv[0] != "instability-demo":
         _strict_json(out)
     for text in written.values():

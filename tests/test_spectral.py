@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,12 @@ def test_uniform_samples_refusals(basis16):
     v.logmag[0] = 800.0
     with pytest.raises(OverflowError):
         uniform_samples(v, 64)
+    # finite coefficients whose sums leave float64 range: refused, with no warning
+    big = SpectralVec.from_coefficients(basis16, np.full(16, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match="uniform samples"):
+            uniform_samples(big, 64)
     rect = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 3))
     with pytest.raises(InvalidSpecError):
         uniform_samples(SpectralVec.unit(rect, 1), 8)
@@ -323,6 +330,9 @@ def test_json_payload_has_one_rule_for_non_finite_numbers():
     assert strict_json(json_payload({"x": 1e-300})) == strict_json({"x": 1e-300})
     with pytest.raises(InvalidSpecError):
         strict_json(json_payload({"x": [np.nan]}))
+    # an array becomes its list, under the same rule
+    assert json_payload({"a": np.array([np.inf, 2.0]), "m": np.eye(2)}) == {
+        "a": ["inf", 2.0], "m": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 def test_horizon_with_a_basis_keeps_the_backward_exponent_finite(basis16):
