@@ -22,11 +22,14 @@ SPECTRUM_SKIP_RTOL = 1e-8
 INJECTIVITY_SLACK = 1e2
 # slack allowed below zero in the log-convexity criterion margins
 LOGCONVEXITY_TOL = 1e-10
-# samples per stacked pass: shifted matrices per SVD call in
-# check_sectoriality (a block of 64 x 64 complex matrices stays at 8 MB),
-# and sample vectors per margin pass in check_logconvexity_criterion, so
-# that A x and A^2 x never exist for more than one block of vectors
+# shifted matrices per SVD call in check_sectoriality: a block of 64 x 64
+# complex matrices stays at 8 MB
 _BLOCK = 128
+# complex elements per stacked pass of check_logconvexity_criterion: the
+# margins take max(1, _BUDGET // d) sample vectors at a time, so that A x
+# and A^2 x never exist for more than one pass, and the profiles as many
+# times as keep the products e^{-tA} x of every sample within it
+_BUDGET = 2**16
 # the first sectoriality block: the points whose bound reaches the sup are
 # usually among the first few, so the blocks start here and double to _BLOCK
 _FIRST_BLOCK = 8
@@ -81,7 +84,10 @@ class GeneratorReport:
 class MatrixGenerator:
     """Square complex matrix (dimension <= 64) wrapped with the derived
     quantities the semigroup checks need.  A is a private read-only copy,
-    so each quantity is computed once, on first use."""
+    so each quantity of A alone (its norm, spectrum, eigenvectors and their
+    condition, the Hermitian part's smallest eigenvalue, the supporting
+    lines of the numerical range) is computed once, on first use, and
+    shared by every probe."""
 
     def __init__(self, a):
         a = np.array(a, dtype=complex)
@@ -110,6 +116,27 @@ class MatrixGenerator:
     def eigenvectors(self) -> np.ndarray:
         """The eigenvector matrix of eig(A), read-only."""
         return _read_only(np.linalg.eig(self.a)[1])
+
+    @cached_property
+    def eigenvector_cond(self) -> float:
+        """2-norm condition number of the eigenvector matrix."""
+        return float(np.linalg.cond(self.eigenvectors))
+
+    @cached_property
+    def support_lines(self) -> tuple:
+        """(cos alpha, sin alpha, lambda_min, lambda_max) of the Hermitian
+        part Herm(e^{-i alpha} A) for _FOV_DIRECTIONS / 2 directions alpha
+        in [0, pi): the supporting lines of the numerical range that
+        _fov_bounds reads, as a tuple of float tuples."""
+        n = _FOV_DIRECTIONS // 2
+        alphas = np.pi * np.arange(n) / n
+        cos, sin = np.cos(alphas), np.sin(alphas)
+        # Herm(e^{-i alpha} A) = cos(alpha) Herm(A) + sin(alpha) Herm(-i A)
+        a = self.a
+        herm = 0.5 * (a + a.conj().T)
+        herm_rot = -0.5j * (a - a.conj().T)
+        eigs = np.linalg.eigvalsh(cos[:, None, None] * herm + sin[:, None, None] * herm_rot)
+        return tuple(zip(cos.tolist(), sin.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()))
 
     @cached_property
     def is_selfadjoint(self) -> bool:
@@ -168,29 +195,51 @@ def _expm_pade13(m: np.ndarray) -> np.ndarray:
     """e^M for every matrix M of the stack m, shape (k, d, d).
 
     Each matrix is scaled by 2^{-s} with s = max(0, ceil(log2(||M||_1 /
-    theta_13))), the degree-13 Pade approximant of the whole stack is formed
-    with batched products and one batched solve, and each result is squared
-    s times, the finished ones masked out.  Every matrix goes through the
+    theta_13))), and the degree-13 Pade approximant of the whole stack is
+    formed with batched products, sums taken in place and left to right as
+    Higham writes them, and one batched solve.  The results are then put in
+    descending order of s and squared over a shrinking prefix: the i-th
+    squaring runs on the matrices with s > i.  Every matrix goes through the
     same per-matrix BLAS and LAPACK calls as it would alone, so its value
     does not depend on the rest of the stack.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.ceil(np.log2(np.abs(m).sum(axis=1).max(axis=1) / _THETA_13))
     # a 1-norm past float64 range takes the largest scaling; a NaN one fails below
-    s = np.clip(np.nan_to_num(s, nan=0.0, posinf=1022.0), 0.0, 1022.0).astype(int)
+    s[np.isnan(s)] = 0.0
+    s = np.clip(s, 0.0, 1022.0).astype(int)
     m = m * np.ldexp(1.0, -s)[:, None, None]
     b = _PADE_13
     eye = np.eye(m.shape[-1])
     m2 = m @ m
     m4 = m2 @ m2
     m6 = m2 @ m4
-    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
-    v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for i in range(int(s.max(initial=0))):
-        live = s > i
-        r[live] = r[live] @ r[live]
-    return r
+    term = np.empty_like(m)
+
+    def add_terms(acc, *terms):
+        # acc + c_1 x_1 + c_2 x_2 + ..., in place, left to right
+        for c, x in terms:
+            acc += np.multiply(c, x, out=term)
+        return acc
+
+    inner = add_terms(np.multiply(b[13], m6), (b[11], m4), (b[9], m2))
+    u = m @ add_terms(m6 @ inner, (b[7], m6), (b[5], m4), (b[3], m2), (b[1], eye))
+    inner = add_terms(np.multiply(b[12], m6, out=inner), (b[10], m4), (b[8], m2))
+    v = add_terms(m6 @ inner, (b[6], m6), (b[4], m4), (b[2], m2), (b[0], eye))
+    q = v - u
+    v += u
+    r = np.linalg.solve(q, v)
+    top = int(s.max(initial=0))
+    if top == 0:
+        return r
+    order = np.argsort(-s, kind="stable")
+    r, s = r[order], s[order]
+    for i in range(top):
+        live = np.count_nonzero(s > i)
+        r[:live] = r[:live] @ r[:live]
+    out = np.empty_like(r)
+    out[order] = r
+    return out
 
 
 def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
@@ -201,12 +250,16 @@ def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
     stack, in one batched evaluation whose every matrix is bit-identical to
     the scalar call.  A diagonal A takes the exponential of its diagonal
     exactly; any other runs Pade-13 scaling and squaring (_expm_pade13).  A
-    value past float64 range is refused, naming the first such time.
+    time that is not finite, and a value past float64 range, are refused,
+    naming the first such time.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise InvalidSpecError("times must be a scalar or a 1-d array")
     ts = np.atleast_1d(t)
+    finite = np.isfinite(ts)
+    if not finite.all():
+        raise InvalidSpecError(f"e^{{-tA}} needs finite times, not t = {ts[np.argmin(finite)]:g}")
     a = gen.a
     m = np.multiply.outer(-ts, a)
     # an overflow leaves inf or NaN in the value, refused below
@@ -235,12 +288,12 @@ class SectorSpec:
     bound: float = 10.0
 
     def __post_init__(self):
-        if self.omega < 0.0:
-            raise InvalidSpecError("sector vertex must be nonnegative")
+        if not 0.0 <= self.omega < np.inf:
+            raise InvalidSpecError("sector vertex must be finite and nonnegative")
         if not 0.0 < self.theta < np.pi / 2:
             raise InvalidSpecError("sector angle must lie in (0, pi/2)")
-        if self.bound < 1.0:
-            raise InvalidSpecError("sector bound must be at least 1")
+        if not 1.0 <= self.bound < np.inf:
+            raise InvalidSpecError("sector bound must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -262,7 +315,7 @@ class SectorReport:
         return strict_json(json_payload(self))
 
 
-def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _fov_bounds(gen: MatrixGenerator, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Upper bounds on dist / sigma_min(lam I + A), with sigma_min as the SVD
     computes it, at every lam.
 
@@ -273,25 +326,18 @@ def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray)
     the fixed directions, less an allowance for rounding in the eigenvalues,
     the separations, the shifted matrix and the SVD, stays at or below the
     smallest singular value that the SVD returns.  Where it is not positive
-    the bound is inf.
+    the bound is inf.  The lines are the generator's, computed once.
     """
     # directions alpha in [0, pi) and alpha + pi: Herm(e^{-i (alpha + pi)} A)
-    # is -Herm(e^{-i alpha} A), whose largest eigenvalue is -lambda_min
-    n = _FOV_DIRECTIONS // 2
-    alphas = np.pi * np.arange(n) / n
-    cos, sin = np.cos(alphas), np.sin(alphas)
-    # Herm(e^{-i alpha} A) = cos(alpha) Herm(A) + sin(alpha) Herm(-i A)
-    herm = 0.5 * (a + a.conj().T)
-    herm_rot = -0.5j * (a - a.conj().T)
-    eigs = np.linalg.eigvalsh(cos[:, None, None] * herm + sin[:, None, None] * herm_rot)
+    # is -Herm(e^{-i alpha} A), whose largest eigenvalue is -lambda_min.
     # Re(e^{-i alpha} (-lam)) = -u, one direction pair at a time in real arithmetic
     x, y = lams.real, lams.imag
     sep = np.full(lams.size, -np.inf)
-    for c, s, lo, hi in zip(cos.tolist(), sin.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+    for c, s, lo, hi in gen.support_lines:
         u = c * x + s * y
         np.maximum(sep, -u - hi, out=sep)
         np.maximum(sep, u + lo, out=sep)
-    floor = sep - _FOV_ROUNDING * np.finfo(float).eps * a.shape[0] * (np.abs(x) + np.abs(y) + norm2)
+    floor = sep - _FOV_ROUNDING * np.finfo(float).eps * gen.dim * (np.abs(x) + np.abs(y) + gen.norm2)
     bound = np.full(lams.size, np.inf)
     with np.errstate(over="ignore"):  # a quotient past float64 range is still an upper bound
         np.divide(dist, floor, out=bound, where=floor > 0.0)
@@ -335,7 +381,7 @@ def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -
     # np.abs on a complex array may differ from libm's hypot in the last
     # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
     dist = np.hypot(lams.real - sector.omega, lams.imag)
-    bound = _fov_bounds(a, norm2, lams, dist)
+    bound = _fov_bounds(gen, lams, dist)
     vals = np.full(lams.size, -np.inf)
     best = -np.inf
     eye = np.eye(gen.dim)
@@ -412,9 +458,8 @@ def check_injectivity(gen: MatrixGenerator, times) -> InjectivityReport:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.size < 1 or np.any(ts <= 0):
         raise InvalidSpecError("need strictly positive times")
-    cond_v = float(np.linalg.cond(gen.eigenvectors))
     smins = np.linalg.svd(exp_semigroup(gen, ts), compute_uv=False)[:, -1]
-    floor = np.exp(-gen.norm2 * ts) / cond_v
+    floor = np.exp(-gen.norm2 * ts) / gen.eigenvector_cond
     return InjectivityReport(
         ts,
         smins,
@@ -500,34 +545,50 @@ def _log_profile(gen: MatrixGenerator, xs: np.ndarray, ts: np.ndarray):
     difference carry it to
     2/(t_j - t_{j-2}) ((e_j + e_{j-1})/(t_j - t_{j-1}) + (e_{j-1} + e_{j-2})/(t_{j-1} - t_{j-2})).
 
-    One time at a time, keeping only the last two log-norms, floors and
-    slopes per row: every value is bit-identical to evaluating the rows one
-    by one.
+    The times are taken in passes of max(1, _BUDGET // xs.size): one stacked
+    product per pass applies each of its values to every row, and the
+    log-norms, floors and divided differences of the pass are array
+    operations, led by the last two rows of the pass before.  Every value is
+    bit-identical to evaluating the times and the rows one by one.
     """
     values = exp_semigroup(gen, ts)
     d, norm_a = gen.dim, gen.norm2
     eps = np.finfo(float).eps
+    flat = values.reshape(len(ts), -1)
+    # (d + |t| ||A||) ||e^{-tA}||_F per time, the norm summed as
+    # np.linalg.norm sums it, unscaled: past float64 range it is inf
+    with np.errstate(over="ignore"):
+        fro = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+        weight = (d + np.abs(ts) * norm_a) * fro
     divdiffs = np.full(len(xs), np.inf)
     slack = np.full(len(xs), np.inf)
-    lh = err = d1 = g1 = None
-    for j, t in enumerate(ts):
-        h = _norms(_apply(values[j], xs))
-        if np.any(h == 0.0):
+    lh = err = np.empty((0, len(xs)))
+    per_pass = max(1, _BUDGET // xs.size)
+    for j0 in range(0, len(ts), per_pass):
+        j1 = min(j0 + per_pass, len(ts))
+        h = _norms(np.matmul(values[j0:j1, None], xs[None, :, :, None]).reshape(-1, d)).reshape(j1 - j0, -1)
+        under = np.any(h == 0.0, axis=1)
+        if under.any():
+            t = ts[j0 + np.argmax(under)]
             raise InvalidSpecError(f"|e^{{-tA}} x| underflows to 0 at t = {t:g}: its logarithm is undefined")
-        lh_prev, lh = lh, np.log(h)
+        lh_pass = np.log(h)
         # a floor past float64 range leaves no divided difference refuted
         with np.errstate(over="ignore"):
-            err_prev, err = err, 8.0 * eps * ((d + abs(t) * norm_a) * np.linalg.norm(values[j]) / h + np.abs(lh))
-        if j >= 1:
-            step = ts[j] - ts[j - 1]
-            d1_prev, d1 = d1, (lh - lh_prev) / step
-            g1_prev, g1 = g1, (err + err_prev) / step
-        if j >= 2:
-            dd = 2.0 * (d1 - d1_prev) / (ts[j] - ts[j - 2])
-            with np.errstate(over="ignore", invalid="ignore"):
-                floor = 2.0 * (g1 + g1_prev) / (ts[j] - ts[j - 2])
-                np.fmin(slack, dd / floor, out=slack)
-            np.minimum(divdiffs, dd, out=divdiffs)
+            err_pass = 8.0 * eps * (weight[j0:j1, None] / h + np.abs(lh_pass))
+        lh, err = np.concatenate([lh[-2:], lh_pass]), np.concatenate([err[-2:], err_pass])
+        tj = ts[j1 - len(lh):j1]
+        step = (tj[1:] - tj[:-1])[:, None]
+        d1 = (lh[1:] - lh[:-1]) / step
+        g1 = (err[1:] + err[:-1]) / step
+        span = (tj[2:] - tj[:-2])[:, None]
+        dd = 2.0 * (d1[1:] - d1[:-1]) / span
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = dd / (2.0 * (g1[1:] + g1[:-1]) / span)
+        # folded row by row, as the times come: which of -0.0 and +0.0 fmin
+        # keeps depends on operand order, so a reduction could move a sign
+        for dd_j, ratio_j in zip(dd, ratio):
+            np.fmin(slack, ratio_j, out=slack)
+            np.minimum(divdiffs, dd_j, out=divdiffs)
     return divdiffs, slack
 
 
@@ -555,9 +616,10 @@ def check_logconvexity_criterion(
     whether "criterion for all sampled x" was accompanied by "log-convex for
     all sampled trajectories".
 
-    The samples are processed as one stack: the margins in fixed blocks of
-    rows, the profiles one time at a time.  Every value is bit-identical to
-    evaluating the samples one by one.
+    The samples are processed as one stack, in passes of at most _BUDGET
+    complex elements: the margins in blocks of _BUDGET // d rows, the
+    profiles in passes over time (see _log_profile).  Every value is
+    bit-identical to evaluating the samples, and the times, one by one.
     """
     if trials < 1:
         raise InvalidSpecError("need at least one trial vector")
@@ -573,8 +635,9 @@ def check_logconvexity_criterion(
     if not np.isfinite(norm * norm):
         raise InvalidSpecError("||A||^2 exceeds float64 range: the criterion margins cannot be formed")
     scale = norm ** 2
+    rows = max(1, _BUDGET // gen.dim)
     margins = np.concatenate([
-        _criterion_margins(a, xs[i:i + _BLOCK], scale) for i in range(0, len(xs), _BLOCK)
+        _criterion_margins(a, xs[i:i + rows], scale) for i in range(0, len(xs), rows)
     ])
     divdiffs, slack = _log_profile(gen, xs, ts)
     crit_frac = float(np.mean(margins >= -LOGCONVEXITY_TOL))

@@ -4,6 +4,7 @@ log-convexity, and the backward-domain chain ordering."""
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,6 +163,14 @@ class TestSectoriality:
         with pytest.raises(InvalidSpecError):
             SectorSpec(bound=0.5)
 
+    @pytest.mark.parametrize("field", ["omega", "theta", "bound"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_spec_refuses_values_that_are_not_finite(self, field, value):
+        # a NaN vertex used to end in LinAlgError, an infinite one in
+        # warnings, and a NaN bound in a verdict
+        with pytest.raises(InvalidSpecError):
+            SectorSpec(**{field: value})
+
     def test_zero_matrix_samples_the_unit_decades(self):
         # radii scaled by ||A|| = 0 would all sit on omega = 0, the
         # spectrum, and leave nothing to sample
@@ -239,6 +248,22 @@ class TestInjectivity:
     def test_needs_positive_times(self):
         with pytest.raises(InvalidSpecError):
             check_injectivity(MatrixGenerator([[1.0]]), [0.0])
+
+
+@pytest.mark.parametrize("a", [np.diag([1.0, 2.0]), JORDAN])
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+@pytest.mark.parametrize("probe", ["decay", "injectivity", "chain"])
+def test_probes_refuse_times_that_are_not_finite(a, t, probe):
+    # one refusal, with no warning first: the suite turns RuntimeWarning
+    # into an error, and a diagonal A at t = inf used to form -inf * 0
+    gen = MatrixGenerator(a)
+    with pytest.raises(InvalidSpecError):
+        if probe == "decay":
+            check_decay(gen, [0.0, 1.0, t])
+        elif probe == "injectivity":
+            check_injectivity(gen, [1.0, t])
+        else:
+            inverse_chain_demo(gen, 1.0, t)
 
 
 class TestLogConvexity:
@@ -722,7 +747,7 @@ def test_pruned_sectoriality_equals_the_exhaustive_scan(kind, dim, seed):
     gen = _sector_test_generator(kind, dim, seed)
     want, lams, vals = _exhaustive_sectoriality(gen)
     # the numerical-range bound holds at every sample point ...
-    bound = generator._fov_bounds(gen.a, gen.norm2, lams, np.hypot(lams.real, lams.imag))
+    bound = generator._fov_bounds(gen, lams, np.hypot(lams.real, lams.imag))
     assert np.all(vals <= bound)
     # ... so the points it skips leave every report field as it was
     assert _sector_hex(check_sectoriality(gen)) == _sector_hex(want)
@@ -758,3 +783,117 @@ def test_logconvexity_memory_does_not_scale_with_times():
     assert rep.n_trials == trials + 16
     xs_bytes = rep.n_trials * 16 * np.dtype(complex).itemsize
     assert peak < 3 * xs_bytes
+
+
+def _per_time_profile(gen, xs, ts):
+    """The log profile one time at a time and one product per time, as
+    _log_profile evaluated it before its passes over time: the reference
+    that every pass size must reproduce."""
+    values = exp_semigroup(gen, ts)
+    d, norm_a = gen.dim, gen.norm2
+    eps = np.finfo(float).eps
+    divdiffs = np.full(len(xs), np.inf)
+    slack = np.full(len(xs), np.inf)
+    lh = err = d1 = g1 = None
+    for j, t in enumerate(ts):
+        h = generator._norms(generator._apply(values[j], xs))
+        if np.any(h == 0.0):
+            raise InvalidSpecError(f"|e^{{-tA}} x| underflows to 0 at t = {t:g}: its logarithm is undefined")
+        lh_prev, lh = lh, np.log(h)
+        with np.errstate(over="ignore"):
+            err_prev, err = err, 8.0 * eps * ((d + abs(t) * norm_a) * np.linalg.norm(values[j]) / h + np.abs(lh))
+        if j >= 1:
+            step = ts[j] - ts[j - 1]
+            d1_prev, d1 = d1, (lh - lh_prev) / step
+            g1_prev, g1 = g1, (err + err_prev) / step
+        if j >= 2:
+            dd = 2.0 * (d1 - d1_prev) / (ts[j] - ts[j - 2])
+            with np.errstate(over="ignore", invalid="ignore"):
+                floor = 2.0 * (g1 + g1_prev) / (ts[j] - ts[j - 2])
+                np.fmin(slack, dd / floor, out=slack)
+            np.minimum(divdiffs, dd, out=divdiffs)
+    return divdiffs, slack
+
+
+def _profile_outcome(profile, gen, xs, ts):
+    """The profile's arrays as bytes, or the refusal's message."""
+    try:
+        return tuple(x.tobytes() for x in profile(gen, xs, ts))
+    except InvalidSpecError as exc:
+        return str(exc)
+
+
+def _profile_test_generator(kind, dim, seed):
+    if kind == "diag":
+        # the largest entry at 60 sends some profiles under float64 range
+        # within the drawn times, the negative one grows them
+        return MatrixGenerator(np.diag([[-3.0, 0.5, 60.0][seed % 3]] + [1.0] * (dim - 1)))
+    if kind == "nonnormal":
+        return random_elliptic(dim, seed=seed, skew_scale=1e3)
+    return _sector_test_generator(kind, dim, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["elliptic", "selfadjoint", "nonnormal", "jordan", "zero", "diag"]),
+    dim=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+    trials=st.integers(1, 64),
+    start=st.floats(-2.0, 1.0),
+    gaps=st.lists(st.floats(1e-3, 0.5), min_size=2, max_size=39),
+    per_pass=st.sampled_from(["one", "some", "all"]),
+    data=st.data(),
+)
+def test_profile_passes_equal_the_per_time_loop(kind, dim, seed, trials, start, gaps, per_pass, data):
+    gen = _profile_test_generator(kind, dim, seed)
+    ts = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    assert np.all(np.diff(ts) > 0)
+    xs = generator._convexity_samples(gen, trials, seed)
+    # the budget that makes one pass hold one time, some of them or all
+    if per_pass == "one":
+        budget = data.draw(st.integers(1, 2 * xs.size - 1))
+    else:
+        times = len(ts) if per_pass == "all" else data.draw(st.integers(2, len(ts) - 1))
+        budget = times * xs.size + data.draw(st.integers(0, xs.size - 1))
+    with mock.patch.object(generator, "_BUDGET", budget):
+        got = _profile_outcome(generator._log_profile, gen, xs, ts)
+    assert got == _profile_outcome(_per_time_profile, gen, xs, ts)
+
+
+def test_underflow_in_a_later_pass_names_its_first_time():
+    # the squared norm of e^{-1000 t} x underflows from t = 0.464, the 17th
+    # default time; 5,001 samples of d = 1 leave room for 13 times a pass,
+    # so it falls in the second
+    gen = MatrixGenerator([[1e3]])
+    ts = np.geomspace(1e-3, 10.0, 25)
+    xs = generator._convexity_samples(gen, 5000, 0)
+    assert generator._BUDGET // xs.size < 16 < len(ts)
+    want = _profile_outcome(_per_time_profile, gen, xs, ts)
+    assert want == "|e^{-tA} x| underflows to 0 at t = 0.464159: its logarithm is undefined"
+    assert _profile_outcome(generator._log_profile, gen, xs, ts) == want
+    with pytest.raises(InvalidSpecError, match=r"^\|e\^\{-tA\} x\| underflows to 0 at t = 0\.464159:"):
+        check_logconvexity_criterion(gen, trials=5000)
+
+
+def test_generator_caches_its_support_lines_and_eigenvector_condition(monkeypatch):
+    # the eigenvalues of the 32 rotated Hermitian parts and cond(V) depend on
+    # A alone: a second round of probes reads them from the generator
+    gen = random_elliptic(6, seed=3)
+    counts = {"eigvalsh": 0, "cond": 0}
+
+    def counting(name, stacked_only):
+        real = getattr(np.linalg, name)
+
+        def call(x, *args, **kwargs):
+            if not stacked_only or np.ndim(x) == 3:
+                counts[name] += 1
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    counting("eigvalsh", stacked_only=True)
+    counting("cond", stacked_only=False)
+    first = [check_sectoriality(gen), check_injectivity(gen, [0.1, 1.0, 10.0])]
+    second = [check_sectoriality(gen), check_injectivity(gen, [0.1, 1.0, 10.0])]
+    assert counts == {"eigvalsh": 1, "cond": 1}
+    assert repr(first) == repr(second)
