@@ -84,10 +84,7 @@ class GeneratorReport:
 class MatrixGenerator:
     """Square complex matrix (dimension <= 64) wrapped with the derived
     quantities the semigroup checks need.  A is a private read-only copy,
-    so each quantity of A alone (its norm, spectrum, eigenvectors and their
-    condition, the Hermitian part's smallest eigenvalue, the supporting
-    lines of the numerical range) is computed once, on first use, and
-    shared by every probe."""
+    so each quantity is computed once, on first use."""
 
     def __init__(self, a):
         a = np.array(a, dtype=complex)
@@ -116,27 +113,6 @@ class MatrixGenerator:
     def eigenvectors(self) -> np.ndarray:
         """The eigenvector matrix of eig(A), read-only."""
         return _read_only(np.linalg.eig(self.a)[1])
-
-    @cached_property
-    def eigenvector_cond(self) -> float:
-        """2-norm condition number of the eigenvector matrix."""
-        return float(np.linalg.cond(self.eigenvectors))
-
-    @cached_property
-    def support_lines(self) -> tuple:
-        """(cos alpha, sin alpha, lambda_min, lambda_max) of the Hermitian
-        part Herm(e^{-i alpha} A) for _FOV_DIRECTIONS / 2 directions alpha
-        in [0, pi): the supporting lines of the numerical range that
-        _fov_bounds reads, as a tuple of float tuples."""
-        n = _FOV_DIRECTIONS // 2
-        alphas = np.pi * np.arange(n) / n
-        cos, sin = np.cos(alphas), np.sin(alphas)
-        # Herm(e^{-i alpha} A) = cos(alpha) Herm(A) + sin(alpha) Herm(-i A)
-        a = self.a
-        herm = 0.5 * (a + a.conj().T)
-        herm_rot = -0.5j * (a - a.conj().T)
-        eigs = np.linalg.eigvalsh(cos[:, None, None] * herm + sin[:, None, None] * herm_rot)
-        return tuple(zip(cos.tolist(), sin.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()))
 
     @cached_property
     def is_selfadjoint(self) -> bool:
@@ -195,11 +171,9 @@ def _expm_pade13(m: np.ndarray) -> np.ndarray:
     """e^M for every matrix M of the stack m, shape (k, d, d).
 
     Each matrix is scaled by 2^{-s} with s = max(0, ceil(log2(||M||_1 /
-    theta_13))), and the degree-13 Pade approximant of the whole stack is
-    formed with batched products, sums taken in place and left to right as
-    Higham writes them, and one batched solve.  The results are then put in
-    descending order of s and squared over a shrinking prefix: the i-th
-    squaring runs on the matrices with s > i.  Every matrix goes through the
+    theta_13))), the degree-13 Pade approximant of the whole stack is formed
+    with batched products and one batched solve, and each result is squared
+    s times, the finished ones masked out.  Every matrix goes through the
     same per-matrix BLAS and LAPACK calls as it would alone, so its value
     does not depend on the rest of the stack.
     """
@@ -214,32 +188,13 @@ def _expm_pade13(m: np.ndarray) -> np.ndarray:
     m2 = m @ m
     m4 = m2 @ m2
     m6 = m2 @ m4
-    term = np.empty_like(m)
-
-    def add_terms(acc, *terms):
-        # acc + c_1 x_1 + c_2 x_2 + ..., in place, left to right
-        for c, x in terms:
-            acc += np.multiply(c, x, out=term)
-        return acc
-
-    inner = add_terms(np.multiply(b[13], m6), (b[11], m4), (b[9], m2))
-    u = m @ add_terms(m6 @ inner, (b[7], m6), (b[5], m4), (b[3], m2), (b[1], eye))
-    inner = add_terms(np.multiply(b[12], m6, out=inner), (b[10], m4), (b[8], m2))
-    v = add_terms(m6 @ inner, (b[6], m6), (b[4], m4), (b[2], m2), (b[0], eye))
-    q = v - u
-    v += u
-    r = np.linalg.solve(q, v)
-    top = int(s.max(initial=0))
-    if top == 0:
-        return r
-    order = np.argsort(-s, kind="stable")
-    r, s = r[order], s[order]
-    for i in range(top):
-        live = np.count_nonzero(s > i)
-        r[:live] = r[:live] @ r[:live]
-    out = np.empty_like(r)
-    out[order] = r
-    return out
+    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
+    v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(int(s.max(initial=0))):
+        live = s > i
+        r[live] = r[live] @ r[live]
+    return r
 
 
 def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
@@ -315,7 +270,7 @@ class SectorReport:
         return strict_json(json_payload(self))
 
 
-def _fov_bounds(gen: MatrixGenerator, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Upper bounds on dist / sigma_min(lam I + A), with sigma_min as the SVD
     computes it, at every lam.
 
@@ -326,18 +281,25 @@ def _fov_bounds(gen: MatrixGenerator, lams: np.ndarray, dist: np.ndarray) -> np.
     the fixed directions, less an allowance for rounding in the eigenvalues,
     the separations, the shifted matrix and the SVD, stays at or below the
     smallest singular value that the SVD returns.  Where it is not positive
-    the bound is inf.  The lines are the generator's, computed once.
+    the bound is inf.
     """
     # directions alpha in [0, pi) and alpha + pi: Herm(e^{-i (alpha + pi)} A)
-    # is -Herm(e^{-i alpha} A), whose largest eigenvalue is -lambda_min.
+    # is -Herm(e^{-i alpha} A), whose largest eigenvalue is -lambda_min
+    n = _FOV_DIRECTIONS // 2
+    alphas = np.pi * np.arange(n) / n
+    cos, sin = np.cos(alphas), np.sin(alphas)
+    # Herm(e^{-i alpha} A) = cos(alpha) Herm(A) + sin(alpha) Herm(-i A)
+    herm = 0.5 * (a + a.conj().T)
+    herm_rot = -0.5j * (a - a.conj().T)
+    eigs = np.linalg.eigvalsh(cos[:, None, None] * herm + sin[:, None, None] * herm_rot)
     # Re(e^{-i alpha} (-lam)) = -u, one direction pair at a time in real arithmetic
     x, y = lams.real, lams.imag
     sep = np.full(lams.size, -np.inf)
-    for c, s, lo, hi in gen.support_lines:
+    for c, s, lo, hi in zip(cos.tolist(), sin.tolist(), eigs[:, 0].tolist(), eigs[:, -1].tolist()):
         u = c * x + s * y
         np.maximum(sep, -u - hi, out=sep)
         np.maximum(sep, u + lo, out=sep)
-    floor = sep - _FOV_ROUNDING * np.finfo(float).eps * gen.dim * (np.abs(x) + np.abs(y) + gen.norm2)
+    floor = sep - _FOV_ROUNDING * np.finfo(float).eps * a.shape[0] * (np.abs(x) + np.abs(y) + norm2)
     bound = np.full(lams.size, np.inf)
     with np.errstate(over="ignore"):  # a quotient past float64 range is still an upper bound
         np.divide(dist, floor, out=bound, where=floor > 0.0)
@@ -381,7 +343,7 @@ def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -
     # np.abs on a complex array may differ from libm's hypot in the last
     # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
     dist = np.hypot(lams.real - sector.omega, lams.imag)
-    bound = _fov_bounds(gen, lams, dist)
+    bound = _fov_bounds(a, norm2, lams, dist)
     vals = np.full(lams.size, -np.inf)
     best = -np.inf
     eye = np.eye(gen.dim)
@@ -458,8 +420,9 @@ def check_injectivity(gen: MatrixGenerator, times) -> InjectivityReport:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if ts.size < 1 or np.any(ts <= 0):
         raise InvalidSpecError("need strictly positive times")
+    cond_v = float(np.linalg.cond(gen.eigenvectors))
     smins = np.linalg.svd(exp_semigroup(gen, ts), compute_uv=False)[:, -1]
-    floor = np.exp(-gen.norm2 * ts) / gen.eigenvector_cond
+    floor = np.exp(-gen.norm2 * ts) / cond_v
     return InjectivityReport(
         ts,
         smins,
