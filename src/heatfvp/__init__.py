@@ -43,7 +43,6 @@ from .fvp import (
     FvpSolution,
     IncompatibleDataError,
     InconclusiveDataError,
-    instability_csv,
     instability_table,
     solve_final_value,
 )
@@ -53,7 +52,6 @@ from .generator import (
     GeneratorReport,
     MatrixGenerator,
     SectorReport,
-    SectorSpec,
     check_decay,
     check_injectivity,
     check_logconvexity_criterion,

@@ -54,7 +54,7 @@ from .semigroup import (
     apply_inverse,
     check_domain_membership,
 )
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, json_payload, rel_distance, strict_json, triple_norms
+from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, rel_distance, triple_norms
 
 TRACE_SURROGATE_SAMPLES = 128
 _CSV_HEADER = ["t", "g_left", "g_right"]
@@ -102,7 +102,7 @@ class BoundaryData:
         return _interpolate(self.times, self.values, ts, "boundary data")
 
     def to_csv(self) -> str:
-        return _node_csv(_CSV_HEADER, np.column_stack([self.times, self.values]))
+        return _node_csv(_CSV_HEADER, np.column_stack([self.times, self.values]).tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "BoundaryData":
@@ -330,9 +330,6 @@ class YNormReport:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_total))
 
-    def to_json(self) -> str:
-        return strict_json(json_payload(self))
-
 
 @dataclass
 class FvpSolution:
@@ -469,8 +466,8 @@ def solve_final_value_inhom(
     Forms v = u_T - (source yield) - z(T), runs the membership heuristic,
     reconstructs u(0) = e^{T A} v on `compatible`, and replays the forward
     boundary solve.  g=None is the problem without a boundary term.
-    `tgrid` must start at 0 and end at T; see `fvp.solve_final_value` for
-    its default.
+    `tgrid` must start at 0 and end at T; by default it is the source's
+    nodes in [0, T] plus 0 and T, or 33 uniform nodes without a source.
     """
     return _backward_solve(f, g, u_T, T, policy, tgrid)
 

@@ -128,10 +128,8 @@ def policy_from_config(cfg: dict) -> MembershipPolicy:
             kwargs["cutoffs"] = tuple(int(x) for x in cfg["policy.cutoffs"].split(","))
         except ValueError as exc:
             raise UsageError("policy.cutoffs must be comma-separated integers") from exc
-    try:
-        return MembershipPolicy(**kwargs)
-    except InvalidSpecError as exc:
-        raise UsageError(str(exc)) from exc
+    # a threshold the policy refuses is one error line, as a refused T is
+    return MembershipPolicy(**kwargs)
 
 
 def _read(p: Path, parse):
@@ -176,6 +174,11 @@ def _outputs(cfg: dict, texts: dict, default: str | None = None) -> dict:
     return {cfg["__dir__"] / out / name: text for name, text in texts.items()}
 
 
+def _json(report) -> str:
+    """The one JSON writer of a report or a dict of them."""
+    return sp.strict_json(sp.json_payload(report))
+
+
 def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
     """The configured tgrid.nodes uniform nodes on [0, T], or None."""
     n = _cfg_int(cfg, "tgrid.nodes", 0)
@@ -218,9 +221,9 @@ def _cmd_backward(args):
         # without tgrid.nodes the pipeline replays on its default grid
         sol = bd.solve_final_value_inhom(f, g, u_T, T, policy=policy, tgrid=_uniform_tgrid(cfg, T))
     except fvp.IncompatibleDataError as exc:
-        return 2, exc.report.to_json() + "\n", {}
+        return 2, _json(exc.report) + "\n", {}
     texts = {"u0.json": sp.vec_to_json(sol.trajectory.initial_state), "trajectory.csv": sol.trajectory.to_csv(),
-             "compat.json": sol.compat.to_json(), "ynorm.json": sol.ynorm.to_json()}
+             "compat.json": _json(sol.compat), "ynorm.json": _json(sol.ynorm)}
     summary = sp.strict_json({"endpoint_rel_error": sol.endpoint_rel_error, "verdict": sol.compat.verdict})
     return 0, summary + "\n", _outputs(cfg, texts, ".")
 
@@ -229,7 +232,7 @@ def _cmd_check_compat(args):
     cfg, basis, T, f, g = _problem(args)
     u_T = _load_state(cfg, "uT.path", basis)
     report = bd.check_final_data(f, g, u_T, T, policy_from_config(cfg))
-    text = report.to_json()
+    text = _json(report)
     return 0 if report.verdict == "compatible" else 2, text + "\n", _outputs(cfg, {"compat.json": text})
 
 
@@ -237,7 +240,8 @@ def _cmd_instability_demo(args):
     # instability_table refuses a bad horizon and a jmax outside 1..n_modes
     basis = build_basis(DomainSpec("interval", (args.length,), max(args.jmax, 1)))
     rows = fvp.instability_table(basis, args.T, args.jmax)
-    text = fvp.instability_csv(rows)
+    text = dh._node_csv(["j", "lambda", "final_norm", "log_initial_norm"],
+                        [(r.j, r.lam, r.final_norm, r.log_initial_norm) for r in rows])
     return (0, "", {Path(args.out): text}) if args.out else (0, text, {})
 
 
@@ -262,7 +266,7 @@ def _cmd_norms(args):
         }
     if not reports:
         raise UsageError("norms needs uT.path or u0.path in the config")
-    text = sp.strict_json(sp.json_payload(reports))
+    text = _json(reports)
     return 0, text + "\n", _outputs(cfg, {"norms.json": text})
 
 
@@ -326,7 +330,7 @@ def _cmd_generator_lab(args):
         # last: the probes refuse entries past float64 range before it can warn
         "classification": gen.classify(),
     }
-    text = sp.strict_json(sp.json_payload(report))
+    text = _json(report)
     return 0, text + "\n", {Path(args.out): text} if args.out else {}
 
 

@@ -71,9 +71,9 @@ def _interpolate(times: np.ndarray, values: np.ndarray, ts, what: str) -> np.nda
     return (1.0 - w) * values[idx] + w * values[idx + 1]
 
 
-def _node_csv(header: list, table: np.ndarray) -> str:
-    """Header line, then one row of float reprs per node."""
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in table.tolist())]
+def _node_csv(header: list, rows) -> str:
+    """Header line, then the reprs of each row's numbers, one line per row."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     return "\r\n".join(lines) + "\r\n"
 
 
@@ -130,7 +130,7 @@ class SourceTerm:
         table[:, 0] = self.times
         table[:, 1::2] = self.coeffs.real
         table[:, 2::2] = self.coeffs.imag
-        return _node_csv(self._csv_header(self.basis.n_modes), table)
+        return _node_csv(self._csv_header(self.basis.n_modes), table.tolist())
 
     @classmethod
     def from_csv(cls, text: str, basis: EigenBasis) -> "SourceTerm":
@@ -432,7 +432,8 @@ def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particu
     if f is None and lift is None:
         # pure decay: evaluate the flow directly at each node, no stepping
         logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
-        phase = np.broadcast_to(u0.phase, logmag.shape).copy()
+        # every node has u0's phase: one private row, broadcast read-only
+        phase = np.broadcast_to(u0.phase.copy(), logmag.shape)
         return ts, phase, logmag, None
 
     merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)

@@ -14,14 +14,12 @@ default) marches once.  The data norm of (f, u_T) is
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .boundary import FvpSolution, _backward_solve, _validate_final_data
 from .duhamel import SourceTerm
 # the refusal errors are re-exported here, beside the solver that raises them
-from .semigroup import IncompatibleDataError, InconclusiveDataError, MembershipPolicy
+from .semigroup import IncompatibleDataError, InconclusiveDataError
 from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon
 
 
@@ -37,19 +35,15 @@ class FinalValueData:
         _validate_final_data(self.f, None, self.u_T, self.T)
 
 
-def solve_final_value(
-    data: FinalValueData,
-    policy: MembershipPolicy | None = None,
-    tgrid=None,
-) -> FvpSolution:
-    """Solve the final value problem when the data admit it.
+def solve_final_value(data: FinalValueData) -> FvpSolution:
+    """Solve the final value problem when the data admit it, with the
+    default membership policy, on the default grid.
 
     Raises IncompatibleDataError / InconclusiveDataError with the attached
-    CompatReport otherwise.  `tgrid` must start at 0 and end at T; by
-    default it is the source's nodes in [0, T] plus 0 and T, or 33 uniform
-    nodes without a source.
+    CompatReport otherwise.  `boundary.solve_final_value_inhom(f, None, u_T,
+    T, policy, tgrid)` is the same solve with both chosen.
     """
-    return _backward_solve(data.f, None, data.u_T, data.T, policy, tgrid)
+    return _backward_solve(data.f, None, data.u_T, data.T, None, None)
 
 
 # -- conditioning demonstration ------------------------------------------
@@ -77,12 +71,3 @@ def instability_table(basis: EigenBasis, T: float, jmax: int) -> list:
     _check_horizon(T, basis)
     T = float(T)
     return [InstabilityRow(j, lam, 1.0, T * lam) for j, lam in enumerate(basis.lambdas[:jmax].tolist(), start=1)]
-
-
-def instability_csv(rows) -> str:
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["j", "lambda", "final_norm", "log_initial_norm"])
-    for r in rows:
-        w.writerow([r.j, repr(r.lam), repr(r.final_norm), repr(r.log_initial_norm)])
-    return out.getvalue()

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import InvalidSpecError, _read_only, json_payload, strict_json
+from .spectral import InvalidSpecError, _read_only
 
 MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8
@@ -40,6 +40,9 @@ _FOV_DIRECTIONS = 64
 _FOV_ROUNDING = 64.0
 # rays and radii of the check_sectoriality grid, and random vectors of inverse_chain_demo
 _SECTOR_RAYS, _SECTOR_RADII, _CHAIN_SAMPLES = 64, 32, 64
+# the probed sector {r e^{i phi} : |phi| < pi/2 + _SECTOR_THETA}, vertex 0,
+# and the bound the scaled resolvent sup must keep to pass
+_SECTOR_THETA, _SECTOR_BOUND = 0.3, 10.0
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -76,9 +79,6 @@ class GeneratorReport:
     decay_rate: float      # exact min of Re<Av,v>/|v|^2: smallest Hermitian-part eigenvalue
     norm2: float
     spectral_abscissa: float
-
-    def to_json(self) -> str:
-        return strict_json(json_payload(self))
 
 
 class MatrixGenerator:
@@ -234,24 +234,6 @@ def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
 # -- sectoriality ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class SectorSpec:
-    """Probed region omega + {r e^{i phi} : |phi| < pi/2 + theta}, with the
-    acceptance bound for the scaled resolvent sup."""
-
-    omega: float = 0.0
-    theta: float = 0.3
-    bound: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.omega < np.inf:
-            raise InvalidSpecError("sector vertex must be finite and nonnegative")
-        if not 0.0 < self.theta < np.pi / 2:
-            raise InvalidSpecError("sector angle must lie in (0, pi/2)")
-        if not 1.0 <= self.bound < np.inf:
-            raise InvalidSpecError("sector bound must be finite and at least 1")
-
-
-@dataclass(frozen=True)
 class SectorReport:
     sup_value: float
     argmax_lambda: complex = field(repr=False)  # held and reported as argmax_re, argmax_im
@@ -265,9 +247,6 @@ class SectorReport:
     def __post_init__(self):
         object.__setattr__(self, "argmax_re", self.argmax_lambda.real)
         object.__setattr__(self, "argmax_im", self.argmax_lambda.imag)
-
-    def to_json(self) -> str:
-        return strict_json(json_payload(self))
 
 
 def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -306,13 +285,14 @@ def _fov_bounds(a: np.ndarray, norm2: float, lams: np.ndarray, dist: np.ndarray)
     return bound
 
 
-def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -> SectorReport:
-    """Sample sup |lambda - omega| ||(lambda I + A)^{-1}|| over the sector.
+def check_sectoriality(gen: MatrixGenerator) -> SectorReport:
+    """Sample sup |lambda| ||(lambda I + A)^{-1}|| over the sector
+    {r e^{i phi} : |phi| < pi/2 + _SECTOR_THETA}.
 
     The resolvent is the one of the decay generator -A.  Sample points that
     fall numerically on the spectrum of -A are skipped and counted; radii
     span six decades around ||A||.  Passing means the sup is finite and at
-    most the configured bound.  The recommended angle is the heuristic
+    most _SECTOR_BOUND.  The recommended angle is the heuristic
     arctan(decay_rate / ||A||): within that opening the numerical range of
     -A stays clear of the probed rays.
 
@@ -325,24 +305,23 @@ def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -
     every value computed is bit-identical to evaluating the points one by
     one, so the report is the one of the full grid.
     """
-    sector = sector or SectorSpec()
     a = gen.a
     norm2 = gen.norm2
     if not np.isfinite(norm2 * 1e3):
         raise InvalidSpecError("||A|| * 1e3 exceeds float64 range: the sector radii cannot be formed")
     spectrum = -gen.eigenvalues
-    phis = np.linspace(-(np.pi / 2 + sector.theta), np.pi / 2 + sector.theta, _SECTOR_RAYS + 2)[1:-1]
-    # A = 0 has ||A|| = 0: its radii span the decades around 1 instead of collapsing onto omega
+    phis = np.linspace(-(np.pi / 2 + _SECTOR_THETA), np.pi / 2 + _SECTOR_THETA, _SECTOR_RAYS + 2)[1:-1]
+    # A = 0 has ||A|| = 0: its radii span the decades around 1 instead of collapsing onto the vertex
     radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, _SECTOR_RADII)
     # ray by ray, radius by radius: the order decides which of equal maxima wins
-    lams = (sector.omega + radii * np.exp(1j * phis)[:, None]).ravel()
+    lams = (radii * np.exp(1j * phis)[:, None]).ravel()
     skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
     lams = lams[~skip]
     if lams.size == 0:
         raise InvalidSpecError("every sample point of the sector lies on the spectrum")
     # np.abs on a complex array may differ from libm's hypot in the last
-    # bit; np.hypot is the per-element libm call that abs(lam - omega) makes
-    dist = np.hypot(lams.real - sector.omega, lams.imag)
+    # bit; np.hypot is the per-element libm call that abs(lam) makes
+    dist = np.hypot(lams.real, lams.imag)
     bound = _fov_bounds(a, norm2, lams, dist)
     vals = np.full(lams.size, -np.inf)
     best = -np.inf
@@ -365,7 +344,7 @@ def check_sectoriality(gen: MatrixGenerator, sector: SectorSpec | None = None) -
         best = np.maximum(best, np.max(block_vals))
     k = int(np.argmax(vals))  # first maximum in grid order, as a strict > scan keeps it
     best, best_lam = vals[k], complex(lams[k])
-    passed = bool(np.isfinite(best) and best <= sector.bound)
+    passed = bool(np.isfinite(best) and best <= _SECTOR_BOUND)
     theta_rec = float(np.arctan2(max(gen.decay_rate, 0.0), norm2))
     return SectorReport(float(best), best_lam, passed, lams.size, int(np.count_nonzero(skip)), theta_rec)
 
@@ -442,9 +421,6 @@ class ConvexityReport:
     forward_implication_observed: bool
     selfadjoint: bool
     seed: int
-
-    def to_json(self) -> str:
-        return strict_json(json_payload(self))
 
 
 def _norms(z: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logspace import log_sum_exp
-from .spectral import InvalidSpecError, SpectralVec, _check_horizon, json_payload, strict_json
+from .spectral import InvalidSpecError, SpectralVec, _check_horizon
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "
@@ -50,6 +50,15 @@ class MembershipPolicy:
     rtol_compat: float = 1e-6
     growth_thresh: float = 10.0
 
+    def __post_init__(self):
+        # a NaN threshold compares False everywhere and would still get a
+        # verdict; ladder steps never decrease, so a growth threshold <= 1
+        # would read every data set as incompatible
+        if not 0.0 <= self.rtol_compat < np.inf:
+            raise InvalidSpecError("rtol_compat must be finite and nonnegative")
+        if not 1.0 < self.growth_thresh < np.inf:
+            raise InvalidSpecError("growth_thresh must be finite and greater than 1")
+
     def resolved_cutoffs(self, n_modes: int) -> tuple:
         if self.cutoffs:
             cs = tuple(int(c) for c in self.cutoffs)
@@ -76,9 +85,6 @@ class CompatReport:
     verdict: str
     note: str = HEURISTIC_NOTE
     u0: SpectralVec | None = field(default=None, repr=False)
-
-    def to_json(self) -> str:
-        return strict_json(json_payload(self))
 
 
 class IncompatibleDataError(RuntimeError):

@@ -239,7 +239,7 @@ def build_basis(spec: DomainSpec) -> EigenBasis:
         raise InvalidSpecError("domain lengths put the Dirichlet spectrum outside float64 range")
     return EigenBasis(
         spec=spec,
-        lambdas=lambdas,
+        lambdas=_read_only(lambdas),
         index_map=index_map,
         C1=lam1 ** -0.5,
         C2=1.0 / lam1,

@@ -1,11 +1,13 @@
-"""Every public function and class of heatfvp has a user, and every name a
-test module imports is used there.
+"""Every public function and class of heatfvp has a user, every parameter
+with a default of a public function or method is passed by some user, and
+every name a test module imports is used there.
 
 The users are the library itself, the CLI, the acceptance criteria and the
-benchmark harness.  A name that only the unit tests call is API nobody
-needs: delete it, or move it into the tests that use it.  A reference is a
-Name, an Attribute or an import alias in the parsed source, so a mention in
-a docstring or a comment does not count.
+benchmark harness.  A name or an option that only the unit tests call is
+API nobody needs: delete it, or move it into the tests that use it.  A
+reference is a Name, an Attribute or an import alias in the parsed source,
+so a mention in a docstring or a comment does not count; a call passes a
+parameter when it names it as a keyword or fills its position.
 """
 
 import ast
@@ -28,12 +30,16 @@ def _definitions():
                 yield f"{path.stem}.{node.name}", node.name
 
 
-def _referenced_names():
-    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+def _user_trees():
+    users = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     users += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    return [ast.parse(path.read_text(), filename=str(path)) for path in users]
+
+
+def _referenced_names():
     names = set()
-    for path in users:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for tree in _user_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -48,6 +54,61 @@ def _referenced_names():
 def test_every_public_name_has_a_user():
     used = _referenced_names()
     unused = sorted(q for q, name in _definitions() if name not in used and q not in ALLOWED_UNUSED)
+    assert unused == []
+
+
+def _optional_parameters():
+    """(qualified name, function name, parameter, position or None) for each
+    parameter with a default of a public function or method; the position
+    counts from the first argument a call passes, and keyword-only
+    parameters have none."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [(f"{path.stem}.{node.name}", node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                        funcs.append((f"{path.stem}.{cls.name}.{node.name}", node, 0 if static else 1))
+        for qual, node, bound in funcs:
+            if node.name.startswith("_"):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            for i in range(len(positional) - len(node.args.defaults), len(positional)):
+                yield qual, node.name, positional[i].arg, i - bound
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield qual, node.name, arg.arg, None
+
+
+def _passed_parameters():
+    """Per called name: the largest count of positional arguments of a call
+    (inf with a starred one) and the keywords its calls name (None with **)."""
+    positions, keywords = {}, {}
+    for tree in _user_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            positions[name] = max(positions.get(name, 0), n)
+            for kw in node.keywords:
+                keywords.setdefault(name, set()).add(kw.arg)
+    return positions, keywords
+
+
+def test_every_public_parameter_has_a_user():
+    positions, keywords = _passed_parameters()
+    unused = sorted(
+        f"{qual}: {param}"
+        for qual, name, param, pos in _optional_parameters()
+        if not (pos is not None and positions.get(name, 0) > pos)
+        and not ({param, None} & keywords.get(name, set()))
+    )
     assert unused == []
 
 

@@ -32,7 +32,9 @@ from heatfvp.spectral import (
     SpectralVec,
     analyze,
     build_basis,
+    json_payload,
     rel_distance,
+    strict_json,
     synthesize,
     triple_norms,
 )
@@ -480,7 +482,7 @@ class TestInhomDataNorm:
 
     def test_json_fields(self, basis16):
         rep = data_norm_inhom(None, BoundaryData.zero(1.0), SpectralVec.zero(basis16), 1.0)
-        d = json.loads(rep.to_json())
+        d = json.loads(strict_json(json_payload(rep)))
         assert set(d) == {"uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"
         assert d["finite"] is True
@@ -489,7 +491,7 @@ class TestInhomDataNorm:
         # the same rule as CompatReport: NaN is refused, not written as "inf"
         rep = YNormReport(1.0, 0.0, np.nan, np.nan, False)
         with pytest.raises(InvalidSpecError):
-            rep.to_json()
+            strict_json(json_payload(rep))
 
 
 class TestStabilityRatioFamily:

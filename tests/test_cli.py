@@ -145,6 +145,13 @@ def _malformed_state(tmp_path, kind):
             return ["norms", *conf]
         (tmp_path / "a.mat").write_bytes(b"2\n1 0 0 0\n0 0 1 0 # \xe9\n")
         return ["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--trials", "4"]
+    if kind.startswith("policy."):
+        # thresholds under which the membership ladder cannot give a verdict
+        (tmp_path / "u.json").write_text(sp.vec_to_json(SpectralVec.from_coefficients(
+            build_basis(DomainSpec("interval", (np.pi,), 16)), 1.0 / np.arange(1, 17))))
+        policy = "".join(f"{key} = {value}\n" for key, value in (p.split("=") for p in kind.split(",")))
+        write_conf(tmp_path, f"modes = 16\nT = 0.1\nuT.path = u.json\nout.dir = out\n{policy}")
+        return ["check-compat", *conf]
     if kind.startswith("demo-length="):
         # eigenvalues beyond float64 range: (pi/L)^2 overflows at 1e-160, underflows at 1e200
         return ["instability-demo", "--T", "1", "--jmax", "3", "--length", kind[len("demo-length="):]]
@@ -245,6 +252,8 @@ def _reject_constant(name):
     "out-under-file-generator-lab", "out-is-dir-generator-lab",
     "out-under-file-instability-demo", "out-is-dir-instability-demo",
     "non-utf8-config", "non-utf8-matrix",
+    "policy.rtol_compat=nan", "policy.rtol_compat=-1", "policy.growth_thresh=nan", "policy.growth_thresh=-1",
+    "policy.growth_thresh=1", "policy.rtol_compat=inf,policy.growth_thresh=inf",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     argv = _malformed_state(tmp_path, kind)

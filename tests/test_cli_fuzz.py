@@ -33,7 +33,7 @@ CONFIG_SUBCOMMANDS = ("forward", "backward", "check-compat", "norms", "oracle-co
 # mutates at most three fields, so most runs get past the config
 VALID = {
     "kind": "interval", "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
-    "cutoffs": None, "u0": "valid", "uT": "valid",
+    "cutoffs": None, "rtol": None, "growth": None, "u0": "valid", "uT": "valid",
     "f_span": 1.0, "f_scale": 1.0, "f_form": "valid", "g_span": 1.0, "g_scale": 1.0, "g_form": "valid",
     "out": "out",
 }
@@ -43,6 +43,7 @@ STATES = ("garbage", "non-finite", "wrong-shape", "huge", "tiny", "zero", None)
 EDGES = {
     "kind": ("rectangle", "annulus"), "length": LENGTHS, "modes": ("1", "4", "0", "-2", "x"),
     "T": HORIZONS + (None,), "nodes": ("1", "2", "9", "x"), "cutoffs": ("1,2", "0", "4,2", "a"),
+    "rtol": ("nan", "inf", "-1", "0.5", "0"), "growth": ("nan", "inf", "-1", "0.5", "1", "100"),
     "u0": STATES, "uT": STATES,
     # the fraction of T that a source or boundary grid reaches
     "f_span": (0.5, 2.0), "f_scale": (0.0, 1e-300, 1e300), "f_form": ("garbage", "non-finite", "wrong-shape"),
@@ -157,7 +158,8 @@ def config_runs(draw):
     T = _horizon(c["T"])
     lines = [f"domain.kind = {c['kind']}", f"domain.length = {length}", f"modes = {c['modes']}",
              f"out.dir = {c['out']}"]
-    for key, value in (("T", c["T"]), ("tgrid.nodes", c["nodes"]), ("policy.cutoffs", c["cutoffs"])):
+    for key, value in (("T", c["T"]), ("tgrid.nodes", c["nodes"]), ("policy.cutoffs", c["cutoffs"]),
+                       ("policy.rtol_compat", c["rtol"]), ("policy.growth_thresh", c["growth"])):
         if value is not None:
             lines.append(f"{key} = {value}")
     files = {}

@@ -1,5 +1,6 @@
 """Exponential-integrator march, closed-form Duhamel checks, space-time norms."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestPureDecay:
         assert np.array_equal(traj.initial_state.logmag, traj.logmag[0])
         assert np.array_equal(traj.final_state.logmag, traj.logmag[-1])
         assert traj.final_state.logmag[1] == -4.0  # lambda_2 = 4 at t = 1
+
+    def test_phase_is_one_row_not_one_per_node(self):
+        # every node has u0's phase; a copy per node took a complex array
+        # of twice the logmag's size, 3.0x the logmag at peak
+        basis = build_basis(DomainSpec("interval", (np.pi,), 1024))
+        u0 = SpectralVec.from_coefficients(basis, np.exp(-0.01 * np.arange(1024.0)))
+        ts = np.linspace(0.0, 1e-3, 1001)
+        tracemalloc.start()
+        try:
+            traj = solve_cauchy(u0, None, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * traj.logmag.nbytes
+        assert np.array_equal(traj.phase, np.broadcast_to(u0.phase, traj.phase.shape))
 
 
 class TestClosedForms:

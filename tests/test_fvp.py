@@ -5,19 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from heatfvp.boundary import BoundaryData, data_norm_inhom
+from heatfvp.boundary import BoundaryData, data_norm_inhom, solve_final_value_inhom
+from heatfvp.cli import cli
 from heatfvp.duhamel import SourceTerm, solve_cauchy, source_yield
 from heatfvp.fvp import (
     FinalValueData,
     IncompatibleDataError,
     InconclusiveDataError,
-    instability_csv,
     instability_table,
     solve_final_value,
 )
 from heatfvp.logspace import log_sum_exp
 from heatfvp.semigroup import apply_inverse
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, triple_norms
+from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, json_payload, strict_json, triple_norms
 
 
 def smooth_data(basis, T=1.0, seed=0):
@@ -101,7 +101,7 @@ class TestDataNorm:
 
     def test_json_round_trip(self, basis64):
         rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0)
-        d = json.loads(rep.to_json())
+        d = json.loads(strict_json(json_payload(rep)))
         assert set(d) == {"uT_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"
         assert d["finite"] is True
@@ -184,12 +184,12 @@ class TestReplayGrid:
         # u(tgrid[0]) the initial state
         _, data = long_source_data(basis256, np.linspace(0.0, 1.0, 9), 0.5)
         with pytest.raises(InvalidSpecError, match="start at 0 and end at T"):
-            solve_final_value(data, tgrid=tgrid)
+            solve_final_value_inhom(data.f, None, data.u_T, data.T, tgrid=tgrid)
 
     def test_tgrid_error_comes_before_a_refusal(self, basis64):
         rough = SpectralVec.from_coefficients(basis64, 1.0 / np.arange(1, 65))
         with pytest.raises(InvalidSpecError):
-            solve_final_value(FinalValueData(None, rough, 1.0), tgrid=np.linspace(0.0, 0.5, 3))
+            solve_final_value_inhom(None, None, rough, 1.0, tgrid=np.linspace(0.0, 0.5, 3))
 
 
 class TestInstabilityTable:
@@ -229,9 +229,9 @@ class TestInstabilityTable:
             with pytest.raises(InvalidSpecError):
                 instability_table(basis16, T, 4)
 
-    def test_csv_parses_back(self, basis16):
-        rows = instability_table(basis16, 1.0, 8)
-        lines = instability_csv(rows).strip().splitlines()
+    def test_csv_parses_back(self, capsys):
+        assert cli(["instability-demo", "--T", "1.0", "--jmax", "8"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "j,lambda,final_norm,log_initial_norm"
         assert len(lines) == 9
         got = [float(x) for x in lines[3].split(",")]

@@ -19,6 +19,7 @@ from heatfvp import (
     solve_cauchy,
 )
 from heatfvp.semigroup import MAX_LOG_NORM
+from heatfvp.spectral import json_payload, strict_json
 
 
 def test_forward_decay_exact(basis16):
@@ -136,6 +137,25 @@ def test_custom_cutoffs_validation(basis16):
     assert MembershipPolicy(cutoffs=(2, 8, 16)).resolved_cutoffs(16) == (2, 8, 16)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rtol_compat", np.nan), ("rtol_compat", np.inf), ("rtol_compat", -np.inf), ("rtol_compat", -1e-12),
+    ("growth_thresh", np.nan), ("growth_thresh", np.inf), ("growth_thresh", -np.inf),
+    ("growth_thresh", -1.0), ("growth_thresh", 0.5), ("growth_thresh", 1.0),
+])
+def test_thresholds_that_cannot_give_a_verdict_are_refused(field, value):
+    # a NaN threshold got a verdict, growth_thresh <= 0 warned in np.log,
+    # and infinite thresholds certified rough data as compatible
+    with pytest.raises(InvalidSpecError):
+        MembershipPolicy(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("rtol_compat", 0.0), ("rtol_compat", 1e300),
+                                          ("growth_thresh", np.nextafter(1.0, 2.0)), ("growth_thresh", 1e300)])
+def test_finite_thresholds_at_the_edges_are_accepted(basis16, field, value):
+    rep = check_domain_membership(SpectralVec.unit(basis16, 1), 1.0, MembershipPolicy(**{field: value}))
+    assert rep.verdict in ("compatible", "incompatible", "inconclusive")
+
+
 def test_stabilization_ratio_uses_mid_cutoff(basis64):
     # with the default 4-rung ladder the ratio compares the last against the
     # second rung
@@ -147,7 +167,7 @@ def test_stabilization_ratio_uses_mid_cutoff(basis64):
 
 def test_compat_report_json_fields(basis16):
     rep = check_domain_membership(SpectralVec.unit(basis16, 1), 1.0)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(strict_json(json_payload(rep)))
     assert set(payload) == {"T", "cutoffs", "log_graph_norms", "stabilization_ratio", "verdict", "note"}
     assert payload["note"]  # heuristic disclaimer always present
     assert "u0" not in payload
@@ -155,7 +175,7 @@ def test_compat_report_json_fields(basis16):
 
 def test_compat_report_json_infinities(basis16):
     rep = CompatReport(1.0, (1, 2), (-np.inf, 3.0), np.inf, "incompatible")
-    payload = json.loads(rep.to_json())
+    payload = json.loads(strict_json(json_payload(rep)))
     assert payload["log_graph_norms"][0] == "-inf"
     assert payload["stabilization_ratio"] == "inf"
 
@@ -164,7 +184,7 @@ def test_compat_report_json_refuses_nan(basis16):
     # NaN gets no verdict in JSON: it is refused, not written as null
     rep = CompatReport(1.0, (1, 2), (np.nan, 3.0), np.nan, "inconclusive")
     with pytest.raises(InvalidSpecError):
-        rep.to_json()
+        strict_json(json_payload(rep))
 
 
 def test_membership_refuses_a_horizon_past_the_basis(basis16):

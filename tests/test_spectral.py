@@ -37,6 +37,14 @@ def test_interval_general_length():
     assert np.allclose(basis.lambdas, (j * np.pi / L) ** 2, rtol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_eigenvalues_are_read_only(kind, basis16, basis_rect):
+    # every state, march and norm reads this one array
+    basis = basis16 if kind == "interval" else basis_rect
+    with pytest.raises(ValueError):
+        basis.lambdas[0] = 0.0
+
+
 def test_rectangle_spectrum_sorted_with_multiplicity(basis_rect):
     # pi x pi square, two modes per axis: 2, 5, 5, 8 lead the spectrum
     assert np.allclose(basis_rect.lambdas[:4], [2.0, 5.0, 8.0, 10.0][:1] + [5.0, 5.0, 8.0][:3], rtol=0) or True
