@@ -39,6 +39,9 @@ USAGE = (
     "subcommands: forward backward backward-inhom check-compat "
     "instability-demo norms oracle-compare generator-lab\n"
 )
+# the keys of the README's config table; parse_config refuses any other, so a typo cannot run a default
+_CONFIG_KEYS = frozenset("""domain.kind domain.length modes T u0.path uT.path f.path g.path tgrid.nodes
+    policy.rtol_compat policy.growth_thresh policy.cutoffs out.dir""".split())
 
 
 class UsageError(Exception):
@@ -67,8 +70,10 @@ def parse_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
+        cfg[key] = val
     return cfg
 
 
@@ -86,11 +91,9 @@ def _cfg_path(cfg: dict, key: str, required: bool = False) -> Path | None:
     return p
 
 
-def _cfg_float(cfg: dict, key: str, default=None) -> float | None:
+def _cfg_float(cfg: dict, key: str) -> float:
     if key not in cfg:
-        if default is None:
-            raise UsageError(f"config key {key} is required")
-        return default
+        raise UsageError(f"config key {key} is required")
     try:
         return float(cfg[key])
     except ValueError as exc:

@@ -43,6 +43,8 @@ _LN2 = float(np.log(2.0))
 # below the log of the smallest normal float64, exp loses bits to the subnormals
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _LOG_EPS = float(np.log(np.finfo(np.float64).eps))
+# a time within _TIME_RTOL times the horizon of a grid end counts as that end
+_TIME_RTOL = 1e-12
 
 
 # -- node series: the time grid, the interpolation and the CSV form shared by
@@ -62,7 +64,8 @@ def _interpolate(times: np.ndarray, values: np.ndarray, ts, what: str) -> np.nda
     """Piecewise-linear values of the node series at arbitrary times, shape
     (len(ts),) + values.shape[1:]."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not np.all((ts >= times[0] - 1e-12) & (ts <= times[-1] + 1e-12)):
+    tol = _TIME_RTOL * max(abs(times[0]), abs(times[-1]))
+    if not np.all((ts >= times[0] - tol) & (ts <= times[-1] + tol)):
         raise InvalidSpecError(f"sample times outside the {what} grid")
     idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
     t0 = times[idx]
@@ -283,15 +286,14 @@ def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
 def _merged_grid(f: SourceTerm | None, tgrid: np.ndarray, t_end: float, extra=None) -> np.ndarray:
     parts = [np.asarray(tgrid, dtype=float).ravel(), [0.0, t_end]]
     if f is not None:
-        parts.append(f.times[f.times <= t_end + 1e-15])
+        parts.append(f.times)
     if extra is not None:
-        extra = np.asarray(extra, dtype=float).ravel()
-        parts.append(extra[extra <= t_end + 1e-15])
+        parts.append(np.asarray(extra, dtype=float).ravel())
     # np.unique's own sort and adjacent-difference mask, without the
     # numpy.ma import that a first plain np.unique call pays
     merged = np.sort(np.concatenate(parts))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
-    return merged[(merged >= 0.0) & (merged <= t_end + 1e-15)]
+    return merged[(merged >= 0.0) & (merged <= t_end)]
 
 
 @dataclass(frozen=True)
@@ -405,7 +407,7 @@ def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
         raise InvalidSpecError("time grid must be finite")
     if not (ts[1:] > ts[:-1]).all():
         raise InvalidSpecError("time grid must be strictly increasing")
-    if ts[0] < 0 or ts[-1] > t_end + 1e-12:
+    if ts[0] < 0 or ts[-1] - t_end > _TIME_RTOL * ts[-1]:
         raise InvalidSpecError("time grid must lie inside [0, T] of the data")
     return ts
 
@@ -474,8 +476,6 @@ def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
     """Final-time value of the zero-initial-state solution driven by f."""
     T = f.t_final if T is None else float(T)
     _check_horizon(T)
-    if T > f.t_final + 1e-12:
-        raise InvalidSpecError("yield horizon must lie in (0, T] of the source")
     return _yield(f.basis, f, None, T)[0]
 
 

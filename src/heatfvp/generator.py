@@ -116,18 +116,18 @@ class MatrixGenerator:
 
     @cached_property
     def is_selfadjoint(self) -> bool:
-        return bool(np.linalg.norm(0.5 * (self.a - self.a.conj().T), 2) <= 1e-12 * max(self.norm2, 1.0))
+        return bool(np.linalg.norm(0.5 * (self.a - self.a.conj().T), 2) <= 1e-12 * self.norm2)
 
     @property
     def is_normal(self) -> bool:
         comm = self.a @ self.a.conj().T - self.a.conj().T @ self.a
-        return bool(np.linalg.norm(comm, 2) <= 1e-12 * max(self.norm2, 1.0) ** 2)
+        return bool(np.linalg.norm(comm, 2) <= 1e-12 * self.norm2 ** 2)
 
     @property
     def is_hyponormal(self) -> bool:
         # |A* x| <= |A x| for all x is positivity of the commutator A*A - AA*
         comm = self.a.conj().T @ self.a - self.a @ self.a.conj().T
-        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * max(self.norm2, 1.0) ** 2)
+        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * self.norm2 ** 2)
 
     @cached_property
     def decay_rate(self) -> float:
@@ -289,9 +289,11 @@ def check_sectoriality(gen: MatrixGenerator) -> SectorReport:
     """Sample sup |lambda| ||(lambda I + A)^{-1}|| over the sector
     {r e^{i phi} : |phi| < pi/2 + _SECTOR_THETA}.
 
-    The resolvent is the one of the decay generator -A.  Sample points that
-    fall numerically on the spectrum of -A are skipped and counted; radii
-    span six decades around ||A||.  Passing means the sup is finite and at
+    The resolvent is the one of the decay generator -A.  Radii span six
+    decades around ||A|| (around 1 for A = 0, not collapsed onto the vertex),
+    and sample points within SPECTRUM_SKIP_RTOL times that scale of the
+    spectrum of -A are skipped and counted: never the outer ring, as the
+    spectrum lies within ||A|| of 0.  Passing means the sup is finite and at
     most _SECTOR_BOUND.  The recommended angle is the heuristic
     arctan(decay_rate / ||A||): within that opening the numerical range of
     -A stays clear of the probed rays.
@@ -311,14 +313,12 @@ def check_sectoriality(gen: MatrixGenerator) -> SectorReport:
         raise InvalidSpecError("||A|| * 1e3 exceeds float64 range: the sector radii cannot be formed")
     spectrum = -gen.eigenvalues
     phis = np.linspace(-(np.pi / 2 + _SECTOR_THETA), np.pi / 2 + _SECTOR_THETA, _SECTOR_RAYS + 2)[1:-1]
-    # A = 0 has ||A|| = 0: its radii span the decades around 1 instead of collapsing onto the vertex
-    radii = (norm2 if norm2 > 0.0 else 1.0) * np.logspace(-3.0, 3.0, _SECTOR_RADII)
+    scale = norm2 if norm2 > 0.0 else 1.0
+    radii = scale * np.logspace(-3.0, 3.0, _SECTOR_RADII)
     # ray by ray, radius by radius: the order decides which of equal maxima wins
     lams = (radii * np.exp(1j * phis)[:, None]).ravel()
-    skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * max(norm2, 1.0)
+    skip = np.min(np.abs(lams[:, None] - spectrum), axis=1) <= SPECTRUM_SKIP_RTOL * scale
     lams = lams[~skip]
-    if lams.size == 0:
-        raise InvalidSpecError("every sample point of the sector lies on the spectrum")
     # np.abs on a complex array may differ from libm's hypot in the last
     # bit; np.hypot is the per-element libm call that abs(lam) makes
     dist = np.hypot(lams.real, lams.imag)
@@ -570,10 +570,10 @@ def check_logconvexity_criterion(
     a = gen.a
     # eigenvectors realize equality in the selfadjoint case; include them
     xs = _convexity_samples(gen, trials, seed)
-    norm = max(gen.norm2, 1.0)
-    if not np.isfinite(norm * norm):
+    if not np.isfinite(gen.norm2 * gen.norm2):
         raise InvalidSpecError("||A||^2 exceeds float64 range: the criterion margins cannot be formed")
-    scale = norm ** 2
+    # A = 0, or an ||A||^2 that underflows to 0, keeps scale 1
+    scale = gen.norm2 ** 2 or 1.0
     rows = max(1, _BUDGET // gen.dim)
     margins = np.concatenate([
         _criterion_margins(a, xs[i:i + rows], scale) for i in range(0, len(xs), rows)

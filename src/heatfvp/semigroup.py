@@ -129,10 +129,8 @@ def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy
     with np.errstate(over="ignore"):
         ratio = float(np.exp(logs[-1] - logs[mid])) if logs[mid] > -np.inf else np.inf
     growth = np.log(policy.growth_thresh)
-    grew = any(
-        b - a >= growth if a > -np.inf else False
-        for a, b in zip(logs[:-1], logs[1:])
-    ) or any(a == -np.inf and b > -np.inf for a, b in zip(logs[:-1], logs[1:]))
+    # a step from -inf to a finite value grows by inf; -inf to -inf is NaN, which compares False
+    grew = any(b - a >= growth for a, b in zip(logs[:-1], logs[1:]))
 
     if grew:
         verdict = "incompatible"

@@ -459,10 +459,10 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     if x.ndim != 1 or f.shape != x.shape:
         raise GridMismatchError("grid and samples must be matching 1-d arrays")
     (L,) = basis.spec.lengths
-    if abs(x[0]) > 1e-12 or abs(x[-1] - L) > 1e-12 * max(1.0, L):
+    if abs(x[0]) > 1e-12 * L or abs(x[-1] - L) > 1e-12 * L:
         raise GridMismatchError("grid must span [0, L]")
     steps = np.diff(x)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10):
+    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
         raise GridMismatchError("grid must be uniform and increasing")
     panels = x.size - 1
     if panels % 2 != 0:

@@ -14,7 +14,7 @@ import heatfvp
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import spectral as sp
-from heatfvp.cli import cli, parse_config
+from heatfvp.cli import USAGE, cli, parse_config
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
 from conftest import JORDAN, format_matrix
@@ -26,14 +26,24 @@ def write_conf(tmp_path, text, name="run.conf"):
     return str(p)
 
 
-def decayed_instance(n_modes, seed=7):
-    basis = build_basis(DomainSpec("interval", (np.pi,), n_modes))
+def decayed_instance(n_modes, seed=7, length=np.pi):
+    basis = build_basis(DomainSpec("interval", (length,), n_modes))
     rng = np.random.default_rng(seed)
     j = np.arange(1, n_modes + 1)
     u0 = SpectralVec.from_coefficients(
         basis, rng.choice([-1.0, 1.0], n_modes) * np.exp(-j)
     )
     return basis, u0
+
+
+def _in_units_params(*subs):
+    """(sub, data, s) for source and boundary data at the length scales
+    s = 2^-20, 1 and 2^10; the cases at s = 1 keep their plain ids."""
+    scales = {"": 1.0, "-s2^-20": 2.0 ** -20, "-s2^10": 2.0 ** 10}
+    return [
+        pytest.param(sub, data, s, id=sub + ("" if data == "source" else "-boundary") + tag)
+        for data in ("source", "boundary") for sub in subs for tag, s in scales.items()
+    ]
 
 
 def inhom_files(tmp_path):
@@ -77,6 +87,11 @@ class TestUsage:
         conf = write_conf(tmp_path, "modes 64\n")
         assert cli(["check-compat", "--config", conf]) == 1
         assert "key = value" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "modes = 16\n# tuned\npolcy.growth_thresh = 1e9\n")
+        assert cli(["check-compat", "--config", conf]) == 1
+        assert capsys.readouterr().err == f"error: {conf}:3: unknown config key 'polcy.growth_thresh'\n{USAGE}"
 
     def test_config_comments_and_override(self, tmp_path):
         conf = write_conf(tmp_path, "# heading\nmodes = 8\nmodes = 16 # later wins\n")
@@ -145,6 +160,12 @@ def _malformed_state(tmp_path, kind):
             return ["norms", *conf]
         (tmp_path / "a.mat").write_bytes(b"2\n1 0 0 0\n0 0 1 0 # \xe9\n")
         return ["generator-lab", "--matrix", str(tmp_path / "a.mat"), "--trials", "4"]
+    if kind.startswith("unknown-key="):
+        # a misspelled key in an otherwise valid run: ignored, it would run
+        # the default of the key it misses without a word
+        (tmp_path / "u.json").write_text(sp.vec_to_json(decayed_instance(16)[1]))
+        write_conf(tmp_path, f"modes = 16\nT = 0.5\nuT.path = u.json\nout.dir = out\n{kind[len('unknown-key='):]} = 8\n")
+        return ["check-compat", *conf]
     if kind.startswith("policy."):
         # thresholds under which the membership ladder cannot give a verdict
         (tmp_path / "u.json").write_text(sp.vec_to_json(SpectralVec.from_coefficients(
@@ -240,7 +261,7 @@ def _reject_constant(name):
 @pytest.mark.parametrize("kind", [
     "rectangle-forward",
     "missing-kind", "missing-lengths", "missing-modes",
-    "T=nan", "T=inf", "T=0",
+    "T=nan", "T=inf", "T=0", "T=x",
     "nan-coefficient", "inf-coefficient",
     "huge-state-norms",
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
@@ -253,7 +274,8 @@ def _reject_constant(name):
     "out-under-file-instability-demo", "out-is-dir-instability-demo",
     "non-utf8-config", "non-utf8-matrix",
     "policy.rtol_compat=nan", "policy.rtol_compat=-1", "policy.growth_thresh=nan", "policy.growth_thresh=-1",
-    "policy.growth_thresh=1", "policy.rtol_compat=inf,policy.growth_thresh=inf",
+    "policy.growth_thresh=1", "policy.rtol_compat=inf,policy.growth_thresh=inf", "policy.cutoffs=a",
+    "unknown-key=modez", "unknown-key=polcy.growth_thresh", "unknown-key=tgrid.node", "unknown-key=__dir__",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     argv = _malformed_state(tmp_path, kind)
@@ -262,8 +284,11 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
         assert cli(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    # one line: a data error is not followed by the usage text
-    assert len(out.err.splitlines()) == 1 and out.err.startswith("error:")
+    # one line: a data error is not followed by the usage text; a config
+    # value that does not parse and an unknown key are usage errors
+    usage = kind in ("T=x", "policy.cutoffs=a") or kind.startswith("unknown-key=")
+    assert out.err.splitlines()[1:] == (USAGE.splitlines() if usage else [])
+    assert out.err.startswith("error:")
     # every output is formed before any is written
     assert not list((tmp_path / "out").glob("*"))
     if kind.startswith(("out-", "non-utf8-")):
@@ -371,43 +396,41 @@ class TestForward:
         final = (tmp_path / "out" / "final_state.json").read_text()
         assert final == sp.vec_to_json(want.final_state)
 
-    @pytest.mark.parametrize("sub, data", [
-        *(pytest.param(sub, "source", id=sub) for sub in ("forward", "norms", "oracle-compare")),
-        *(pytest.param(sub, "boundary", id=f"{sub}-boundary") for sub in ("forward", "norms", "oracle-compare")),
-    ])
-    def test_source_short_of_T_is_refused(self, tmp_path, capsys, sub, data):
+    @pytest.mark.parametrize("sub, data, s", _in_units_params("forward", "norms", "oracle-compare"))
+    def test_source_short_of_T_is_refused(self, tmp_path, capsys, sub, data, s):
         # every subcommand refuses data short of T with the backward
-        # pipeline's message, before it solves anything
-        basis, u0 = decayed_instance(16)
+        # pipeline's message, before it solves anything, in any units:
+        # length times s, times times s^2
+        basis, u0 = decayed_instance(16, length=np.pi * s)
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
         if data == "source":
-            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16))).to_csv())
+            f = dh.SourceTerm(basis, np.array([0.0, 0.5 * s * s]), np.ones((2, 16)))
+            (tmp_path / "f.csv").write_text(f.to_csv())
             key = "f.path = f.csv"
         else:
-            (tmp_path / "g.csv").write_text(bd.BoundaryData.constant(1.0, 0.0, 0.5).to_csv())
+            (tmp_path / "g.csv").write_text(bd.BoundaryData.constant(1.0, 0.0, 0.5 * s * s).to_csv())
             key = "g.path = g.csv"
-        conf = write_conf(tmp_path, f"modes = 16\nT = 1.0\nu0.path = u0.json\n{key}\n")
+        conf = write_conf(tmp_path, f"modes = 16\ndomain.length = {np.pi * s!r}\nT = {s * s!r}\nu0.path = u0.json\n{key}\n")
         assert cli([sub, "--config", conf]) == 1
         assert capsys.readouterr().err == f"error: {data} grid must cover [0, T]\n"
 
-    @pytest.mark.parametrize("sub, data", [
-        *(pytest.param(sub, "source", id=sub) for sub in ("forward", "norms", "backward")),
-        *(pytest.param(sub, "boundary", id=f"{sub}-boundary") for sub in ("forward", "norms", "backward")),
-    ])
-    def test_data_starting_after_0_is_refused(self, tmp_path, capsys, sub, data):
+    @pytest.mark.parametrize("sub, data, s", _in_units_params("forward", "norms", "backward"))
+    def test_data_starting_after_0_is_refused(self, tmp_path, capsys, sub, data, s):
         # data on [0.02, 0.05] with T = 0.05 end at T but leave [0, 0.02)
-        # uncovered: refused with the same message, before any solve
-        basis, u0 = decayed_instance(16)
+        # uncovered: refused with the same message, before any solve, in
+        # any units
+        basis, u0 = decayed_instance(16, length=np.pi * s)
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
         (tmp_path / "uT.json").write_text(sp.vec_to_json(u0))
-        ts = np.array([0.02, 0.05])
+        ts = np.array([0.02, 0.05]) * (s * s)
         if data == "source":
             (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, ts, np.ones((2, 16))).to_csv())
             key = "f.path = f.csv"
         else:
             (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.ones((2, 2))).to_csv())
             key = "g.path = g.csv"
-        conf = write_conf(tmp_path, f"modes = 16\nT = 0.05\nu0.path = u0.json\nuT.path = uT.json\n{key}\n")
+        conf = write_conf(tmp_path, f"modes = 16\ndomain.length = {np.pi * s!r}\nT = {0.05 * s * s!r}\n"
+                                    f"u0.path = u0.json\nuT.path = uT.json\n{key}\n")
         assert cli([sub, "--config", conf]) == 1
         assert capsys.readouterr().err == f"error: {data} grid must cover [0, T]\n"
 

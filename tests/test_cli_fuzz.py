@@ -6,8 +6,8 @@ refusal (exit 2) or an error (exit 1): no exception escapes `cli`, an error
 is one line on stderr with nothing on stdout, and every JSON the run prints
 or writes parses with NaN and Infinity refused.  The draws lean on the
 edges: horizons whose 2 T lambda_N leaves float64, lengths of 1e-160 and
-1e200, sources and boundary data that end before or after T, huge or stiff
-matrices, a byte that is not UTF-8 in a config, state or matrix file, and
+1e200, sources and boundary data that end before or after T, misspelled
+config keys, huge or stiff matrices, a byte that is not UTF-8 in a config, state or matrix file, and
 an out.dir or --out that names an existing file, a path under it or an
 existing directory.  The runtime needs numpy only.
 """
@@ -35,7 +35,7 @@ VALID = {
     "kind": "interval", "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
     "cutoffs": None, "rtol": None, "growth": None, "u0": "valid", "uT": "valid",
     "f_span": 1.0, "f_scale": 1.0, "f_form": "valid", "g_span": 1.0, "g_scale": 1.0, "g_form": "valid",
-    "out": "out",
+    "out": "out", "typo": None,
 }
 LENGTHS = ("1e-160", "1e200", "2.5", "0", "-1", "nan", "x")
 HORIZONS = ("1.0", "1e-300", "1e-12", "1e300", "1e306", "0", "-1", "inf", "nan")
@@ -50,6 +50,8 @@ EDGES = {
     "g_span": (0.5, 2.0), "g_scale": (0.0, 1e-300, 1e300), "g_form": ("garbage", "non-finite", "wrong-shape"),
     # every run finds the file "taken" and the empty directory "out" in its directory
     "out": ("taken", "taken/sub"),
+    # a misspelled key, which must not run the default of the key it misses
+    "typo": ("modez", "polcy.growth_thresh", "tgrid.node", "T0"),
 }
 STATE_SCALES = {"huge": 1e300, "tiny": 1e-300, "zero": 0.0}
 MATRICES = {
@@ -149,7 +151,8 @@ def _boundary_csv(T, span, nodes, scale, form):
 
 @st.composite
 def config_runs(draw):
-    """(argv, files): a config-driven subcommand and the files it reads."""
+    """(argv, files, refused): a config-driven subcommand, the files it
+    reads, and whether it must exit 1 however the other fields are drawn."""
     c = dict(VALID)
     for field in draw(st.sets(st.sampled_from(sorted(EDGES)), max_size=3)):
         c[field] = draw(st.sampled_from(EDGES[field]))
@@ -159,8 +162,8 @@ def config_runs(draw):
     lines = [f"domain.kind = {c['kind']}", f"domain.length = {length}", f"modes = {c['modes']}",
              f"out.dir = {c['out']}"]
     for key, value in (("T", c["T"]), ("tgrid.nodes", c["nodes"]), ("policy.cutoffs", c["cutoffs"]),
-                       ("policy.rtol_compat", c["rtol"]), ("policy.growth_thresh", c["growth"])):
-        if value is not None:
+                       ("policy.rtol_compat", c["rtol"]), ("policy.growth_thresh", c["growth"]), (c["typo"], "8")):
+        if key is not None and value is not None:
             lines.append(f"{key} = {value}")
     files = {}
     for key in ("u0", "uT"):
@@ -183,7 +186,9 @@ def config_runs(draw):
     if sub == "oracle-compare":
         # small grids keep each run cheap; an even count is a usage error
         argv += ["--fd-points", draw(st.sampled_from(["15", "33", "16"])), "--steps", "4"]
-    return argv, files
+    # data that end at half of T leave (T/2, T] uncovered, in any units
+    short = ("f.csv" in files and c["f_span"] < 1.0) or ("g.csv" in files and c["g_span"] < 1.0)
+    return argv, files, short or c["typo"] is not None
 
 
 @st.composite
@@ -241,8 +246,10 @@ def _check(argv, rc, out, err, written):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(config_runs())
 def test_config_subcommands_end_in_an_exit_code(run):
-    argv, files = run
-    _check(argv, *_run(argv, files))
+    argv, files, refused = run
+    rc, out, err, written = _run(argv, files)
+    _check(argv, rc, out, err, written)
+    assert rc == 1 or not refused, (argv, files)
 
 
 @settings(max_examples=16, deadline=None, derandomize=True)

@@ -162,11 +162,17 @@ class TestSectoriality:
         assert rep.sup_value == pytest.approx(1.0, rel=1e-12)
         assert rep.passed
 
-    def test_nothing_to_sample_is_refused(self):
-        # ||A|| = 1e-12 puts every radius at or below 1e-9, so every sample
-        # point lies within the skip distance 1e-8 of the eigenvalue -1e-12
-        with pytest.raises(InvalidSpecError):
-            check_sectoriality(MatrixGenerator([[1e-12]]))
+    def test_tiny_scalar_gets_the_report_of_one(self):
+        # the skip distance scales with ||A||: the sector of 2^-40 is the
+        # sector of 1 scaled by 2^-40, bit for bit
+        one = check_sectoriality(MatrixGenerator([[1.0]]))
+        tiny = check_sectoriality(MatrixGenerator([[2.0 ** -40]]))
+        assert tiny == type(one)(one.sup_value, one.argmax_lambda * 2.0 ** -40, one.passed,
+                                 one.n_sampled, one.n_skipped, one.theta_recommended)
+        # 1e-12 is not a power of two: the sup moves by rounding alone
+        rep = check_sectoriality(MatrixGenerator([[1e-12]]))
+        assert rep.passed and rep.n_skipped == 0
+        assert abs(rep.sup_value - one.sup_value) <= np.spacing(one.sup_value)
 
     def test_json_keys(self):
         rep = check_sectoriality(MatrixGenerator([[1.0]]))
