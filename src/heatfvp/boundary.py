@@ -61,11 +61,6 @@ TRACE_SURROGATE_SAMPLES = 128
 _CSV_HEADER = ["t", "g_left", "g_right"]
 
 
-def _require_interval(basis: EigenBasis):
-    if basis.spec.kind != "interval":
-        raise InvalidSpecError("boundary-value operations are interval-only")
-
-
 @dataclass
 class BoundaryData:
     """Endpoint Dirichlet values, piecewise linear on a time grid.
@@ -137,7 +132,6 @@ class HarmonicLift:
 def harmonic_lift(g_left: float, g_right: float, basis: EigenBasis) -> HarmonicLift:
     """Solve the (1-d) boundary Poisson problem: the interior function with
     zero second derivative matching the endpoint values."""
-    _require_interval(basis)
     return HarmonicLift(basis, float(g_left), float(g_right))
 
 
@@ -156,7 +150,6 @@ def boundary_split(samples, basis: EigenBasis) -> BoundarySplit:
     The harmonic projection is the lift of the endpoint samples, so
     idempotency and the partition of unity hold pointwise by construction.
     """
-    _require_interval(basis)
     u = np.asarray(samples, dtype=float)
     if u.shape != basis.axes[0].shape:
         raise InvalidSpecError("samples must live on the basis quadrature grid")
@@ -174,7 +167,6 @@ class LiftPath:
     basis: EigenBasis
 
     def __post_init__(self):
-        _require_interval(self.basis)
         # lift coefficients are linear in (g_left, g_right); precompute both columns
         self._col_left = self.basis.lift_coefficients(1.0, 0.0)
         self._col_right = self.basis.lift_coefficients(0.0, 1.0)
@@ -202,7 +194,6 @@ def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     the lift coefficients w_j(s) piecewise linear, integrated in closed form
     per subinterval.
     """
-    _require_interval(basis)
     _check_horizon(t)
     return _yield(basis, None, LiftPath(g, basis), float(t))[0]
 
@@ -349,12 +340,10 @@ def _check_coverage(f, g, T):
 
 def _validate_final_data(f, g, u_T, T):
     """Reject a horizon that is not finite and positive and a source or
-    boundary grid short of [0, T]; boundary data need the interval."""
+    boundary grid short of [0, T]."""
     _check_horizon(T, u_T.basis)
     if f is not None and not f.basis.same_as(u_T.basis):
         raise InvalidSpecError("source and final state use different bases")
-    if g is not None:
-        _require_interval(u_T.basis)
     _check_coverage(f, g, T)
 
 
@@ -487,7 +476,6 @@ def solution_norm_h1(traj: Trajectory) -> float:
     if traj.times.size < 2:
         raise InvalidSpecError("a trajectory norm needs at least two nodes")
     basis = traj.basis
-    _require_interval(basis)
     (L,) = basis.spec.lengths
     lam = basis.lambdas
     # first, so that its temporaries are freed before the norm's own

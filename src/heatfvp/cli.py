@@ -40,7 +40,7 @@ USAGE = (
     "instability-demo norms oracle-compare generator-lab\n"
 )
 # the keys of the README's config table; parse_config refuses any other, so a typo cannot run a default
-_CONFIG_KEYS = frozenset("""domain.kind domain.length modes T u0.path uT.path f.path g.path tgrid.nodes
+_CONFIG_KEYS = frozenset("""domain.length modes T u0.path uT.path f.path g.path tgrid.nodes
     policy.rtol_compat policy.growth_thresh policy.cutoffs out.dir""".split())
 
 
@@ -110,14 +110,8 @@ def _cfg_int(cfg: dict, key: str, default=None) -> int | None:
 
 
 def basis_from_config(cfg: dict) -> sp.EigenBasis:
-    kind = cfg.get("domain.kind", "interval")
-    length_raw = cfg.get("domain.length", "3.141592653589793")
-    try:
-        lengths = tuple(float(x) for x in length_raw.split(","))
-    except ValueError as exc:
-        raise UsageError("domain.length must be a number or comma pair") from exc
-    modes = _cfg_int(cfg, "modes", 64)
-    return build_basis(DomainSpec(kind=kind, lengths=lengths, modes=modes))
+    length = _cfg_float(cfg, "domain.length") if "domain.length" in cfg else np.pi
+    return build_basis(DomainSpec("interval", (length,), _cfg_int(cfg, "modes", 64)))
 
 
 def policy_from_config(cfg: dict) -> MembershipPolicy:
@@ -278,8 +272,6 @@ def _cmd_oracle_compare(args):
     if args.fd_points is not None and args.fd_points % 2 == 0:
         raise UsageError(f"--fd-points must be odd, got {args.fd_points}")
     cfg, basis, T, f, g = _problem(args)
-    if basis.ndim != 1:
-        raise UsageError("oracle comparison is interval-only")
     u0 = _load_state(cfg, "u0.path", basis)
     (L,) = basis.spec.lengths
 

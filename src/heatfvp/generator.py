@@ -118,16 +118,27 @@ class MatrixGenerator:
     def is_selfadjoint(self) -> bool:
         return bool(np.linalg.norm(0.5 * (self.a - self.a.conj().T), 2) <= 1e-12 * self.norm2)
 
+    @cached_property
+    def _unit(self) -> tuple:
+        """(2^-e A, 2^-e ||A||), e the binary exponent of ||A|| (0 for A = 0):
+        the commutators of 2^-e A stay in float64 range, and a power-of-two
+        scale is exact, so every flag of an A in range keeps its bits.
+        ldexp refuses complex input, so the parts scale apart."""
+        e = int(np.frexp(self.norm2)[1])
+        return np.ldexp(self.a.real, -e) + 1j * np.ldexp(self.a.imag, -e), float(np.ldexp(self.norm2, -e))
+
     @property
     def is_normal(self) -> bool:
-        comm = self.a @ self.a.conj().T - self.a.conj().T @ self.a
-        return bool(np.linalg.norm(comm, 2) <= 1e-12 * self.norm2 ** 2)
+        a, norm2 = self._unit
+        comm = a @ a.conj().T - a.conj().T @ a
+        return bool(np.linalg.norm(comm, 2) <= 1e-12 * norm2 ** 2)
 
     @property
     def is_hyponormal(self) -> bool:
         # |A* x| <= |A x| for all x is positivity of the commutator A*A - AA*
-        comm = self.a.conj().T @ self.a - self.a @ self.a.conj().T
-        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * self.norm2 ** 2)
+        a, norm2 = self._unit
+        comm = a.conj().T @ a - a @ a.conj().T
+        return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * norm2 ** 2)
 
     @cached_property
     def decay_rate(self) -> float:

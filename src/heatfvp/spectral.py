@@ -1,4 +1,4 @@
-"""Dirichlet sine eigenbasis on an interval or rectangle.
+"""Dirichlet sine eigenbasis on an interval.
 
 Eigenpairs are closed form, so no numerical eigensolver is involved; the
 variational-triple constants and the three norms (pivot space, form domain,
@@ -45,25 +45,27 @@ def _check_horizon(T, basis: "EigenBasis | None" = None) -> None:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Interval (0, L) or rectangle (0, L1) x (0, L2) with homogeneous
-    Dirichlet spectrum, plus the per-axis mode count."""
+    """Interval (0, L) with homogeneous Dirichlet spectrum, plus the mode
+    count.  `kind` is always "interval" and `lengths` is (L,): both are kept
+    because the state JSON carries them."""
 
     kind: str
     lengths: tuple
     modes: int
 
     def __post_init__(self):
-        if self.kind not in ("interval", "rectangle"):
+        if self.kind != "interval":
             raise InvalidSpecError(f"unknown domain kind {self.kind!r}")
         lengths = tuple(float(x) for x in np.atleast_1d(np.asarray(self.lengths, dtype=float)))
         object.__setattr__(self, "lengths", lengths)
-        want = 1 if self.kind == "interval" else 2
-        if len(lengths) != want:
-            raise InvalidSpecError(f"{self.kind} needs {want} length(s), got {len(lengths)}")
-        if not all(np.isfinite(L) and L > 0.0 for L in lengths):
-            raise InvalidSpecError("side lengths must be finite and positive")
-        if not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
+        if len(lengths) != 1:
+            raise InvalidSpecError(f"interval needs 1 length, got {len(lengths)}")
+        if not (np.isfinite(lengths[0]) and lengths[0] > 0.0):
+            raise InvalidSpecError("the length must be finite and positive")
+        # bool is an int, and a float or a string is no count: refuse, never coerce
+        if isinstance(self.modes, bool) or not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
             raise InvalidSpecError("modes must be an integer >= 1")
+        object.__setattr__(self, "modes", int(self.modes))  # an np.int64 count still serializes
 
 
 def _simpson_weights(length: float, panels: int) -> np.ndarray:
@@ -144,24 +146,23 @@ class EigenBasis:
 
     Attributes:
         spec: the generating DomainSpec.
-        lambdas: eigenvalues sorted ascending, shape (n_modes,).
-        index_map: per-axis sine indices for each sorted position.
+        lambdas: eigenvalues (j pi / L)^2 of modes j = 1..modes, ascending.
         C1, C2, C3, C4: constants of the norm chain and of the Dirichlet
             form, valid for the spectral representation: ||v||_* <= C1 |v|
             <= C2 ||v||, |a(u,v)| <= C3 ||u|| ||v||, Re a(v,v) >= C4 ||v||^2.
 
-    `axes` holds the per-axis nodes of the quadrature grid, 8*modes panels
-    per axis, on which `analyze` reads and the default `synthesize` writes
-    samples; both run as sine transforms and build no table.  `weights`
-    (Simpson weights) and `sines` (per-axis modes-by-nodes sine tables,
-    O(N^2) memory) are read by nothing in the package, only by
-    `_table_bytes` in perfbench/spans.py; they go once that probe stops
-    reading them.  All three are cached properties, computed on first read.
+    `axes` holds the nodes of the quadrature grid, 8*modes panels, on
+    which `analyze` reads and the default `synthesize` writes samples; both
+    run as sine transforms and build no table.  `weights` (Simpson weights)
+    and `sines` (the modes-by-nodes sine table, O(N^2) memory) are read by
+    nothing in the package, only by `_table_bytes` in perfbench/spans.py;
+    they go once that probe stops reading them.  All three are one-element
+    tuples, which that probe iterates, and cached properties, computed on
+    first read.
     """
 
     spec: DomainSpec
     lambdas: np.ndarray
-    index_map: tuple
     C1: float = 0.0
     C2: float = 0.0
     C3: float = 1.0
@@ -185,18 +186,12 @@ class EigenBasis:
     def n_modes(self) -> int:
         return int(self.lambdas.size)
 
-    @property
-    def ndim(self) -> int:
-        return len(self.spec.lengths)
-
     def same_as(self, other: "EigenBasis") -> bool:
         return self.spec == other.spec
 
     def lift_coefficients(self, g_left: complex, g_right: complex) -> np.ndarray:
         """Sine coefficients of the affine function matching the endpoint
-        values, i.e. g_left + (g_right - g_left) x / L.  Interval only."""
-        if self.spec.kind != "interval":
-            raise InvalidSpecError("affine lift coefficients are interval-only")
+        values, i.e. g_left + (g_right - g_left) x / L."""
         (L,) = self.spec.lengths
         j = np.arange(1, self.spec.modes + 1, dtype=float)
         cosjpi = np.cos(j * np.pi)  # (-1)^j without accumulating phase error
@@ -206,41 +201,28 @@ class EigenBasis:
         return g_left * coeff_one + ((g_right - g_left) / L) * coeff_x
 
     def mode_values(self, points) -> np.ndarray:
-        """Eigenfunction values on arbitrary points, rows indexed by mode.
-        Interval only; the tensor basis keeps its per-axis tables."""
-        if self.spec.kind != "interval":
-            raise InvalidSpecError("pointwise mode tables are interval-only")
+        """Eigenfunction values on arbitrary points, rows indexed by mode."""
         (L,) = self.spec.lengths
         return _sine_table(L, self.spec.modes, points)
 
 
 def build_basis(spec: DomainSpec) -> EigenBasis:
-    """Assemble the sorted eigenbasis; quadrature tables wait for first use.
+    """Assemble the eigenbasis; quadrature tables wait for first use.
 
     Refuses lengths whose spectrum leaves float64 range: the largest
     eigenvalue must be finite and the smallest must have a finite
     reciprocal, the constant C2.
     """
-    N = spec.modes
-    j = np.arange(1, N + 1, dtype=float)
+    (L,) = spec.lengths
+    j = np.arange(1, spec.modes + 1, dtype=float)
     with np.errstate(over="ignore"):
-        axis_lambdas = [(j * np.pi / L) ** 2 for L in spec.lengths]
-    if spec.kind == "interval":
-        (lambdas,) = axis_lambdas
-        index_map = tuple((int(i),) for i in range(1, N + 1))
-    else:
-        lam1, lam2 = axis_lambdas
-        pairs = [(lam1[a] + lam2[b], a + 1, b + 1) for a in range(N) for b in range(N)]
-        pairs.sort(key=lambda p: (p[0], p[1], p[2]))  # deterministic tie-break
-        lambdas = np.array([p[0] for p in pairs])
-        index_map = tuple((p[1], p[2]) for p in pairs)
+        lambdas = (j * np.pi / L) ** 2
     lam1 = float(lambdas[0])
     if not (math.isfinite(float(lambdas[-1])) and lam1 > 0.0 and math.isfinite(1.0 / lam1)):
         raise InvalidSpecError("domain lengths put the Dirichlet spectrum outside float64 range")
     return EigenBasis(
         spec=spec,
         lambdas=_read_only(lambdas),
-        index_map=index_map,
         C1=lam1 ** -0.5,
         C2=1.0 / lam1,
         C3=1.0,
@@ -434,26 +416,22 @@ def rel_distance(a: SpectralVec, b: SpectralVec) -> float:
 def analyze(samples, basis: EigenBasis) -> SpectralVec:
     """Project samples on the basis quadrature grid onto the eigenmodes.
 
-    Composite Simpson with 8*modes panels per axis integrates products of
-    basis modes exactly (discrete orthogonality), so analyze/synthesize
+    Composite Simpson with 8*modes panels integrates products of basis
+    modes exactly (discrete orthogonality), so analyze/synthesize
     round-trip on the span at machine precision.  The sums run as one
-    Simpson-weighted DST-I per axis, the last axis first.
+    Simpson-weighted DST-I.
     """
     N = basis.spec.modes
-    grid = (8 * N + 1,) * basis.ndim
-    coeffs = np.asarray(samples)
-    if coeffs.shape != grid:
-        raise GridMismatchError(f"samples have shape {coeffs.shape}, quadrature grid is {grid}")
-    for L in reversed(basis.spec.lengths):
-        coeffs = np.moveaxis(_simpson_dst(coeffs, L, 8 * N, N), -1, 0)
-    return SpectralVec.from_coefficients(basis, coeffs[tuple(np.array(basis.index_map).T - 1)])
+    (L,) = basis.spec.lengths
+    f = np.asarray(samples)
+    if f.shape != (8 * N + 1,):
+        raise GridMismatchError(f"samples have shape {f.shape}, quadrature grid is {(8 * N + 1,)}")
+    return SpectralVec.from_coefficients(basis, _simpson_dst(f, L, 8 * N, N))
 
 
 def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
-    """Like analyze, but on a caller-supplied uniform 1-d grid covering
-    [0, L] with an even panel count (used to project oracle output)."""
-    if basis.ndim != 1:
-        raise InvalidSpecError("sample projection on custom grids is 1-d only")
+    """Like analyze, but on a caller-supplied uniform grid covering [0, L]
+    with an even panel count (used to project oracle output)."""
     x = np.asarray(grid, dtype=float)
     f = np.asarray(samples)
     if x.ndim != 1 or f.shape != x.shape:
@@ -471,20 +449,16 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
 
 
 def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
-    """Evaluate the mode sum of an interval vector on
-    np.linspace(0, L, panels + 1), endpoints included, by one DST-I.  Real
-    where every coefficient is real.  A sample past float64 range is
-    refused.
+    """Evaluate the mode sum on np.linspace(0, L, panels + 1), endpoints
+    included, by one DST-I.  Real where every coefficient is real.  A
+    sample past float64 range is refused.
     """
-    basis = vec.basis
-    if basis.ndim != 1:
-        raise InvalidSpecError("uniform sampling is 1-d only")
     if not (isinstance(panels, (int, np.integer)) and panels >= 2):
         raise InvalidSpecError("uniform sampling needs an integer panel count >= 2")
     if vec.overflowed:
         raise OverflowError("coefficients exceed linear floating-point range")
     c = vec.coefficients
-    (L,) = basis.spec.lengths
+    (L,) = vec.basis.spec.lengths
     with np.errstate(over="ignore", invalid="ignore"):
         out = _uniform_dst(c if np.any(c.imag) else c.real, L, panels)
     if not np.all(np.isfinite(out)):
@@ -495,26 +469,18 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
 def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
     """Evaluate the mode sum pointwise.
 
-    Defaults to the quadrature grid, one inverse DST-I per axis; pass
-    per-axis points for custom grids.  Raises if any coefficient exceeds
-    linear float range.
+    Defaults to the quadrature grid, one inverse DST-I; pass points for
+    a custom grid.  Raises if any coefficient exceeds linear float range.
     """
     if vec.overflowed:
         raise OverflowError("coefficients exceed linear floating-point range")
-    basis = vec.basis
-    N = basis.spec.modes
-    c = C = vec.coefficients
-    if basis.ndim == 2:
-        C = np.zeros((N, N), dtype=c.dtype)
-        C[tuple(np.array(basis.index_map).T - 1)] = c
+    N = vec.basis.spec.modes
+    (L,) = vec.basis.spec.lengths
+    c = vec.coefficients
     if points is None:
-        out = C if np.any(C.imag) else C.real
-        for L in reversed(basis.spec.lengths):
-            out = np.moveaxis(_uniform_dst(out, L, 8 * N), -1, 0)
+        out = _uniform_dst(c if np.any(c.imag) else c.real, L, 8 * N)
     else:
-        per_axis = (points,) if basis.ndim == 1 else points
-        tables = [_sine_table(L, N, p) for L, p in zip(basis.spec.lengths, per_axis)]
-        out = c @ tables[0] if basis.ndim == 1 else tables[0].T @ C @ tables[1]
+        out = c @ _sine_table(L, N, points)
     if np.max(np.abs(out.imag), initial=0.0) == 0.0:
         return out.real
     return out
@@ -582,7 +548,7 @@ def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
     payload = json.loads(text)
     try:
         desc = payload["basis"]
-        spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=int(desc["modes"]))
+        spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=desc["modes"])
         coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
     except KeyError as exc:
         raise InvalidSpecError(f"state JSON lacks the key {exc.args[0]!r}") from exc

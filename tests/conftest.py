@@ -37,8 +37,3 @@ def basis16():
 @pytest.fixture(scope="session")
 def basis64():
     return build_basis(DomainSpec("interval", (np.pi,), 64))
-
-
-@pytest.fixture(scope="session")
-def basis_rect():
-    return build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))

@@ -16,7 +16,7 @@ from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import fvp
 from heatfvp import spectral as sp
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, rel_distance
 
 
 def _instance(n, kind, seed=0):
@@ -243,13 +243,13 @@ def test_reused_replay_has_the_bits_of_a_fresh_march(n, span, seed, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["decay", "source"])
-def test_forward_without_boundary_term_is_solve_cauchy(kind, basis_rect):
-    # g=None needs no interval and attaches no lift
+def test_forward_without_boundary_term_is_solve_cauchy(kind, basis16):
+    # g=None attaches no lift
     rng = np.random.default_rng(5)
-    u0 = SpectralVec.from_coefficients(basis_rect, rng.standard_normal(basis_rect.n_modes))
+    u0 = SpectralVec.from_coefficients(basis16, rng.standard_normal(basis16.n_modes))
     f = None
     if kind == "source":
-        f = dh.SourceTerm(basis_rect, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, basis_rect.n_modes)))
+        f = dh.SourceTerm(basis16, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, basis16.n_modes)))
     tgrid = np.linspace(0.0, 1.0, 7)
     got = bd.solve_ibvp(u0, f, None, tgrid)
     want = dh.solve_cauchy(u0, f, tgrid)
@@ -287,10 +287,3 @@ def test_zero_boundary_data_keep_the_trace_part(basis16):
     assert json.loads(_json(sol.ynorm))["trace_sq"] == 0.0
     assert sol.trajectory.lift is not None
 
-
-def test_no_boundary_term_needs_no_interval(basis_rect):
-    uT = SpectralVec.unit(basis_rect, 1).scale_log(-0.5 * basis_rect.lambdas)
-    sol = bd.solve_final_value_inhom(None, None, uT, 0.5)
-    assert sol.compat.verdict == "compatible"
-    with pytest.raises(InvalidSpecError):
-        bd.solve_final_value_inhom(None, bd.BoundaryData.zero(0.5), uT, 0.5)

@@ -130,11 +130,6 @@ class TestHarmonicLift:
         want = np.sqrt(2 / np.pi) * (2.0 - (-1.0) ** jj * 3.0) / jj
         assert np.allclose(lift2.coefficients, want, rtol=1e-13)
 
-    def test_rejects_rectangle(self, basis_rect):
-        with pytest.raises(InvalidSpecError):
-            harmonic_lift(1.0, 0.0, basis_rect)
-
-
 class TestBoundarySplit:
     def test_partition_and_idempotency(self, basis16):
         rng = np.random.default_rng(0)
@@ -185,14 +180,12 @@ class TestBoundaryYield:
         )
         assert np.allclose(z, want, rtol=1e-10, atol=1e-15)
 
-    def test_validation(self, basis16, basis_rect):
+    def test_validation(self, basis16):
         g = BoundaryData.zero(1.0)
         with pytest.raises(InvalidSpecError):
             boundary_yield(g, 0.0, basis16)
         with pytest.raises(InvalidSpecError):
             boundary_yield(g, 2.0, basis16)
-        with pytest.raises(InvalidSpecError):
-            boundary_yield(g, 1.0, basis_rect)
         for t in (np.nan, np.inf):
             with pytest.raises(InvalidSpecError, match="horizon"):
                 boundary_yield(g, t, basis16)
@@ -260,10 +253,6 @@ class TestSolveIbvp:
         f = SourceTerm(basis16, np.array([0.0, 1.0]), rng.standard_normal((2, 16)))
         traj = solve_ibvp(u0, f, None, np.linspace(0.0, 1.0, 5))
         assert flow_identity_residual(traj, None) <= 1e-10
-
-    def test_rejects_rectangle(self, basis_rect):
-        with pytest.raises(InvalidSpecError):
-            solve_ibvp(SpectralVec.zero(basis_rect), None, BoundaryData.zero(1.0), np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("modes", [4096, 8192])
     def test_round_trip_and_flow_identity_at_large_n(self, modes):

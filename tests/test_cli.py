@@ -177,12 +177,15 @@ def _malformed_state(tmp_path, kind):
         # eigenvalues beyond float64 range: (pi/L)^2 overflows at 1e-160, underflows at 1e200
         return ["instability-demo", "--T", "1", "--jmax", "3", "--length", kind[len("demo-length="):]]
     if kind == "rectangle-forward":
-        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))
-        u0 = SpectralVec.from_coefficients(basis, np.exp(-np.arange(16.0)))
-        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
-        write_conf(tmp_path, "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
-                             "modes = 4\nT = 0.5\nu0.path = u0.json\nout.dir = out\n")
+        # the interval is the one domain: domain.kind is an unknown key
+        _rectangle_files(tmp_path, "out.dir = out\n")
         return ["forward", *conf]
+    if kind.startswith("modes="):
+        # a mode count that is no JSON integer is refused, never read as the configured 1
+        u0 = SpectralVec.from_coefficients(build_basis(DomainSpec("interval", (np.pi,), 1)), [0.5])
+        (tmp_path / "uT.json").write_text(sp.vec_to_json(u0).replace('"modes": 1', f'"modes": {kind[6:]}'))
+        write_conf(tmp_path, "modes = 1\nT = 0.5\nuT.path = uT.json\n")
+        return ["check-compat", *conf]
     if kind == "huge-state-norms":
         # finite coefficients whose squared norms leave float64 range
         payload = {"basis": {"kind": "interval", "lengths": [np.pi], "modes": 16},
@@ -236,6 +239,15 @@ def _malformed_state(tmp_path, kind):
     return ["norms" if kind.startswith("norms-") else "check-compat", *conf]
 
 
+def _rectangle_files(tmp_path, extra=""):
+    """A rectangle state and config, written by hand as no DomainSpec holds them."""
+    payload = {"basis": {"kind": "rectangle", "lengths": [np.pi, np.pi], "modes": 4},
+               "coefficients": [[float(np.exp(-k)), 0.0] for k in range(16)]}
+    (tmp_path / "u0.json").write_text(json.dumps(payload))
+    return write_conf(tmp_path, "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
+                                f"modes = 4\nT = 0.5\nu0.path = u0.json\n{extra}")
+
+
 def _unwritable_destination(tmp_path, kind):
     """A run whose output goes to an existing file named "taken", to a path
     under it, or to the existing directory "out"; returns the argument list."""
@@ -263,6 +275,7 @@ def _reject_constant(name):
     "missing-kind", "missing-lengths", "missing-modes",
     "T=nan", "T=inf", "T=0", "T=x",
     "nan-coefficient", "inf-coefficient",
+    "modes=1e999", "modes=1.5", 'modes="1"', "modes=true",
     "huge-state-norms",
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
     "demo-length=1e-160", "demo-length=1e200",
@@ -276,6 +289,7 @@ def _reject_constant(name):
     "policy.rtol_compat=nan", "policy.rtol_compat=-1", "policy.growth_thresh=nan", "policy.growth_thresh=-1",
     "policy.growth_thresh=1", "policy.rtol_compat=inf,policy.growth_thresh=inf", "policy.cutoffs=a",
     "unknown-key=modez", "unknown-key=polcy.growth_thresh", "unknown-key=tgrid.node", "unknown-key=__dir__",
+    "unknown-key=domain.kind", "length=1.0,2.0",
 ])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     argv = _malformed_state(tmp_path, kind)
@@ -286,7 +300,8 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     assert out.out == ""
     # one line: a data error is not followed by the usage text; a config
     # value that does not parse and an unknown key are usage errors
-    usage = kind in ("T=x", "policy.cutoffs=a") or kind.startswith("unknown-key=")
+    usage = (kind in ("T=x", "policy.cutoffs=a", "rectangle-forward", "length=1.0,2.0")
+             or kind.startswith("unknown-key="))
     assert out.err.splitlines()[1:] == (USAGE.splitlines() if usage else [])
     assert out.err.startswith("error:")
     # every output is formed before any is written
@@ -665,16 +680,9 @@ class TestOracleCompare:
         assert report["refinement_ratio"] >= 3.5
 
     def test_rectangle_rejected(self, tmp_path, capsys):
-        basis = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 4))
-        u0 = SpectralVec.from_coefficients(basis, np.exp(-np.arange(16.0)))
-        (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
-        conf = write_conf(
-            tmp_path,
-            "domain.kind = rectangle\ndomain.length = 3.141592653589793,3.141592653589793\n"
-            "modes = 4\nT = 0.5\nu0.path = u0.json\n",
-        )
+        conf = _rectangle_files(tmp_path)
         assert cli(["oracle-compare", "--config", conf]) == 1
-        assert "interval-only" in capsys.readouterr().err
+        assert "unknown config key 'domain.kind'" in capsys.readouterr().err
 
     def test_even_fd_points_refused(self, tmp_path, capsys):
         # an even point count gives the coarse grid an odd panel count,

@@ -32,7 +32,7 @@ CONFIG_SUBCOMMANDS = ("forward", "backward", "check-compat", "norms", "oracle-co
 # a valid run, and the edge values each field may take instead; a draw
 # mutates at most three fields, so most runs get past the config
 VALID = {
-    "kind": "interval", "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
+    "kind": None, "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
     "cutoffs": None, "rtol": None, "growth": None, "u0": "valid", "uT": "valid",
     "f_span": 1.0, "f_scale": 1.0, "f_form": "valid", "g_span": 1.0, "g_scale": 1.0, "g_form": "valid",
     "out": "out", "typo": None,
@@ -41,7 +41,8 @@ LENGTHS = ("1e-160", "1e200", "2.5", "0", "-1", "nan", "x")
 HORIZONS = ("1.0", "1e-300", "1e-12", "1e300", "1e306", "0", "-1", "inf", "nan")
 STATES = ("garbage", "non-finite", "wrong-shape", "huge", "tiny", "zero", None)
 EDGES = {
-    "kind": ("rectangle", "annulus"), "length": LENGTHS, "modes": ("1", "4", "0", "-2", "x"),
+    # domain.kind is no config key: written only when drawn, and then refused
+    "kind": ("interval", "rectangle"), "length": LENGTHS, "modes": ("1", "4", "0", "-2", "x"),
     "T": HORIZONS + (None,), "nodes": ("1", "2", "9", "x"), "cutoffs": ("1,2", "0", "4,2", "a"),
     "rtol": ("nan", "inf", "-1", "0.5", "0"), "growth": ("nan", "inf", "-1", "0.5", "1", "100"),
     "u0": STATES, "uT": STATES,
@@ -80,10 +81,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=_refuse_constant)
 
 
-def _basis_or_none(kind, length, modes):
+def _basis_or_none(length, modes):
     try:
-        lengths = tuple(float(x) for x in length.split(","))
-        return build_basis(DomainSpec(kind=kind, lengths=lengths, modes=int(modes)))
+        return build_basis(DomainSpec("interval", (float(length),), int(modes)))
     except ValueError:  # InvalidSpecError is one
         return None
 
@@ -156,13 +156,12 @@ def config_runs(draw):
     c = dict(VALID)
     for field in draw(st.sets(st.sampled_from(sorted(EDGES)), max_size=3)):
         c[field] = draw(st.sampled_from(EDGES[field]))
-    length = c["length"] if c["kind"] != "rectangle" else f"{c['length']},{c['length']}"
-    basis = _basis_or_none(c["kind"], length, c["modes"])
+    basis = _basis_or_none(c["length"], c["modes"])
     T = _horizon(c["T"])
-    lines = [f"domain.kind = {c['kind']}", f"domain.length = {length}", f"modes = {c['modes']}",
-             f"out.dir = {c['out']}"]
-    for key, value in (("T", c["T"]), ("tgrid.nodes", c["nodes"]), ("policy.cutoffs", c["cutoffs"]),
-                       ("policy.rtol_compat", c["rtol"]), ("policy.growth_thresh", c["growth"]), (c["typo"], "8")):
+    lines = [f"domain.length = {c['length']}", f"modes = {c['modes']}", f"out.dir = {c['out']}"]
+    for key, value in (("domain.kind", c["kind"]), ("T", c["T"]), ("tgrid.nodes", c["nodes"]),
+                       ("policy.cutoffs", c["cutoffs"]), ("policy.rtol_compat", c["rtol"]),
+                       ("policy.growth_thresh", c["growth"]), (c["typo"], "8")):
         if key is not None and value is not None:
             lines.append(f"{key} = {value}")
     files = {}
@@ -188,7 +187,7 @@ def config_runs(draw):
         argv += ["--fd-points", draw(st.sampled_from(["15", "33", "16"])), "--steps", "4"]
     # data that end at half of T leave (T/2, T] uncovered, in any units
     short = ("f.csv" in files and c["f_span"] < 1.0) or ("g.csv" in files and c["g_span"] < 1.0)
-    return argv, files, short or c["typo"] is not None
+    return argv, files, short or c["typo"] is not None or c["kind"] is not None
 
 
 @st.composite

@@ -186,15 +186,6 @@ class TestClosedForms:
             want = np.exp(-t * lam) * u0c + fc * (1 - np.exp(-t * lam)) / lam
             assert np.allclose(traj.final_state.coefficients, want, rtol=1e-12, atol=1e-15)
 
-    def test_constant_source_rectangle(self, basis_rect):
-        rng = np.random.default_rng(9)
-        fc = rng.standard_normal(basis_rect.n_modes)
-        f = const_source(basis_rect, 2.0, fc)
-        lam = basis_rect.lambdas
-        out = source_yield(f).coefficients
-        want = fc * (1 - np.exp(-2.0 * lam)) / lam
-        assert np.allclose(out, want, rtol=1e-13, atol=0)
-
     def test_linear_source(self, basis16):
         # f(t) = fa + s (t - a) on one interval; the particular solution is
         # p + q (t - a) with q = s/lam, p = fa/lam - s/lam^2.

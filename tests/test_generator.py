@@ -4,6 +4,7 @@ log-convexity, and the backward-domain chain ordering."""
 import hashlib
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -81,6 +82,17 @@ class TestClassification:
         assert rep.hyponormal
         assert rep.decay_rate == pytest.approx(0.0, abs=1e-14)
         assert not rep.elliptic
+
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_commutators_past_float64_square(self, big):
+        # ||A||^2 overflows; the shear 1 lies below the rounding of ||A||^2,
+        # so A is normal and hyponormal to working precision, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = MatrixGenerator([[big, 1.0], [0.0, big]]).classify()
+        assert rep.normal and rep.hyponormal
+        zero = MatrixGenerator(np.zeros((2, 2))).classify()
+        assert zero.normal and zero.hyponormal
 
     def test_json_keys(self):
         d = json.loads(strict_json(json_payload(MatrixGenerator(np.eye(3)).classify())))

@@ -37,21 +37,10 @@ def test_interval_general_length():
     assert np.allclose(basis.lambdas, (j * np.pi / L) ** 2, rtol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["interval", "rectangle"])
-def test_eigenvalues_are_read_only(kind, basis16, basis_rect):
+def test_eigenvalues_are_read_only(basis16):
     # every state, march and norm reads this one array
-    basis = basis16 if kind == "interval" else basis_rect
     with pytest.raises(ValueError):
-        basis.lambdas[0] = 0.0
-
-
-def test_rectangle_spectrum_sorted_with_multiplicity(basis_rect):
-    # pi x pi square, two modes per axis: 2, 5, 5, 8 lead the spectrum
-    assert np.allclose(basis_rect.lambdas[:4], [2.0, 5.0, 8.0, 10.0][:1] + [5.0, 5.0, 8.0][:3], rtol=0) or True
-    assert np.allclose(basis_rect.lambdas[:4], [2.0, 5.0, 5.0, 8.0], rtol=1e-14)
-    assert basis_rect.index_map[0] == (1, 1)
-    assert set(basis_rect.index_map[1:3]) == {(1, 2), (2, 1)}
-    assert np.all(np.diff(basis_rect.lambdas) >= 0)
+        basis16.lambdas[0] = 0.0
 
 
 def test_triple_constants(basis16):
@@ -72,16 +61,23 @@ def test_domain_spec_validation():
     with pytest.raises(InvalidSpecError):
         DomainSpec("interval", (1.0,), 0)
     with pytest.raises(InvalidSpecError):
-        DomainSpec("rectangle", (1.0,), 4)
-    with pytest.raises(InvalidSpecError):
         DomainSpec("interval", (np.nan,), 4)
-    with pytest.raises(InvalidSpecError):
-        DomainSpec("rectangle", (1.0, np.inf), 4)
+    # the interval is the one domain, with one length
+    with pytest.raises(InvalidSpecError, match="kind"):
+        DomainSpec("rectangle", (1.0, 1.0), 4)
+    with pytest.raises(InvalidSpecError, match="1 length"):
+        DomainSpec("interval", (1.0, 1.0), 4)
+    # a mode count is an integer, never a bool, a float or a string read as one
+    for modes in (True, 4.0, 4.5, "4", np.inf):
+        with pytest.raises(InvalidSpecError, match="modes"):
+            DomainSpec("interval", (1.0,), modes)
+    spec = DomainSpec("interval", (1.0,), np.int64(4))
+    assert type(spec.modes) is int
+    assert json.loads(vec_to_json(SpectralVec.zero(build_basis(spec))))["basis"]["modes"] == 4
     # (pi/L)^2 overflows at L = 1e-160; at L = 1e200 it underflows to 0, so C2 = 1/lambda_1 is inf
-    for lengths in ((1e-160,), (1e200,), (1.0, 1e-160), (1e200, 1e200)):
-        spec = DomainSpec("interval" if len(lengths) == 1 else "rectangle", lengths, 4)
+    for L in (1e-160, 1e200):
         with pytest.raises(InvalidSpecError, match="float64 range"):
-            build_basis(spec)
+            build_basis(DomainSpec("interval", (L,), 4))
 
 
 TABLES = {"axes", "weights", "sines"}
@@ -152,13 +148,6 @@ def test_analyze_synthesize_round_trip(basis16):
     assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
 
 
-def test_rectangle_round_trip(basis_rect):
-    rng = np.random.default_rng(5)
-    vec = SpectralVec.from_coefficients(basis_rect, rng.standard_normal(basis_rect.n_modes))
-    back = analyze(synthesize(vec), basis_rect)
-    assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
-
-
 def test_analyze_rejects_wrong_grid(basis16):
     with pytest.raises(GridMismatchError):
         analyze(np.ones(7), basis16)
@@ -195,9 +184,8 @@ def test_project_samples_odd_panels_rejected(basis16):
         project_samples(np.zeros(130), x, basis16)
 
 
-def _case(modes, panels, lengths=(2.5,)):
-    name = f"{modes}-{panels}" if len(lengths) == 1 else f"rectangle-{modes}-{panels}"
-    return pytest.param(lengths, modes, panels, id=name)
+def _case(modes, panels):
+    return pytest.param(modes, panels, id=f"{modes}-{panels}")
 
 
 # a mode count above the panel count aliases on the grid; panels = 8 * modes
@@ -205,63 +193,47 @@ def _case(modes, panels, lengths=(2.5,)):
 TRANSFORM_SIZES = [
     _case(16, 64), _case(64, 130), _case(100, 64), _case(256, 514), _case(256, 200), _case(1024, 2050), _case(1024, 600),
     _case(16, 128), _case(64, 512), _case(256, 2048),
-    _case(4, 32, (2.5, 1.5)), _case(5, 40, (np.pi, 2.0)), _case(32, 256, (2.5, 1.5)),
 ]
+L_TRANSFORM = 2.5
 
 
 def _rel_max(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def _basis_and_tables(lengths, modes, panels):
-    basis = build_basis(DomainSpec("interval" if len(lengths) == 1 else "rectangle", lengths, modes))
-    return basis, [_sine_table(L, modes, np.linspace(0.0, L, panels + 1)) for L in lengths]
+def _basis_and_table(modes, panels):
+    basis = build_basis(DomainSpec("interval", (L_TRANSFORM,), modes))
+    return basis, _sine_table(L_TRANSFORM, modes, np.linspace(0.0, L_TRANSFORM, panels + 1))
 
 
-@pytest.mark.parametrize("lengths,modes,panels", TRANSFORM_SIZES)
-def test_project_samples_matches_the_table_formula(lengths, modes, panels):
-    basis, tables = _basis_and_tables(lengths, modes, panels)
-    W = [S * _simpson_weights(L, panels) for S, L in zip(tables, lengths)]
+@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
+def test_project_samples_matches_the_table_formula(modes, panels):
+    basis, table = _basis_and_table(modes, panels)
     rng = np.random.default_rng(modes + panels)
-    shape = (panels + 1,) * len(lengths)
-    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if len(W) == 1:
-        want = W[0] @ samples
-        transforms = [lambda f: project_samples(f, np.linspace(0.0, lengths[0], panels + 1), basis)]
-    else:
-        grid = W[0] @ samples @ W[1].T
-        want = np.array([grid[a - 1, b - 1] for a, b in basis.index_map])
-        transforms = []
+    samples = rng.standard_normal(panels + 1) + 1j * rng.standard_normal(panels + 1)
+    want = table * _simpson_weights(L_TRANSFORM, panels) @ samples
+    transforms = [lambda f: project_samples(f, np.linspace(0.0, L_TRANSFORM, panels + 1), basis)]
     if panels == 8 * modes:
         transforms.append(lambda f: analyze(f, basis))
     for transform in transforms:
         assert _rel_max(transform(samples).coefficients, want) <= (1e-12 if modes > 256 else 1e-13)
 
 
-@pytest.mark.parametrize("lengths,modes,panels", TRANSFORM_SIZES)
-def test_uniform_samples_match_the_table_formula(lengths, modes, panels):
-    basis, tables = _basis_and_tables(lengths, modes, panels)
+@pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
+def test_uniform_samples_match_the_table_formula(modes, panels):
+    basis, table = _basis_and_table(modes, panels)
     rng = np.random.default_rng(modes * panels)
     vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes))
     complex_vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes) * (1 + 2j))
-
-    def table_formula(c):
-        if len(tables) == 1:
-            return c @ tables[0]
-        C = np.zeros((modes, modes), dtype=c.dtype)
-        for pos, (a, b) in enumerate(basis.index_map):
-            C[a - 1, b - 1] = c[pos]
-        return tables[0].T @ C @ tables[1]
-
-    transforms = [lambda v: uniform_samples(v, panels)] if len(lengths) == 1 else []
+    transforms = [lambda v: uniform_samples(v, panels)]
     if panels == 8 * modes:
         transforms.append(synthesize)
     tol = 1e-12 if modes > 256 else 1e-13
     for transform in transforms:
         got = transform(vec)
         assert got.dtype == np.float64
-        assert _rel_max(got, table_formula(vec.coefficients.real)) <= tol
-        assert _rel_max(transform(complex_vec), table_formula(complex_vec.coefficients)) <= tol
+        assert _rel_max(got, vec.coefficients.real @ table) <= tol
+        assert _rel_max(transform(complex_vec), complex_vec.coefficients @ table) <= tol
 
 
 def test_uniform_samples_refusals(basis16):
@@ -278,9 +250,6 @@ def test_uniform_samples_refusals(basis16):
         warnings.simplefilter("error")
         with pytest.raises(InvalidSpecError, match="uniform samples"):
             uniform_samples(big, 64)
-    rect = build_basis(DomainSpec("rectangle", (np.pi, np.pi), 3))
-    with pytest.raises(InvalidSpecError):
-        uniform_samples(SpectralVec.unit(rect, 1), 8)
 
 
 def test_norm_values_single_mode(basis16):
