@@ -21,7 +21,6 @@ from .boundary import (
     data_norm_inhom,
     flow_identity_residual,
     harmonic_lift,
-    partial_boundary_yield,
     solution_norm_h1,
     solve_final_value_inhom,
     solve_ibvp,

@@ -1,11 +1,12 @@
 """Inhomogeneous Dirichlet data on the interval: harmonic lift, trace
-projections, the improper boundary-flux integral, and the one backward
-pipeline of the final value problem driven by (f, g, u_T).
+projections, the improper boundary-flux integral and its eps-sweep, and the
+one backward pipeline of the final value problem driven by (f, g, u_T).
 
 g enters the one forward path of `duhamel` as the lift forcing
 lambda_j w_j(t): `solve_ibvp` is `solve_cauchy` with a `LiftPath` (exactly
-`solve_cauchy` with g=None), and z(T) and the source yield are T rows of
-marches from the zero state.  The pipeline forms v = u_T - (source yield)
+`solve_cauchy` with g=None), z(T) and the source yield are T rows of
+marches from the zero state, and the sweep reads every partial integral
+and its limit off one such march.  The pipeline forms v = u_T - (source yield)
 [- z(T)] once, runs the membership heuristic once, takes u(0) from its
 report, replays the forward solve, and builds the data-space norm from the
 same v and report.  Without boundary data or with a zero g (which marches
@@ -34,6 +35,7 @@ from .duhamel import (
     SourceTerm,
     Trajectory,
     _default_grid,
+    _forward,
     _interpolate,
     _node_csv,
     _node_times,
@@ -198,14 +200,6 @@ def boundary_yield(g: BoundaryData, t: float, basis: EigenBasis) -> SpectralVec:
     return _yield(basis, None, LiftPath(g, basis), float(t))[0]
 
 
-def partial_boundary_yield(g: BoundaryData, t: float, eps: float, basis: EigenBasis) -> SpectralVec:
-    """Proper part int_0^{t-eps} of the boundary integral, for the sweep
-    that demonstrates convergence of the improper integral."""
-    if not 0.0 < eps < t:
-        raise InvalidSpecError("need 0 < eps < t")
-    return apply_forward(boundary_yield(g, t - eps, basis), eps)
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Cauchy diagnostics for the eps -> 0 limit of the boundary integral."""
@@ -217,15 +211,16 @@ class SweepReport:
 
 
 def boundary_yield_sweep(g: BoundaryData, t: float, basis: EigenBasis) -> SweepReport:
-    """Evaluate the partial integrals at eps = 2^{-k} t, k = 3 .. 10, and
-    report how they contract toward the improper-integral value."""
+    """The partial integrals int_0^{t-eps} at eps = 2^{-k} t, k = 3 .. 10,
+    and how they contract toward the improper integral.  One march of g's
+    lift from zero gives z at every t - eps and at t: the partial at eps is
+    e^{-eps A} z(t - eps), exact in log space, and the limit is z(t)."""
+    _check_horizon(t)
     eps = np.array([t * 2.0 ** -k for k in range(3, 11)])
-    partials = [partial_boundary_yield(g, t, e, basis) for e in eps]
-    full = boundary_yield(g, t, basis)
-    diffs = np.array([
-        triple_norms(b - a).normH for a, b in zip(partials[:-1], partials[1:])
-    ])
-    gap = triple_norms(full - partials[-1]).normH
+    _, ph, lg, _ = _forward(SpectralVec.zero(basis), None, np.append(t - eps, t), LiftPath(g, basis), None)
+    partials = [SpectralVec(basis, p, l).scale_log(-e * basis.lambdas) for p, l, e in zip(ph, lg, eps)]
+    diffs = np.array([triple_norms(b - a).normH for a, b in zip(partials[:-1], partials[1:])])
+    gap = triple_norms(SpectralVec(basis, ph[-1], lg[-1]) - partials[-1]).normH
     pos = diffs > 0
     if np.count_nonzero(pos) >= 2:
         # increments between eps_k and eps_{k+1} attach to the larger eps

@@ -116,35 +116,37 @@ class MatrixGenerator:
 
     @cached_property
     def is_selfadjoint(self) -> bool:
-        return bool(np.linalg.norm(0.5 * (self.a - self.a.conj().T), 2) <= 1e-12 * self.norm2)
+        a, norm2, _ = self._unit
+        return bool(np.linalg.norm(0.5 * (a - a.conj().T), 2) <= 1e-12 * norm2)
 
     @cached_property
     def _unit(self) -> tuple:
-        """(2^-e A, 2^-e ||A||), e the binary exponent of ||A|| (0 for A = 0):
-        the commutators of 2^-e A stay in float64 range, and a power-of-two
-        scale is exact, so every flag of an A in range keeps its bits.
-        ldexp refuses complex input, so the parts scale apart."""
+        """(2^-e A, 2^-e ||A||, e), e the binary exponent of ||A|| (0 for A = 0):
+        sums and commutators of 2^-e A stay in range, and the power-of-two
+        scale is exact, so an A in range keeps its bits (ldexp takes no complex)."""
         e = int(np.frexp(self.norm2)[1])
-        return np.ldexp(self.a.real, -e) + 1j * np.ldexp(self.a.imag, -e), float(np.ldexp(self.norm2, -e))
+        return np.ldexp(self.a.real, -e) + 1j * np.ldexp(self.a.imag, -e), float(np.ldexp(self.norm2, -e)), e
 
     @property
     def is_normal(self) -> bool:
-        a, norm2 = self._unit
+        a, norm2, _ = self._unit
         comm = a @ a.conj().T - a.conj().T @ a
         return bool(np.linalg.norm(comm, 2) <= 1e-12 * norm2 ** 2)
 
     @property
     def is_hyponormal(self) -> bool:
         # |A* x| <= |A x| for all x is positivity of the commutator A*A - AA*
-        a, norm2 = self._unit
+        a, norm2, _ = self._unit
         comm = a.conj().T @ a - a @ a.conj().T
         return bool(np.linalg.eigvalsh(comm)[0] >= -1e-12 * norm2 ** 2)
 
     @cached_property
     def decay_rate(self) -> float:
-        """Exact minimum of Re<Av,v>/|v|^2 over v != 0; positive means the
-        semigroup e^{-tA} contracts at least like e^{-(this) t}."""
-        return float(np.linalg.eigvalsh(0.5 * (self.a + self.a.conj().T))[0])
+        """Exact minimum of Re<Av,v>/|v|^2 over v != 0, read off Herm(2^-e A)
+        (`_unit`) and scaled back by 2^e, so that A + A* stays in range;
+        positive means e^{-tA} contracts at least like e^{-(this) t}."""
+        a, _, e = self._unit
+        return float(np.ldexp(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0], e))
 
     @property
     def is_elliptic(self) -> bool:

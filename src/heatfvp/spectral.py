@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
@@ -56,13 +57,17 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind != "interval":
             raise InvalidSpecError(f"unknown domain kind {self.kind!r}")
-        lengths = tuple(float(x) for x in np.atleast_1d(np.asarray(self.lengths, dtype=float)))
-        object.__setattr__(self, "lengths", lengths)
+        lengths = tuple(np.atleast_1d(np.asarray(self.lengths, dtype=object)).tolist())
         if len(lengths) != 1:
             raise InvalidSpecError(f"interval needs 1 length, got {len(lengths)}")
-        if not (np.isfinite(lengths[0]) and lengths[0] > 0.0):
+        # bool is an int, a string no length and a float no count: refuse, never coerce
+        (L,) = lengths
+        if isinstance(L, bool) or not isinstance(L, (int, float, np.integer, np.floating)):
+            raise InvalidSpecError("the length must be a number")
+        L = float(L) if not isinstance(L, int) or abs(L) <= sys.float_info.max else math.inf  # a huge int reads inf
+        if not (math.isfinite(L) and L > 0.0):
             raise InvalidSpecError("the length must be finite and positive")
-        # bool is an int, and a float or a string is no count: refuse, never coerce
+        object.__setattr__(self, "lengths", (L,))
         if isinstance(self.modes, bool) or not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
             raise InvalidSpecError("modes must be an integer >= 1")
         object.__setattr__(self, "modes", int(self.modes))  # an np.int64 count still serializes
@@ -147,9 +152,10 @@ class EigenBasis:
     Attributes:
         spec: the generating DomainSpec.
         lambdas: eigenvalues (j pi / L)^2 of modes j = 1..modes, ascending.
-        C1, C2, C3, C4: constants of the norm chain and of the Dirichlet
-            form, valid for the spectral representation: ||v||_* <= C1 |v|
-            <= C2 ||v||, |a(u,v)| <= C3 ||u|| ||v||, Re a(v,v) >= C4 ||v||^2.
+
+    The norm chain ||v||_* <= C1 |v| <= C2 ||v|| and the form bounds
+    |a(u,v)| <= C3 ||u|| ||v||, Re a(v,v) >= C4 ||v||^2 hold with
+    C1 = lambda_1^{-1/2} and C2 = 1/lambda_1, read off `lambdas`, and C3 = C4 = 1.
 
     `axes` holds the nodes of the quadrature grid, 8*modes panels, on
     which `analyze` reads and the default `synthesize` writes samples; both
@@ -163,10 +169,15 @@ class EigenBasis:
 
     spec: DomainSpec
     lambdas: np.ndarray
-    C1: float = 0.0
-    C2: float = 0.0
-    C3: float = 1.0
-    C4: float = 1.0
+    C3 = C4 = 1.0
+
+    @property
+    def C1(self) -> float:
+        return float(self.lambdas[0]) ** -0.5
+
+    @property
+    def C2(self) -> float:
+        return 1.0 / float(self.lambdas[0])
 
     @cached_property
     def axes(self) -> tuple:
@@ -220,14 +231,7 @@ def build_basis(spec: DomainSpec) -> EigenBasis:
     lam1 = float(lambdas[0])
     if not (math.isfinite(float(lambdas[-1])) and lam1 > 0.0 and math.isfinite(1.0 / lam1)):
         raise InvalidSpecError("domain lengths put the Dirichlet spectrum outside float64 range")
-    return EigenBasis(
-        spec=spec,
-        lambdas=_read_only(lambdas),
-        C1=lam1 ** -0.5,
-        C2=1.0 / lam1,
-        C3=1.0,
-        C4=1.0,
-    )
+    return EigenBasis(spec, _read_only(lambdas))
 
 
 @dataclass(eq=False)

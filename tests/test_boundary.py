@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heatfvp import duhamel
 from heatfvp.boundary import (
     BoundaryData,
     LiftPath,
@@ -17,7 +18,6 @@ from heatfvp.boundary import (
     data_norm_inhom,
     flow_identity_residual,
     harmonic_lift,
-    partial_boundary_yield,
     solution_norm_h1,
     solve_final_value_inhom,
     solve_ibvp,
@@ -190,13 +190,6 @@ class TestBoundaryYield:
             with pytest.raises(InvalidSpecError, match="horizon"):
                 boundary_yield(g, t, basis16)
 
-    def test_partial_needs_interior_eps(self, basis16):
-        g = BoundaryData.zero(1.0)
-        with pytest.raises(InvalidSpecError):
-            partial_boundary_yield(g, 1.0, 0.0, basis16)
-        with pytest.raises(InvalidSpecError):
-            partial_boundary_yield(g, 1.0, 1.0, basis16)
-
 
 class TestImproperIntegralSweep:
     def test_contraction_toward_limit(self, basis64):
@@ -207,13 +200,51 @@ class TestImproperIntegralSweep:
         assert 0.2 <= rep.fitted_rate <= 0.3
         assert 0.0 < rep.limit_gap < rep.increments[0]
 
-    def test_partials_are_damped_inner_yields(self, basis16):
-        g = BoundaryData.constant(1.0, 0.0, 1.0)
-        eps = 0.25
-        part = partial_boundary_yield(g, 1.0, eps, basis16).coefficients
-        inner = boundary_yield(g, 0.75, basis16).coefficients
-        want = inner * np.exp(-eps * basis16.lambdas)
-        assert np.allclose(part, want, rtol=1e-13, atol=1e-300)
+    # constant g = (left, right) on [0, T] at N modes on (0, pi), lambda_j = j^2
+    CLOSED_FORM_CASES = [
+        (g, T, n) for g in ((1.0, 1.0), (1.0, -0.5)) for T in (1.0, 0.1) for n in (64, 1024, 4096)
+    ]
+
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=lambda c: f"g{c[0][0]:g},{c[0][1]:g}-T{c[1]:g}-N{c[2]}")
+    def test_matches_the_closed_form(self, case):
+        # for constant g, z(s) = l (1 - e^{-s A}) with l the lift's
+        # coefficients, so the partial at eps is l (e^{-eps A} - e^{-t A}),
+        # the increment from eps_k to eps_{k+1} = eps_k / 2 is
+        # |l (e^{-eps_{k+1} A} - e^{-eps_k A})| and the limit gap is
+        # |l (1 - e^{-eps_10 A})|; expm1 keeps the low modes' digits
+        (left, right), T, n = case
+        basis = build_basis(DomainSpec("interval", (np.pi,), n))
+        rep = boundary_yield_sweep(BoundaryData.constant(left, right, T), T, basis)
+        ell, lam = basis.lift_coefficients(left, right), basis.lambdas
+        half = rep.eps[1:, None] * lam
+        want_inc = np.linalg.norm(ell * np.exp(-half) * -np.expm1(-half), axis=1)
+        want_gap = np.linalg.norm(ell * -np.expm1(-rep.eps[-1] * lam))
+        assert np.max(np.abs(rep.increments - want_inc) / want_inc) <= 1e-14
+        assert abs(rep.limit_gap - want_gap) <= 1e-14 * want_gap
+        # the increments fall as eps^{1/4}, the H^{1/4}(0, T) regularity of
+        # the Dirichlet trace, once the top mode is damped across the
+        # smallest eps (lambda_N eps_10 >= 4).  At T = 0.1, N = 64 it is
+        # 0.4: the truncated series has not reached that regime and the fit
+        # reads about 0.32
+        if lam[-1] * rep.eps[-1] >= 4.0:
+            assert abs(rep.fitted_rate - 0.25) <= 1e-3
+
+    def test_one_march_per_sweep(self, basis64, monkeypatch):
+        # every partial and the limit are rows of one march of the lift
+        calls = {}
+
+        def counting(*args, _real=duhamel._particular, **kwargs):
+            calls["_particular"] = calls.get("_particular", 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(duhamel, "_particular", counting)
+        boundary_yield_sweep(ramp_data(1.0, 0.8, -0.5), 1.0, basis64)
+        assert calls == {"_particular": 1}
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, 1.5])
+    def test_refuses_a_bad_horizon(self, basis16, t):
+        with pytest.raises(InvalidSpecError):
+            boundary_yield_sweep(BoundaryData.constant(1.0, 0.0, 1.0), t, basis16)
 
 
 class TestSolveIbvp:

@@ -186,6 +186,16 @@ def _malformed_state(tmp_path, kind):
         (tmp_path / "uT.json").write_text(sp.vec_to_json(u0).replace('"modes": 1', f'"modes": {kind[6:]}'))
         write_conf(tmp_path, "modes = 1\nT = 0.5\nuT.path = uT.json\n")
         return ["check-compat", *conf]
+    if kind.startswith("lengths="):
+        # a length that is no JSON number is refused, never read as the
+        # configured length it would be coerced to
+        value = json.loads(kind[8:])
+        u0 = SpectralVec.from_coefficients(build_basis(DomainSpec("interval", (float(value),), 4)), [0.5] * 4)
+        payload = json.loads(sp.vec_to_json(u0))
+        payload["basis"]["lengths"] = [value]
+        (tmp_path / "uT.json").write_text(json.dumps(payload))
+        write_conf(tmp_path, f"domain.length = {float(value)!r}\nmodes = 4\nT = 0.5\nuT.path = uT.json\n")
+        return ["check-compat", *conf]
     if kind == "huge-state-norms":
         # finite coefficients whose squared norms leave float64 range
         payload = {"basis": {"kind": "interval", "lengths": [np.pi], "modes": 16},
@@ -275,7 +285,7 @@ def _reject_constant(name):
     "missing-kind", "missing-lengths", "missing-modes",
     "T=nan", "T=inf", "T=0", "T=x",
     "nan-coefficient", "inf-coefficient",
-    "modes=1e999", "modes=1.5", 'modes="1"', "modes=true",
+    "modes=1e999", "modes=1.5", 'modes="1"', "modes=true", 'lengths="3.141592653589793"', "lengths=true",
     "huge-state-norms",
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
     "demo-length=1e-160", "demo-length=1e200",

@@ -7,7 +7,9 @@ is one line on stderr with nothing on stdout, and every JSON the run prints
 or writes parses with NaN and Infinity refused.  The draws lean on the
 edges: horizons whose 2 T lambda_N leaves float64, lengths of 1e-160 and
 1e200, sources and boundary data that end before or after T, misspelled
-config keys, huge or stiff matrices, a byte that is not UTF-8 in a config, state or matrix file, and
+config keys, state files whose basis descriptor gives the length as a
+string, as true or as two numbers, or the mode count as a float or true,
+huge or stiff matrices, a byte that is not UTF-8 in a config, state or matrix file, and
 an out.dir or --out that names an existing file, a path under it or an
 existing directory.  The runtime needs numpy only.
 """
@@ -35,7 +37,7 @@ VALID = {
     "kind": None, "length": "3.141592653589793", "modes": "16", "T": "0.05", "nodes": None,
     "cutoffs": None, "rtol": None, "growth": None, "u0": "valid", "uT": "valid",
     "f_span": 1.0, "f_scale": 1.0, "f_form": "valid", "g_span": 1.0, "g_scale": 1.0, "g_form": "valid",
-    "out": "out", "typo": None,
+    "out": "out", "typo": None, "desc": None,
 }
 LENGTHS = ("1e-160", "1e200", "2.5", "0", "-1", "nan", "x")
 HORIZONS = ("1.0", "1e-300", "1e-12", "1e300", "1e306", "0", "-1", "inf", "nan")
@@ -53,6 +55,9 @@ EDGES = {
     "out": ("taken", "taken/sub"),
     # a misspelled key, which must not run the default of the key it misses
     "typo": ("modez", "polcy.growth_thresh", "tgrid.node", "T0"),
+    # a basis descriptor no DomainSpec writes, in every state file: refused,
+    # never coerced, so a run that draws it must exit 1
+    "desc": ("lengths-string", "lengths-true", "lengths-pair", "modes-float", "modes-true"),
 }
 STATE_SCALES = {"huge": 1e300, "tiny": 1e-300, "zero": 0.0}
 MATRICES = {
@@ -104,9 +109,10 @@ def _horizon(text):
     return T if np.isfinite(T) and T > 0 else 1.0
 
 
-def _state_json(basis, form, T=0.0):
+def _state_json(basis, form, T=0.0, desc_form=None, length=None):
     """A state file for `basis` (a 4-mode interval one when it does not
-    build) with coefficients e^{-j - T lambda_j}, mutated by `form`."""
+    build) with coefficients e^{-j - T lambda_j}, mutated by `form`, and its
+    basis descriptor mutated by `desc_form`; `length` is the config's."""
     if form == "garbage":
         return "{not json"
     spec = basis.spec if basis is not None else DomainSpec("interval", (np.pi,), 4)
@@ -120,6 +126,16 @@ def _state_json(basis, form, T=0.0):
     if form == "wrong-shape":
         coeffs = coeffs[:-1] or [[1.0, 0.0], [1.0, 0.0]]
     desc = {"kind": spec.kind, "lengths": list(spec.lengths), "modes": spec.modes}
+    if desc_form == "lengths-string":
+        desc["lengths"] = [length]
+    elif desc_form == "lengths-true":
+        desc["lengths"] = [True]
+    elif desc_form == "lengths-pair":
+        desc["lengths"] = 2 * desc["lengths"]
+    elif desc_form == "modes-float":
+        desc["modes"] = float(spec.modes)
+    elif desc_form == "modes-true":
+        desc["modes"] = True
     return json.dumps({"basis": desc, "coefficients": coeffs})
 
 
@@ -169,7 +185,7 @@ def config_runs(draw):
         if c[key] is not None:
             lines.append(f"{key}.path = {key}.json")
             # u_T is the image of u0 without f and g, so a backward run can succeed
-            files[f"{key}.json"] = _state_json(basis, c[key], T if key == "uT" else 0.0)
+            files[f"{key}.json"] = _state_json(basis, c[key], T if key == "uT" else 0.0, c["desc"], c["length"])
     if draw(st.booleans()):
         lines.append("f.path = f.csv")
         files["f.csv"] = _source_csv(basis, T, c["f_span"], draw(st.integers(2, 5)), c["f_scale"], c["f_form"])
@@ -187,7 +203,9 @@ def config_runs(draw):
         argv += ["--fd-points", draw(st.sampled_from(["15", "33", "16"])), "--steps", "4"]
     # data that end at half of T leave (T/2, T] uncovered, in any units
     short = ("f.csv" in files and c["f_span"] < 1.0) or ("g.csv" in files and c["g_span"] < 1.0)
-    return argv, files, short or c["typo"] is not None or c["kind"] is not None
+    # every config subcommand reads a state file or fails for lack of one
+    refused = short or any(c[key] is not None for key in ("typo", "kind", "desc"))
+    return argv, files, refused
 
 
 @st.composite

@@ -83,14 +83,22 @@ class TestClassification:
         assert rep.decay_rate == pytest.approx(0.0, abs=1e-14)
         assert not rep.elliptic
 
-    @pytest.mark.parametrize("big", [1e160, 1e200])
-    def test_commutators_past_float64_square(self, big):
-        # ||A||^2 overflows; the shear 1 lies below the rounding of ||A||^2,
-        # so A is normal and hyponormal to working precision, with no warning
+    @pytest.mark.parametrize("a", [
+        *([[big, 1.0], [0.0, big]] for big in (1e160, 1e200, 1.5e308)),
+        [[1e308, -1e308], [1e308, 1e308]],
+    ], ids=["1e+160", "1e+200", "1.5e+308", "rotation-1e+308"])
+    def test_commutators_past_float64_square(self, a):
+        # ||A||^2 overflows, and past 9e307 so do A + A* and A - A*; the
+        # shear 1 lies below the rounding of ||A||^2, so A is normal and
+        # hyponormal to working precision, with no warning.  Herm A is
+        # a[0][0] times the identity to working precision, and the shear
+        # alone is selfadjoint
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = MatrixGenerator([[big, 1.0], [0.0, big]]).classify()
+            rep = MatrixGenerator(a).classify()
         assert rep.normal and rep.hyponormal
+        assert rep.elliptic and rep.decay_rate == a[0][0]
+        assert rep.selfadjoint == (a[1][0] == 0.0)
         zero = MatrixGenerator(np.zeros((2, 2))).classify()
         assert zero.normal and zero.hyponormal
 
@@ -664,7 +672,11 @@ def test_generator_lab_computes_each_derived_quantity_once(tmp_path, capsys, mon
     # Herm A are cached on the generator: the whole CLI report computes each once
     (tmp_path / "a.mat").write_text(format_matrix(random_elliptic(8, seed=2).a))
     a = parse_matrix((tmp_path / "a.mat").read_text())
-    herm = 0.5 * (a + a.conj().T)
+    # Herm(2^-e A), e the binary exponent of ||A||_2: the decay rate's
+    # eigenvalues come from A scaled into range
+    e = int(np.frexp(np.linalg.norm(a, 2))[1])
+    unit = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+    herm = 0.5 * (unit + unit.conj().T)
     counts = {"norm2": 0, "eig": 0, "eigvals": 0, "eigvalsh": 0}
 
     def counting(name, key, target):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -51,6 +52,8 @@ def test_triple_constants(basis16):
     basis = build_basis(DomainSpec("interval", (2 * np.pi,), 4))
     assert basis.C1 == pytest.approx(2.0)     # lambda_1 = 1/4
     assert basis.C2 == pytest.approx(4.0)
+    # the constants follow from the spectrum: a basis holds only its spec and eigenvalues
+    assert [f.name for f in dataclasses.fields(basis)] == ["spec", "lambdas"]
 
 
 def test_domain_spec_validation():
@@ -67,6 +70,13 @@ def test_domain_spec_validation():
         DomainSpec("rectangle", (1.0, 1.0), 4)
     with pytest.raises(InvalidSpecError, match="1 length"):
         DomainSpec("interval", (1.0, 1.0), 4)
+    # a length is a number, never a bool or a string read as one
+    for lengths in (("3.141592653589793",), (True,)):
+        with pytest.raises(InvalidSpecError, match="number"):
+            DomainSpec("interval", lengths, 4)
+    # a JSON integer past float64 range is no finite length
+    with pytest.raises(InvalidSpecError, match="finite"):
+        DomainSpec("interval", (10 ** 400,), 4)
     # a mode count is an integer, never a bool, a float or a string read as one
     for modes in (True, 4.0, 4.5, "4", np.inf):
         with pytest.raises(InvalidSpecError, match="modes"):

@@ -17,7 +17,8 @@ from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_ba
 
 HEAT_KS = (-20, -10, 10)
 LAB_KS = (-60, -40, -20, 20)
-# past these, ||2^k A||^2 leaves float64 range, and only the classification is compared
+# past these, ||2^k A||^2 leaves float64 range, and only the classification
+# and the decay rate are compared
 FLAG_KS = (-600, 600)
 
 
@@ -137,5 +138,7 @@ def test_generator_lab_in_any_units(name, k):
     a = LAB_MATRICES[name]()
     if k in FLAG_KS:
         assert _flags(a, k) == _flags(a, 0)
+        rate = gl.MatrixGenerator(a).decay_rate
+        assert gl.MatrixGenerator(a * 2.0 ** k).decay_rate == np.ldexp(rate, k)
     else:
         assert _lab(a, k) == _lab(a, 0)
