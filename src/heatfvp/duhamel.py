@@ -7,9 +7,13 @@ The march keeps the two terms of u(t) = e^{-tA} u0 + int_0^t e^{-(t-s)A}
 f(s) ds apart: the decay of u0 is exact in log space, which keeps
 trajectories meaningful even when the initial state carries
 e^{T*lambda}-sized modes, and the source part is a bounded linear
-recurrence.  On the requested nodes they add in linear scale wherever the
-decayed state fits in float64, and by a log-space addition where it does
-not; a yield keeps the log path.
+recurrence.  On a resolved grid the recurrence runs as a prefix sum in
+chunks, each spanning at most 8 units of the stiffest mode's decay, so a
+chunk's factors stay within e^{+-8}; on a grid whose chunks would average
+fewer than 16 steps, or with more than 96 modes, it runs as a step loop,
+which is faster there.  On the requested nodes the two terms add in
+linear scale wherever the decayed state fits in float64, and by a
+log-space addition where it does not; a yield keeps the log path.
 Every forward solve and every yield runs one path (`_forward`): the
 boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
@@ -45,6 +49,20 @@ _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
 _LOG_EPS = float(np.log(np.finfo(np.float64).eps))
 # a time within _TIME_RTOL times the horizon of a grid end counts as that end
 _TIME_RTOL = 1e-12
+# the scan's chunks span at most this much decay of the stiffest mode.  The
+# span must keep its factors e^x times 2^512-scaled sums finite (x below
+# 400 ln 2), and the scan's rounding grows with it: against a 40-digit
+# reference its largest error in w was 3.8-5.6 units of 2^-53 sum |terms| at
+# span 8, 6.8-12 at 16 and 11-23 at 32 (the step loop's 2.6-8.0), and the
+# gate of tests/test_march_accuracy.py held on 40 of 40 seeded long grids
+# at 8, 39 at 16 and 37 at 32
+_SCAN_SPAN = 8.0
+# the scan costs about 4.5 us per chunk and 7 ns per mode and step, the step
+# loop about 1 us per step: on uniform grids (2 vCPUs) the scan took 0.83 of
+# the loop's time at 96 modes and chunks of 16 steps, and 1.0 at 128 modes.
+# A grid with shorter chunks, or a basis with more modes, keeps the loop
+_SCAN_MIN_STEPS = 16
+_SCAN_MAX_MODES = 96
 
 
 # -- node series: the time grid, the interpolation and the CSV form shared by
@@ -186,11 +204,15 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
     times: merged increasing node grid starting at t_0; node_values[k] are
     the (already assembled) source coefficients at times[k], interpreted as
     piecewise linear.  w_0 = 0 and w_{k+1} = e^{-h_k lambda} w_k + step_k is
-    bounded by the source times min(t, 1/lambda) and runs in linear scale,
-    one multiply-add per step.  A mode whose largest source value lies
-    beyond 2^512 (or below 2^-969) is first divided by an exact power of two
-    near that value, so w stays finite for any finite source unless
-    min(T, 1/lambda_1) exceeds 2^511; the scale's log rejoins in `_join`.
+    bounded by the source times min(t, 1/lambda) and runs in linear scale:
+    as a chunked scan (`_scan`), each chunk spanning at most _SCAN_SPAN of
+    the stiffest mode's decay, or, where `_scan_bounds`'s size rule finds
+    the chunks too short or the modes too many, one multiply-add per step
+    (`_step_loop`).  A mode whose largest source value lies beyond 2^512
+    (or below 2^-969) is first divided by an exact power of two near that
+    value, so w stays finite for any finite source unless min(T,
+    1/lambda_1) exceeds 2^499 (2^511 on the loop); the scale's log rejoins
+    in `_join`.
     The phi values and the decay factors are computed once per distinct
     step length: a uniform grid has only a handful of distinct rounded steps.
     """
@@ -215,11 +237,71 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
     w[1:] += v[1:] * phi2[which]
     w[1:] *= hs[:, None]
     del v  # the join's temporaries set a solve's peak memory; free what it does not read
+    bounds = _scan_bounds(times, lam)
+    if bounds is None:
+        _step_loop(w, decay, which)
+    else:
+        _scan(w, lam, times, bounds, decay, which)
+    return _Particular(times, w, expo, source)
+
+
+def _step_loop(w: np.ndarray, decay: np.ndarray, which: np.ndarray) -> None:
+    """w_{k+1} = e^{-h_k lambda} w_k + s_k in place, one multiply-add per
+    step; row k + 1 of `w` holds s_k on entry."""
     tmp = np.empty_like(w[0])
     for k, i in enumerate(which[1:].tolist(), start=1):
         np.multiply(w[k], decay[i], out=tmp)
         w[k + 1] += tmp
-    return _Particular(times, w, expo, source)
+
+
+def _scan_bounds(times: np.ndarray, lam: np.ndarray):
+    """The rows where the scan's chunks start, then the last row; None where
+    the step loop is faster: past _SCAN_MAX_MODES modes, or on a grid whose
+    chunks would average fewer than _SCAN_MIN_STEPS steps.
+
+    A chunk from row k0 takes every row with (t - t_k0) lambda_max <=
+    _SCAN_SPAN, and at least one step.  The search stops as soon as the
+    chunks are known to be too short, so a grid of long steps costs a few
+    searches, not one per node."""
+    if lam.size > _SCAN_MAX_MODES:
+        return None
+    last = times.size - 1
+    reach = _SCAN_SPAN / float(lam.max())
+    bounds = [0]
+    while bounds[-1] < last:
+        if len(bounds) * _SCAN_MIN_STEPS > last:
+            return None
+        k0 = bounds[-1]
+        bounds.append(max(int(np.searchsorted(times, times[k0] + reach, side="right")) - 1, k0 + 1))
+    return bounds
+
+
+def _scan(w, lam, times, bounds, decay, which) -> None:
+    """The step loop's recurrence in place, as a prefix sum per chunk.
+
+    In the chunk from row k0, w_{k0+m} = P_m (w_{k0} + sum_{i<=m} s_{k0+i}
+    Q_i) with Q_i = e^{(t_{k0+i} - t_k0) lambda} and P_m = 1/Q_m: one
+    cumulative sum down the chunk's rows, from the carried row k0 on.  The
+    exponents x come from the time to the chunk start, not from products of
+    the step decays, and reach at most _SCAN_SPAN on the stiffest mode, so
+    Q stays below e^8 and a 2^512-scaled sum finite; their rounding, about
+    eps x, is the scan's own error.  A chunk of one step takes the loop's
+    multiply-add instead, so a step longer than the span forms no Q.
+    """
+    starts = np.asarray(bounds[:-1])
+    sizes = np.diff(bounds)
+    q = np.multiply.outer(times[1:] - times[np.repeat(starts, sizes)], lam)
+    q[starts[sizes == 1]] = 0.0  # one-step chunks take the multiply-add and form no Q
+    np.exp(q, out=q)
+    w[1:] *= q
+    np.divide(1.0, q, out=q)
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        if k1 == k0 + 1:
+            w[k1] += w[k0] * decay[which[k0]]
+            continue
+        chunk = w[k0 : k1 + 1]
+        np.cumsum(chunk, axis=0, out=chunk)
+        chunk[1:] *= q[k0:k1]
 
 
 def _linear_entries(hom: np.ndarray, expo: np.ndarray, w: np.ndarray) -> np.ndarray:

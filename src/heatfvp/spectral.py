@@ -44,6 +44,17 @@ def _check_horizon(T, basis: "EigenBasis | None" = None) -> None:
         raise InvalidSpecError("horizon T is too long for this basis: 2 T lambda_N leaves float64 range")
 
 
+def _json_number(x, what: str) -> float:
+    """A number read from a file as a float.  A bool is an int and a string
+    no number: both are refused, never coerced.  An int past float64 range
+    reads as a signed infinity, which the caller refuses as non-finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidSpecError(f"{what} must be a number")
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        return math.inf if x > 0 else -math.inf
+    return float(x)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Interval (0, L) with homogeneous Dirichlet spectrum, plus the mode
@@ -60,14 +71,12 @@ class DomainSpec:
         lengths = tuple(np.atleast_1d(np.asarray(self.lengths, dtype=object)).tolist())
         if len(lengths) != 1:
             raise InvalidSpecError(f"interval needs 1 length, got {len(lengths)}")
-        # bool is an int, a string no length and a float no count: refuse, never coerce
         (L,) = lengths
-        if isinstance(L, bool) or not isinstance(L, (int, float, np.integer, np.floating)):
-            raise InvalidSpecError("the length must be a number")
-        L = float(L) if not isinstance(L, int) or abs(L) <= sys.float_info.max else math.inf  # a huge int reads inf
+        L = _json_number(L, "the length")
         if not (math.isfinite(L) and L > 0.0):
             raise InvalidSpecError("the length must be finite and positive")
         object.__setattr__(self, "lengths", (L,))
+        # a bool is an int and a float no count: refuse, never coerce
         if isinstance(self.modes, bool) or not (isinstance(self.modes, (int, np.integer)) and self.modes >= 1):
             raise InvalidSpecError("modes must be an integer >= 1")
         object.__setattr__(self, "modes", int(self.modes))  # an np.int64 count still serializes
@@ -553,7 +562,10 @@ def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
     try:
         desc = payload["basis"]
         spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=desc["modes"])
-        coeffs = np.array([complex(re, im) for re, im in payload["coefficients"]])
+        flat = [x for re, im in payload["coefficients"] for x in (re, im)]
+        if {type(x) for x in flat} != {float}:  # an int or no number: read each entry
+            flat = [_json_number(x, "a coefficient") for x in flat]
+        coeffs = np.array(flat, dtype=float).view(np.complex128)
     except KeyError as exc:
         raise InvalidSpecError(f"state JSON lacks the key {exc.args[0]!r}") from exc
     except TypeError as exc:

@@ -243,6 +243,10 @@ def _malformed_state(tmp_path, kind):
         T = kind[2:]
     elif kind.endswith("-coefficient"):
         payload["coefficients"][3][0] = float(kind[: -len("-coefficient")])
+    elif kind.startswith("pair="):
+        # a coefficient pair that is no two numbers in float64 range: refused,
+        # never read as 1 + 0j or left to overflow in a conversion
+        payload["coefficients"][3] = {"bools": [True, False], "huge-int": [10 ** 400, 0]}[kind[5:]]
     (tmp_path / "uT.json").write_text(json.dumps(payload))
     length = kind.split("=")[1] if "length=" in kind else "3.141592653589793"
     write_conf(tmp_path, f"domain.length = {length}\nmodes = 16\nT = {T}\nuT.path = uT.json\nu0.path = uT.json\n")
@@ -284,7 +288,7 @@ def _reject_constant(name):
     "rectangle-forward",
     "missing-kind", "missing-lengths", "missing-modes",
     "T=nan", "T=inf", "T=0", "T=x",
-    "nan-coefficient", "inf-coefficient",
+    "nan-coefficient", "inf-coefficient", "pair=bools", "pair=huge-int",
     "modes=1e999", "modes=1.5", 'modes="1"', "modes=true", 'lengths="3.141592653589793"', "lengths=true",
     "huge-state-norms",
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",

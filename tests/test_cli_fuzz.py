@@ -9,7 +9,8 @@ edges: horizons whose 2 T lambda_N leaves float64, lengths of 1e-160 and
 1e200, sources and boundary data that end before or after T, misspelled
 config keys, state files whose basis descriptor gives the length as a
 string, as true or as two numbers, or the mode count as a float or true,
-huge or stiff matrices, a byte that is not UTF-8 in a config, state or matrix file, and
+state files with a coefficient pair [true, false] or an integer past
+float64 range, huge or stiff matrices, a byte that is not UTF-8 in a config, state or matrix file, and
 an out.dir or --out that names an existing file, a path under it or an
 existing directory.  The runtime needs numpy only.
 """
@@ -41,7 +42,13 @@ VALID = {
 }
 LENGTHS = ("1e-160", "1e200", "2.5", "0", "-1", "nan", "x")
 HORIZONS = ("1.0", "1e-300", "1e-12", "1e300", "1e306", "0", "-1", "inf", "nan")
-STATES = ("garbage", "non-finite", "wrong-shape", "huge", "tiny", "zero", None)
+# bool-pair and huge-int write one coefficient as [true, false] or as an
+# integer past float64 range: refused wherever the subcommand reads the file
+STATES = ("garbage", "non-finite", "wrong-shape", "huge", "tiny", "zero", "bool-pair", "huge-int", None)
+MALFORMED_PAIRS = {"bool-pair": [True, False], "huge-int": [10 ** 400, 0]}
+# the state files each config subcommand reads
+READS = {"forward": ("u0",), "backward": ("uT",), "check-compat": ("uT",), "norms": ("u0", "uT"),
+         "oracle-compare": ("u0",)}
 EDGES = {
     # domain.kind is no config key: written only when drawn, and then refused
     "kind": ("interval", "rectangle"), "length": LENGTHS, "modes": ("1", "4", "0", "-2", "x"),
@@ -125,6 +132,8 @@ def _state_json(basis, form, T=0.0, desc_form=None, length=None):
         coeffs[0][0] = float("nan")
     if form == "wrong-shape":
         coeffs = coeffs[:-1] or [[1.0, 0.0], [1.0, 0.0]]
+    if form in MALFORMED_PAIRS:
+        coeffs[0] = MALFORMED_PAIRS[form]
     desc = {"kind": spec.kind, "lengths": list(spec.lengths), "modes": spec.modes}
     if desc_form == "lengths-string":
         desc["lengths"] = [length]
@@ -205,6 +214,7 @@ def config_runs(draw):
     short = ("f.csv" in files and c["f_span"] < 1.0) or ("g.csv" in files and c["g_span"] < 1.0)
     # every config subcommand reads a state file or fails for lack of one
     refused = short or any(c[key] is not None for key in ("typo", "kind", "desc"))
+    refused |= any(c[key] in MALFORMED_PAIRS for key in READS[sub])
     return argv, files, refused
 
 

@@ -15,7 +15,10 @@ the homogeneous flow exactly.  The errors then measure the recurrence, the
 join and the phase/log-magnitude representation.
 
 Gate, on seeded decay, source, boundary and mixed-range cases at N = 16, 64
-and 256, at every requested node and every mode whose reference magnitude
+and 256 on 17-node grids, where the particular part takes the step loop,
+and on source and boundary cases at N = 16 and 64 on 257-node grids
+resolved as in the forward-norms benchmark, where it runs as a chunked
+scan, at every requested node and every mode whose reference magnitude
 exceeds 1e-300:
   * the march's relative error exceeds the log join's by at most a few
     units of float64 rounding of that entry's condition number, the floor
@@ -99,6 +102,28 @@ def _case(n, kind):
     return u0, times, values, np.searchsorted(times, tgrid[::2])
 
 
+def _long_case(n, kind):
+    """(u0, merged grid, node values, requested rows) of one case in the
+    shape of the forward-norms benchmark: 257 requested nodes with h =
+    0.4/lambda_max, a source on 4 nodes, and for boundary the lift source of
+    a Dirichlet ramp on top; requested at every other node.  The chunks of
+    the scan then hold about 20 steps each."""
+    basis = build_basis(DomainSpec("interval", (np.pi,), n))
+    rng = np.random.default_rng([n, 4 + ("source", "boundary").index(kind)])
+    lam = basis.lambdas
+    j = np.arange(1, n + 1, dtype=float)
+    T = 256 * 0.4 / lam[-1]
+    tgrid = np.linspace(0.0, T, 257)
+    u0 = SpectralVec.from_coefficients(basis, rng.standard_normal(n) * np.exp(-0.2 * j))
+    f = dh.SourceTerm(basis, np.linspace(0.0, T, 4), rng.standard_normal((4, n)) * np.exp(-0.05 * lam))
+    g = bd.BoundaryData(np.array([0.0, T / 2, T]), rng.uniform(-1.0, 1.0, (3, 2))) if kind == "boundary" else None
+    times = dh._merged_grid(f, tgrid, T, extra=None if g is None else g.times)
+    values = f.sample(times)
+    if g is not None:
+        values = values + bd.LiftPath(g, basis).sample(times)[2] * lam
+    return u0, times, values, np.searchsorted(times, tgrid[::2])
+
+
 def _reference(u0, times, steps, pick):
     """e^{-t_k lambda} u0 + w_k over the float64 steps, with every time
     difference and decay exact, at 50 digits.  Returned as double-double
@@ -160,7 +185,22 @@ def _condition(u0, times, steps, pick, logref):
 @pytest.mark.parametrize("kind", ["decay", "source", "boundary", "mixed"])
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_split_march_is_no_less_accurate(n, kind):
-    u0, times, values, pick = _case(n, kind)
+    _check_march(n, kind, *_case(n, kind))
+
+
+@pytest.mark.parametrize("kind", ["source", "boundary"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_scanned_march_is_no_less_accurate(n, kind):
+    """The same gate on resolved grids, where the particular part runs as a
+    chunked scan; its chunks must hold many steps each, so a change that
+    falls back to the step loop fails here."""
+    u0, times, values, pick = _long_case(n, kind)
+    bounds = dh._scan_bounds(times, u0.basis.lambdas)
+    assert bounds is not None and len(bounds) - 1 <= (times.size - 1) // 16
+    _check_march(n, kind, u0, times, values, pick)
+
+
+def _check_march(n, kind, u0, times, values, pick):
     steps = _steps(u0.basis.lambdas, times, values)
     ref = _reference(u0, times, steps, pick)
     part = dh._particular(u0.basis.lambdas, times, values)
