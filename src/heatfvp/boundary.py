@@ -47,7 +47,7 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .logspace import log_sum_exp
+from .logspace import _real, log_sum_exp
 from .semigroup import (
     CompatReport,
     IncompatibleDataError,
@@ -75,7 +75,7 @@ class BoundaryData:
 
     def __post_init__(self):
         self.times = _node_times(self.times, "boundary data")
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _real(self.values, "boundary values")
         if self.values.shape != (self.times.size, 2) or not np.all(np.isfinite(self.values)):
             raise InvalidSpecError("boundary values must be a finite (n_nodes, 2) array")
 
@@ -152,7 +152,7 @@ def boundary_split(samples, basis: EigenBasis) -> BoundarySplit:
     The harmonic projection is the lift of the endpoint samples, so
     idempotency and the partition of unity hold pointwise by construction.
     """
-    u = np.asarray(samples, dtype=float)
+    u = _real(samples, "samples")
     if u.shape != basis.axes[0].shape:
         raise InvalidSpecError("samples must live on the basis quadrature grid")
     lift = harmonic_lift(u[0], u[-1], basis)
@@ -481,10 +481,10 @@ def solution_norm_h1(traj: Trajectory) -> float:
     grad_sq = (lam * p2).sum(axis=-1)
     if traj.lift is not None:
         a, b, w = traj._lift_rows
-        lift_l2_sq = (np.abs(a) ** 2) * L + np.real(np.conj(a) * b) * L ** 2 + (np.abs(b) ** 2) * L ** 3 / 3.0
-        cross = 2.0 * np.real(np.vecdot(w, p))  # <p, lift> over the span
+        lift_l2_sq = a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
+        cross = 2.0 * np.vecdot(w, p)  # <p, lift> over the span
         l2_sq = l2_sq + cross + lift_l2_sq
-        grad_sq = grad_sq + (np.abs(b) ** 2) * L
+        grad_sq = grad_sq + b * b * L
     h1_sq = l2_sq + grad_sq
     dual_sq = (np.abs(traj._coeffs) ** 2 / lam).sum(axis=-1)
     total = (

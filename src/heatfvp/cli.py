@@ -280,16 +280,15 @@ def _cmd_oracle_compare(args):
 
     def fd_error(m_interior: int, n_steps: int) -> float:
         scheme = fd.FdScheme(theta=0.5, m_interior=m_interior)
-        u0_samples = np.real(sp.uniform_samples(u0, m_interior + 1))
+        u0_samples = sp.uniform_samples(u0, m_interior + 1)
         if g is not None:
             u0_samples[0], u0_samples[-1] = g.sample([0.0])[0]
         src = None
         if f is not None:
             sines = basis.mode_values(np.linspace(0.0, L, m_interior + 2)[1:-1])
 
-            # the table is real: take the real part first and keep the product real
             def src(xin, t, sines=sines):
-                return np.real(f.sample([t])[0]) @ sines
+                return f.sample([t])[0] @ sines
 
         res = fd.fd_solve(u0_samples, src, g, L, T, n_steps, scheme)
         projected = sp.project_samples(res.u_final, res.x, basis)

@@ -3,6 +3,8 @@
 Sources are piecewise linear in time with spectral coefficients per node,
 so every step of the variation-of-constants integral has a closed form in
 the phi-functions; the march is exact for that source class up to rounding.
+Coefficients are real: the march's node values are float64, and a state
+is a sign and a log magnitude per mode, as in `spectral.SpectralVec`.
 The march keeps the two terms of u(t) = e^{-tA} u0 + int_0^t e^{-(t-s)A}
 f(s) ds apart: the decay of u0 is exact in log space, which keeps
 trajectories meaningful even when the initial state carries
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .logspace import LOG_MAX, _split_owned, logspace_add, merge_phase, split_phase
+from .logspace import LOG_MAX, _real, _split_owned, logspace_add, merge_phase, split_phase
 from .spectral import (
     EigenBasis,
     InvalidSpecError,
@@ -70,7 +72,7 @@ _SCAN_MAX_MODES = 96
 
 def _node_times(times, what: str) -> np.ndarray:
     """At least two finite, strictly increasing node times."""
-    ts = np.asarray(times, dtype=float)
+    ts = _real(times, f"{what} times")
     if ts.ndim != 1 or ts.size < 2:
         raise InvalidSpecError(f"{what} needs at least two time nodes")
     if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):
@@ -113,7 +115,7 @@ def _parse_node_csv(text: str, header: list, header_error: str) -> np.ndarray:
 class SourceTerm:
     """Dual-space-valued source, piecewise linear on a node grid.
 
-    `coeffs` has shape (n_nodes, n_modes); row k holds the spectral
+    `coeffs` has shape (n_nodes, n_modes); row k holds the real spectral
     coefficients of f(times[k]).
     """
 
@@ -123,7 +125,8 @@ class SourceTerm:
 
     def __post_init__(self):
         self.times = _node_times(self.times, "source")
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        # a private copy: a kept march is matched to its source by identity
+        self.coeffs = np.array(_real(self.coeffs, "source coefficients"))
         if self.coeffs.shape != (self.times.size, self.basis.n_modes):
             raise InvalidSpecError("source coefficient array must be (n_nodes, n_modes)")
         if not np.all(np.isfinite(self.coeffs)):
@@ -131,7 +134,7 @@ class SourceTerm:
 
     @classmethod
     def zero(cls, basis: EigenBasis, T: float) -> "SourceTerm":
-        return cls(basis, np.array([0.0, float(T)]), np.zeros((2, basis.n_modes), dtype=np.complex128))
+        return cls(basis, np.array([0.0, float(T)]), np.zeros((2, basis.n_modes)))
 
     @property
     def t_final(self) -> float:
@@ -147,17 +150,17 @@ class SourceTerm:
         return ["t"] + [f"mode_{j}_{p}" for j in range(1, m + 1) for p in ("re", "im")]
 
     def to_csv(self) -> str:
-        table = np.empty((self.times.size, 1 + 2 * self.basis.n_modes))
+        table = np.zeros((self.times.size, 1 + 2 * self.basis.n_modes))
         table[:, 0] = self.times
-        table[:, 1::2] = self.coeffs.real
-        table[:, 2::2] = self.coeffs.imag
+        table[:, 1::2] = self.coeffs
         return _node_csv(self._csv_header(self.basis.n_modes), table.tolist())
 
     @classmethod
     def from_csv(cls, text: str, basis: EigenBasis) -> "SourceTerm":
         header = cls._csv_header(basis.n_modes)
         rows = _parse_node_csv(text, header, "source CSV header does not match the basis mode count")
-        return cls(basis, rows[:, 0], rows[:, 1::2] + 1j * rows[:, 2::2])
+        # each (re, im) pair read as one complex value, so a nonzero im is refused
+        return cls(basis, rows[:, 0], np.ascontiguousarray(rows[:, 1:]).view(np.complex128))
 
 
 def _phi12(z: np.ndarray):
@@ -223,11 +226,11 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
     phi_lo = phi1 - phi2
     with np.errstate(under="ignore"):
         decay = np.exp(z)
-    # max(|re|, |im|) cannot overflow where |z| can.  Only a mode whose peak
-    # lies outside 2^-969..2^512, where w could overflow or sink toward the
-    # subnormals, is scaled: the log of a scale adds a rounding, so every
-    # other mode keeps the unscaled bits.  The floor keeps 2^-expo finite
-    peak = np.maximum(np.abs(node_values.real).max(axis=0), np.abs(node_values.imag).max(axis=0))
+    # only a mode whose peak |value| lies outside 2^-969..2^512, where w
+    # could overflow or sink toward the subnormals, is scaled: the log of a
+    # scale adds a rounding, so every other mode keeps the unscaled bits.
+    # The floor keeps 2^-expo finite
+    peak = np.abs(node_values).max(axis=0)
     expo = np.frexp(peak)[1]
     expo = np.where((expo > 512) | (expo < -969), np.maximum(expo, -1021), 0)
     v = node_values * np.ldexp(1.0, -expo)
@@ -321,7 +324,7 @@ def _linear_entries(hom: np.ndarray, expo: np.ndarray, w: np.ndarray) -> np.ndar
 
 
 def _log_join(phase, hom, w, expo):
-    """e^{hom} phase + w 2^expo by one log-space addition; `w` is a copy the
+    """e^{hom} sign + w 2^expo by one log-space addition; `w` is a copy the
     split may overwrite."""
     w_p, w_l = _split_owned(w)
     w_l += expo * _LN2
@@ -329,7 +332,7 @@ def _log_join(phase, hom, w, expo):
 
 
 def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
-    """Phase/logmag states u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k 2^expo
+    """Sign/logmag states u(t_k) = e^{-(t_k - t_0) lambda} u0 + w_k 2^expo
     at the rows `pick` of the march's grid.
 
     The homogeneous part is one exact broadcast in log space, so an
@@ -383,7 +386,7 @@ class Trajectory:
     """States of one solve on its requested time grid, stored as arrays.
 
     `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
-    at times[k] in the phase/log-magnitude form of SpectralVec.  The
+    at times[k] in the sign/log-magnitude form of SpectralVec.  The
     trajectory is frozen and its arrays are read-only, so what its readers
     derive is computed once, on first use, and read-only too: the linear
     rows c (`_coeffs`), the lift's (a, b, w) from one sample of g
@@ -462,12 +465,12 @@ class Trajectory:
             if self.lift is not None:
                 # states hold the full sine coefficients; swap the lift's
                 # series for its exact affine values so the endpoints do not
-                # ring.  p's round trip through phase/log form keeps the
-                # CSV's bytes: without it, 1,913 of the 8,385 rows of the
+                # ring.  p's round trip through sign/log form keeps the
+                # CSV's bytes: without it, 1,378 of the 8,385 rows of the
                 # N = 16 golden boundary trajectory of the tests change
                 a, b, _ = self._lift_rows
                 coeffs = merge_phase(*split_phase(self._zero_trace))
-            vals = np.array([(c @ table).real for c in coeffs])
+            vals = np.array([c @ table for c in coeffs])
             if self.lift is not None:
                 vals = vals + a[:, None] + b[:, None] * xs
         if not np.all(np.isfinite(vals)):
@@ -480,7 +483,7 @@ class Trajectory:
 
 
 def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
-    ts = np.asarray(tgrid, dtype=float)
+    ts = _real(tgrid, "time grid")
     if ts.ndim != 1 or ts.size < 1:
         raise InvalidSpecError("time grid must be a nonempty 1-d array")
     if not np.isfinite(ts).all():
@@ -514,13 +517,13 @@ def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particu
     if f is None and lift is None:
         # pure decay: evaluate the flow directly at each node, no stepping
         logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
-        # every node has u0's phase: one private row, broadcast read-only
+        # every node has u0's signs: one private row, broadcast read-only
         phase = np.broadcast_to(u0.phase.copy(), logmag.shape)
         return ts, phase, logmag, None
 
     merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
     if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
-        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes), dtype=np.complex128)
+        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes))
         if lift is not None:
             values = values + lift.sample(merged)[2] * lift.basis.lambdas
         march = _particular(u0.basis.lambdas, merged, values, source=f if lift is None else None)
@@ -601,8 +604,8 @@ def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
     if n and f.times[n] > T:
         fb[-1] = f.sample([T])[0]
     h = np.minimum(f.times[1 : n + 1], T) - f.times[:n]
-    # int |fa(1-s)+fb s|^2 = (|fa|^2 + Re<fa,fb> + |fb|^2)/3 per unit step
-    quad = (np.abs(fa) ** 2 + np.real(fa * np.conj(fb)) + np.abs(fb) ** 2) / 3.0
+    # int (fa(1-s)+fb s)^2 = (fa^2 + fa fb + fb^2)/3 per unit step
+    quad = (fa * fa + fa * fb + fb * fb) / 3.0
     return float(h @ (quad / lam).sum(axis=-1))
 
 

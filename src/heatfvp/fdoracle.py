@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .logspace import _real
 from .spectral import InvalidSpecError, _check_horizon, _dst1
 
 
@@ -86,7 +87,7 @@ def fd_solve(
         )
     theta = scheme.theta
 
-    u_full = np.array(u0, dtype=float)
+    u_full = np.array(_real(u0, "initial samples"))
     if u_full.shape != x.shape:
         raise InvalidSpecError("initial samples must live on the full grid")
 
@@ -100,7 +101,7 @@ def fd_solve(
     if source is not None:
         fvals = np.empty((n_steps + 1, m))
         for n, t in enumerate(times):
-            fvals[n] = source(xin, t)
+            fvals[n] = _real(source(xin, t), "source values")
         fhat = _dst1(fvals)
         forcing += dt * ((1.0 - theta) * fhat[:-1] + theta * fhat[1:])
 

@@ -1,8 +1,12 @@
-"""Log-sum-exp and phase/log-magnitude arithmetic.
+"""Log-sum-exp and sign/log-magnitude arithmetic.
 
 Backward evolution multiplies coefficients by factors like e^{t*lambda} that
 leave float64 range long before the math degenerates, so magnitudes are kept
-as natural logs and recombined only when representable.
+as natural logs and recombined only when representable.  The Dirichlet sine
+basis is real and every map of the pipeline scales each mode by a real
+factor, so a coefficient is a sign in {-1, 0, 1} and a log magnitude.
+Complex values enter only through `_real`, which refuses any with a nonzero
+imaginary part.
 """
 
 from __future__ import annotations
@@ -33,61 +37,51 @@ def log_sum_exp(terms):
     return float(out) if a.ndim == 1 else out
 
 
-# exact power-of-two rescaling keeps phase division away from the subnormal
-# range, where the quotient overflows and loses accuracy
-_SCALE = 2.0 ** 600
-_LOG_SCALE = 600.0 * float(np.log(2.0))
+class InvalidSpecError(ValueError):
+    """Domain or basis description violates a documented precondition."""
 
 
-def split_phase(z):
-    """Decompose complex values into (unit phase, log magnitude).
+def _real(x, what: str) -> np.ndarray:
+    """x as a float64 array: the one entry of outside values into the real
+    core.  A complex x is taken only when every imaginary part is zero; any
+    other, NaN included, is refused, never dropped by a numpy cast."""
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        if np.any(a.imag):
+            raise InvalidSpecError(f"{what} must be real: an imaginary part is nonzero")
+        a = a.real.copy()
+    return np.asarray(a, dtype=np.float64)
 
-    Zeros map to phase 0 and log magnitude -inf.
+
+def split_phase(x):
+    """Decompose real values into (sign, log magnitude).
+
+    Zeros map to sign 0 and log magnitude -inf.
     """
-    return _split_owned(np.array(z, dtype=np.complex128))
+    return _split_owned(np.array(_real(x, "values")))
 
 
-def _split_owned(zs: np.ndarray):
-    """split_phase of an array it may overwrite: the phase is returned in
-    zs's buffer and the log magnitude in the one array of |zs|, so the
-    split holds one complex and one real array besides the masks.  The
-    rescaling and the zero fix-ups run only when some entry needs them."""
-    mag = np.abs(zs, out=np.empty(zs.shape))
-    nz = mag > 0.0
-    small = nz & (mag < 1e-280)
-    big = mag > 1e280
-    scaled = small.any() or big.any()
-    if scaled:
-        # scale only the small entries up: a large one times _SCALE would overflow
-        np.divide(zs, _SCALE, out=zs, where=big)
-        np.multiply(zs, _SCALE, out=zs, where=small)
-        np.abs(zs, out=mag)
-    zero = None if nz.all() else ~nz
-    if zero is not None:
-        np.copyto(mag, 1.0, where=zero)
-    np.divide(zs, mag, out=zs)
-    logmag = np.log(mag, out=mag)
-    if scaled:
-        np.subtract(logmag, _LOG_SCALE, out=logmag, where=small)
-        np.add(logmag, _LOG_SCALE, out=logmag, where=big)
-    if zero is not None:
-        np.copyto(zs, 0.0, where=zero)
-        np.copyto(logmag, -np.inf, where=zero)
-    return zs, logmag
+def _split_owned(xs: np.ndarray):
+    """split_phase of a float64 array it may overwrite: the sign is
+    returned in xs's buffer and the log magnitude in one new array.  Both
+    are exact up to the rounding of log, subnormals and zeros included."""
+    logmag = np.abs(xs)
+    with np.errstate(divide="ignore"):
+        np.log(logmag, out=logmag)
+    return np.sign(xs, out=xs), logmag
 
 
 def merge_phase(phase, logmag):
     """Linear-scale mirror; magnitudes beyond float64 range become inf."""
-    # invalid: complex phase times real inf multiplies 0*inf in one component
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         return np.asarray(phase) * np.exp(np.asarray(logmag))
 
 
 def logspace_add(p1, l1, p2, l2):
-    """Elementwise p1*e^{l1} + p2*e^{l2} in phase/log-magnitude form.
+    """Elementwise p1*e^{l1} + p2*e^{l2} in sign/log-magnitude form.
 
     The larger exponent is factored out, so the inner sum never overflows;
-    exact cancellation yields phase 0 / logmag -inf.
+    exact cancellation yields sign 0 / logmag -inf.
     """
     p1, p2 = np.asarray(p1), np.asarray(p2)
     l1 = np.asarray(l1, dtype=np.float64)
@@ -96,7 +90,7 @@ def logspace_add(p1, l1, p2, l2):
     # both -inf: pin the shift at 0 so the exps evaluate to 0, not nan
     np.copyto(m, 0.0, where=~np.isfinite(m))
     # out= keeps 0-d operands arrays, so every step below can run in place
-    s = np.empty(np.broadcast_shapes(p1.shape, p2.shape, m.shape), dtype=np.complex128)
+    s = np.empty(np.broadcast_shapes(p1.shape, p2.shape, m.shape))
     t = np.empty_like(m)
     with np.errstate(under="ignore"):
         np.multiply(p1, np.exp(np.subtract(l1, m, out=t), out=t), out=s)

@@ -2,10 +2,12 @@
 
 Eigenpairs are closed form, so no numerical eigensolver is involved; the
 variational-triple constants and the three norms (pivot space, form domain,
-dual) are computed directly from the coefficients.  Coefficient vectors are
-stored as (phase, log-magnitude) pairs, which lets downstream code carry
-factors like e^{T*lambda} without overflowing; the linear coefficients are
-recomputed on demand, and are inf where they leave float64 range.
+dual) are computed directly from the coefficients.  The eigenfunctions are
+real, so coefficients are real: vectors are stored as (sign, log-magnitude)
+pairs, which lets downstream code carry factors like e^{T*lambda} without
+overflowing; the linear coefficients are recomputed on demand, and are inf
+where they leave float64 range.  Coefficients and samples from outside pass
+`logspace._real`, which refuses a nonzero imaginary part.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .logspace import LOG_MAX, log_sum_exp, logspace_add, merge_phase, split_phase
-
-
-class InvalidSpecError(ValueError):
-    """Domain or basis description violates a documented precondition."""
+from .logspace import LOG_MAX, InvalidSpecError, _real, log_sum_exp, logspace_add, merge_phase, split_phase
 
 
 class GridMismatchError(ValueError):
@@ -98,7 +96,7 @@ def _sine_table(L: float, modes: int, points) -> np.ndarray:
     row per mode j = 1..modes, one column per point; every sine table of
     the package is built here."""
     j = np.arange(1, modes + 1, dtype=float)
-    return np.sqrt(2.0 / L) * np.sin(np.outer(j, np.asarray(points, dtype=float)) * (np.pi / L))
+    return np.sqrt(2.0 / L) * np.sin(np.outer(j, _real(points, "points")) * (np.pi / L))
 
 
 def _dst1(a) -> np.ndarray:
@@ -108,8 +106,6 @@ def _dst1(a) -> np.ndarray:
     (n + 1) / 2 times its input.  numpy.fft is reached at call time, so
     importing the package does not load it."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return _dst1(a.real) + 1j * _dst1(a.imag)
     n = a.shape[-1]
     ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
     ext[..., 1:n + 1] = a
@@ -209,7 +205,7 @@ class EigenBasis:
     def same_as(self, other: "EigenBasis") -> bool:
         return self.spec == other.spec
 
-    def lift_coefficients(self, g_left: complex, g_right: complex) -> np.ndarray:
+    def lift_coefficients(self, g_left: float, g_right: float) -> np.ndarray:
         """Sine coefficients of the affine function matching the endpoint
         values, i.e. g_left + (g_right - g_left) x / L."""
         (L,) = self.spec.lengths
@@ -247,9 +243,9 @@ def build_basis(spec: DomainSpec) -> EigenBasis:
 class SpectralVec:
     """Coefficient vector against an EigenBasis.
 
-    Magnitudes live in log space (`logmag`, natural log) with unit complex
-    `phase`; `coefficients` rebuilds the linear mirror, which is inf where
-    the stored magnitude exceeds float64 range.
+    Magnitudes live in log space (`logmag`, natural log) with a real sign
+    `phase` in {-1, 0, 1}; `coefficients` rebuilds the linear mirror, which
+    is inf where the stored magnitude exceeds float64 range.
     """
 
     basis: EigenBasis
@@ -257,7 +253,7 @@ class SpectralVec:
     logmag: np.ndarray
 
     def __post_init__(self):
-        self.phase = np.asarray(self.phase, dtype=np.complex128)
+        self.phase = _real(self.phase, "the phase")
         self.logmag = np.asarray(self.logmag, dtype=np.float64)
         if self.phase.shape != (self.basis.n_modes,) or self.logmag.shape != (self.basis.n_modes,):
             raise InvalidSpecError("coefficient count does not match the basis")
@@ -265,7 +261,7 @@ class SpectralVec:
     # -- constructors -------------------------------------------------
     @classmethod
     def from_coefficients(cls, basis: EigenBasis, coeffs) -> "SpectralVec":
-        c = np.asarray(coeffs, dtype=np.complex128)
+        c = _real(coeffs, "coefficients")
         if c.shape != (basis.n_modes,):
             raise InvalidSpecError("coefficient count does not match the basis")
         if not np.all(np.isfinite(c)):
@@ -276,7 +272,7 @@ class SpectralVec:
     @classmethod
     def zero(cls, basis: EigenBasis) -> "SpectralVec":
         n = basis.n_modes
-        return cls(basis, np.zeros(n, dtype=np.complex128), np.full(n, -np.inf))
+        return cls(basis, np.zeros(n), np.full(n, -np.inf))
 
     @classmethod
     def unit(cls, basis: EigenBasis, mode: int) -> "SpectralVec":
@@ -302,10 +298,10 @@ class SpectralVec:
         """Multiply each mode by e^{delta_j}; exact in log space."""
         return SpectralVec(self.basis, self.phase.copy(), self.logmag + np.asarray(delta, dtype=float))
 
-    def scaled(self, factor: complex) -> "SpectralVec":
+    def scaled(self, factor: float) -> "SpectralVec":
         if factor == 0:
             return SpectralVec.zero(self.basis)
-        fp, fl = split_phase(np.array([factor]))
+        fp, fl = split_phase([factor])
         return SpectralVec(self.basis, self.phase * fp[0], self.logmag + fl[0])
 
     def __add__(self, other: "SpectralVec") -> "SpectralVec":
@@ -358,7 +354,7 @@ def _weighted_norm(logmag: np.ndarray, log_weight: np.ndarray):
 
 def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> TripleNorms:
     """Pivot, form-domain and dual norms of each row of a (rows, n_modes)
-    stack in phase/log-magnitude form.
+    stack in sign/log-magnitude form.
 
     Every term is nonnegative, so numpy's sum along the modes errs by about
     ceil(log2 n_modes) eps relative, and the log fields are half the log of
@@ -436,7 +432,7 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
     """
     N = basis.spec.modes
     (L,) = basis.spec.lengths
-    f = np.asarray(samples)
+    f = _real(samples, "samples")
     if f.shape != (8 * N + 1,):
         raise GridMismatchError(f"samples have shape {f.shape}, quadrature grid is {(8 * N + 1,)}")
     return SpectralVec.from_coefficients(basis, _simpson_dst(f, L, 8 * N, N))
@@ -445,8 +441,8 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
 def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     """Like analyze, but on a caller-supplied uniform grid covering [0, L]
     with an even panel count (used to project oracle output)."""
-    x = np.asarray(grid, dtype=float)
-    f = np.asarray(samples)
+    x = _real(grid, "grid")
+    f = _real(samples, "samples")
     if x.ndim != 1 or f.shape != x.shape:
         raise GridMismatchError("grid and samples must be matching 1-d arrays")
     (L,) = basis.spec.lengths
@@ -463,8 +459,7 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
 
 def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     """Evaluate the mode sum on np.linspace(0, L, panels + 1), endpoints
-    included, by one DST-I.  Real where every coefficient is real.  A
-    sample past float64 range is refused.
+    included, by one DST-I.  A sample past float64 range is refused.
     """
     if not (isinstance(panels, (int, np.integer)) and panels >= 2):
         raise InvalidSpecError("uniform sampling needs an integer panel count >= 2")
@@ -473,7 +468,7 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     c = vec.coefficients
     (L,) = vec.basis.spec.lengths
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _uniform_dst(c if np.any(c.imag) else c.real, L, panels)
+        out = _uniform_dst(c, L, panels)
     if not np.all(np.isfinite(out)):
         raise InvalidSpecError("uniform samples leave floating-point range")
     return out
@@ -491,12 +486,8 @@ def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
     (L,) = vec.basis.spec.lengths
     c = vec.coefficients
     if points is None:
-        out = _uniform_dst(c if np.any(c.imag) else c.real, L, 8 * N)
-    else:
-        out = c @ _sine_table(L, N, points)
-    if np.max(np.abs(out.imag), initial=0.0) == 0.0:
-        return out.real
-    return out
+        return _uniform_dst(c, L, 8 * N)
+    return c @ _sine_table(L, N, points)
 
 
 # -- serialization ------------------------------------------------------
@@ -542,9 +533,10 @@ def strict_json(payload) -> str:
 
 
 def vec_to_json(vec: SpectralVec) -> str:
-    """JSON with the basis descriptor and (re, im) coefficient pairs."""
+    """JSON with the basis descriptor and (re, im) coefficient pairs; im
+    is 0, as every coefficient is real."""
     c = vec.coefficients
-    if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
+    if not np.all(np.isfinite(c)):
         raise OverflowError("cannot serialize coefficients beyond linear range")
     payload = {
         "basis": {
@@ -552,13 +544,18 @@ def vec_to_json(vec: SpectralVec) -> str:
             "lengths": list(vec.basis.spec.lengths),
             "modes": vec.basis.spec.modes,
         },
-        "coefficients": [[float(z.real), float(z.imag)] for z in c],
+        "coefficients": [[x, 0.0] for x in c.tolist()],
     }
     return strict_json(payload)
 
 
 def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
-    payload = json.loads(text)
+    """The state of `vec_to_json`'s form.  A pair whose im is not 0 is
+    refused, as is a file nested past what the parser can descend."""
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:
+        raise InvalidSpecError("state JSON nests too deeply") from exc
     try:
         desc = payload["basis"]
         spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=desc["modes"])

@@ -96,7 +96,7 @@ def basis16():
 @pytest.mark.parametrize("rows", [1, 5, 40])
 def test_stacked_norms_rows_equal_triple_norms(basis16, rows):
     rng = np.random.default_rng(rows)
-    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 16)))
+    phase = np.where(rng.uniform(0, 2 * np.pi, (rows, 16)) < np.pi, 1.0, -1.0)
     logmag = rng.uniform(-40.0, 2.0, (rows, 16))
     logmag[0, 3] = -np.inf
     phase[0, 3] = 0.0
@@ -112,7 +112,7 @@ def test_stacked_norms_rows_equal_triple_norms(basis16, rows):
 
 def test_node_norms_equal_triple_norms_including_overflow(basis16):
     # mode 1 starts past the linear range and decays back into it
-    u0 = SpectralVec(basis16, np.ones(16, dtype=complex), np.concatenate([[400.0], np.full(15, -1.0)]))
+    u0 = SpectralVec(basis16, np.ones(16), np.concatenate([[400.0], np.full(15, -1.0)]))
     traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 120.0, 61))
     norms = traj.node_norms()
     rows = [norms.row(i) for i in range(traj.times.size)]
@@ -284,7 +284,10 @@ def golden_values(n, kind):
 # boundary case when the march joined in-range states in linear scale, and
 # its energy_lhs and sobolev_rhs (1 ulp each) when the particular part of a
 # resolved grid became a chunked scan (tests/test_march_accuracy.py's
-# long-grid cases, tests/test_scan.py)
+# long-grid cases, tests/test_scan.py); the N = 16 decay case (1-2 ulp) and
+# one value each of the N = 64 cases (1 ulp) when coefficients became real
+# and their signs exact: against a 50-digit reference the N = 16 decay
+# values err 0.1-1.2 units of 2^-53 (1.5-2.9 before)
 GOLDEN = {
     (16, "source"): {
         "energy_lhs": "0x1.40eae3525691ap-1", "energy_rhs": "0x1.a13519160ee9ep+0",
@@ -299,12 +302,12 @@ GOLDEN = {
         "source_dual_sq": "0x1.e43590fb29529p-4", "source_dual_sq_part": "0x1.8256eda609181p-4",
     },
     (16, "decay"): {
-        "energy_lhs": "0x1.5affca734e1b7p-1", "energy_rhs": "0x1.2660a9859fbb2p+1",
-        "sobolev_lhs": "0x1.2660a9859fbb2p+1", "sobolev_rhs": "0x1.2f9fd124e4580p+2",
-        "solution_norm": "0x1.f8c2c1a55064dp+0", "solution_norm_h1": "0x1.04c8ffe08b54dp+1",
+        "energy_lhs": "0x1.5affca734e1b9p-1", "energy_rhs": "0x1.2660a9859fbb3p+1",
+        "sobolev_lhs": "0x1.2660a9859fbb3p+1", "sobolev_rhs": "0x1.2f9fd124e4582p+2",
+        "solution_norm": "0x1.f8c2c1a55064ep+0", "solution_norm_h1": "0x1.04c8ffe08b54ep+1",
     },
     (64, "source"): {
-        "energy_lhs": "0x1.b34ea78d8103dp-3", "energy_rhs": "0x1.655ff74a29b7dp+0",
+        "energy_lhs": "0x1.b34ea78d8103ep-3", "energy_rhs": "0x1.655ff74a29b7dp+0",
         "sobolev_lhs": "0x1.6015a5c7c53b1p+0", "sobolev_rhs": "0x1.1766eb82ccd11p+4",
         "solution_norm": "0x1.5af97018dddf7p+0", "solution_norm_h1": "0x1.5c4ecac69f976p+0",
         "source_dual_sq": "0x1.529460991f316p-6", "source_dual_sq_part": "0x1.46b12c3c1f16ep-7",
@@ -312,13 +315,13 @@ GOLDEN = {
     (64, "boundary"): {
         "energy_lhs": "0x1.0d0c49e547aaap-2", "energy_rhs": "0x1.95a12c705c26dp-1",
         "sobolev_lhs": "0x1.91402fd6e9e62p-1", "sobolev_rhs": "0x1.57d0b51c392bep+4",
-        "solution_norm": "0x1.1ec571e5abbbdp+0", "solution_norm_h1": "0x1.19c6be3c82231p+0",
+        "solution_norm": "0x1.1ec571e5abbbep+0", "solution_norm_h1": "0x1.19c6be3c82231p+0",
         "source_dual_sq": "0x1.183f265c902c7p-7", "source_dual_sq_part": "0x1.e7a0301c7754cp-9",
     },
     (64, "decay"): {
         "energy_lhs": "0x1.705070984d458p-3", "energy_rhs": "0x1.3da5e7d2c8d91p+1",
         "sobolev_lhs": "0x1.3da5e7d2c8d91p+1", "sobolev_rhs": "0x1.d7e7104323010p+3",
-        "solution_norm": "0x1.b1472524dc21dp+0", "solution_norm_h1": "0x1.b36be0fa19c58p+0",
+        "solution_norm": "0x1.b1472524dc21dp+0", "solution_norm_h1": "0x1.b36be0fa19c59p+0",
     },
 }
 

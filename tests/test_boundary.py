@@ -74,6 +74,10 @@ class TestBoundaryData:
             BoundaryData(np.array([0.0, 1.0]), np.zeros((2, 3)))
         with pytest.raises(InvalidSpecError):
             BoundaryData(np.array([0.0, 1.0]), np.array([[0.0, np.nan]] * 2))
+        # complex values are taken only with zero imaginary parts
+        assert BoundaryData(np.array([0.0, 1.0]), np.ones((2, 2)) + 0j).values.dtype == np.float64
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            BoundaryData(np.array([0.0, 1.0]), np.array([[0.0, 1e-300j]] * 2))
         for bad in (np.nan, np.inf):
             for at in range(3):
                 ts = np.array([0.0, 0.5, 1.0])
@@ -150,6 +154,8 @@ class TestBoundarySplit:
     def test_wrong_grid(self, basis16):
         with pytest.raises(InvalidSpecError):
             boundary_split(np.zeros(7), basis16)
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            boundary_split(np.full(basis16.axes[0].size, 1j), basis16)
 
 
 class TestBoundaryYield:

@@ -237,6 +237,11 @@ def _malformed_state(tmp_path, kind):
         return ["forward", *conf]
     payload = json.loads(sp.vec_to_json(u0))
     T = "0.5"
+    if kind == "deeply-nested":
+        # nested past what the JSON parser can descend: no RecursionError traceback
+        (tmp_path / "uT.json").write_text("[" * 100_000 + "]" * 100_000)
+        write_conf(tmp_path, "modes = 16\nT = 0.5\nuT.path = uT.json\n")
+        return ["check-compat", *conf]
     if kind.startswith("missing-"):
         del payload["basis"][kind[len("missing-"):]]
     elif kind.startswith("T="):
@@ -288,7 +293,7 @@ def _reject_constant(name):
     "rectangle-forward",
     "missing-kind", "missing-lengths", "missing-modes",
     "T=nan", "T=inf", "T=0", "T=x",
-    "nan-coefficient", "inf-coefficient", "pair=bools", "pair=huge-int",
+    "nan-coefficient", "inf-coefficient", "pair=bools", "pair=huge-int", "deeply-nested",
     "modes=1e999", "modes=1.5", 'modes="1"', "modes=true", 'lengths="3.141592653589793"', "lengths=true",
     "huge-state-norms",
     "length=1e-160", "length=1e200", "norms-length=1e-160", "norms-length=1e200",
@@ -323,6 +328,48 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, kind):
     if kind.startswith(("out-", "non-utf8-")):
         # the error names the file or directory that could not be used
         assert str(tmp_path) in out.err
+
+
+# every subcommand that reads a state JSON, with the keys it reads
+STATE_READERS = [("forward", "u0.path"), ("backward", "uT.path"), ("backward-inhom", "uT.path"),
+                 ("check-compat", "uT.path"), ("norms", "uT.path"), ("norms", "u0.path"), ("oracle-compare", "u0.path")]
+BAD_PAIRS = {"nonzero-im": [0.25, 1e-300], "bool-pair": [True, False], "huge-int": [10 ** 400, 0]}
+REFUSALS = [pytest.param(case, sub, key, id=f"{case}-{sub}-{key}") for case in BAD_PAIRS for sub, key in STATE_READERS]
+REFUSALS += [pytest.param("source-nonzero-im", sub, "f.path", id=f"source-nonzero-im-{sub}")
+             for sub in dict(STATE_READERS)]
+
+
+@pytest.mark.parametrize("case,sub,key", REFUSALS)
+def test_refused_inputs_are_one_line_errors_on_every_reader(tmp_path, capsys, case, sub, key):
+    """Each input form that is no real coefficient, run with every
+    subcommand that reads its file: a state JSON pair with an im that is not
+    0, a bool or an int past float64 range, and a source CSV with a nonzero
+    mode_j_im.  A complex value is never cast to its real part."""
+    basis, u0 = decayed_instance(16)
+    payload = json.loads(sp.vec_to_json(u0))
+    text = "modes = 16\nT = 0.5\nu0.path = good.json\nuT.path = good.json\nout.dir = out\n"
+    (tmp_path / "good.json").write_text(sp.vec_to_json(u0))
+    if case in BAD_PAIRS:
+        payload["coefficients"][3] = BAD_PAIRS[case]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        text += f"{key} = bad.json\n"
+    else:
+        rows = dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16))).to_csv().split("\r\n")
+        fields = rows[2].split(",")
+        fields[4] = "0.5"  # mode_2_im at t = 0.5
+        rows[2] = ",".join(fields)
+        (tmp_path / "f.csv").write_text("\r\n".join(rows))
+        text += "f.path = f.csv\n"
+    argv = [sub, "--config", write_conf(tmp_path, text)]
+    if sub == "oracle-compare":
+        argv += ["--fd-points", "33", "--steps", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1 and out.err.startswith("error:")
+    assert ("imaginary" in out.err) == (case in ("nonzero-im", "source-nonzero-im"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("T", ["1e307", "1.7e308"])

@@ -36,7 +36,7 @@ PHI_ORACLE = {
 
 
 def const_source(basis, T, coeff):
-    coeff = np.asarray(coeff, dtype=np.complex128)
+    coeff = np.asarray(coeff, dtype=np.float64)
     return SourceTerm(basis, np.array([0.0, T]), np.vstack([coeff, coeff]))
 
 
@@ -124,11 +124,22 @@ class TestSourceTerm:
 
     def test_csv_round_trip(self, basis16):
         rng = np.random.default_rng(5)
-        c = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-        f = SourceTerm(basis16, np.array([0.0, 0.1, 0.6, 1.0]), c)
+        c, im = rng.standard_normal((4, 16)), rng.standard_normal((4, 16))
+        ts = np.array([0.0, 0.1, 0.6, 1.0])
+        f = SourceTerm(basis16, ts, c)
         g = SourceTerm.from_csv(f.to_csv(), basis16)
         assert np.array_equal(g.times, f.times)
-        assert np.array_equal(g.coeffs, f.coeffs)
+        assert np.array_equal(g.coeffs, f.coeffs) and g.coeffs.dtype == np.float64
+        # the im columns stay in the format, and one that is not 0 is refused
+        assert SourceTerm.from_csv(f.to_csv(), basis16).to_csv() == f.to_csv()
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            SourceTerm(basis16, ts, c + 1j * im)
+        text = f.to_csv().splitlines()
+        fields = text[2].split(",")
+        fields[2] = "0.5"  # mode_1_im of the second node
+        text[2] = ",".join(fields)
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            SourceTerm.from_csv("\r\n".join(text), basis16)
 
     def test_csv_header_is_checked(self, basis16):
         f = SourceTerm.zero(basis16, 1.0)
@@ -157,8 +168,8 @@ class TestPureDecay:
         assert traj.final_state.logmag[1] == -4.0  # lambda_2 = 4 at t = 1
 
     def test_phase_is_one_row_not_one_per_node(self):
-        # every node has u0's phase; a copy per node took a complex array
-        # of twice the logmag's size, 3.0x the logmag at peak
+        # every node has u0's signs: one row, broadcast with a zero stride,
+        # not a copy per node
         basis = build_basis(DomainSpec("interval", (np.pi,), 1024))
         u0 = SpectralVec.from_coefficients(basis, np.exp(-0.01 * np.arange(1024.0)))
         ts = np.linspace(0.0, 1e-3, 1001)
@@ -169,6 +180,7 @@ class TestPureDecay:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * traj.logmag.nbytes
+        assert traj.phase.strides[0] == 0
         assert np.array_equal(traj.phase, np.broadcast_to(u0.phase, traj.phase.shape))
 
 
@@ -284,7 +296,7 @@ class TestSourceRange:
         basis = build_basis(DomainSpec("interval", (100.0,), 8))
         T = 50.0
         ts = np.linspace(0.0, T, 200)
-        f = SourceTerm(basis, ts, np.full((ts.size, 8), 1e307, dtype=complex))
+        f = SourceTerm(basis, ts, np.full((ts.size, 8), 1e307))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = solve_cauchy(SpectralVec.zero(basis), f, ts)
@@ -317,6 +329,13 @@ class TestGridValidation:
     def test_empty_grid_raises(self, basis16):
         with pytest.raises(InvalidSpecError, match="nonempty"):
             solve_cauchy(SpectralVec.unit(basis16, 1), None, np.array([]))
+
+    def test_complex_grid_raises(self, basis16):
+        u0 = SpectralVec.unit(basis16, 1)
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            solve_cauchy(u0, None, np.array([0.0, 0.5 + 1e-9j]))
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            SourceTerm(basis16, np.array([0.0, 1.0 + 1j]), np.zeros((2, 16)))
 
     @pytest.mark.parametrize("ts", [[0.0, np.nan], [0.0, 0.5, np.inf]])
     def test_non_finite_grid_raises(self, basis16, ts):

@@ -60,6 +60,11 @@ class TestValidation:
         sch = FdScheme(m_interior=15)
         with pytest.raises(InvalidSpecError):
             fd_solve(np.zeros(10), None, None, np.pi, 1.0, 4, sch)
+        # complex samples or source values are refused, not cast to their real parts
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            fd_solve(np.full(17, 1j), None, None, np.pi, 1.0, 4, sch)
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            fd_solve(np.zeros(17), lambda x, t: np.full(x.size, 1j), None, np.pi, 1.0, 4, sch)
 
     def test_u0_array_right_shape_accepted(self):
         sch = FdScheme(m_interior=15)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heatfvp.logspace import (
     LOG_MAX,
+    InvalidSpecError,
     log_sum_exp,
     logspace_add,
     merge_phase,
@@ -30,52 +31,58 @@ def test_log_sum_exp_all_neg_inf():
 
 
 def test_split_merge_round_trip():
-    # relative error of exp(log|z|) grows with |log|z||, hence the 1e-12
+    # relative error of exp(log|x|) grows with |log|x||, hence the 1e-12
     # mirror contract rather than ulp-level equality
-    z = np.array([1.0 + 2.0j, -3.0, 0.0, 1e-200j])
-    phase, logmag = split_phase(z)
+    x = np.array([2.0, -3.0, 0.0, -1e-200])
+    phase, logmag = split_phase(x)
     back = merge_phase(phase, logmag)
-    assert np.allclose(back, z, rtol=1e-12, atol=0.0)
+    assert np.allclose(back, x, rtol=1e-12, atol=0.0)
     assert logmag[2] == -np.inf
     assert phase[2] == 0.0
 
 
 def test_split_phase_subnormal_input():
-    # dividing by a subnormal magnitude must not overflow the phase
-    z = np.array([5e-313 + 0j, -4e-320j])
-    phase, logmag = split_phase(z)
-    assert np.all(np.isfinite(phase))
-    assert np.allclose(np.abs(phase), 1.0, rtol=1e-12)
+    # a subnormal's log needs no rescaling, and its sign is exact
+    x = np.array([5e-313, -4e-320])
+    phase, logmag = split_phase(x)
+    assert phase.tolist() == [1.0, -1.0]
     assert logmag[0] == pytest.approx(np.log(5e-313), rel=1e-12)
     back = merge_phase(phase, logmag)
-    assert np.allclose(back, z, rtol=1e-9)
+    assert np.allclose(back, x, rtol=1e-9)
 
 
 def test_split_phase_huge_input_is_silent():
-    # only the tiny entries are scaled up, so a huge one cannot overflow
-    z = np.array([1e300, -1e300j, 1e-300, 0.0])
+    x = np.array([1e300, -1e300, 1e-300, 0.0])
     want_logmag = [np.log(1e300), np.log(1e300), np.log(1e-300), -np.inf]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phase, logmag = split_phase(z)
-    assert np.allclose(phase, [1.0, -1j, 1.0, 0.0], rtol=0.0, atol=1e-15)
+        phase, logmag = split_phase(x)
+    assert phase.tolist() == [1.0, -1.0, 1.0, 0.0]
     assert logmag.tolist() == pytest.approx(want_logmag, rel=1e-15)
 
 
 def test_split_phase_unit_modulus():
-    z = np.array([3.0 + 4.0j, -2.0j])
-    phase, _ = split_phase(z)
-    assert np.allclose(np.abs(phase), 1.0, rtol=1e-15)
+    phase, _ = split_phase(np.array([3.0, -2.0]))
+    assert phase.dtype == np.float64 and phase.tolist() == [1.0, -1.0]
+
+
+def test_split_phase_takes_complex_only_with_zero_imaginary_parts():
+    phase, logmag = split_phase(np.array([-2.0 + 0j, 0.5 - 0j]))
+    assert phase.dtype == np.float64 and phase.tolist() == [-1.0, 1.0]
+    assert logmag.tolist() == [np.log(2.0), np.log(0.5)]
+    for bad in (1e-300j, complex(1.0, np.nan)):
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            split_phase(np.array([1.0, bad]))
 
 
 def test_merge_phase_overflow_is_inf():
-    out = merge_phase(np.array([1.0 + 0j]), np.array([LOG_MAX + 10.0]))
-    assert np.isinf(np.abs(out[0]))
+    out = merge_phase(np.array([1.0]), np.array([LOG_MAX + 10.0]))
+    assert np.isinf(out[0])
 
 
 def test_logspace_add_matches_direct():
-    a = np.array([1.0 + 1.0j, -2.0 + 0.5j])
-    b = np.array([0.5 - 1.0j, 2.0 - 0.5j])
+    a = np.array([1.0, -2.0])
+    b = np.array([0.5, 2.5])
     pa, la = split_phase(a)
     pb, lb = split_phase(b)
     p, l = logspace_add(pa, la, pb, lb)
@@ -83,7 +90,7 @@ def test_logspace_add_matches_direct():
 
 
 def test_logspace_add_exact_cancellation():
-    a = np.array([1.0 + 0j])
+    a = np.array([1.0])
     pa, la = split_phase(a)
     p, l = logspace_add(pa, la, -pa, la)
     assert l[0] == -np.inf
@@ -91,7 +98,7 @@ def test_logspace_add_exact_cancellation():
 
 
 def test_logspace_add_both_zero():
-    z = np.zeros(2, dtype=complex)
+    z = np.zeros(2)
     p0, l0 = split_phase(z)
     p, l = logspace_add(p0, l0, p0, l0)
     assert np.all(l == -np.inf)
@@ -99,44 +106,68 @@ def test_logspace_add_both_zero():
 
 def test_logspace_add_huge_magnitudes():
     # both summands far beyond float range; result must stay exact in log form
-    p1 = np.array([1.0 + 0j])
+    p1 = np.array([1.0])
     l1 = np.array([5000.0])
-    p2 = np.array([1.0 + 0j])
+    p2 = np.array([1.0])
     l2 = np.array([5000.0])
     p, l = logspace_add(p1, l1, p2, l2)
     assert l[0] == pytest.approx(5000.0 + np.log(2.0), rel=1e-15)
-    assert p[0] == pytest.approx(1.0)
+    assert p[0] == 1.0
 
 
 def test_logspace_add_disparate_scales():
     # adding a tiny term to a huge one must keep the huge one unchanged
-    p1 = np.array([1.0 + 0j])
+    p1 = np.array([1.0])
     l1 = np.array([800.0])
-    p2 = np.array([-1.0 + 0j])
+    p2 = np.array([-1.0])
     l2 = np.array([-800.0])
     p, l = logspace_add(p1, l1, p2, l2)
     assert l[0] == pytest.approx(800.0, rel=1e-15)
 
 
-finite_complex = st.complex_numbers(
-    min_magnitude=1e-8, max_magnitude=1e8, allow_nan=False, allow_infinity=False
+# every finite float64: zeros, subnormals and values up to float64's maximum
+finite_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([5e-324, -5e-324, 2.0 ** -1022, -0.0, np.finfo(float).max, -np.finfo(float).max]),
 )
+SUBNORMAL_STEP = 2.0 ** -1074
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(finite_complex, min_size=1, max_size=8), st.lists(finite_complex, min_size=1, max_size=8))
-def test_logspace_add_agrees_with_linear(za, zb):
-    n = min(len(za), len(zb))
-    a = np.array(za[:n])
-    b = np.array(zb[:n])
+@given(st.lists(finite_reals, min_size=1, max_size=8))
+def test_split_phase_signs_are_exact(xs):
+    x = np.array(xs)
+    phase, logmag = split_phase(x)
+    assert phase.dtype == np.float64
+    assert set(phase.tolist()) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(phase, np.sign(x))
+    assert np.array_equal(logmag == -np.inf, x == 0.0)
+    # the round trip keeps its 1e-12 relative contract; a subnormal result
+    # can only land on a multiple of the subnormal step
+    back = merge_phase(phase, logmag)
+    assert np.all(np.abs(back - x) <= 1e-12 * np.abs(x) + SUBNORMAL_STEP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite_reals, min_size=1, max_size=8), st.lists(finite_reals, min_size=1, max_size=8))
+def test_logspace_add_agrees_with_linear(xa, xb):
+    n = min(len(xa), len(xb))
+    a = np.array(xa[:n])
+    b = np.array(xb[:n])
     pa, la = split_phase(a)
     pb, lb = split_phase(b)
     p, l = logspace_add(pa, la, pb, lb)
-    direct = a + b
-    got = merge_phase(p, l)
-    # relative to the inputs' scale: cancellation may lose relative accuracy
+    # relative to the inputs' scale: cancellation may lose relative
+    # accuracy.  Both sides are taken in units of 2^k near that scale, so a
+    # sum past float64's maximum compares too: the scaling is exact, up to
+    # the subnormal step of a term far below the scale
     scale = np.maximum(np.abs(a), np.abs(b))
-    assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+    k = np.frexp(scale)[1]
+    direct = np.ldexp(a, -k) + np.ldexp(b, -k)
+    with np.errstate(under="ignore"):
+        got = merge_phase(p, l - k * np.log(2.0))
+    assert np.all(np.abs(got - direct) <= 1e-12 * np.ldexp(scale, -k) + SUBNORMAL_STEP)
 
 
 @settings(max_examples=200, deadline=None)

@@ -37,7 +37,7 @@ def _loop_particular(lam, times, node_values):
     phi1, phi2 = dh._phi12(z)
     with np.errstate(under="ignore"):
         decay = np.exp(z)
-    peak = np.maximum(np.abs(node_values.real).max(axis=0), np.abs(node_values.imag).max(axis=0))
+    peak = np.abs(node_values).max(axis=0)
     expo = np.frexp(peak)[1]
     expo = np.where((expo > 512) | (expo < -969), np.maximum(expo, -1021), 0)
     v = node_values * np.ldexp(1.0, -expo)
@@ -61,7 +61,7 @@ def marches(draw):
     resolves the soft modes and steps far past the stiff ones.  Grid: 2 to
     300 nodes with steps of up to three decades apart, uniform or drawn per
     step, sometimes with one step 10^3 to 10^6 times the others, longer
-    than the scan's span.  Source: complex node values per mode, scaled by
+    than the scan's span.  Source: real node values per mode, scaled by
     2^e with e near 0, near the 2^512 and 2^-969 edges of the exponent
     scaling, or past them; some modes, or the whole source, are zero."""
     n_modes = draw(st.integers(1, 12))
@@ -79,7 +79,8 @@ def marches(draw):
     if n_steps > 1 and draw(st.booleans()):
         steps[rng.integers(n_steps)] *= 10.0 ** draw(st.floats(3.0, 6.0))
     times = np.concatenate(([0.0], np.cumsum(steps)))
-    values = rng.standard_normal((n_steps + 1, n_modes)) + 1j * rng.standard_normal((n_steps + 1, n_modes))
+    values = rng.standard_normal((n_steps + 1, n_modes))
+    rng.standard_normal((n_steps + 1, n_modes))  # the imaginary parts of complex draws, kept so later draws keep their values
     scale = draw(st.lists(st.sampled_from([0, 0, 3, -7, 505, 511, 512, 513, 600, 1000, -965, -969, -970, -1000]),
                           min_size=n_modes, max_size=n_modes))
     values = values * np.ldexp(1.0, np.array(scale))

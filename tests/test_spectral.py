@@ -220,13 +220,19 @@ def _basis_and_table(modes, panels):
 def test_project_samples_matches_the_table_formula(modes, panels):
     basis, table = _basis_and_table(modes, panels)
     rng = np.random.default_rng(modes + panels)
-    samples = rng.standard_normal(panels + 1) + 1j * rng.standard_normal(panels + 1)
+    # samples are real; the imaginary parts this case once drew still make
+    # the draw, and a complex sample with them is refused
+    samples = rng.standard_normal(panels + 1)
+    imag = rng.standard_normal(panels + 1)
     want = table * _simpson_weights(L_TRANSFORM, panels) @ samples
     transforms = [lambda f: project_samples(f, np.linspace(0.0, L_TRANSFORM, panels + 1), basis)]
     if panels == 8 * modes:
         transforms.append(lambda f: analyze(f, basis))
     for transform in transforms:
         assert _rel_max(transform(samples).coefficients, want) <= (1e-12 if modes > 256 else 1e-13)
+        assert _rel_max(transform(samples + 0j).coefficients, want) <= (1e-12 if modes > 256 else 1e-13)
+        with pytest.raises(InvalidSpecError, match="imaginary"):
+            transform(samples + 1j * imag)
 
 
 @pytest.mark.parametrize("modes,panels", TRANSFORM_SIZES)
@@ -234,7 +240,9 @@ def test_uniform_samples_match_the_table_formula(modes, panels):
     basis, table = _basis_and_table(modes, panels)
     rng = np.random.default_rng(modes * panels)
     vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes))
-    complex_vec = SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes) * (1 + 2j))
+    # the complex vector this case once drew is refused on the same draw
+    with pytest.raises(InvalidSpecError, match="imaginary"):
+        SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes) * (1 + 2j))
     transforms = [lambda v: uniform_samples(v, panels)]
     if panels == 8 * modes:
         transforms.append(synthesize)
@@ -242,8 +250,7 @@ def test_uniform_samples_match_the_table_formula(modes, panels):
     for transform in transforms:
         got = transform(vec)
         assert got.dtype == np.float64
-        assert _rel_max(got, vec.coefficients.real @ table) <= tol
-        assert _rel_max(transform(complex_vec), complex_vec.coefficients @ table) <= tol
+        assert _rel_max(got, vec.coefficients @ table) <= tol
 
 
 def test_uniform_samples_refusals(basis16):
@@ -333,12 +340,18 @@ def test_horizon_with_a_basis_keeps_the_backward_exponent_finite(basis16):
 
 def test_vec_json_round_trip(basis16):
     rng = np.random.default_rng(11)
-    vec = SpectralVec.from_coefficients(basis16, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    re, im = rng.standard_normal(16), rng.standard_normal(16)
+    vec = SpectralVec.from_coefficients(basis16, re)
     text = vec_to_json(vec)
     back = vec_from_json(text, basis16)
     assert np.allclose(back.coefficients, vec.coefficients, rtol=1e-12, atol=0.0)
     payload = json.loads(text)
     assert payload["basis"]["modes"] == 16
+    assert all(pair[1] == 0.0 for pair in payload["coefficients"])
+    # the (re, im) pairs stay; an im that is not 0 is refused, never dropped
+    payload["coefficients"] = [[x, y] for x, y in zip(re.tolist(), im.tolist())]
+    with pytest.raises(InvalidSpecError, match="imaginary"):
+        vec_from_json(json.dumps(payload), basis16)
 
 
 def test_vec_json_rebuilds_basis():
@@ -361,7 +374,8 @@ def test_vec_json_missing_key(basis16, key):
 def test_non_finite_coefficients_rejected(basis16, bad):
     c = np.ones(16, dtype=complex)
     c[3] = bad
-    with pytest.raises(InvalidSpecError, match="finite"):
+    # a NaN imaginary part is no zero one: refused as not real
+    with pytest.raises(InvalidSpecError, match="finite" if np.imag(bad) == 0 else "real"):
         SpectralVec.from_coefficients(basis16, c)
 
 
