@@ -72,7 +72,6 @@ from .semigroup import (
 from .spectral import (
     DomainSpec,
     EigenBasis,
-    GridMismatchError,
     InvalidSpecError,
     SpectralVec,
     TripleNorms,

@@ -131,8 +131,10 @@ def policy_from_config(cfg: dict) -> MembershipPolicy:
 
 def _read(p: Path, parse):
     """The one reader: parse the text of file p.  A file that does not
-    decode or parse is a data error that names it; UnicodeDecodeError,
-    InvalidSpecError and GridMismatchError are ValueErrors."""
+    decode or parse is a data error that names it.  The parsers refuse with
+    InvalidSpecError and a failed decode is a UnicodeDecodeError, both
+    ValueErrors; catching ValueError keeps any other a parser lets through
+    one line too."""
     try:
         return parse(p.read_text())
     except ValueError as exc:
@@ -178,12 +180,12 @@ def _json(report) -> str:
 
 def _uniform_tgrid(cfg: dict, T: float) -> np.ndarray | None:
     """The configured tgrid.nodes uniform nodes on [0, T], or None."""
-    n = _cfg_int(cfg, "tgrid.nodes", 0)
-    if n:
-        if n < 2:
-            raise UsageError("tgrid.nodes must be at least 2")
-        return np.linspace(0.0, T, n)
-    return None
+    n = _cfg_int(cfg, "tgrid.nodes")
+    if n is None:
+        return None
+    if n < 2:
+        raise UsageError("tgrid.nodes must be at least 2")
+    return np.linspace(0.0, T, n)
 
 
 def _tgrid(cfg: dict, T: float, f: dh.SourceTerm | None) -> np.ndarray:

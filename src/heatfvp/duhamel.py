@@ -83,7 +83,7 @@ def _node_times(times, what: str) -> np.ndarray:
 def _interpolate(times: np.ndarray, values: np.ndarray, ts, what: str) -> np.ndarray:
     """Piecewise-linear values of the node series at arbitrary times, shape
     (len(ts),) + values.shape[1:]."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.atleast_1d(_real(ts, f"{what} sample times"))
     tol = _TIME_RTOL * max(abs(times[0]), abs(times[-1]))
     if not np.all((ts >= times[0] - tol) & (ts <= times[-1] + tol)):
         raise InvalidSpecError(f"sample times outside the {what} grid")
@@ -102,10 +102,18 @@ def _node_csv(header: list, rows) -> str:
 
 def _parse_node_csv(text: str, header: list, header_error: str) -> np.ndarray:
     """The rows under `header` as a float array of shape (n_rows, len(header))."""
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InvalidSpecError(
+            f"CSV line {reader.line_num}: a field past csv's size limit, or a bare carriage return") from exc
     if not rows or [h.strip() for h in rows[0]] != header:
         raise InvalidSpecError(header_error)
-    data = [[float(x) for x in row] for row in rows[1:] if row]
+    try:
+        data = [[float(x) for x in row] for row in rows[1:] if row]
+    except ValueError as exc:
+        raise InvalidSpecError("every CSV field below the header must be a number") from exc
     if any(len(row) != len(header) for row in data):
         raise InvalidSpecError(f"every CSV row needs {len(header)} fields")
     return np.array(data, dtype=float).reshape(len(data), len(header))
@@ -565,7 +573,8 @@ def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
 # -- space-time norms and estimates --------------------------------------
 
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
-    return float(np.trapezoid(values, times))
+    with np.errstate(over="ignore"):  # an integral past float64 range reads inf
+        return float(np.trapezoid(values, times))
 
 
 def solution_norm(traj: Trajectory) -> float:

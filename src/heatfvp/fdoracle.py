@@ -19,7 +19,7 @@ from .logspace import _real
 from .spectral import InvalidSpecError, _check_horizon, _dst1
 
 
-class CflViolationError(RuntimeError):
+class CflViolationError(InvalidSpecError):
     """Raised when an under-implicit scheme is run past its stability step."""
 
 
@@ -49,6 +49,7 @@ class FdResult:
     u_final: np.ndarray    # samples on the full grid at the final time
 
 
+@np.errstate(over="ignore", invalid="ignore")  # data past float64 range leave inf or NaN in the samples, refused
 def fd_solve(
     u0,
     source,
@@ -117,4 +118,6 @@ def fd_solve(
     u_final = np.empty(m + 2)
     u_final[0], u_final[-1] = gvals[-1]
     u_final[1:-1] = _dst1(w) * (2.0 / (m + 1)) + gvals[-1] @ shapes
+    if not np.all(np.isfinite(u_final)):
+        raise InvalidSpecError("the finite-difference solution leaves floating-point range")
     return FdResult(x, times, u_final)

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .logspace import _real
 from .spectral import InvalidSpecError, _read_only
 
 MAX_DIM = 64
@@ -87,7 +88,10 @@ class MatrixGenerator:
     so each quantity is computed once, on first use."""
 
     def __init__(self, a):
-        a = np.array(a, dtype=complex)
+        try:
+            a = np.array(a, dtype=complex)
+        except (TypeError, ValueError) as exc:  # text, a ragged nesting or an object complex() cannot read
+            raise InvalidSpecError("generator entries must be numbers") from exc
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidSpecError("generator must be a square matrix")
         if a.shape[0] > MAX_DIM:
@@ -221,7 +225,7 @@ def exp_semigroup(gen: MatrixGenerator, t) -> np.ndarray:
     time that is not finite, and a value past float64 range, are refused,
     naming the first such time.
     """
-    t = np.asarray(t, dtype=float)
+    t = _real(t, "times")
     if t.ndim > 1:
         raise InvalidSpecError("times must be a scalar or a 1-d array")
     ts = np.atleast_1d(t)
@@ -380,7 +384,7 @@ def check_decay(gen: MatrixGenerator, times) -> DecayReport:
     The bound holds with constant 1 in the 2-norm for every A, elliptic or
     not, because d/dt |u|^2 = -2 Re<Au, u> <= -2 decay_rate |u|^2.
     """
-    ts = np.asarray(times, dtype=float)
+    ts = _real(times, "times")
     if ts.ndim != 1 or ts.size < 2 or np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise InvalidSpecError("need an increasing grid of nonnegative times")
     norms = np.linalg.norm(exp_semigroup(gen, ts), 2, axis=(1, 2))
@@ -409,7 +413,7 @@ def check_injectivity(gen: MatrixGenerator, times) -> InjectivityReport:
     indicative; it counts as respected if sigma_min never drops more than a
     factor 1e2 below it.
     """
-    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    ts = np.atleast_1d(_real(times, "times"))
     if ts.size < 1 or np.any(ts <= 0):
         raise InvalidSpecError("need strictly positive times")
     cond_v = float(np.linalg.cond(gen.eigenvectors))
@@ -575,7 +579,7 @@ def check_logconvexity_criterion(
     """
     if trials < 1:
         raise InvalidSpecError("need at least one trial vector")
-    ts = np.geomspace(1e-3, 10.0, 25) if times is None else np.asarray(times, dtype=float)
+    ts = np.geomspace(1e-3, 10.0, 25) if times is None else _real(times, "times")
     if ts.ndim != 1 or ts.size < 3:
         raise InvalidSpecError("need at least three times")
     if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)):

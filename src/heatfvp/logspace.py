@@ -38,19 +38,28 @@ def log_sum_exp(terms):
 
 
 class InvalidSpecError(ValueError):
-    """Domain or basis description violates a documented precondition."""
+    """Bad input: the one exception the package raises for a value, a file
+    or an option that breaks a documented precondition, raised where the
+    input enters.  The CLI turns it into one `error:` line."""
 
 
 def _real(x, what: str) -> np.ndarray:
     """x as a float64 array: the one entry of outside values into the real
     core.  A complex x is taken only when every imaginary part is zero; any
-    other, NaN included, is refused, never dropped by a numpy cast."""
-    a = np.asarray(x)
-    if np.iscomplexobj(a):
-        if np.any(a.imag):
-            raise InvalidSpecError(f"{what} must be real: an imaginary part is nonzero")
-        a = a.real.copy()
-    return np.asarray(a, dtype=np.float64)
+    other, NaN included, is refused, never dropped by a numpy cast.  Text,
+    which numpy would read as a number, a ragged nesting and an object
+    float() cannot read are refused too."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind not in "cSU":
+            return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):  # a ragged nesting, or an object float() cannot read
+        a = None
+    if a is None or a.dtype.kind != "c":
+        raise InvalidSpecError(f"{what} must be an array of real numbers")
+    if np.any(a.imag):
+        raise InvalidSpecError(f"{what} must be real: an imaginary part is nonzero")
+    return np.array(a.real, dtype=np.float64)
 
 
 def split_phase(x):

@@ -29,16 +29,16 @@ MAX_LOG_NORM = 700.0
 
 def apply_forward(vec: SpectralVec, t: float) -> SpectralVec:
     """Decay each mode by e^{-t*lambda_j}; t must be nonnegative."""
-    if t < 0:
-        raise ValueError("negative time in the forward flow; use apply_inverse")
+    if not t >= 0:  # NaN too
+        raise InvalidSpecError("the forward flow needs a time t >= 0; use apply_inverse")
     return vec.scale_log(-t * vec.basis.lambdas)
 
 
 def apply_inverse(vec: SpectralVec, t: float) -> SpectralVec:
     """Amplify each mode by e^{+t*lambda_j} in log space; exact mode-wise
     round trip with apply_forward."""
-    if t < 0:
-        raise ValueError("negative time in the inverse flow; use apply_forward")
+    if not t >= 0:
+        raise InvalidSpecError("the inverse flow needs a time t >= 0; use apply_forward")
     return vec.scale_log(t * vec.basis.lambdas)
 
 
@@ -58,10 +58,15 @@ class MembershipPolicy:
             raise InvalidSpecError("rtol_compat must be finite and nonnegative")
         if not 1.0 < self.growth_thresh < np.inf:
             raise InvalidSpecError("growth_thresh must be finite and greater than 1")
+        try:
+            cutoffs = tuple(int(c) for c in self.cutoffs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidSpecError("cutoffs must be integers") from exc
+        object.__setattr__(self, "cutoffs", cutoffs)
 
     def resolved_cutoffs(self, n_modes: int) -> tuple:
         if self.cutoffs:
-            cs = tuple(int(c) for c in self.cutoffs)
+            cs = self.cutoffs
         else:
             cs = tuple(sorted({max(1, n_modes // 8), max(1, n_modes // 4), max(1, n_modes // 2), n_modes}))
         if any(c < 1 or c > n_modes for c in cs) or list(cs) != sorted(set(cs)):

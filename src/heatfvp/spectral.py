@@ -23,10 +23,6 @@ import numpy as np
 from .logspace import LOG_MAX, InvalidSpecError, _real, log_sum_exp, logspace_add, merge_phase, split_phase
 
 
-class GridMismatchError(ValueError):
-    """Sample array does not live on the expected quadrature grid."""
-
-
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.setflags(write=False)
     return x
@@ -81,9 +77,8 @@ class DomainSpec:
 
 
 def _simpson_weights(length: float, panels: int) -> np.ndarray:
-    # composite Simpson; panels must be even
-    if panels % 2 or panels < 2:
-        raise InvalidSpecError("Simpson rule needs an even panel count >= 2")
+    # composite Simpson; every caller passes 8 * modes panels, or a count
+    # project_samples has checked to be even and >= 2
     h = length / panels
     w = np.full(panels + 1, 2.0)
     w[1::2] = 4.0
@@ -257,13 +252,14 @@ class SpectralVec:
         self.logmag = np.asarray(self.logmag, dtype=np.float64)
         if self.phase.shape != (self.basis.n_modes,) or self.logmag.shape != (self.basis.n_modes,):
             raise InvalidSpecError("coefficient count does not match the basis")
+        # a NaN would reach the membership ladder and get a verdict
+        if (np.sign(self.phase) != self.phase).any() or np.isnan(self.logmag).any():
+            raise InvalidSpecError("a state needs signs in {-1, 0, 1} and log magnitudes that are not NaN")
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_coefficients(cls, basis: EigenBasis, coeffs) -> "SpectralVec":
         c = _real(coeffs, "coefficients")
-        if c.shape != (basis.n_modes,):
-            raise InvalidSpecError("coefficient count does not match the basis")
         if not np.all(np.isfinite(c)):
             raise InvalidSpecError("coefficients must be finite")
         phase, logmag = split_phase(c)
@@ -434,7 +430,7 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
     (L,) = basis.spec.lengths
     f = _real(samples, "samples")
     if f.shape != (8 * N + 1,):
-        raise GridMismatchError(f"samples have shape {f.shape}, quadrature grid is {(8 * N + 1,)}")
+        raise InvalidSpecError(f"samples have shape {f.shape}, quadrature grid is {(8 * N + 1,)}")
     return SpectralVec.from_coefficients(basis, _simpson_dst(f, L, 8 * N, N))
 
 
@@ -444,16 +440,16 @@ def project_samples(samples, grid, basis: EigenBasis) -> SpectralVec:
     x = _real(grid, "grid")
     f = _real(samples, "samples")
     if x.ndim != 1 or f.shape != x.shape:
-        raise GridMismatchError("grid and samples must be matching 1-d arrays")
+        raise InvalidSpecError("grid and samples must be matching 1-d arrays")
     (L,) = basis.spec.lengths
     if abs(x[0]) > 1e-12 * L or abs(x[-1] - L) > 1e-12 * L:
-        raise GridMismatchError("grid must span [0, L]")
+        raise InvalidSpecError("grid must span [0, L]")
     steps = np.diff(x)
     if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
-        raise GridMismatchError("grid must be uniform and increasing")
+        raise InvalidSpecError("grid must be uniform and increasing")
     panels = x.size - 1
     if panels % 2 != 0:
-        raise GridMismatchError("grid needs an even panel count")
+        raise InvalidSpecError("grid needs an even panel count")
     return SpectralVec.from_coefficients(basis, _simpson_dst(f, L, panels, basis.spec.modes))
 
 
@@ -464,7 +460,7 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     if not (isinstance(panels, (int, np.integer)) and panels >= 2):
         raise InvalidSpecError("uniform sampling needs an integer panel count >= 2")
     if vec.overflowed:
-        raise OverflowError("coefficients exceed linear floating-point range")
+        raise InvalidSpecError("coefficients exceed linear floating-point range")
     c = vec.coefficients
     (L,) = vec.basis.spec.lengths
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,7 +477,7 @@ def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
     a custom grid.  Raises if any coefficient exceeds linear float range.
     """
     if vec.overflowed:
-        raise OverflowError("coefficients exceed linear floating-point range")
+        raise InvalidSpecError("coefficients exceed linear floating-point range")
     N = vec.basis.spec.modes
     (L,) = vec.basis.spec.lengths
     c = vec.coefficients
@@ -537,7 +533,7 @@ def vec_to_json(vec: SpectralVec) -> str:
     is 0, as every coefficient is real."""
     c = vec.coefficients
     if not np.all(np.isfinite(c)):
-        raise OverflowError("cannot serialize coefficients beyond linear range")
+        raise InvalidSpecError("cannot serialize coefficients beyond linear range")
     payload = {
         "basis": {
             "kind": vec.basis.spec.kind,
@@ -556,17 +552,22 @@ def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
         payload = json.loads(text)
     except RecursionError as exc:
         raise InvalidSpecError("state JSON nests too deeply") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidSpecError(f"state file is not JSON: line {exc.lineno}, column {exc.colno}") from exc
     try:
         desc = payload["basis"]
-        spec = DomainSpec(kind=desc["kind"], lengths=tuple(desc["lengths"]), modes=desc["modes"])
+        kind, lengths, modes = desc["kind"], tuple(desc["lengths"]), desc["modes"]
         flat = [x for re, im in payload["coefficients"] for x in (re, im)]
-        if {type(x) for x in flat} != {float}:  # an int or no number: read each entry
-            flat = [_json_number(x, "a coefficient") for x in flat]
-        coeffs = np.array(flat, dtype=float).view(np.complex128)
     except KeyError as exc:
         raise InvalidSpecError(f"state JSON lacks the key {exc.args[0]!r}") from exc
-    except TypeError as exc:
-        raise InvalidSpecError(f"state JSON has the wrong layout: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # an object, a list or a number where another belongs, or a pair of one or three numbers
+        raise InvalidSpecError('state JSON has the wrong layout; it must read {"basis": {"kind": "interval", '
+                               '"lengths": [L], "modes": N}, "coefficients": [[re, im], ...]}') from exc
+    spec = DomainSpec(kind, lengths, modes)
+    if {type(x) for x in flat} != {float}:  # an int or no number: read each entry
+        flat = [_json_number(x, "a coefficient") for x in flat]
+    coeffs = np.array(flat, dtype=float).view(np.complex128)
     if basis is None:
         basis = build_basis(spec)
     elif basis.spec != spec:

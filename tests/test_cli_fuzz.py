@@ -52,7 +52,7 @@ READS = {"forward": ("u0",), "backward": ("uT",), "check-compat": ("uT",), "norm
 EDGES = {
     # domain.kind is no config key: written only when drawn, and then refused
     "kind": ("interval", "rectangle"), "length": LENGTHS, "modes": ("1", "4", "0", "-2", "x"),
-    "T": HORIZONS + (None,), "nodes": ("1", "2", "9", "x"), "cutoffs": ("1,2", "0", "4,2", "a"),
+    "T": HORIZONS + (None,), "nodes": ("0", "1", "2", "9", "x"), "cutoffs": ("1,2", "0", "4,2", "a"),
     "rtol": ("nan", "inf", "-1", "0.5", "0"), "growth": ("nan", "inf", "-1", "0.5", "1", "100"),
     "u0": STATES, "uT": STATES,
     # the fraction of T that a source or boundary grid reaches
@@ -78,7 +78,8 @@ MATRICES = {
 }
 # the same for the options of instability-demo and generator-lab; "{}"
 # stands for the output file's name
-OTHER_VALID = {"T": "0.05", "jmax": "4", "length": VALID["length"], "seed": "0", "matrix": "jordan", "out": "out/{}"}
+OTHER_VALID = {"T": "0.05", "jmax": "4", "length": VALID["length"], "seed": "0", "trials": "4", "matrix": "jordan",
+               "out": "out/{}"}
 OTHER_EDGES = {
     "T": HORIZONS, "jmax": ("1", "0", "-1"), "length": LENGTHS, "seed": ("3", "-1"),
     "matrix": tuple(sorted(MATRICES)) + ("garbage", "non-finite", "non-utf8"), "out": ("out", "taken", "taken/{}"),
@@ -164,7 +165,9 @@ def _source_csv(basis, T, span, nodes, scale, form):
     n = basis.n_modes if basis is not None else 4
     header = ["t"] + [f"mode_{j}_{p}" for j in range(1, n + 1) for p in ("re", "im")]
     times = np.linspace(0.0, span * T, nodes)
-    rows = scale * np.outer(np.linspace(1.0, 0.5, nodes), np.exp(-np.arange(2 * n) / 2.0))
+    # a source is real: every im column is 0
+    rows = np.zeros((nodes, 2 * n))
+    rows[:, ::2] = scale * np.outer(np.linspace(1.0, 0.5, nodes), np.exp(-np.arange(n) / 2.0))
     return _node_csv(header, times, rows, form)
 
 
@@ -174,13 +177,10 @@ def _boundary_csv(T, span, nodes, scale, form):
     return _node_csv(["t", "g_left", "g_right"], times, rows, form)
 
 
-@st.composite
-def config_runs(draw):
-    """(argv, files, refused): a config-driven subcommand, the files it
-    reads, and whether it must exit 1 however the other fields are drawn."""
-    c = dict(VALID)
-    for field in draw(st.sets(st.sampled_from(sorted(EDGES)), max_size=3)):
-        c[field] = draw(st.sampled_from(EDGES[field]))
+def config_files(c, f_nodes, g_nodes):
+    """The config file of the fields `c` (VALID with some fields replaced)
+    as run.conf, the state files it names, and a source and a boundary CSV
+    of f_nodes and g_nodes nodes when those are not None."""
     basis = _basis_or_none(c["length"], c["modes"])
     T = _horizon(c["T"])
     lines = [f"domain.length = {c['length']}", f"modes = {c['modes']}", f"out.dir = {c['out']}"]
@@ -195,13 +195,26 @@ def config_runs(draw):
             lines.append(f"{key}.path = {key}.json")
             # u_T is the image of u0 without f and g, so a backward run can succeed
             files[f"{key}.json"] = _state_json(basis, c[key], T if key == "uT" else 0.0, c["desc"], c["length"])
-    if draw(st.booleans()):
+    if f_nodes is not None:
         lines.append("f.path = f.csv")
-        files["f.csv"] = _source_csv(basis, T, c["f_span"], draw(st.integers(2, 5)), c["f_scale"], c["f_form"])
-    if draw(st.booleans()):
+        files["f.csv"] = _source_csv(basis, T, c["f_span"], f_nodes, c["f_scale"], c["f_form"])
+    if g_nodes is not None:
         lines.append("g.path = g.csv")
-        files["g.csv"] = _boundary_csv(T, c["g_span"], draw(st.integers(2, 5)), c["g_scale"], c["g_form"])
+        files["g.csv"] = _boundary_csv(T, c["g_span"], g_nodes, c["g_scale"], c["g_form"])
     files["run.conf"] = "\n".join(lines) + "\n"
+    return files
+
+
+@st.composite
+def config_runs(draw):
+    """(argv, files, refused): a config-driven subcommand, the files it
+    reads, and whether it must exit 1 however the other fields are drawn."""
+    c = dict(VALID)
+    for field in draw(st.sets(st.sampled_from(sorted(EDGES)), max_size=3)):
+        c[field] = draw(st.sampled_from(EDGES[field]))
+    f_nodes = draw(st.integers(2, 5)) if draw(st.booleans()) else None
+    g_nodes = draw(st.integers(2, 5)) if draw(st.booleans()) else None
+    files = config_files(c, f_nodes, g_nodes)
     garbled = draw(st.sampled_from((None,) * 6 + ("run.conf", "u0.json", "uT.json")))
     if garbled in files:
         files[garbled] = _garble(draw, files[garbled])
@@ -218,6 +231,16 @@ def config_runs(draw):
     return argv, files, refused
 
 
+def other_argv(sub, c):
+    """The argv of instability-demo or generator-lab with the options `c`
+    (OTHER_VALID with some replaced)."""
+    if sub == "instability-demo":
+        return ["instability-demo", "--T", c["T"], "--jmax", c["jmax"], "--length", c["length"],
+                "--out", c["out"].format("table.csv")]
+    return ["generator-lab", "--matrix", "matrix.txt", "--trials", c["trials"], "--seed", c["seed"],
+            "--out", c["out"].format("lab.json")]
+
+
 @st.composite
 def other_runs(draw):
     """instability-demo and generator-lab, which take no config; a draw
@@ -226,9 +249,7 @@ def other_runs(draw):
     for field in draw(st.sets(st.sampled_from(sorted(OTHER_EDGES)), max_size=2)):
         c[field] = draw(st.sampled_from(OTHER_EDGES[field]))
     if draw(st.booleans()):
-        argv = ["instability-demo", "--T", c["T"], "--jmax", c["jmax"], "--length", c["length"],
-                "--out", c["out"].format("table.csv")]
-        return argv, {}
+        return other_argv("instability-demo", c), {}
     name = c["matrix"]
     if name == "garbage":
         text = "2\n1 0 0\n"
@@ -238,9 +259,7 @@ def other_runs(draw):
         text = _garble(draw, format_matrix(JORDAN))
     else:
         text = format_matrix(MATRICES[name])
-    argv = ["generator-lab", "--matrix", "matrix.txt", "--trials", "4", "--seed", c["seed"],
-            "--out", c["out"].format("lab.json")]
-    return argv, {"matrix.txt": text}
+    return other_argv("generator-lab", c), {"matrix.txt": text}
 
 
 def _run(argv, files):

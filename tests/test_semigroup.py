@@ -38,9 +38,9 @@ def test_inverse_amplifies_beyond_float_range(basis64):
 
 def test_negative_times_rejected(basis16):
     v = SpectralVec.unit(basis16, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         apply_forward(v, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpecError):
         apply_inverse(v, -0.1)
 
 
