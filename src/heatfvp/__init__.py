@@ -80,7 +80,6 @@ from .spectral import (
     norm_h,
     project_samples,
     rel_distance,
-    stacked_norms,
     synthesize,
     triple_norms,
     uniform_samples,

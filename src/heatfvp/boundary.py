@@ -47,7 +47,7 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .logspace import _real, log_sum_exp
+from .logspace import _real, log_sum_exp, logspace_add, merge_phase
 from .semigroup import (
     CompatReport,
     IncompatibleDataError,
@@ -57,7 +57,15 @@ from .semigroup import (
     apply_inverse,
     check_domain_membership,
 )
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon, rel_distance, triple_norms
+from .spectral import (
+    EigenBasis,
+    InvalidSpecError,
+    SpectralVec,
+    _check_horizon,
+    _stacked_norms,
+    rel_distance,
+    triple_norms,
+)
 
 TRACE_SURROGATE_SAMPLES = 128
 _CSV_HEADER = ["t", "g_left", "g_right"]
@@ -82,10 +90,6 @@ class BoundaryData:
     @classmethod
     def constant(cls, g_left: float, g_right: float, T: float) -> "BoundaryData":
         return cls(np.array([0.0, float(T)]), np.array([[g_left, g_right]] * 2))
-
-    @classmethod
-    def zero(cls, T: float) -> "BoundaryData":
-        return cls.constant(0.0, 0.0, T)
 
     @property
     def t_final(self) -> float:
@@ -124,11 +128,6 @@ class HarmonicLift:
     def values(self, points=None) -> np.ndarray:
         x = self.basis.axes[0] if points is None else np.asarray(points, dtype=float)
         return self.g_left + self.slope * x
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Closed-form sine coefficients; no quadrature involved."""
-        return self.basis.lift_coefficients(self.g_left, self.g_right)
 
 
 def harmonic_lift(g_left: float, g_right: float, basis: EigenBasis) -> HarmonicLift:
@@ -218,9 +217,13 @@ def boundary_yield_sweep(g: BoundaryData, t: float, basis: EigenBasis) -> SweepR
     _check_horizon(t)
     eps = np.array([t * 2.0 ** -k for k in range(3, 11)])
     _, ph, lg, _ = _forward(SpectralVec.zero(basis), None, np.append(t - eps, t), LiftPath(g, basis), None)
-    partials = [SpectralVec(basis, p, l).scale_log(-e * basis.lambdas) for p, l, e in zip(ph, lg, eps)]
-    diffs = np.array([triple_norms(b - a).normH for a, b in zip(partials[:-1], partials[1:])])
-    gap = triple_norms(SpectralVec(basis, ph[-1], lg[-1]) - partials[-1]).normH
+    partials = lg[:-1] - eps[:, None] * basis.lambdas
+    # each partial from the next one, then the last from the limit, as one
+    # stack of differences that builds no state
+    later = np.concatenate([partials[1:], lg[-1:]])
+    p, l = logspace_add(ph[1:], later, -ph[:-1], partials)
+    norms = _stacked_norms(basis, merge_phase(p, l), l).normH
+    diffs, gap = norms[:-1], norms[-1]
     pos = diffs > 0
     if np.count_nonzero(pos) >= 2:
         # increments between eps_k and eps_{k+1} attach to the larger eps
@@ -269,7 +272,7 @@ def _dct2_ortho(values: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # data past the square root of float64's range read inf
-def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
+def trace_norm_surrogate(g: BoundaryData, T: float) -> float:
     """Half-order Sobolev surrogate of the boundary signal in time.
 
     Per endpoint: ||g||^2_{L2(0,T)} plus sum_k (1+k^2)^{1/2} |ghat_k|^2 over
@@ -277,7 +280,7 @@ def trace_norm_surrogate(g: BoundaryData, T: float | None = None) -> float:
     in for the trace-space norm; it is documented as a surrogate, not the
     intrinsic parabolic trace norm.
     """
-    T = g.t_final if T is None else float(T)
+    T = float(T)
     n = TRACE_SURROGATE_SAMPLES
     mid = (np.arange(n) + 0.5) * (T / n)
     vals = g.sample(mid)
@@ -474,7 +477,7 @@ def solution_norm_h1(traj: Trajectory) -> float:
     (L,) = basis.spec.lengths
     lam = basis.lambdas
     # first, so that its temporaries are freed before the norm's own
-    res_dual_sq = traj.residual_dual_sq()
+    res_dual_sq = traj.residual_dual_sq
     p = traj._zero_trace
     p2 = np.abs(p) ** 2
     l2_sq = p2.sum(axis=-1)

@@ -140,10 +140,6 @@ class SourceTerm:
         if not np.all(np.isfinite(self.coeffs)):
             raise InvalidSpecError("source coefficients must be finite")
 
-    @classmethod
-    def zero(cls, basis: EigenBasis, T: float) -> "SourceTerm":
-        return cls(basis, np.array([0.0, float(T)]), np.zeros((2, basis.n_modes)))
-
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
@@ -399,7 +395,7 @@ class Trajectory:
     derive is computed once, on first use, and read-only too: the linear
     rows c (`_coeffs`), the lift's (a, b, w) from one sample of g
     (`_lift_rows`), the zero-trace part p = c - w (`_zero_trace`; c without
-    a lift), the node norms and the residual.
+    a lift), `node_norms` and `residual_dual_sq`.
     `initial_state` and `final_state` wrap the end rows as SpectralVec views.
     `lift` is the boundary solver's `LiftPath`, passed in at construction.
     """
@@ -439,15 +435,15 @@ class Trajectory:
         return self._coeffs if self.lift is None else _read_only(self._coeffs - self._lift_rows[2])
 
     @cached_property
-    def _node_norms(self) -> TripleNorms:
-        return _stacked_norms(self.basis, self._coeffs, self.logmag)
-
     def node_norms(self) -> TripleNorms:
         """H, V and V* norms of every node; each field has shape (n_nodes,)."""
-        return self._node_norms
+        return _stacked_norms(self.basis, self._coeffs, self.logmag)
 
     @cached_property
-    def _residual_dual_sq(self) -> np.ndarray:
+    def residual_dual_sq(self) -> np.ndarray:
+        """||u'(t_k)||_*^2 per node, read-only, with u' = f - A (u - w) from
+        the equation itself (w the boundary lift), not from numerical
+        differencing."""
         lam = self.basis.lambdas
         with np.errstate(over="ignore", invalid="ignore"):
             res = lam * self._zero_trace
@@ -455,12 +451,6 @@ class Trajectory:
                 res = self.source.sample(self.times) - res
             res_sq = (np.abs(res) ** 2 / lam).sum(axis=-1)
         return _read_only(res_sq)
-
-    def residual_dual_sq(self) -> np.ndarray:
-        """||u'(t_k)||_*^2 per node, read-only, with u' = f - A (u - w) from
-        the equation itself (w the boundary lift), not from numerical
-        differencing."""
-        return self._residual_dual_sq
 
     def to_csv(self) -> str:
         """Long-format space-time samples: t, x, u at 65 uniform points per
@@ -563,9 +553,9 @@ def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):
     return SpectralVec(basis, ph[0], lg[0]), march
 
 
-def source_yield(f: SourceTerm, T: float | None = None) -> SpectralVec:
-    """Final-time value of the zero-initial-state solution driven by f."""
-    T = f.t_final if T is None else float(T)
+def source_yield(f: SourceTerm, T: float) -> SpectralVec:
+    """Value at T of the zero-initial-state solution driven by f."""
+    T = float(T)
     _check_horizon(T)
     return _yield(f.basis, f, None, T)[0]
 
@@ -586,7 +576,7 @@ def solution_norm(traj: Trajectory) -> float:
     """
     if traj.times.size < 2:
         raise InvalidSpecError("a trajectory norm needs at least two nodes")
-    norms = traj.node_norms()
+    norms = traj.node_norms
     with np.errstate(over="ignore"):
         v2 = norms.normV ** 2
         h2 = norms.normH ** 2
@@ -595,15 +585,15 @@ def solution_norm(traj: Trajectory) -> float:
         _trapezoid(v2, traj.times)
         + float(np.max(h2))
         + _trapezoid(vs2, traj.times)
-        + _trapezoid(traj.residual_dual_sq(), traj.times)
+        + _trapezoid(traj.residual_dual_sq, traj.times)
     )
     return float(np.sqrt(total))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # f past the square root of float64's range reads inf or NaN
-def squared_source_dual_norm(f: SourceTerm, T: float | None = None) -> float:
+def squared_source_dual_norm(f: SourceTerm, T: float) -> float:
     """Exact int_0^T ||f||_*^2 dt for the piecewise-linear source."""
-    T = f.t_final if T is None else float(T)
+    T = float(T)
     _check_horizon(T)
     lam = f.basis.lambdas
     # the intervals that start before T; only the last can end past it
@@ -641,7 +631,7 @@ def check_energy_estimate(traj: Trajectory) -> EnergyReport:
     if traj.times.size < 2:
         raise InvalidSpecError("energy check needs at least two nodes")
     T = float(traj.times[-1] - traj.times[0])
-    norms = traj.node_norms()
+    norms = traj.node_norms
     with np.errstate(over="ignore"):
         v2 = norms.normV ** 2
         h2 = norms.normH ** 2
@@ -650,5 +640,5 @@ def check_energy_estimate(traj: Trajectory) -> EnergyReport:
     lhs = int_v2
     rhs = h2[0] / basis.C4 + f2 / basis.C4 ** 2
     sob_lhs = float(np.max(h2))
-    sob_rhs = (1.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T)) * int_v2 + _trapezoid(traj.residual_dual_sq(), traj.times)
+    sob_rhs = (1.0 + basis.C2 ** 2 / (basis.C1 ** 2 * T)) * int_v2 + _trapezoid(traj.residual_dual_sq, traj.times)
     return EnergyReport(lhs, rhs, bool(lhs <= rhs * (1 + 1e-12)), sob_lhs, sob_rhs, bool(sob_lhs <= sob_rhs * (1 + 1e-12)))

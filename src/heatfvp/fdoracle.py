@@ -57,7 +57,7 @@ def fd_solve(
     length: float,
     t_final: float,
     n_steps: int,
-    scheme: FdScheme | None = None,
+    scheme: FdScheme,
 ) -> FdResult:
     """March the heat equation u' = u_xx + f with Dirichlet data g.
 
@@ -73,7 +73,6 @@ def fd_solve(
     DST-I basis its Laplacian is diag(-mu_k), and the theta-scheme is
     w_k <- (1 - (1 - theta) dt mu_k) / (1 + theta dt mu_k) w_k + forcing_k.
     """
-    scheme = scheme or FdScheme()
     _check_horizon(t_final)
     if length <= 0 or n_steps < 1:
         raise InvalidSpecError("need a positive length and step count")

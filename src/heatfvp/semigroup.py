@@ -58,11 +58,11 @@ class MembershipPolicy:
             raise InvalidSpecError("rtol_compat must be finite and nonnegative")
         if not 1.0 < self.growth_thresh < np.inf:
             raise InvalidSpecError("growth_thresh must be finite and greater than 1")
-        try:
-            cutoffs = tuple(int(c) for c in self.cutoffs)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidSpecError("cutoffs must be integers") from exc
-        object.__setattr__(self, "cutoffs", cutoffs)
+        cutoffs = tuple(self.cutoffs) if np.iterable(self.cutoffs) else None
+        # a bool is an int and a float no count: refuse, never coerce
+        if cutoffs is None or any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in cutoffs):
+            raise InvalidSpecError("cutoffs must be integers")
+        object.__setattr__(self, "cutoffs", tuple(map(int, cutoffs)))
 
     def resolved_cutoffs(self, n_modes: int) -> tuple:
         if self.cutoffs:

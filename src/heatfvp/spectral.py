@@ -158,13 +158,13 @@ class EigenBasis:
     C1 = lambda_1^{-1/2} and C2 = 1/lambda_1, read off `lambdas`, and C3 = C4 = 1.
 
     `axes` holds the nodes of the quadrature grid, 8*modes panels, on
-    which `analyze` reads and the default `synthesize` writes samples; both
-    run as sine transforms and build no table.  `weights` (Simpson weights)
-    and `sines` (the modes-by-nodes sine table, O(N^2) memory) are read by
-    nothing in the package, only by `_table_bytes` in perfbench/spans.py;
-    they go once that probe stops reading them.  All three are one-element
-    tuples, which that probe iterates, and cached properties, computed on
-    first read.
+    which `analyze` reads and `uniform_samples(vec, 8 * modes)` writes
+    samples; both run as sine transforms and build no table.  `weights`
+    (Simpson weights) and `sines` (the modes-by-nodes sine table, O(N^2)
+    memory) are read by nothing in the package, only by `_table_bytes` in
+    perfbench/spans.py; they go once that probe stops reading them.  All
+    three are one-element tuples, which that probe iterates, and cached
+    properties, computed on first read.
     """
 
     spec: DomainSpec
@@ -270,16 +270,6 @@ class SpectralVec:
         n = basis.n_modes
         return cls(basis, np.zeros(n), np.full(n, -np.inf))
 
-    @classmethod
-    def unit(cls, basis: EigenBasis, mode: int) -> "SpectralVec":
-        """Basis vector for the given 1-based sorted mode index."""
-        if not 1 <= mode <= basis.n_modes:
-            raise InvalidSpecError(f"mode {mode} outside 1..{basis.n_modes}")
-        v = cls.zero(basis)
-        v.phase[mode - 1] = 1.0
-        v.logmag[mode - 1] = 0.0
-        return v
-
     # -- views ---------------------------------------------------------
     @property
     def coefficients(self) -> np.ndarray:
@@ -306,11 +296,14 @@ class SpectralVec:
         p, l = logspace_add(self.phase, self.logmag, other.phase, other.logmag)
         return SpectralVec(self.basis, p, l)
 
-    def __sub__(self, other: "SpectralVec") -> "SpectralVec":
+    def _minus(self, other: "SpectralVec"):
+        """The (phase, logmag) arrays of self - other, with no state built."""
         if not self.basis.same_as(other.basis):
             raise InvalidSpecError("basis mismatch in subtraction")
-        p, l = logspace_add(self.phase, self.logmag, -other.phase, other.logmag)
-        return SpectralVec(self.basis, p, l)
+        return logspace_add(self.phase, self.logmag, -other.phase, other.logmag)
+
+    def __sub__(self, other: "SpectralVec") -> "SpectralVec":
+        return SpectralVec(self.basis, *self._minus(other))
 
 
 @dataclass(frozen=True)
@@ -319,28 +312,21 @@ class TripleNorms:
     row of a stack (then every field is an array of shape (rows,)).
 
     normVstar <= C1 * normH <= C2 * normV always holds for a Dirichlet
-    basis.  The log fields are half the log of the linear sums, or, for a
-    row past float64 range or sinking toward the subnormals, sums in log
+    basis.  `log_normH` is half the log of the linear sum, or, for a row
+    past float64 range or sinking toward the subnormals, the sum in log
     space.  When the linear mirror overflows, the linear fields are the
-    exponentials of the log fields (inf past float64 range) and
-    `overflowed` is set; the log fields stay exact either way.
+    exponentials of their log-space sums (inf past float64 range);
+    `log_normH` stays exact either way.
     """
 
     normH: float
     normV: float
     normVstar: float
     log_normH: float
-    log_normV: float
-    log_normVstar: float
-    overflowed: bool
 
     def row(self, i: int) -> "TripleNorms":
-        """Row i of a stack, with float and bool fields."""
-        return TripleNorms(
-            float(self.normH[i]), float(self.normV[i]), float(self.normVstar[i]),
-            float(self.log_normH[i]), float(self.log_normV[i]), float(self.log_normVstar[i]),
-            bool(self.overflowed[i]),
-        )
+        """Row i of a stack, with float fields."""
+        return TripleNorms(float(self.normH[i]), float(self.normV[i]), float(self.normVstar[i]), float(self.log_normH[i]))
 
 
 def _weighted_norm(logmag: np.ndarray, log_weight: np.ndarray):
@@ -348,23 +334,18 @@ def _weighted_norm(logmag: np.ndarray, log_weight: np.ndarray):
     return 0.5 * log_sum_exp(2.0 * logmag + log_weight)
 
 
-def stacked_norms(basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> TripleNorms:
+def _stacked_norms(basis: EigenBasis, coeffs: np.ndarray, logmag: np.ndarray) -> TripleNorms:
     """Pivot, form-domain and dual norms of each row of a (rows, n_modes)
-    stack in sign/log-magnitude form.
+    stack in sign/log-magnitude form, merged to linear scale once by the
+    caller: `coeffs` is merge_phase(phase, logmag).
 
     Every term is nonnegative, so numpy's sum along the modes errs by about
-    ceil(log2 n_modes) eps relative, and the log fields are half the log of
+    ceil(log2 n_modes) eps relative, and the log norms are half the log of
     those sums.  A row where any term would overflow takes the values
-    computed in log space and is flagged; a sum whose largest term lies so
-    low that the terms flushed toward the subnormals could count (or a zero
-    sum) takes its log field from `log_sum_exp`.  The stack is merged to
-    linear scale once, and `_stacked_norms` takes it from there.
+    computed in log space; a sum whose largest term lies so low that the
+    terms flushed toward the subnormals could count (or a zero sum) takes
+    its log norm from `log_sum_exp`.
     """
-    return _stacked_norms(basis, merge_phase(phase, logmag), logmag)
-
-
-def _stacked_norms(basis: EigenBasis, coeffs: np.ndarray, logmag: np.ndarray) -> TripleNorms:
-    """`stacked_norms` of rows already merged: `coeffs` is merge_phase(phase, logmag)."""
     lam = basis.lambdas
     n = max(basis.n_modes, 1)
     log_lam = np.log(lam)
@@ -392,13 +373,13 @@ def _stacked_norms(basis: EigenBasis, coeffs: np.ndarray, logmag: np.ndarray) ->
             log_weight = np.stack([np.zeros_like(lam), log_lam, -log_lam])
             logs[rest] = _weighted_norm(logmag[rest[:-1]], log_weight[rest[-1]])
         norms = np.where(overflowed[..., None], np.exp(logs), np.sqrt(sums))
-    return TripleNorms(*norms.T, *logs.T, overflowed)
+    return TripleNorms(*norms.T, logs[..., 0])
 
 
 def triple_norms(vec: SpectralVec) -> TripleNorms:
     """Pivot, form-domain and dual norms of one coefficient vector: the
-    one-row case of `stacked_norms`."""
-    return stacked_norms(vec.basis, vec.phase[None], vec.logmag[None]).row(0)
+    one-row case of `_stacked_norms`."""
+    return _stacked_norms(vec.basis, vec.coefficients[None], vec.logmag[None]).row(0)
 
 
 def norm_h(vec: SpectralVec) -> float:
@@ -406,9 +387,9 @@ def norm_h(vec: SpectralVec) -> float:
 
 
 def rel_distance(a: SpectralVec, b: SpectralVec) -> float:
-    """|a - b|_H / |b|_H, computed in log space so huge vectors compare."""
-    diff = a - b
-    num = _weighted_norm(diff.logmag, np.zeros_like(a.basis.lambdas))
+    """|a - b|_H / |b|_H, computed in log space so huge vectors compare;
+    the difference is read off its arrays, not built as a state."""
+    num = _weighted_norm(a._minus(b)[1], np.zeros_like(a.basis.lambdas))
     den = _weighted_norm(b.logmag, np.zeros_like(a.basis.lambdas))
     if den == -np.inf:
         return 0.0 if num == -np.inf else np.inf
@@ -422,9 +403,9 @@ def analyze(samples, basis: EigenBasis) -> SpectralVec:
     """Project samples on the basis quadrature grid onto the eigenmodes.
 
     Composite Simpson with 8*modes panels integrates products of basis
-    modes exactly (discrete orthogonality), so analyze/synthesize
-    round-trip on the span at machine precision.  The sums run as one
-    Simpson-weighted DST-I.
+    modes exactly (discrete orthogonality), so analyze and
+    `uniform_samples(vec, 8 * modes)` round-trip on the span at machine
+    precision.  The sums run as one Simpson-weighted DST-I.
     """
     N = basis.spec.modes
     (L,) = basis.spec.lengths
@@ -470,20 +451,15 @@ def uniform_samples(vec: SpectralVec, panels: int) -> np.ndarray:
     return out
 
 
-def synthesize(vec: SpectralVec, points=None) -> np.ndarray:
-    """Evaluate the mode sum pointwise.
-
-    Defaults to the quadrature grid, one inverse DST-I; pass points for
-    a custom grid.  Raises if any coefficient exceeds linear float range.
+def synthesize(vec: SpectralVec, points) -> np.ndarray:
+    """Evaluate the mode sum at arbitrary points; `uniform_samples` is the
+    sine-transform form on a uniform grid.  Raises if any coefficient
+    exceeds linear float range.
     """
     if vec.overflowed:
         raise InvalidSpecError("coefficients exceed linear floating-point range")
-    N = vec.basis.spec.modes
     (L,) = vec.basis.spec.lengths
-    c = vec.coefficients
-    if points is None:
-        return _uniform_dst(c, L, 8 * N)
-    return c @ _sine_table(L, N, points)
+    return vec.coefficients @ _sine_table(L, vec.basis.spec.modes, points)
 
 
 # -- serialization ------------------------------------------------------
@@ -545,9 +521,10 @@ def vec_to_json(vec: SpectralVec) -> str:
     return strict_json(payload)
 
 
-def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
-    """The state of `vec_to_json`'s form.  A pair whose im is not 0 is
-    refused, as is a file nested past what the parser can descend."""
+def vec_from_json(text: str, basis: EigenBasis) -> SpectralVec:
+    """The state of `vec_to_json`'s form against `basis`, which must match
+    the stored descriptor.  A pair whose im is not 0 is refused, as is a
+    file nested past what the parser can descend."""
     try:
         payload = json.loads(text)
     except RecursionError as exc:
@@ -568,8 +545,6 @@ def vec_from_json(text: str, basis: EigenBasis | None = None) -> SpectralVec:
     if {type(x) for x in flat} != {float}:  # an int or no number: read each entry
         flat = [_json_number(x, "a coefficient") for x in flat]
     coeffs = np.array(flat, dtype=float).view(np.complex128)
-    if basis is None:
-        basis = build_basis(spec)
-    elif basis.spec != spec:
+    if basis.spec != spec:
         raise InvalidSpecError("stored basis descriptor does not match the supplied basis")
     return SpectralVec.from_coefficients(basis, coeffs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatfvp import DomainSpec, build_basis
+from heatfvp import DomainSpec, SourceTerm, SpectralVec, build_basis
 from heatfvp.generator import MatrixGenerator, random_elliptic, random_selfadjoint
 
 JORDAN = [[1.0, 10.0], [0.0, 1.0]]
@@ -15,6 +15,19 @@ def format_matrix(a) -> str:
     for row in a:
         lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
     return "\n".join(lines) + "\n"
+
+
+def unit_state(basis, j):
+    """e_j: the state with coefficient 1 in the 1-based mode j and 0 elsewhere."""
+    phase = np.zeros(basis.n_modes)
+    logmag = np.full(basis.n_modes, -np.inf)
+    phase[j - 1], logmag[j - 1] = 1.0, 0.0
+    return SpectralVec(basis, phase, logmag)
+
+
+def zero_source(basis, T):
+    """The source f = 0 on the two nodes 0 and T."""
+    return SourceTerm(basis, [0.0, T], np.zeros((2, basis.n_modes)))
 
 
 def golden_generator(name):

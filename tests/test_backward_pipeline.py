@@ -18,6 +18,8 @@ from heatfvp import fvp
 from heatfvp import spectral as sp
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, rel_distance
 
+from conftest import unit_state
+
 
 def _instance(n, kind, seed=0):
     """Forward-manufactured solvable data: (f, g, u_T, T, tgrid)."""
@@ -174,7 +176,7 @@ def test_one_solve_runs_each_yield_and_the_ladder_once(kind, monkeypatch):
     if kind == "source-extra-node":
         tgrid = np.sort(np.append(tgrid, T / 3))
     if kind == "source-zero-boundary":
-        g = bd.BoundaryData.zero(T)
+        g = bd.BoundaryData.constant(0.0, 0.0, T)
     calls = {}
     _count_calls(monkeypatch, dh, "_particular", calls)
     for name in ("boundary_yield", "check_domain_membership"):
@@ -286,8 +288,8 @@ def test_no_boundary_term_is_the_homogeneous_solve(kind):
 
 
 def test_zero_boundary_data_keep_the_trace_part(basis16):
-    uT = SpectralVec.unit(basis16, 2).scale_log(-basis16.lambdas)
-    sol = bd.solve_final_value_inhom(None, bd.BoundaryData.zero(1.0), uT, 1.0)
+    uT = unit_state(basis16, 2).scale_log(-basis16.lambdas)
+    sol = bd.solve_final_value_inhom(None, bd.BoundaryData.constant(0.0, 0.0, 1.0), uT, 1.0)
     assert sol.ynorm.trace_sq == 0.0
     assert json.loads(_json(sol.ynorm))["trace_sq"] == 0.0
     assert sol.trajectory.lift is not None

@@ -16,8 +16,10 @@ from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import logspace
 from heatfvp import spectral as sp
-from heatfvp.logspace import LOG_MAX, log_sum_exp
-from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, stacked_norms, triple_norms
+from heatfvp.logspace import LOG_MAX, log_sum_exp, merge_phase
+from heatfvp.spectral import DomainSpec, SpectralVec, _stacked_norms, build_basis, triple_norms
+
+from conftest import unit_state, zero_source
 
 
 def bits(values):
@@ -103,21 +105,39 @@ def test_stacked_norms_rows_equal_triple_norms(basis16, rows):
     if rows > 1:
         logmag[1] = 800.0  # past float range: the log path and an inf mirror
         logmag[-1] = 360.0  # in range, but a squared term would overflow
-    table = stacked_norms(basis16, phase, logmag)
+    table = _stacked_norms(basis16, merge_phase(phase, logmag), logmag)
     for i in range(rows):
         assert table.row(i) == triple_norms(SpectralVec(basis16, phase[i], logmag[i]))
     if rows > 1:
-        assert table.overflowed[1] and table.overflowed[-1]
+        # both rows took the log path: the linear sums would read inf
+        assert np.isinf(table.normH[1]) and np.isfinite(table.log_normH[1])
+        assert np.isfinite(table.normV[-1])
 
 
 def test_node_norms_equal_triple_norms_including_overflow(basis16):
     # mode 1 starts past the linear range and decays back into it
     u0 = SpectralVec(basis16, np.ones(16), np.concatenate([[400.0], np.full(15, -1.0)]))
     traj = dh.solve_cauchy(u0, None, np.linspace(0.0, 120.0, 61))
-    norms = traj.node_norms()
+    norms = traj.node_norms
     rows = [norms.row(i) for i in range(traj.times.size)]
     assert rows == [triple_norms(SpectralVec(basis16, p, l)) for p, l in zip(traj.phase, traj.logmag)]
-    assert rows[0].overflowed and not rows[-1].overflowed
+    # the first node's squared top term leaves float64 range, the last node's does not
+    assert 2.0 * traj.logmag[0].max() > LOG_MAX > 2.0 * traj.logmag[-1].max()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_sweep_norms_equal_the_differences_of_states(basis16, scale):
+    # the sweep reads its increments and limit gap off one stack of
+    # differences; built as states and differenced one by one, they are the
+    # same bits, also where the squares leave float64 range (scale 1e160)
+    g = bd.BoundaryData(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7], [-1.0, 0.4]]) * scale)
+    rep = bd.boundary_yield_sweep(g, 1.0, basis16)
+    _, ph, lg, _ = dh._forward(SpectralVec.zero(basis16), None, np.append(1.0 - rep.eps, 1.0),
+                               bd.LiftPath(g, basis16), None)
+    partials = [SpectralVec(basis16, p, l).scale_log(-e * basis16.lambdas) for p, l, e in zip(ph, lg, rep.eps)]
+    diffs = [triple_norms(b - a).normH for a, b in zip(partials[:-1], partials[1:])]
+    assert bits(rep.increments) == bits(diffs)
+    assert bits(rep.limit_gap) == bits(triple_norms(SpectralVec(basis16, ph[-1], lg[-1]) - partials[-1]).normH)
 
 
 def test_trajectory_states_are_views_of_read_only_arrays(basis16):
@@ -144,9 +164,9 @@ def test_march_computes_phi_once_per_distinct_step(basis16, monkeypatch):
         return real(z)
 
     monkeypatch.setattr(dh, "_phi12", counting)
-    f = dh.SourceTerm.zero(basis16, 1.0)
+    f = zero_source(basis16, 1.0)
     grid = np.linspace(0.0, 1.0, 1001)
-    dh.solve_cauchy(SpectralVec.unit(basis16, 1), f, grid)
+    dh.solve_cauchy(unit_state(basis16, 1), f, grid)
     assert seen == [np.unique(np.diff(grid)).size]
     assert seen[0] < 20
 
@@ -167,7 +187,7 @@ def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
     monkeypatch.setattr(dh, "logspace_add", counting)
     grid = np.linspace(0.0, 1.0, 257)
     f = dh.SourceTerm(basis16, np.array([0.0, 0.3, 1.0]), np.ones((3, 16)))
-    u0 = SpectralVec.unit(basis16, 1)
+    u0 = unit_state(basis16, 1)
     if kind == "mixed":
         u0.phase[-1], u0.logmag[-1] = 1.0, 800.0
     if kind == "boundary":
@@ -187,7 +207,7 @@ def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
 def test_trajectory_is_frozen(basis16):
     # its norms and residual are cached: a lift attached after the solve
     # would leave them stale
-    traj = dh.solve_cauchy(SpectralVec.unit(basis16, 1), None, np.linspace(0.0, 1.0, 5))
+    traj = dh.solve_cauchy(unit_state(basis16, 1), None, np.linspace(0.0, 1.0, 5))
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.lift = bd.LiftPath(bd.BoundaryData.constant(1.0, -1.0, 1.0), basis16)
 
@@ -213,7 +233,7 @@ def _norm_pass_calls(basis, monkeypatch, with_g):
     rng = np.random.default_rng(4)
     f = dh.SourceTerm(basis, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, 16)))
     g = bd.BoundaryData(np.array([0.0, 0.5, 1.0]), rng.uniform(-1.0, 1.0, (3, 2))) if with_g else None
-    traj = bd.solve_ibvp(SpectralVec.unit(basis, 1), f, g, np.linspace(0.0, 1.0, 33))
+    traj = bd.solve_ibvp(unit_state(basis, 1), f, g, np.linspace(0.0, 1.0, 33))
     f_calls = _count_calls(monkeypatch, dh.SourceTerm, "sample")
     g_calls = _count_calls(monkeypatch, bd.BoundaryData, "sample")
     merges = _count_calls(monkeypatch, logspace, "merge_phase", where=(dh, sp))
@@ -271,7 +291,7 @@ def golden_values(n, kind):
         "sobolev_rhs": energy.sobolev_rhs,
     }
     if f is not None:
-        out["source_dual_sq"] = dh.squared_source_dual_norm(f)
+        out["source_dual_sq"] = dh.squared_source_dual_norm(f, f.t_final)
         out["source_dual_sq_part"] = dh.squared_source_dual_norm(f, 0.6 * traj.times[-1])
     return {k: float(v).hex() for k, v in out.items()}
 

@@ -35,9 +35,11 @@ from heatfvp.spectral import (
     json_payload,
     rel_distance,
     strict_json,
-    synthesize,
     triple_norms,
+    uniform_samples,
 )
+
+from conftest import unit_state
 
 
 def ramp_data(T, left_mid, right_mid, left_end=0.3, right_end=0.2):
@@ -92,10 +94,10 @@ class TestBoundaryData:
         got = g.sample([0.25, 0.75])
         assert got[0] == pytest.approx([0.5, -0.5], rel=1e-15)
         assert got[1] == pytest.approx([0.65, -0.4], rel=1e-14)
-        assert BoundaryData.zero(2.0).is_zero
+        assert BoundaryData.constant(0.0, 0.0, 2.0).is_zero
 
     def test_sample_outside_grid(self):
-        g = BoundaryData.zero(1.0)
+        g = BoundaryData.constant(0.0, 0.0, 1.0)
         with pytest.raises(InvalidSpecError):
             g.sample([2.0])
 
@@ -106,7 +108,7 @@ class TestBoundaryData:
         assert np.array_equal(h.values, g.values)
 
     def test_csv_header_checked(self):
-        text = BoundaryData.zero(1.0).to_csv().replace("g_left", "gl")
+        text = BoundaryData.constant(0.0, 0.0, 1.0).to_csv().replace("g_left", "gl")
         with pytest.raises(InvalidSpecError):
             BoundaryData.from_csv(text)
 
@@ -128,11 +130,9 @@ class TestHarmonicLift:
     def test_closed_form_coefficients(self, basis16):
         # <a + bx, e_j> = sqrt(2/L) L/(j pi) (g_l - (-1)^j g_r)
         jj = np.arange(1, 17)
-        lift = harmonic_lift(1.0, 0.0, basis16)
-        assert np.allclose(lift.coefficients, np.sqrt(2 / np.pi) / jj, rtol=1e-13)
-        lift2 = harmonic_lift(2.0, 3.0, basis16)
+        assert np.allclose(basis16.lift_coefficients(1.0, 0.0), np.sqrt(2 / np.pi) / jj, rtol=1e-13)
         want = np.sqrt(2 / np.pi) * (2.0 - (-1.0) ** jj * 3.0) / jj
-        assert np.allclose(lift2.coefficients, want, rtol=1e-13)
+        assert np.allclose(basis16.lift_coefficients(2.0, 3.0), want, rtol=1e-13)
 
 class TestBoundarySplit:
     def test_partition_and_idempotency(self, basis16):
@@ -187,7 +187,7 @@ class TestBoundaryYield:
         assert np.allclose(z, want, rtol=1e-10, atol=1e-15)
 
     def test_validation(self, basis16):
-        g = BoundaryData.zero(1.0)
+        g = BoundaryData.constant(0.0, 0.0, 1.0)
         with pytest.raises(InvalidSpecError):
             boundary_yield(g, 0.0, basis16)
         with pytest.raises(InvalidSpecError):
@@ -259,7 +259,7 @@ class TestSolveIbvp:
         u0 = SpectralVec.from_coefficients(basis16, rng.standard_normal(16))
         f = SourceTerm(basis16, np.array([0.0, 1.0]), rng.standard_normal((2, 16)))
         ts = np.linspace(0.0, 1.0, 9)
-        a = solve_ibvp(u0, f, BoundaryData.zero(1.0), ts)
+        a = solve_ibvp(u0, f, BoundaryData.constant(0.0, 0.0, 1.0), ts)
         b = solve_cauchy(u0, f, ts)
         assert np.array_equal(a.phase, b.phase) and np.array_equal(a.logmag, b.logmag)
         assert a.lift is not None and a.lift.g.is_zero
@@ -301,7 +301,7 @@ class TestSolveIbvp:
             basis = build_basis(DomainSpec("interval", (np.pi,), modes))
             x = basis.axes[0]
             u0 = analyze(x * (np.pi - x) * np.exp(np.cos(3.0 * x)), basis)
-            back = analyze(synthesize(u0), basis)
+            back = analyze(uniform_samples(u0, 8 * modes), basis)
             fc = np.exp(-0.5 * np.arange(modes))
             f = SourceTerm(basis, np.array([0.0, T]), np.vstack([fc, 0.5 * fc]))
             g = ramp_data(T, 0.8, -0.5)
@@ -370,19 +370,19 @@ class TestTraceSurrogate:
         # per active endpoint: L2^2 = T and a single flat cosine mode of
         # energy T, so the total is sqrt(2 T)
         g = BoundaryData.constant(1.0, 0.0, 2.0)
-        assert trace_norm_surrogate(g) == pytest.approx(2.0, rel=1e-12)
+        assert trace_norm_surrogate(g, 2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_homogeneity(self):
         g = ramp_data(1.0, 1.0, -0.5)
         scaled = BoundaryData(g.times, 3.0 * g.values)
-        assert trace_norm_surrogate(scaled) == pytest.approx(3.0 * trace_norm_surrogate(g), rel=1e-12)
+        assert trace_norm_surrogate(scaled, 1.0) == pytest.approx(3.0 * trace_norm_surrogate(g, 1.0), rel=1e-12)
 
     def test_endpoints_add_in_squares(self):
         left = BoundaryData.constant(1.0, 0.0, 1.0)
         right = BoundaryData.constant(0.0, 1.0, 1.0)
         both = BoundaryData.constant(1.0, 1.0, 1.0)
-        want = np.sqrt(trace_norm_surrogate(left) ** 2 + trace_norm_surrogate(right) ** 2)
-        assert trace_norm_surrogate(both) == pytest.approx(want, rel=1e-12)
+        want = np.sqrt(trace_norm_surrogate(left, 1.0) ** 2 + trace_norm_surrogate(right, 1.0) ** 2)
+        assert trace_norm_surrogate(both, 1.0) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 128])
     def test_cosine_sum_matches_scipy_dct(self, n):
@@ -405,7 +405,7 @@ class TestTraceSurrogate:
         for v in vals.T:
             vhat = dct(v, type=2, norm="ortho") * np.sqrt(T / n)
             total += np.sum(v ** 2) * (T / n) + np.sum(np.sqrt(1.0 + k ** 2) * vhat ** 2)
-        assert trace_norm_surrogate(g) == pytest.approx(np.sqrt(total), rel=1e-13)
+        assert trace_norm_surrogate(g, T) == pytest.approx(np.sqrt(total), rel=1e-13)
 
 
 class TestSolutionNormH1:
@@ -445,7 +445,7 @@ class TestSolutionNormH1:
     def test_zero_lift_agrees_with_spectral_l2(self, basis16):
         # with g = 0 the pointwise-in-time pieces match the plain
         # coefficient sums
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         traj = solve_ibvp(u0, None, None, np.linspace(0.0, 1.0, 33))
         ts = traj.times
         h1 = 2 * np.exp(-2 * ts)
@@ -474,7 +474,7 @@ class TestInhomBackwardSolve:
 
     def test_boundary_grid_must_cover_horizon(self, basis16):
         uT = SpectralVec.zero(basis16)
-        g = BoundaryData.zero(0.5)
+        g = BoundaryData.constant(0.0, 0.0, 0.5)
         with pytest.raises(InvalidSpecError):
             solve_final_value_inhom(None, g, uT, 1.0)
 
@@ -482,8 +482,8 @@ class TestInhomBackwardSolve:
     @pytest.mark.parametrize("with_g", [False, True])
     def test_horizon_must_be_finite_and_positive(self, basis16, T, with_g):
         # a non-finite horizon gets no verdict, not even `inconclusive`
-        uT = SpectralVec.unit(basis16, 1)
-        g = BoundaryData.zero(1.0) if with_g else None
+        uT = unit_state(basis16, 1)
+        g = BoundaryData.constant(0.0, 0.0, 1.0) if with_g else None
         with pytest.raises(InvalidSpecError):
             solve_final_value_inhom(None, g, uT, T)
         with pytest.raises(InvalidSpecError):
@@ -507,7 +507,7 @@ class TestInhomDataNorm:
         assert rep.total == pytest.approx(want, rel=1e-10)
 
     def test_json_fields(self, basis16):
-        rep = data_norm_inhom(None, BoundaryData.zero(1.0), SpectralVec.zero(basis16), 1.0)
+        rep = data_norm_inhom(None, BoundaryData.constant(0.0, 0.0, 1.0), SpectralVec.zero(basis16), 1.0)
         d = json.loads(strict_json(json_payload(rep)))
         assert set(d) == {"uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"

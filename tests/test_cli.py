@@ -107,7 +107,7 @@ class TestUsage:
         # a cold start pays only for numpy, and the boundary trace
         # surrogate computes its cosine transform without scipy
         code = ("import sys, heatfvp.cli; from heatfvp import boundary as bd; "
-                "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5)); "
+                "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5), 0.5); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert _fresh_python(code) == "[]"
 

@@ -19,6 +19,8 @@ from heatfvp.duhamel import (
 from heatfvp.logspace import LOG_MAX
 from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
 
+from conftest import unit_state, zero_source
+
 
 # phi1(z) = (e^z-1)/z, phi2(z) = (e^z-1-z)/z^2, 50-digit mpmath reference.
 # Points straddle the Taylor handover at |z| = 1e-6.
@@ -87,7 +89,7 @@ class TestSourceTerm:
         assert vals[1, 0] == pytest.approx(3.0, rel=1e-15)
 
     def test_sample_outside_grid_raises(self, basis16):
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             f.sample([1.5])
 
@@ -108,7 +110,7 @@ class TestSourceTerm:
             SourceTerm(basis16, ts, np.zeros((3, 16)))
 
     def test_csv_rows_must_match_the_header(self, basis16):
-        text = SourceTerm.zero(basis16, 1.0).to_csv()
+        text = zero_source(basis16, 1.0).to_csv()
         with pytest.raises(InvalidSpecError, match="fields"):
             SourceTerm.from_csv(text + "0.5,1.0\r\n", basis16)
 
@@ -142,7 +144,7 @@ class TestSourceTerm:
             SourceTerm.from_csv("\r\n".join(text), basis16)
 
     def test_csv_header_is_checked(self, basis16):
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         text = f.to_csv().replace("mode_1_re", "mode_1")
         with pytest.raises(InvalidSpecError):
             SourceTerm.from_csv(text, basis16)
@@ -160,7 +162,7 @@ class TestPureDecay:
             assert np.allclose(phase, want.phase, rtol=1e-15, atol=0)
 
     def test_initial_and_final_properties(self, basis16):
-        u0 = SpectralVec.unit(basis16, 2)
+        u0 = unit_state(basis16, 2)
         traj = solve_cauchy(u0, None, np.array([0.0, 1.0]))
         assert np.array_equal(traj.initial_state.logmag, u0.logmag)
         assert np.array_equal(traj.initial_state.logmag, traj.logmag[0])
@@ -231,7 +233,7 @@ class TestClosedForms:
 
     def test_yield_single_mode_example(self, basis16):
         f = const_source(basis16, 1.0, np.eye(16)[0])
-        y = source_yield(f)
+        y = source_yield(f, 1.0)
         assert y.coefficients[0] == pytest.approx(1 - np.exp(-1.0), rel=1e-14)
         assert np.all(np.abs(y.coefficients[1:]) == 0)
 
@@ -239,12 +241,12 @@ class TestClosedForms:
         rng = np.random.default_rng(4)
         c = rng.standard_normal((3, 16))
         f = SourceTerm(basis16, np.array([0.0, 0.4, 1.0]), c)
-        y = source_yield(f)
+        y = source_yield(f, 1.0)
         traj = solve_cauchy(SpectralVec.zero(basis16), f, np.array([1.0]))
         assert rel_distance(y, traj.final_state) == 0.0
 
     def test_yield_horizon_validation(self, basis16):
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             source_yield(f, 2.0)
         with pytest.raises(InvalidSpecError):
@@ -310,7 +312,7 @@ class TestSourceRange:
 
 class TestGridValidation:
     def test_grid_outside_source_raises(self, basis16):
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         u0 = SpectralVec.zero(basis16)
         with pytest.raises(InvalidSpecError):
             solve_cauchy(u0, f, np.array([0.0, 2.0]))
@@ -322,16 +324,16 @@ class TestGridValidation:
 
     def test_negative_start_raises(self, basis16):
         u0 = SpectralVec.zero(basis16)
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             solve_cauchy(u0, f, np.array([-0.1, 1.0]))
 
     def test_empty_grid_raises(self, basis16):
         with pytest.raises(InvalidSpecError, match="nonempty"):
-            solve_cauchy(SpectralVec.unit(basis16, 1), None, np.array([]))
+            solve_cauchy(unit_state(basis16, 1), None, np.array([]))
 
     def test_complex_grid_raises(self, basis16):
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         with pytest.raises(InvalidSpecError, match="imaginary"):
             solve_cauchy(u0, None, np.array([0.0, 0.5 + 1e-9j]))
         with pytest.raises(InvalidSpecError, match="imaginary"):
@@ -341,20 +343,20 @@ class TestGridValidation:
     def test_non_finite_grid_raises(self, basis16, ts):
         # neither fails an ordering comparison: nan compares false, and
         # without a source the last node sets the horizon
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         with pytest.raises(InvalidSpecError, match="finite"):
             solve_cauchy(u0, None, np.array(ts))
 
     def test_basis_mismatch_raises(self, basis16, basis64):
         u0 = SpectralVec.zero(basis64)
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             solve_cauchy(u0, f, np.array([0.0, 1.0]))
 
 
 class TestTrajectoryCsv:
     def test_layout(self, basis16):
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         traj = solve_cauchy(u0, None, np.array([0.0, 1.0]))
         lines = traj.to_csv().strip().splitlines()
         assert lines[0] == "t,x,u"
@@ -368,7 +370,7 @@ class TestSpaceTimeNorms:
     def test_dual_norm_exact_triangle(self, basis16):
         # f(t) = (1-t) on the first mode: int (1-t)^2 / lam_1 = 1/3
         f = SourceTerm(basis16, np.array([0.0, 1.0]), np.vstack([np.eye(16)[0], np.zeros(16)]))
-        assert squared_source_dual_norm(f) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert squared_source_dual_norm(f, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_dual_norm_clips_horizon(self, basis16):
         f = SourceTerm(basis16, np.array([0.0, 1.0]), np.vstack([np.eye(16)[0], np.zeros(16)]))
@@ -380,7 +382,7 @@ class TestSpaceTimeNorms:
         c[0], c[3] = 1.0, 2.0
         f = const_source(basis16, 2.0, c)
         want = 2.0 * (1.0 / basis16.lambdas[0] + 4.0 / basis16.lambdas[3])
-        assert squared_source_dual_norm(f) == pytest.approx(want, rel=1e-14)
+        assert squared_source_dual_norm(f, 2.0) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("T", [np.nan, np.inf, 0.0, -1.0])
     def test_dual_norm_horizon_validation(self, basis16, T):
@@ -389,7 +391,7 @@ class TestSpaceTimeNorms:
             squared_source_dual_norm(f, T)
 
     def test_solution_norm_matches_trapezoid_of_exact_nodes(self, basis16):
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         ts = np.linspace(0.0, 1.0, 33)
         traj = solve_cauchy(u0, None, ts)
         c = np.exp(-ts)
@@ -399,12 +401,12 @@ class TestSpaceTimeNorms:
 
     def test_solution_norm_single_mode_value(self, basis16):
         # exact squared norm 3/2 (1 - e^{-2}) + 1 = 2.2969970751450809622
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         traj = solve_cauchy(u0, None, np.linspace(0.0, 1.0, 257))
         assert solution_norm(traj) == pytest.approx(np.sqrt(2.2969970751450809622), rel=1e-5)
 
     def test_solution_norm_needs_two_nodes(self, basis16):
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         traj = solve_cauchy(u0, None, np.array([1.0]))
         with pytest.raises(InvalidSpecError):
             solution_norm(traj)
@@ -443,7 +445,7 @@ class TestEnergyEstimate:
 
     def test_energy_single_mode_tight_constant(self, basis16):
         # u = e^{-t} e_1 with f = 0: int ||u||_V^2 = (1-e^{-2T})/2 <= |u0|^2
-        u0 = SpectralVec.unit(basis16, 1)
+        u0 = unit_state(basis16, 1)
         traj = solve_cauchy(u0, None, np.linspace(0.0, 1.0, 129))
         rep = check_energy_estimate(traj)
         assert rep.energy_lhs == pytest.approx((1 - np.exp(-2.0)) / 2.0, rel=1e-4)

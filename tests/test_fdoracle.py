@@ -45,16 +45,16 @@ class TestScheme:
 class TestValidation:
     def test_bad_length(self):
         with pytest.raises(InvalidSpecError):
-            fd_solve(np.sin(full_grid()), None, None, 0.0, 1.0, 10)
+            fd_solve(np.sin(full_grid()), None, None, 0.0, 1.0, 10, FdScheme())
 
     def test_bad_horizon(self):
         for T in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(InvalidSpecError, match="horizon"):
-                fd_solve(np.sin(full_grid()), None, None, np.pi, T, 10)
+                fd_solve(np.sin(full_grid()), None, None, np.pi, T, 10, FdScheme())
 
     def test_bad_step_count(self):
         with pytest.raises(InvalidSpecError):
-            fd_solve(np.sin(full_grid()), None, None, np.pi, 1.0, 0)
+            fd_solve(np.sin(full_grid()), None, None, np.pi, 1.0, 0, FdScheme())
 
     def test_u0_array_wrong_shape(self):
         sch = FdScheme(m_interior=15)
@@ -103,7 +103,7 @@ class TestResultLayout:
 
 class TestAccuracy:
     def test_single_mode_decay(self):
-        res = fd_solve(np.sin(full_grid()), None, None, np.pi, 1.0, 400)
+        res = fd_solve(np.sin(full_grid()), None, None, np.pi, 1.0, 400, FdScheme())
         err = np.max(np.abs(res.u_final - np.exp(-1.0) * np.sin(res.x)))
         assert err < 1e-4
 

@@ -19,6 +19,8 @@ from heatfvp.logspace import log_sum_exp
 from heatfvp.semigroup import apply_inverse
 from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, json_payload, strict_json, triple_norms
 
+from conftest import unit_state, zero_source
+
 
 def smooth_data(basis, T=1.0, seed=0):
     """Manufactured solvable data: evolve a known smooth state forward."""
@@ -39,12 +41,12 @@ class TestFinalValueData:
                 FinalValueData(None, SpectralVec.zero(basis16), T)
 
     def test_source_must_cover_horizon(self, basis16):
-        f = SourceTerm.zero(basis16, 0.5)
+        f = zero_source(basis16, 0.5)
         with pytest.raises(InvalidSpecError):
             FinalValueData(f, SpectralVec.zero(basis16), 1.0)
 
     def test_basis_mismatch(self, basis16, basis64):
-        f = SourceTerm.zero(basis16, 1.0)
+        f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             FinalValueData(f, SpectralVec.zero(basis64), 1.0)
 
@@ -64,7 +66,7 @@ class TestDataNorm:
         # u_T equals the source yield, so the backward part vanishes
         fc = np.eye(64)[0]
         f = SourceTerm(basis64, np.array([0.0, 1.0]), np.vstack([fc, fc]))
-        uT = source_yield(f)
+        uT = source_yield(f, 1.0)
         rep = data_norm_inhom(f, None, uT, 1.0)
         assert rep.log_backward_sq == -np.inf
         assert rep.source_sq == pytest.approx(1.0, rel=1e-14)
@@ -209,7 +211,7 @@ class TestInstabilityTable:
         basis = build_basis(DomainSpec("interval", (L,), 64))
         want = []
         for j in range(1, 65):
-            uT = SpectralVec.unit(basis, j)
+            uT = unit_state(basis, j)
             log_init = 0.5 * log_sum_exp(2.0 * apply_inverse(uT, T).logmag)
             want.append((j, float(basis.lambdas[j - 1]), float(triple_norms(uT).normH), float(log_init)))
         got = [(r.j, r.lam, r.final_norm, r.log_initial_norm) for r in instability_table(basis, T, 64)]

@@ -14,7 +14,9 @@ axis, after both agreed with the sine-table formula to 1e-13 on the
 interval and the rectangle (measured <= 2.4e-14).  The `synthesize-points`,
 `project-samples` and `mode-values` digests and every CLI digest are
 unchanged by that step.  The rectangle entries went with the rectangle
-basis; no interval digest changed then.  The `forward`, `backward` and `oracle-compare`
+basis; no interval digest changed then.  The `synthesize-default` digests
+read `uniform_samples(vec, 8N)`, the same sine transform, since `synthesize`
+lost its default grid.  The `forward`, `backward` and `oracle-compare`
 digests were re-recorded when the forward march joined in-range states in
 linear scale, after tests/test_march_accuracy.py showed that join no less
 accurate than the log-space one, within rounding, at N = 16, 64 and 256.
@@ -28,7 +30,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from heatfvp import DomainSpec, InvalidSpecError, SpectralVec, analyze, build_basis, project_samples, synthesize
+from heatfvp import (
+    DomainSpec,
+    InvalidSpecError,
+    SpectralVec,
+    analyze,
+    build_basis,
+    project_samples,
+    synthesize,
+    uniform_samples,
+)
 from heatfvp import spectral as sp
 from heatfvp.cli import cli
 
@@ -84,7 +95,8 @@ def _transform_arrays(spec):
     real_vec = SpectralVec.from_coefficients(basis, coeffs)
     with pytest.raises(InvalidSpecError, match="imaginary"):
         SpectralVec.from_coefficients(basis, coeffs * np.exp(1j * rng.uniform(0, 6, basis.n_modes)))
-    out["synthesize-default"] = synthesize(real_vec)
+    # the quadrature grid of 8N panels, on which analyze reads samples
+    out["synthesize-default"] = uniform_samples(real_vec, 8 * basis.n_modes)
     points = np.sort(rng.uniform(0.0, L, 7))
     out["synthesize-points"] = synthesize(real_vec, points)
     out["project-samples"] = project_samples(rng.standard_normal(65), np.linspace(0.0, L, 65), basis).coefficients

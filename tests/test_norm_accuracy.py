@@ -22,9 +22,10 @@ N = 16, 64, 256 and 1024: every error is at most ceil(log2 N) * 4 eps,
 times the condition of the sum for `solution_norm_h1` (see `errors`).
 For `log_sum_exp` the error is |got - ref| / max(1, |ref|): its absolute
 error is the relative error of the sum it takes the log of, and a result
-of size |ref| > 1 is itself stored only to within eps |ref|.  The log
-fields of `stacked_norms` (half the log of the linear sums on these
-in-range rows) are held to the same bound as an absolute error on the log.
+of size |ref| > 1 is itself stored only to within eps |ref|.  The
+`log_normH` of `Trajectory.node_norms` (half the log of the linear sum on
+these in-range rows) is held to the same bound as an absolute error on the
+log.
 """
 
 import math
@@ -37,8 +38,7 @@ from test_batched_norms import golden_trajectory
 
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
-from heatfvp.logspace import log_sum_exp
-from heatfvp.spectral import stacked_norms
+from heatfvp.logspace import LOG_MAX, log_sum_exp
 
 EPS = float(np.finfo(np.float64).eps)
 MODES = (16, 64, 256, 1024)
@@ -117,11 +117,12 @@ def errors(traj):
         h2 = [mpmath.fsum(r) for r in c2]
         v2 = [mpmath.fdot(r, lam_mp) for r in c2]
         vs2 = [mpmath.fdot(r, lam_inv) for r in c2]
-        norms = stacked_norms(basis, traj.phase, traj.logmag)
-        assert not norms.overflowed.any()
+        norms = traj.node_norms
+        # every row's largest weighted square stays in range: the linear path
+        assert 2.0 * traj.logmag.max() + np.log(lam.max() * lam.size) <= LOG_MAX - 2.0
         for name, ref in (("normH", h2), ("normV", v2), ("normVstar", vs2)):
-            out[f"stacked_norms.{name}"] = (_rel(getattr(norms, name), map(mpmath.sqrt, ref)), 1)
-            out[f"stacked_norms.log_{name}"] = (_abs(getattr(norms, f"log_{name}"), [mpmath.log(r) / 2 for r in ref]), 1)
+            out[f"node_norms.{name}"] = (_rel(getattr(norms, name), map(mpmath.sqrt, ref)), 1)
+        out["node_norms.log_normH"] = (_abs(norms.log_normH, [mpmath.log(r) / 2 for r in h2]), 1)
 
         # the zero-trace part p = c - w, with w the lift's real coefficients,
         # and u' = f - lambda p from the equation

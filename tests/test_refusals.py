@@ -375,7 +375,6 @@ API_CASES = {
     "state-shape": (lambda: SpectralVec(_basis(), np.ones(3), np.zeros(3)), "coefficient count does not match"),
     "state-nan": (lambda: SpectralVec(_basis(), np.ones(4), np.full(4, np.nan)), "log magnitudes that are not NaN"),
     "state-half-sign": (lambda: SpectralVec(_basis(), np.full(4, 0.5), np.zeros(4)), "signs in {-1, 0, 1}"),
-    "unit-mode": (lambda: SpectralVec.unit(_basis(), 5), "mode 5 outside 1..4"),
     "add-bases": (lambda: _vec(4) + _vec(5), "basis mismatch in addition"),
     "sub-bases": (lambda: _vec(4) - _vec(5), "basis mismatch in subtraction"),
     "analyze-grid": (lambda: sp.analyze(np.ones(7), _basis()), "quadrature grid is (33,)"),
@@ -387,11 +386,13 @@ API_CASES = {
                            "grid needs an even panel count"),
     "uniform-panels": (lambda: sp.uniform_samples(_vec(), 1), "integer panel count >= 2"),
     "uniform-overflowed": (lambda: sp.uniform_samples(_overflowed(), 8), "exceed linear floating-point range"),
-    "synthesize-overflowed": (lambda: sp.synthesize(_overflowed()), "exceed linear floating-point range"),
+    "synthesize-overflowed": (lambda: sp.synthesize(_overflowed(), _grid()), "exceed linear floating-point range"),
     "json-overflowed": (lambda: sp.vec_to_json(_overflowed()), "cannot serialize coefficients beyond linear range"),
     "forward-negative": (lambda: sg.apply_forward(_vec(), -0.1), "the forward flow needs a time t >= 0"),
     "inverse-nan": (lambda: sg.apply_inverse(_vec(), np.nan), "the inverse flow needs a time t >= 0"),
     "cutoffs-text": (lambda: sg.MembershipPolicy(cutoffs=("a",)), "cutoffs must be integers"),
+    "cutoffs-float": (lambda: sg.MembershipPolicy(cutoffs=(2.7, 4)), "cutoffs must be integers"),
+    "cutoffs-bool": (lambda: sg.MembershipPolicy(cutoffs=(True, 4)), "cutoffs must be integers"),
     "generator-text": (lambda: gl.MatrixGenerator([["a"]]), "generator entries must be numbers"),
     "generator-shape": (lambda: gl.MatrixGenerator(np.ones((2, 3))), "generator must be a square matrix"),
     "exp-times-shape": (lambda: gl.exp_semigroup(gl.MatrixGenerator(JORDAN), np.ones((2, 2))),
@@ -418,7 +419,8 @@ API_CASES = {
                    "initial samples must live on the full grid"),
     "source-shape": (lambda: dh.SourceTerm(_basis(), [0.0, 1.0], np.ones((2, 3))),
                      "source coefficient array must be (n_nodes, n_modes)"),
-    "sample-outside": (lambda: bd.BoundaryData.zero(1.0).sample([2.0]), "sample times outside the boundary data grid"),
+    "sample-outside": (lambda: bd.BoundaryData.constant(0.0, 0.0, 1.0).sample([2.0]),
+                       "sample times outside the boundary data grid"),
     "tgrid-shape": (lambda: dh.solve_cauchy(_vec(), None, []), "time grid must be a nonempty 1-d array"),
     "tgrid-finite": (lambda: dh.solve_cauchy(_vec(), None, [0.0, np.nan]), "time grid must be finite"),
     "tgrid-order": (lambda: dh.solve_cauchy(_vec(), None, [1.0, 0.5]), "time grid must be strictly increasing"),

@@ -21,23 +21,25 @@ from heatfvp import (
 from heatfvp.semigroup import MAX_LOG_NORM
 from heatfvp.spectral import json_payload, strict_json
 
+from conftest import unit_state
+
 
 def test_forward_decay_exact(basis16):
-    v = apply_forward(SpectralVec.unit(basis16, 2), 0.5)
+    v = apply_forward(unit_state(basis16, 2), 0.5)
     # lambda_2 = 4, so the mode shrinks by e^{-2}
     assert v.coefficients[1] == pytest.approx(np.exp(-2.0), rel=1e-15)
     assert v.logmag[1] == pytest.approx(-2.0, rel=1e-15)
 
 
 def test_inverse_amplifies_beyond_float_range(basis64):
-    v = apply_inverse(SpectralVec.unit(basis64, 64), 1.0)
+    v = apply_inverse(unit_state(basis64, 64), 1.0)
     # e^{64^2} = e^{4096} is far outside float64; the log value is exact
     assert v.logmag[63] == pytest.approx(4096.0, rel=1e-15)
     assert v.overflowed
 
 
 def test_negative_times_rejected(basis16):
-    v = SpectralVec.unit(basis16, 1)
+    v = unit_state(basis16, 1)
     with pytest.raises(InvalidSpecError):
         apply_forward(v, -0.1)
     with pytest.raises(InvalidSpecError):
@@ -45,7 +47,7 @@ def test_negative_times_rejected(basis16):
 
 
 def test_action_signed_time(basis16):
-    v = SpectralVec.unit(basis16, 1)
+    v = unit_state(basis16, 1)
     back = apply_inverse(apply_forward(v, 1.0), 1.0)
     assert rel_distance(back, v) <= 1e-12
 
@@ -109,7 +111,7 @@ def test_membership_zero_vector(basis16):
 def test_membership_invalid_horizon(basis16):
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            check_domain_membership(SpectralVec.unit(basis16, 1), T)
+            check_domain_membership(unit_state(basis16, 1), T)
 
 
 def test_membership_norm_cap(basis64):
@@ -152,7 +154,7 @@ def test_thresholds_that_cannot_give_a_verdict_are_refused(field, value):
 @pytest.mark.parametrize("field, value", [("rtol_compat", 0.0), ("rtol_compat", 1e300),
                                           ("growth_thresh", np.nextafter(1.0, 2.0)), ("growth_thresh", 1e300)])
 def test_finite_thresholds_at_the_edges_are_accepted(basis16, field, value):
-    rep = check_domain_membership(SpectralVec.unit(basis16, 1), 1.0, MembershipPolicy(**{field: value}))
+    rep = check_domain_membership(unit_state(basis16, 1), 1.0, MembershipPolicy(**{field: value}))
     assert rep.verdict in ("compatible", "incompatible", "inconclusive")
 
 
@@ -166,7 +168,7 @@ def test_stabilization_ratio_uses_mid_cutoff(basis64):
 
 
 def test_compat_report_json_fields(basis16):
-    rep = check_domain_membership(SpectralVec.unit(basis16, 1), 1.0)
+    rep = check_domain_membership(unit_state(basis16, 1), 1.0)
     payload = json.loads(strict_json(json_payload(rep)))
     assert set(payload) == {"T", "cutoffs", "log_graph_norms", "stabilization_ratio", "verdict", "note"}
     assert payload["note"]  # heuristic disclaimer always present
@@ -190,12 +192,12 @@ def test_compat_report_json_refuses_nan(basis16):
 def test_membership_refuses_a_horizon_past_the_basis(basis16):
     for T in (1e307, 1.7e308):
         with pytest.raises(InvalidSpecError, match="too long"):
-            check_domain_membership(SpectralVec.unit(basis16, 1), T)
+            check_domain_membership(unit_state(basis16, 1), T)
 
 
 def log_heights(u0, times):
     """log |e^{-tA} u0|_H at each time: the height function of u0."""
-    return solve_cauchy(u0, None, times).node_norms().log_normH
+    return solve_cauchy(u0, None, times).node_norms.log_normH
 
 
 def test_height_function_rows_equal_one_time_calls(basis16):
@@ -219,18 +221,18 @@ def test_height_function_decreasing_logconvex(basis16):
 
 
 def test_height_function_zero_state(basis16):
-    norms = solve_cauchy(SpectralVec.zero(basis16), None, np.array([0.0, 1.0])).node_norms()
+    norms = solve_cauchy(SpectralVec.zero(basis16), None, np.array([0.0, 1.0])).node_norms
     assert np.all(norms.normH == 0.0)
     assert np.all(norms.log_normH == -np.inf)
 
 
 def test_height_function_single_mode_exact(basis16):
-    logs = log_heights(SpectralVec.unit(basis16, 3), np.array([0.0, 0.25, 0.5]))
+    logs = log_heights(unit_state(basis16, 3), np.array([0.0, 0.25, 0.5]))
     assert np.allclose(np.exp(logs), np.exp(-9.0 * np.array([0.0, 0.25, 0.5])), rtol=1e-13)
 
 
 def test_height_function_bad_grid(basis16):
     with pytest.raises(ValueError):
-        log_heights(SpectralVec.unit(basis16, 1), np.array([0.5, 0.5]))
+        log_heights(unit_state(basis16, 1), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        log_heights(SpectralVec.unit(basis16, 1), np.array([-1.0, 1.0]))
+        log_heights(unit_state(basis16, 1), np.array([-1.0, 1.0]))

@@ -24,6 +24,8 @@ from heatfvp import (
 )
 from heatfvp.spectral import _check_horizon, _simpson_weights, _sine_table, json_payload, strict_json
 
+from conftest import unit_state
+
 
 def test_interval_eigenvalues_are_squares(basis16):
     j = np.arange(1, 17, dtype=float)
@@ -109,7 +111,7 @@ def test_lazy_tables_round_trip():
     basis = build_basis(DomainSpec("interval", (np.pi,), 64))
     rng = np.random.default_rng(5)
     vec = SpectralVec.from_coefficients(basis, rng.standard_normal(64))
-    back = analyze(synthesize(vec), basis)
+    back = analyze(uniform_samples(vec, 8 * 64), basis)
     assert not {"sines", "weights"} & set(vars(basis))
     assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
 
@@ -153,7 +155,7 @@ def test_analyze_synthesize_round_trip(basis16):
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(16) * np.exp(-0.3 * np.arange(16))
     vec = SpectralVec.from_coefficients(basis16, coeffs)
-    back = analyze(synthesize(vec), basis16)
+    back = analyze(uniform_samples(vec, 8 * 16), basis16)
     assert np.abs(back.coefficients - vec.coefficients).max() <= 1e-13
 
 
@@ -163,7 +165,7 @@ def test_analyze_rejects_wrong_grid(basis16):
 
 
 def test_synthesize_at_custom_points(basis16):
-    vec = SpectralVec.unit(basis16, 2)
+    vec = unit_state(basis16, 2)
     pts = np.array([np.pi / 4, np.pi / 2])
     vals = synthesize(vec, pts)
     expected = np.sqrt(2 / np.pi) * np.sin(2 * pts)
@@ -175,7 +177,7 @@ def test_synthesize_overflowed_raises(basis16):
     v.phase[0] = 1.0
     v.logmag[0] = 800.0
     with pytest.raises(InvalidSpecError):
-        synthesize(v)
+        synthesize(v, np.array([np.pi / 2]))
 
 
 def test_project_samples_even_grid(basis16):
@@ -198,7 +200,7 @@ def _case(modes, panels):
 
 
 # a mode count above the panel count aliases on the grid; panels = 8 * modes
-# is the basis quadrature grid, where analyze and the default synthesize run
+# is the basis quadrature grid, where analyze reads samples
 TRANSFORM_SIZES = [
     _case(16, 64), _case(64, 130), _case(100, 64), _case(256, 514), _case(256, 200), _case(1024, 2050), _case(1024, 600),
     _case(16, 128), _case(64, 512), _case(256, 2048),
@@ -242,19 +244,14 @@ def test_uniform_samples_match_the_table_formula(modes, panels):
     # the complex vector this case once drew is refused on the same draw
     with pytest.raises(InvalidSpecError, match="imaginary"):
         SpectralVec.from_coefficients(basis, rng.standard_normal(basis.n_modes) * (1 + 2j))
-    transforms = [lambda v: uniform_samples(v, panels)]
-    if panels == 8 * modes:
-        transforms.append(synthesize)
-    tol = 1e-12 if modes > 256 else 1e-13
-    for transform in transforms:
-        got = transform(vec)
-        assert got.dtype == np.float64
-        assert _rel_max(got, vec.coefficients @ table) <= tol
+    got = uniform_samples(vec, panels)
+    assert got.dtype == np.float64
+    assert _rel_max(got, vec.coefficients @ table) <= (1e-12 if modes > 256 else 1e-13)
 
 
 def test_uniform_samples_refusals(basis16):
     with pytest.raises(InvalidSpecError):
-        uniform_samples(SpectralVec.unit(basis16, 1), 1)
+        uniform_samples(unit_state(basis16, 1), 1)
     v = SpectralVec.zero(basis16)
     v.phase[0] = 1.0
     v.logmag[0] = 800.0
@@ -269,12 +266,12 @@ def test_uniform_samples_refusals(basis16):
 
 
 def test_norm_values_single_mode(basis16):
-    v = SpectralVec.unit(basis16, 3)
+    v = unit_state(basis16, 3)
     n = triple_norms(v)
     assert n.normH == pytest.approx(1.0, rel=1e-15)
     assert n.normV == pytest.approx(3.0, rel=1e-15)      # sqrt(lambda_3) = 3
     assert n.normVstar == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert not n.overflowed
+    assert n.log_normH == 0.0
 
 
 def test_norms_log_path_beyond_float_range(basis16):
@@ -284,13 +281,12 @@ def test_norms_log_path_beyond_float_range(basis16):
     v.phase[:] = 1.0
     v.logmag[:] = 400.0
     n = triple_norms(v)
-    assert n.overflowed
     assert n.log_normH == pytest.approx(400.0 + 0.5 * np.log(16), rel=1e-14)
     assert n.normH == pytest.approx(np.exp(400.0) * 4.0, rel=1e-12)
     # and far enough out even the norm value exceeds float range
     v.logmag[:] = 800.0
     n2 = triple_norms(v)
-    assert n2.overflowed and np.isinf(n2.normH)
+    assert np.isinf(n2.normH)
     assert n2.log_normH == pytest.approx(800.0 + 0.5 * np.log(16), rel=1e-14)
 
 
@@ -356,17 +352,18 @@ def test_vec_json_round_trip(basis16):
 def test_vec_json_rebuilds_basis():
     basis = build_basis(DomainSpec("interval", (2.0,), 4))
     vec = SpectralVec.from_coefficients(basis, [1.0, 0.5, 0.25, 0.125])
-    back = vec_from_json(vec_to_json(vec))
+    # read back against a basis built anew from the same spec
+    back = vec_from_json(vec_to_json(vec), build_basis(DomainSpec("interval", (2.0,), 4)))
     assert back.basis.spec == basis.spec
     assert np.allclose(back.coefficients, vec.coefficients, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("key", ["basis", "kind", "lengths", "modes", "coefficients"])
 def test_vec_json_missing_key(basis16, key):
-    payload = json.loads(vec_to_json(SpectralVec.unit(basis16, 1)))
+    payload = json.loads(vec_to_json(unit_state(basis16, 1)))
     del (payload if key in payload else payload["basis"])[key]
     with pytest.raises(InvalidSpecError, match=key):
-        vec_from_json(json.dumps(payload))
+        vec_from_json(json.dumps(payload), basis16)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -379,16 +376,9 @@ def test_non_finite_coefficients_rejected(basis16, bad):
 
 
 def test_vec_json_basis_mismatch(basis16, basis64):
-    text = vec_to_json(SpectralVec.unit(basis16, 1))
+    text = vec_to_json(unit_state(basis16, 1))
     with pytest.raises(InvalidSpecError):
         vec_from_json(text, basis64)
-
-
-def test_unit_mode_bounds(basis16):
-    with pytest.raises(InvalidSpecError):
-        SpectralVec.unit(basis16, 0)
-    with pytest.raises(InvalidSpecError):
-        SpectralVec.unit(basis16, 17)
 
 
 def test_add_sub_match_linear(basis16):
