@@ -37,7 +37,6 @@ from .duhamel import (
     _default_grid,
     _forward,
     _interpolate,
-    _node_csv,
     _node_times,
     _parse_node_csv,
     _trapezoid,
@@ -102,9 +101,6 @@ class BoundaryData:
     def sample(self, ts) -> np.ndarray:
         """Piecewise-linear (left, right) values at arbitrary times, shape (len(ts), 2)."""
         return _interpolate(self.times, self.values, ts, "boundary data")
-
-    def to_csv(self) -> str:
-        return _node_csv(_CSV_HEADER, np.column_stack([self.times, self.values]).tolist())
 
     @classmethod
     def from_csv(cls, text: str) -> "BoundaryData":
@@ -420,7 +416,7 @@ def check_final_data(
     g: BoundaryData | None,
     u_T: SpectralVec,
     T: float,
-    policy: MembershipPolicy | None = None,
+    policy: MembershipPolicy | None,
 ) -> CompatReport:
     """Membership report of u_T - (source yield) [- z(T)]: the verdict a
     backward solve would act on, without the solve."""
@@ -432,7 +428,7 @@ def data_norm_inhom(
     g: BoundaryData | None,
     u_T: SpectralVec,
     T: float,
-    policy: MembershipPolicy | None = None,
+    policy: MembershipPolicy | None,
 ) -> YNormReport:
     """Data-space graph norm of (f, g, u_T); g=None leaves out the trace part."""
     v, report, _ = _admissible_part(f, g, u_T, T, policy)
@@ -445,15 +441,16 @@ def solve_final_value_inhom(
     u_T: SpectralVec,
     T: float,
     policy: MembershipPolicy | None = None,
-    tgrid=None,
+    *,
+    tgrid,
 ) -> FvpSolution:
     """Backward solve with boundary data.
 
     Forms v = u_T - (source yield) - z(T), runs the membership heuristic,
     reconstructs u(0) = e^{T A} v on `compatible`, and replays the forward
     boundary solve.  g=None is the problem without a boundary term.
-    `tgrid` must start at 0 and end at T; by default it is the source's
-    nodes in [0, T] plus 0 and T, or 33 uniform nodes without a source.
+    `tgrid` must start at 0 and end at T; None takes the source's nodes in
+    [0, T] plus 0 and T, or 33 uniform nodes without a source.
     """
     return _backward_solve(f, g, u_T, T, policy, tgrid)
 

@@ -15,7 +15,7 @@ chunk's factors stay within e^{+-8}; on a grid whose chunks would average
 fewer than 16 steps, or with more than 96 modes, it runs as a step loop,
 which is faster there.  On the requested nodes the two terms add in
 linear scale wherever the decayed state fits in float64, and by a
-log-space addition where it does not; a yield keeps the log path.
+log-space addition where it does not.
 Every forward solve and every yield runs one path (`_forward`): the
 boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
@@ -152,12 +152,6 @@ class SourceTerm:
     def _csv_header(m: int) -> list:
         # t, mode_1_re, mode_1_im, ..., mode_m_im
         return ["t"] + [f"mode_{j}_{p}" for j in range(1, m + 1) for p in ("re", "im")]
-
-    def to_csv(self) -> str:
-        table = np.zeros((self.times.size, 1 + 2 * self.basis.n_modes))
-        table[:, 0] = self.times
-        table[:, 1::2] = self.coeffs
-        return _node_csv(self._csv_header(self.basis.n_modes), table.tolist())
 
     @classmethod
     def from_csv(cls, text: str, basis: EigenBasis) -> "SourceTerm":
@@ -344,16 +338,13 @@ def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
     (`_linear_entries`), the two parts add in linear scale and the sum is
     split to log form once; only the other entries (past LOG_MAX - 1, in a
     mode the march scaled, or flushed toward the subnormals) meet in a
-    log-space addition.  A join from the zero state is a yield's: it keeps
-    the log path whole, and its bits, since the membership ladder reads
-    v = u_T - (yields) down to the rounding floor, where an ulp can flip a
-    verdict.  A row at t_0 is u0 itself, copied.  `part` is read, never
-    written, so a kept march can be joined again.
+    log-space addition.  A row at t_0 is u0 itself, copied.  `part` is
+    read, never written, so a kept march can be joined again.
     """
     times, expo, w = part.times, part.expo, part.w[pick]
     hom = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
-    fits = None if np.all(u0.logmag == -np.inf) else _linear_entries(hom, expo, w)
-    if fits is None or not fits.any():
+    fits = _linear_entries(hom, expo, w)
+    if not fits.any():
         return _log_join(u0.phase, hom, w, expo)
     rest = np.nonzero(~fits)
     tail = None

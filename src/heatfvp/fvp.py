@@ -9,7 +9,8 @@ forward solver replays the trajectory (`duhamel.solve_cauchy`), which
 must land back on u_T.  The replay joins e^{-tA} u(0) with the rows of the
 march that gave the source yield, so a solve on the source's own grid (the
 default) marches once.  The data norm of (f, u_T) is
-`boundary.data_norm_inhom(f, None, u_T, T)`, built from the same v and report.
+`boundary.data_norm_inhom(f, None, u_T, T, policy)`, built from the same v
+and report.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def solve_final_value(data: FinalValueData) -> FvpSolution:
 
     Raises IncompatibleDataError / InconclusiveDataError with the attached
     CompatReport otherwise.  `boundary.solve_final_value_inhom(f, None, u_T,
-    T, policy, tgrid)` is the same solve with both chosen.
+    T, policy, tgrid=tgrid)` is the same solve with both chosen.
     """
     return _backward_solve(data.f, None, data.u_T, data.T, None, None)
 

@@ -550,8 +550,8 @@ def _log_profile(gen: MatrixGenerator, xs: np.ndarray, ts: np.ndarray):
 
 def check_logconvexity_criterion(
     gen: MatrixGenerator,
-    trials: int = 256,
-    seed: int = 0,
+    trials: int,
+    seed: int,
     times=None,
 ) -> ConvexityReport:
     """Differential criterion for convexity of t -> log |e^{-tA} x|, plus a
@@ -619,7 +619,7 @@ class ChainReport:
     selfadjoint: bool
 
 
-def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, seed: int = 0) -> ChainReport:
+def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, seed: int) -> ChainReport:
     """Graph-norm ordering behind the descending chain of backward domains.
 
     For 0 < t < t_prime and sampled v the ratio
@@ -642,7 +642,7 @@ def inverse_chain_demo(gen: MatrixGenerator, t: float, t_prime: float, seed: int
 
 # -- sample generators -----------------------------------------------------
 
-def random_elliptic(dim: int, seed: int = 0, skew_scale: float = 1.0) -> MatrixGenerator:
+def random_elliptic(dim: int, seed: int, skew_scale: float = 1.0) -> MatrixGenerator:
     """Random generator with Hermitian part spectrally inside [0.5, 3]."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -654,5 +654,5 @@ def random_elliptic(dim: int, seed: int = 0, skew_scale: float = 1.0) -> MatrixG
     return MatrixGenerator(h + s)
 
 
-def random_selfadjoint(dim: int, seed: int = 0) -> MatrixGenerator:
+def random_selfadjoint(dim: int, seed: int) -> MatrixGenerator:
     return random_elliptic(dim, seed=seed, skew_scale=0.0)

@@ -104,7 +104,7 @@ class InconclusiveDataError(IncompatibleDataError):
     """Verdict neither stabilized nor grew decisively."""
 
 
-def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy | None = None) -> CompatReport:
+def check_domain_membership(vec: SpectralVec, T: float, policy: MembershipPolicy | None) -> CompatReport:
     """Stabilization test for membership of vec in D(e^{T*A}).
 
     Partial graph norms are accumulated in log space over the cutoff ladder;

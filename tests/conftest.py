@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from heatfvp import DomainSpec, SourceTerm, SpectralVec, build_basis
+from heatfvp.boundary import _CSV_HEADER
+from heatfvp.duhamel import SourceTerm, _node_csv
 from heatfvp.generator import MatrixGenerator, random_elliptic, random_selfadjoint
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
 JORDAN = [[1.0, 10.0], [0.0, 1.0]]
 
@@ -28,6 +30,18 @@ def unit_state(basis, j):
 def zero_source(basis, T):
     """The source f = 0 on the two nodes 0 and T."""
     return SourceTerm(basis, [0.0, T], np.zeros((2, basis.n_modes)))
+
+
+def node_csv(data) -> str:
+    """The CSV text of a `SourceTerm` or a `BoundaryData`, as the CLI reads
+    it: a header line, then one row per node (a source writes each real
+    coefficient as a re column and a zero im column)."""
+    if isinstance(data, SourceTerm):
+        table = np.zeros((data.times.size, 1 + 2 * data.basis.n_modes))
+        table[:, 0] = data.times
+        table[:, 1::2] = data.coeffs
+        return _node_csv(SourceTerm._csv_header(data.basis.n_modes), table.tolist())
+    return _node_csv(_CSV_HEADER, np.column_stack([data.times, data.values]).tolist())
 
 
 def golden_generator(name):

@@ -1,17 +1,23 @@
 """Every public function and class of heatfvp has a user, and so has every
 public method, property, classmethod and staticmethod of a public class;
+every name `heatfvp/__init__.py` binds is read off the package by a user;
 every parameter with a default of a public function or method is passed by
-some user, and every name a test module imports is used there.
+some user and left out by another, so the default is both needed and
+taken; the member names two public classes share are the ones declared in
+SHARED_MEMBERS; and every name a test module imports is used there.
 
 The users are the library itself, the CLI, the acceptance criteria and the
-benchmark harness.  A name, a member or an option that only the unit tests
-call is API nobody needs: delete it, or move it into the tests that use it.
-A reference is a Name, an Attribute or an import alias in the parsed
-source, so a mention in a docstring or a comment does not count.  A module
-name needs any of the three; a method or a property needs an Attribute of
-its name, on any object; a classmethod or a staticmethod needs one on its
-class, `Class.member`.  A call passes a parameter when it names it as a
-keyword or fills its position.
+benchmark harness.  A name, a member, an option or a default that only the
+unit tests call or take is API nobody needs: delete it, make the parameter
+required, or move it into the tests that use it.  A reference is a Name, an
+Attribute or an import alias in the parsed source, so a mention in a
+docstring or a comment does not count.  A module name needs any of the
+three; a method or a property needs an Attribute of its name, on any
+object; a classmethod or a staticmethod needs one on its class,
+`Class.member`; a name of the package needs `heatfvp.name` or
+`from heatfvp import name`.  A call passes a parameter when it names it as
+a keyword or fills its position (a starred argument or ** fills them all),
+and leaves it out otherwise.
 """
 
 import ast
@@ -29,6 +35,18 @@ ALLOWED_UNUSED = {
     # the data-space norm itself: ROADMAP items 4 and 5 compare the certified
     # initial state and the solution norm against `ynorm.total`
     "boundary.YNormReport.total",
+}
+
+
+# The member names that two public classes define, each with the classes
+# whose member of that name a user calls.  The member rule sees one
+# Attribute for all of them, so a new sharer could hide an unused member
+# behind a used one: `sample` is read off a SourceTerm in the march,
+# off a BoundaryData by LiftPath and the CLI, and off a LiftPath by the
+# march; `t_final` off both data by the march and the coverage check.
+SHARED_MEMBERS = {
+    "sample": {"SourceTerm", "BoundaryData", "LiftPath"},
+    "t_final": {"SourceTerm", "BoundaryData"},
 }
 
 
@@ -107,6 +125,42 @@ def test_every_public_member_has_a_user():
     assert sorted(_unused_members() - ALLOWED_UNUSED) == []
 
 
+def test_member_names_two_classes_share_are_declared():
+    classes = {}
+    for qual, name, owner in _members():
+        if owner is None:
+            classes.setdefault(name, set()).add(qual.split(".")[1])
+    assert {name: owners for name, owners in classes.items() if len(owners) > 1} == SHARED_MEMBERS
+
+
+def _package_bindings():
+    """The names `heatfvp/__init__.py` binds: its imports and assignments."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return bound
+
+
+def _read_off_the_package():
+    """The names users read as `heatfvp.name` or `from heatfvp import name`."""
+    read = set()
+    for tree in _user_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "heatfvp":
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "heatfvp" and not node.level:
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_package_binds_only_what_users_read_off_it():
+    assert sorted(_package_bindings() - _read_off_the_package()) == []
+
+
 def _optional_parameters():
     """(qualified name, function name, parameter, position or None) for each
     parameter with a default of a public function or method; the position
@@ -132,10 +186,11 @@ def _optional_parameters():
                     yield qual, node.name, arg.arg, None
 
 
-def _passed_parameters():
-    """Per called name: the largest count of positional arguments of a call
-    (inf with a starred one) and the keywords its calls name (None with **)."""
-    positions, keywords = {}, {}
+@cache
+def _calls():
+    """Per called name, one (positional count, keywords) pair per user call:
+    the count is inf with a starred argument, and the keywords None with **."""
+    calls = {}
     for tree in _user_trees():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -145,21 +200,34 @@ def _passed_parameters():
             if name is None:
                 continue
             n = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
-            positions[name] = max(positions.get(name, 0), n)
-            for kw in node.keywords:
-                keywords.setdefault(name, set()).add(kw.arg)
-    return positions, keywords
+            keywords = {kw.arg for kw in node.keywords}
+            calls.setdefault(name, []).append((n, None if None in keywords else keywords))
+    return calls
+
+
+def _passes(call, param, pos) -> bool:
+    n, keywords = call
+    return (pos is not None and n > pos) or keywords is None or param in keywords
 
 
 def test_every_public_parameter_has_a_user():
-    positions, keywords = _passed_parameters()
     unused = sorted(
         f"{qual}: {param}"
         for qual, name, param, pos in _optional_parameters()
-        if not (pos is not None and positions.get(name, 0) > pos)
-        and not ({param, None} & keywords.get(name, set()))
+        if not any(_passes(call, param, pos) for call in _calls().get(name, []))
     )
     assert unused == []
+
+
+def test_every_default_is_left_out_by_a_user():
+    # a default every user overrides is taken only by the unit tests:
+    # the parameter is required
+    untaken = sorted(
+        f"{qual}: {param}"
+        for qual, name, param, pos in _optional_parameters()
+        if all(_passes(call, param, pos) for call in _calls().get(name, []))
+    )
+    assert untaken == []
 
 
 def test_the_allowlist_names_only_unused_definitions():

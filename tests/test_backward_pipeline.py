@@ -237,7 +237,7 @@ def test_reused_replay_has_the_bits_of_a_fresh_march(n, span, seed, monkeypatch)
     assert _same_bits(sol.trajectory.phase, fresh.phase)
     assert _same_bits(sol.trajectory.logmag, fresh.logmag)
     assert float(sol.endpoint_rel_error).hex() == float(rel_distance(fresh.final_state, uT)).hex()
-    assert _hex(sol.ynorm) == _hex(bd.data_norm_inhom(f, None, uT, T))
+    assert _hex(sol.ynorm) == _hex(bd.data_norm_inhom(f, None, uT, T, policy=None))
 
     # a tgrid that adds a node marches its own grid, as solve_cauchy does
     extra = np.sort(np.append(want_times, 0.4 * T))
@@ -269,15 +269,15 @@ def test_forward_without_boundary_term_is_solve_cauchy(kind, basis16):
 def test_data_norm_equals_the_solve_norm(kind):
     f, g, uT, T, tgrid = _instance(16, kind)
     sol = _solve(16, kind)
-    assert bd.data_norm_inhom(f, g, uT, T) == sol.ynorm
-    assert _json(bd.check_final_data(f, g, uT, T)) == _json(sol.compat)
+    assert bd.data_norm_inhom(f, g, uT, T, policy=None) == sol.ynorm
+    assert _json(bd.check_final_data(f, g, uT, T, policy=None)) == _json(sol.compat)
 
 
 @pytest.mark.parametrize("kind", ["decay", "source"])
 def test_no_boundary_term_is_the_homogeneous_solve(kind):
     f, _, uT, T, _ = _instance(64, kind)
     want = fvp.solve_final_value(fvp.FinalValueData(f, uT, T))
-    got = bd.solve_final_value_inhom(f, None, uT, T)
+    got = bd.solve_final_value_inhom(f, None, uT, T, tgrid=None)
     assert got.compat.log_graph_norms == want.compat.log_graph_norms
     assert got.ynorm == want.ynorm and got.ynorm.trace_sq is None
     assert "trace_sq" not in json.loads(_json(got.ynorm))
@@ -289,7 +289,7 @@ def test_no_boundary_term_is_the_homogeneous_solve(kind):
 
 def test_zero_boundary_data_keep_the_trace_part(basis16):
     uT = unit_state(basis16, 2).scale_log(-basis16.lambdas)
-    sol = bd.solve_final_value_inhom(None, bd.BoundaryData.constant(0.0, 0.0, 1.0), uT, 1.0)
+    sol = bd.solve_final_value_inhom(None, bd.BoundaryData.constant(0.0, 0.0, 1.0), uT, 1.0, tgrid=None)
     assert sol.ynorm.trace_sq == 0.0
     assert json.loads(_json(sol.ynorm))["trace_sq"] == 0.0
     assert sol.trajectory.lift is not None

@@ -39,7 +39,7 @@ from heatfvp.spectral import (
     uniform_samples,
 )
 
-from conftest import unit_state
+from conftest import node_csv, unit_state
 
 
 def ramp_data(T, left_mid, right_mid, left_end=0.3, right_end=0.2):
@@ -103,12 +103,12 @@ class TestBoundaryData:
 
     def test_csv_round_trip(self):
         g = ramp_data(1.0, 0.7, -0.3)
-        h = BoundaryData.from_csv(g.to_csv())
+        h = BoundaryData.from_csv(node_csv(g))
         assert np.array_equal(h.times, g.times)
         assert np.array_equal(h.values, g.values)
 
     def test_csv_header_checked(self):
-        text = BoundaryData.constant(0.0, 0.0, 1.0).to_csv().replace("g_left", "gl")
+        text = node_csv(BoundaryData.constant(0.0, 0.0, 1.0)).replace("g_left", "gl")
         with pytest.raises(InvalidSpecError):
             BoundaryData.from_csv(text)
 
@@ -456,7 +456,7 @@ class TestSolutionNormH1:
 class TestInhomBackwardSolve:
     def test_round_trip(self, basis16):
         u0c, f, g, fwd = inhom_instance(basis16)
-        sol = solve_final_value_inhom(f, g, fwd.final_state, 0.05)
+        sol = solve_final_value_inhom(f, g, fwd.final_state, 0.05, tgrid=None)
         assert sol.compat.verdict == "compatible"
         assert sol.endpoint_rel_error <= 1e-12
         got = sol.trajectory.initial_state.coefficients
@@ -470,13 +470,13 @@ class TestInhomBackwardSolve:
         uT = SpectralVec.from_coefficients(basis64, 1.0 / jj)
         g = BoundaryData.constant(0.3, 0.1, 1.0)
         with pytest.raises(IncompatibleDataError):
-            solve_final_value_inhom(None, g, uT, 1.0)
+            solve_final_value_inhom(None, g, uT, 1.0, tgrid=None)
 
     def test_boundary_grid_must_cover_horizon(self, basis16):
         uT = SpectralVec.zero(basis16)
         g = BoundaryData.constant(0.0, 0.0, 0.5)
         with pytest.raises(InvalidSpecError):
-            solve_final_value_inhom(None, g, uT, 1.0)
+            solve_final_value_inhom(None, g, uT, 1.0, tgrid=None)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("with_g", [False, True])
@@ -485,9 +485,9 @@ class TestInhomBackwardSolve:
         uT = unit_state(basis16, 1)
         g = BoundaryData.constant(0.0, 0.0, 1.0) if with_g else None
         with pytest.raises(InvalidSpecError):
-            solve_final_value_inhom(None, g, uT, T)
+            solve_final_value_inhom(None, g, uT, T, tgrid=None)
         with pytest.raises(InvalidSpecError):
-            data_norm_inhom(None, g, uT, T)
+            data_norm_inhom(None, g, uT, T, policy=None)
 
 
 class TestInhomDataNorm:
@@ -496,7 +496,7 @@ class TestInhomDataNorm:
 
         u0c, f, g, fwd = inhom_instance(basis16)
         T = 0.05
-        rep = data_norm_inhom(f, g, fwd.final_state, T)
+        rep = data_norm_inhom(f, g, fwd.final_state, T, policy=None)
         assert rep.finite
         assert rep.uT_sq == pytest.approx(triple_norms(fwd.final_state).normH ** 2, rel=1e-12)
         assert rep.trace_sq == pytest.approx(trace_norm_surrogate(g, T) ** 2, rel=1e-12)
@@ -507,7 +507,7 @@ class TestInhomDataNorm:
         assert rep.total == pytest.approx(want, rel=1e-10)
 
     def test_json_fields(self, basis16):
-        rep = data_norm_inhom(None, BoundaryData.constant(0.0, 0.0, 1.0), SpectralVec.zero(basis16), 1.0)
+        rep = data_norm_inhom(None, BoundaryData.constant(0.0, 0.0, 1.0), SpectralVec.zero(basis16), 1.0, policy=None)
         d = json.loads(strict_json(json_payload(rep)))
         assert set(d) == {"uT_sq", "trace_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"

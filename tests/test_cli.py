@@ -17,7 +17,7 @@ from heatfvp import spectral as sp
 from heatfvp.cli import USAGE, cli, parse_config
 from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
-from conftest import JORDAN, format_matrix
+from conftest import JORDAN, format_matrix, node_csv
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -64,8 +64,8 @@ def inhom_files(tmp_path):
     )
     traj = bd.solve_ibvp(u0, f, g, ts)
     (tmp_path / "uT.json").write_text(sp.vec_to_json(traj.final_state))
-    (tmp_path / "f.csv").write_text(f.to_csv())
-    (tmp_path / "g.csv").write_text(g.to_csv())
+    (tmp_path / "f.csv").write_text(node_csv(f))
+    (tmp_path / "g.csv").write_text(node_csv(g))
     return basis, u0, T
 
 
@@ -110,6 +110,15 @@ class TestUsage:
                 "bd.trace_norm_surrogate(bd.BoundaryData.constant(1.0, -2.0, 0.5), 0.5); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert _fresh_python(code) == "[]"
+
+    def test_import_loads_only_the_basis_modules(self):
+        # `import heatfvp` binds DomainSpec and build_basis and loads what
+        # they need, and no scipy; the CLI imports every module itself
+        loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('heatfvp', 'scipy')))"
+        assert _fresh_python(f"import sys, heatfvp; {loaded}") == "['heatfvp', 'heatfvp.logspace', 'heatfvp.spectral']"
+        package = Path(heatfvp.__file__).parent
+        every = sorted(["heatfvp", *(f"heatfvp.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")])
+        assert _fresh_python(f"import sys, heatfvp.cli; {loaded}") == str(every)
 
     # no subcommand loads scipy, and numpy.ma stays unloaded too: a first
     # plain np.unique would import it
@@ -213,8 +222,8 @@ def _malformed_state(tmp_path, kind):
         if kind.endswith("-fg"):
             ts = np.array([0.0, 0.01])
             basis = build_basis(DomainSpec("interval", (np.pi,), 8))
-            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, ts, np.ones((2, 8))).to_csv())
-            (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.array([[0.0, 1.0], [1.0, 0.0]])).to_csv())
+            (tmp_path / "f.csv").write_text(node_csv(dh.SourceTerm(basis, ts, np.ones((2, 8)))))
+            (tmp_path / "g.csv").write_text(node_csv(bd.BoundaryData(ts, np.array([[0.0, 1.0], [1.0, 0.0]]))))
             text += "f.path = f.csv\ng.path = g.csv\n"
         write_conf(tmp_path, text)
         return [kind[len("overflowing-"):].removesuffix("-fg"), *conf]
@@ -223,7 +232,7 @@ def _malformed_state(tmp_path, kind):
         # finite boundary values whose lift forcing lambda_j w_j overflows
         (tmp_path / "u.json").write_text(sp.vec_to_json(u0))
         g = bd.BoundaryData(np.array([0.0, 0.05]), np.array([[0.0, 0.0], [1e308, -1e308]]))
-        (tmp_path / "g.csv").write_text(g.to_csv())
+        (tmp_path / "g.csv").write_text(node_csv(g))
         write_conf(tmp_path, "modes = 16\nT = 0.05\nu0.path = u.json\nuT.path = u.json\ng.path = g.csv\nout.dir = out\n")
         return [kind[len("huge-lift-"):], *conf]
     if kind.startswith("nan-") and kind.endswith("-time"):
@@ -232,7 +241,7 @@ def _malformed_state(tmp_path, kind):
         ts = np.array([0.0, 0.25, 0.5])
         series = {"f": dh.SourceTerm(basis, ts, np.ones((3, 16))), "g": bd.BoundaryData(ts, np.zeros((3, 2)))}
         which = "f" if kind == "nan-source-time" else "g"
-        (tmp_path / f"{which}.csv").write_text(series[which].to_csv().replace("\r\n0.25,", "\r\nnan,"))
+        (tmp_path / f"{which}.csv").write_text(node_csv(series[which]).replace("\r\n0.25,", "\r\nnan,"))
         write_conf(tmp_path, f"modes = 16\nT = 0.5\nu0.path = u0.json\n{which}.path = {which}.csv\n")
         return ["forward", *conf]
     payload = json.loads(sp.vec_to_json(u0))
@@ -354,7 +363,7 @@ def test_refused_inputs_are_one_line_errors_on_every_reader(tmp_path, capsys, ca
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         text += f"{key} = bad.json\n"
     else:
-        rows = dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16))).to_csv().split("\r\n")
+        rows = node_csv(dh.SourceTerm(basis, np.array([0.0, 0.5]), np.ones((2, 16)))).split("\r\n")
         fields = rows[2].split(",")
         fields[4] = "0.5"  # mode_2_im at t = 0.5
         rows[2] = ",".join(fields)
@@ -435,7 +444,7 @@ class TestForward:
             np.array([0.0, T]), np.array([[0.0, 0.0], [0.3, -0.2]])
         )
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
-        (tmp_path / "g.csv").write_text(g.to_csv())
+        (tmp_path / "g.csv").write_text(node_csv(g))
         conf = write_conf(
             tmp_path,
             "modes = 16\nT = 0.5\nu0.path = u0.json\ng.path = g.csv\n"
@@ -458,7 +467,7 @@ class TestForward:
         ts = np.array([0.0, 0.3, 0.7, 1.4, 2.0])
         f = dh.SourceTerm(basis, ts, np.outer(np.linspace(1.0, 0.2, ts.size), np.exp(-0.1 * basis.lambdas)))
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
-        (tmp_path / "f.csv").write_text(f.to_csv())
+        (tmp_path / "f.csv").write_text(node_csv(f))
         conf = write_conf(tmp_path, "modes = 16\nT = 1.0\nu0.path = u0.json\nf.path = f.csv\nout.dir = out\n")
         assert cli([sub, "--config", conf]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -481,10 +490,10 @@ class TestForward:
         (tmp_path / "u0.json").write_text(sp.vec_to_json(u0))
         if data == "source":
             f = dh.SourceTerm(basis, np.array([0.0, 0.5 * s * s]), np.ones((2, 16)))
-            (tmp_path / "f.csv").write_text(f.to_csv())
+            (tmp_path / "f.csv").write_text(node_csv(f))
             key = "f.path = f.csv"
         else:
-            (tmp_path / "g.csv").write_text(bd.BoundaryData.constant(1.0, 0.0, 0.5 * s * s).to_csv())
+            (tmp_path / "g.csv").write_text(node_csv(bd.BoundaryData.constant(1.0, 0.0, 0.5 * s * s)))
             key = "g.path = g.csv"
         conf = write_conf(tmp_path, f"modes = 16\ndomain.length = {np.pi * s!r}\nT = {s * s!r}\nu0.path = u0.json\n{key}\n")
         assert cli([sub, "--config", conf]) == 1
@@ -500,10 +509,10 @@ class TestForward:
         (tmp_path / "uT.json").write_text(sp.vec_to_json(u0))
         ts = np.array([0.02, 0.05]) * (s * s)
         if data == "source":
-            (tmp_path / "f.csv").write_text(dh.SourceTerm(basis, ts, np.ones((2, 16))).to_csv())
+            (tmp_path / "f.csv").write_text(node_csv(dh.SourceTerm(basis, ts, np.ones((2, 16)))))
             key = "f.path = f.csv"
         else:
-            (tmp_path / "g.csv").write_text(bd.BoundaryData(ts, np.ones((2, 2))).to_csv())
+            (tmp_path / "g.csv").write_text(node_csv(bd.BoundaryData(ts, np.ones((2, 2)))))
             key = "g.path = g.csv"
         conf = write_conf(tmp_path, f"modes = 16\ndomain.length = {np.pi * s!r}\nT = {0.05 * s * s!r}\n"
                                     f"u0.path = u0.json\nuT.path = uT.json\n{key}\n")
@@ -551,7 +560,7 @@ class TestBackward:
         f = dh.SourceTerm(basis, np.linspace(0.0, 2.0, 9), np.outer(np.linspace(1.0, 0.2, 9), np.exp(-basis.lambdas)))
         uT = dh.solve_cauchy(u0, f, np.array([0.0, 1.0])).final_state
         (tmp_path / "uT.json").write_text(sp.vec_to_json(uT))
-        (tmp_path / "f.csv").write_text(f.to_csv())
+        (tmp_path / "f.csv").write_text(node_csv(f))
         conf = write_conf(
             tmp_path, "modes = 64\nT = 1.0\nuT.path = uT.json\nf.path = f.csv\nout.dir = out\n"
         )
@@ -700,7 +709,7 @@ class TestNorms:
         assert cli(["norms", "--config", conf]) == 0
         report = json.loads(capsys.readouterr().out)["data_norm"]
         assert report["uT_sq"] == "inf"
-        assert report["log_total"] == bd.data_norm_inhom(None, None, uT, 0.1).log_total
+        assert report["log_total"] == bd.data_norm_inhom(None, None, uT, 0.1, policy=None).log_total
         assert sp.triple_norms(uT).log_normH < report["log_total"] < 1e3
 
     def test_requires_some_input(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from heatfvp.duhamel import (
 from heatfvp.logspace import LOG_MAX
 from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
 
-from conftest import unit_state, zero_source
+from conftest import node_csv, unit_state, zero_source
 
 
 # phi1(z) = (e^z-1)/z, phi2(z) = (e^z-1-z)/z^2, 50-digit mpmath reference.
@@ -110,7 +110,7 @@ class TestSourceTerm:
             SourceTerm(basis16, ts, np.zeros((3, 16)))
 
     def test_csv_rows_must_match_the_header(self, basis16):
-        text = zero_source(basis16, 1.0).to_csv()
+        text = node_csv(zero_source(basis16, 1.0))
         with pytest.raises(InvalidSpecError, match="fields"):
             SourceTerm.from_csv(text + "0.5,1.0\r\n", basis16)
 
@@ -129,14 +129,14 @@ class TestSourceTerm:
         c, im = rng.standard_normal((4, 16)), rng.standard_normal((4, 16))
         ts = np.array([0.0, 0.1, 0.6, 1.0])
         f = SourceTerm(basis16, ts, c)
-        g = SourceTerm.from_csv(f.to_csv(), basis16)
+        g = SourceTerm.from_csv(node_csv(f), basis16)
         assert np.array_equal(g.times, f.times)
         assert np.array_equal(g.coeffs, f.coeffs) and g.coeffs.dtype == np.float64
         # the im columns stay in the format, and one that is not 0 is refused
-        assert SourceTerm.from_csv(f.to_csv(), basis16).to_csv() == f.to_csv()
+        assert node_csv(SourceTerm.from_csv(node_csv(f), basis16)) == node_csv(f)
         with pytest.raises(InvalidSpecError, match="imaginary"):
             SourceTerm(basis16, ts, c + 1j * im)
-        text = f.to_csv().splitlines()
+        text = node_csv(f).splitlines()
         fields = text[2].split(",")
         fields[2] = "0.5"  # mode_1_im of the second node
         text[2] = ",".join(fields)
@@ -145,7 +145,7 @@ class TestSourceTerm:
 
     def test_csv_header_is_checked(self, basis16):
         f = zero_source(basis16, 1.0)
-        text = f.to_csv().replace("mode_1_re", "mode_1")
+        text = node_csv(f).replace("mode_1_re", "mode_1")
         with pytest.raises(InvalidSpecError):
             SourceTerm.from_csv(text, basis16)
 

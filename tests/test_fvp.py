@@ -55,7 +55,7 @@ class TestDataNorm:
     def test_single_decayed_mode(self, basis64):
         # u_T = e^{-1} e_1, T = 1: parts are (e^{-2}, 0, 1)
         uT = SpectralVec.from_coefficients(basis64, np.exp(-1.0) * np.eye(64)[0])
-        rep = data_norm_inhom(None, None, uT, 1.0)
+        rep = data_norm_inhom(None, None, uT, 1.0, policy=None)
         assert rep.uT_sq == pytest.approx(np.exp(-2.0), rel=1e-12)
         assert rep.source_sq == 0.0
         assert rep.log_backward_sq == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +67,7 @@ class TestDataNorm:
         fc = np.eye(64)[0]
         f = SourceTerm(basis64, np.array([0.0, 1.0]), np.vstack([fc, fc]))
         uT = source_yield(f, 1.0)
-        rep = data_norm_inhom(f, None, uT, 1.0)
+        rep = data_norm_inhom(f, None, uT, 1.0, policy=None)
         assert rep.log_backward_sq == -np.inf
         assert rep.source_sq == pytest.approx(1.0, rel=1e-14)
         want = np.sqrt((1 - np.exp(-1.0)) ** 2 + 1.0)
@@ -75,7 +75,7 @@ class TestDataNorm:
         assert rep.finite
 
     def test_zero_data(self, basis64):
-        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0)
+        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0, policy=None)
         assert rep.total == 0.0
         assert rep.log_total == -np.inf
         assert rep.finite
@@ -86,7 +86,7 @@ class TestDataNorm:
         # total's log stays finite and sums the same parts
         uT = SpectralVec.from_coefficients(basis16, np.full(16, 1e300))
         g = BoundaryData.constant(1.0, -1.0, 0.1) if with_g else None
-        rep = data_norm_inhom(None, g, uT, 0.1)
+        rep = data_norm_inhom(None, g, uT, 0.1, policy=None)
         assert rep.uT_sq == np.inf and np.isfinite(rep.log_backward_sq)
         parts = [2.0 * triple_norms(uT).log_normH]
         if with_g:
@@ -97,12 +97,12 @@ class TestDataNorm:
     def test_rough_data_is_flagged_infinite(self, basis64):
         jj = np.arange(1, 65)
         uT = SpectralVec.from_coefficients(basis64, 1.0 / jj)
-        rep = data_norm_inhom(None, None, uT, 1.0)
+        rep = data_norm_inhom(None, None, uT, 1.0, policy=None)
         assert not rep.finite
         assert rep.log_backward_sq > 1000.0
 
     def test_json_round_trip(self, basis64):
-        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0)
+        rep = data_norm_inhom(None, None, SpectralVec.zero(basis64), 1.0, policy=None)
         d = json.loads(strict_json(json_payload(rep)))
         assert set(d) == {"uT_sq", "source_sq", "log_backward_sq", "log_total", "finite"}
         assert d["log_total"] == "-inf"

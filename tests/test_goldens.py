@@ -30,7 +30,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from heatfvp import (
+from heatfvp import spectral as sp
+from heatfvp.spectral import (
     DomainSpec,
     InvalidSpecError,
     SpectralVec,
@@ -40,7 +41,6 @@ from heatfvp import (
     synthesize,
     uniform_samples,
 )
-from heatfvp import spectral as sp
 from heatfvp.cli import cli
 
 from test_cli import inhom_files, write_conf

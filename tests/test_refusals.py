@@ -403,12 +403,12 @@ API_CASES = {
                     "need an increasing grid of nonnegative times"),
     "injectivity-times": (lambda: gl.check_injectivity(gl.MatrixGenerator(JORDAN), [0.0]),
                           "need strictly positive times"),
-    "convexity-few-times": (lambda: gl.check_logconvexity_criterion(gl.MatrixGenerator(JORDAN), 4, times=[1.0, 2.0]),
+    "convexity-few-times": (lambda: gl.check_logconvexity_criterion(gl.MatrixGenerator(JORDAN), 4, 0, times=[1.0, 2.0]),
                             "need at least three times"),
-    "convexity-times-order": (lambda: gl.check_logconvexity_criterion(gl.MatrixGenerator(JORDAN), 4,
+    "convexity-times-order": (lambda: gl.check_logconvexity_criterion(gl.MatrixGenerator(JORDAN), 4, 0,
                                                                       times=[1.0, 3.0, 2.0]),
                               "times must be finite and strictly increasing"),
-    "chain-times": (lambda: gl.inverse_chain_demo(gl.MatrixGenerator(JORDAN), 2.0, 1.0), "need 0 < t < t_prime"),
+    "chain-times": (lambda: gl.inverse_chain_demo(gl.MatrixGenerator(JORDAN), 2.0, 1.0, 0), "need 0 < t < t_prime"),
     "fd-theta": (lambda: fd.FdScheme(theta=2.0), "theta must lie in [0, 1]"),
     "fd-points": (lambda: fd.FdScheme(m_interior=2), "need at least three interior points"),
     "fd-steps": (lambda: fd.fd_solve(np.zeros(17), None, None, np.pi, 1.0, 0, fd.FdScheme(m_interior=15)),
@@ -432,7 +432,7 @@ API_CASES = {
     "h1-norm-one-node": (lambda: bd.solution_norm_h1(_single_node_trajectory()),
                          "a trajectory norm needs at least two nodes"),
     "split-grid": (lambda: bd.boundary_split(np.ones(5), _basis()), "samples must live on the basis quadrature grid"),
-    "backward-bases": (lambda: bd.check_final_data(_source(5), None, _vec(4), 1.0),
+    "backward-bases": (lambda: bd.check_final_data(_source(5), None, _vec(4), 1.0, policy=None),
                        "source and final state use different bases"),
     "backward-tgrid": (lambda: bd.solve_final_value_inhom(None, None, _vec(), 1.0, tgrid=[0.5, 1.0]),
                        "must start at 0 and end at T"),

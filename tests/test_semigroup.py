@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatfvp import (
+from heatfvp.duhamel import solve_cauchy
+from heatfvp.semigroup import (
+    MAX_LOG_NORM,
     CompatReport,
-    DomainSpec,
-    InvalidSpecError,
     MembershipPolicy,
-    SpectralVec,
     apply_forward,
     apply_inverse,
-    build_basis,
     check_domain_membership,
-    rel_distance,
-    solve_cauchy,
 )
-from heatfvp.semigroup import MAX_LOG_NORM
-from heatfvp.spectral import json_payload, strict_json
+from heatfvp.spectral import (
+    DomainSpec,
+    InvalidSpecError,
+    SpectralVec,
+    build_basis,
+    json_payload,
+    rel_distance,
+    strict_json,
+)
 
 from conftest import unit_state
 
@@ -66,7 +69,7 @@ def test_flow_round_trip_property(coeffs, t):
 
 def test_membership_compatible(basis64):
     c = np.exp(-1.5 * basis64.lambdas)
-    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0)
+    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0, policy=None)
     assert rep.verdict == "compatible"
     assert rep.u0 is not None
     # reconstructed initial state: coefficients e^{+lambda} c = e^{-lambda/2}
@@ -76,7 +79,7 @@ def test_membership_compatible(basis64):
 
 def test_membership_incompatible_power_tail(basis64):
     c = 1.0 / np.arange(1, 65, dtype=float)
-    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0)
+    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0, policy=None)
     assert rep.verdict == "incompatible"
     assert rep.u0 is None
     # graph norms explode along the ladder
@@ -85,7 +88,7 @@ def test_membership_incompatible_power_tail(basis64):
 
 def test_membership_incompatible_stretched_tail(basis64):
     c = np.exp(-np.sqrt(basis64.lambdas))
-    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0)
+    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0, policy=None)
     assert rep.verdict == "incompatible"
 
 
@@ -94,14 +97,14 @@ def test_membership_inconclusive(basis64):
     # rtol 1e-6 nor grow by the 10x step threshold
     j = np.arange(1, 65, dtype=float)
     c = np.exp(-basis64.lambdas) / j
-    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0)
+    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0, policy=None)
     assert rep.verdict == "inconclusive"
     assert rep.u0 is None
     assert 1.0 + 1e-6 < rep.stabilization_ratio < 10.0
 
 
 def test_membership_zero_vector(basis16):
-    rep = check_domain_membership(SpectralVec.zero(basis16), 2.0)
+    rep = check_domain_membership(SpectralVec.zero(basis16), 2.0, policy=None)
     assert rep.verdict == "compatible"
     assert rep.stabilization_ratio == 1.0
     assert rep.u0 is not None
@@ -111,7 +114,7 @@ def test_membership_zero_vector(basis16):
 def test_membership_invalid_horizon(basis16):
     for T in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            check_domain_membership(unit_state(basis16, 1), T)
+            check_domain_membership(unit_state(basis16, 1), T, policy=None)
 
 
 def test_membership_norm_cap(basis64):
@@ -120,14 +123,14 @@ def test_membership_norm_cap(basis64):
     v = SpectralVec.zero(basis64)
     v.phase[0] = 1.0
     v.logmag[0] = 750.0  # only mode 1: ladder is flat
-    rep = check_domain_membership(v, 1.0)
+    rep = check_domain_membership(v, 1.0, policy=None)
     assert MAX_LOG_NORM == 700.0
     assert rep.log_graph_norms[-1] > MAX_LOG_NORM
     assert rep.verdict == "inconclusive"
 
 
 def test_default_cutoff_ladder(basis64):
-    rep = check_domain_membership(SpectralVec.zero(basis64), 1.0)
+    rep = check_domain_membership(SpectralVec.zero(basis64), 1.0, policy=None)
     assert rep.cutoffs == (8, 16, 32, 64)
 
 
@@ -162,13 +165,13 @@ def test_stabilization_ratio_uses_mid_cutoff(basis64):
     # with the default 4-rung ladder the ratio compares the last against the
     # second rung
     c = np.exp(-2.0 * basis64.lambdas)
-    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0)
+    rep = check_domain_membership(SpectralVec.from_coefficients(basis64, c), 1.0, policy=None)
     ratio = np.exp(rep.log_graph_norms[-1] - rep.log_graph_norms[1])
     assert rep.stabilization_ratio == pytest.approx(ratio, rel=1e-14)
 
 
 def test_compat_report_json_fields(basis16):
-    rep = check_domain_membership(unit_state(basis16, 1), 1.0)
+    rep = check_domain_membership(unit_state(basis16, 1), 1.0, policy=None)
     payload = json.loads(strict_json(json_payload(rep)))
     assert set(payload) == {"T", "cutoffs", "log_graph_norms", "stabilization_ratio", "verdict", "note"}
     assert payload["note"]  # heuristic disclaimer always present
@@ -192,7 +195,7 @@ def test_compat_report_json_refuses_nan(basis16):
 def test_membership_refuses_a_horizon_past_the_basis(basis16):
     for T in (1e307, 1.7e308):
         with pytest.raises(InvalidSpecError, match="too long"):
-            check_domain_membership(unit_state(basis16, 1), T)
+            check_domain_membership(unit_state(basis16, 1), T, policy=None)
 
 
 def log_heights(u0, times):

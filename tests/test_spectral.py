@@ -8,21 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatfvp import (
+from heatfvp.spectral import (
     DomainSpec,
     InvalidSpecError,
     SpectralVec,
+    _check_horizon,
+    _simpson_weights,
+    _sine_table,
     analyze,
     build_basis,
+    json_payload,
     project_samples,
     rel_distance,
+    strict_json,
     synthesize,
     triple_norms,
     uniform_samples,
     vec_from_json,
     vec_to_json,
 )
-from heatfvp.spectral import _check_horizon, _simpson_weights, _sine_table, json_payload, strict_json
 
 from conftest import unit_state
 
