@@ -46,7 +46,7 @@ from .duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from .logspace import _real, log_sum_exp, logspace_add, merge_phase
+from .logspace import InvalidSpecError, _real, log_sum_exp, logspace_add, merge_phase
 from .semigroup import (
     CompatReport,
     IncompatibleDataError,
@@ -58,7 +58,6 @@ from .semigroup import (
 )
 from .spectral import (
     EigenBasis,
-    InvalidSpecError,
     SpectralVec,
     _check_horizon,
     _stacked_norms,
@@ -476,9 +475,10 @@ def solution_norm_h1(traj: Trajectory) -> float:
     # first, so that its temporaries are freed before the norm's own
     res_dual_sq = traj.residual_dual_sq
     p = traj._zero_trace
-    p2 = np.abs(p) ** 2
+    p2 = np.square(p)
     l2_sq = p2.sum(axis=-1)
-    grad_sq = (lam * p2).sum(axis=-1)
+    p2 *= lam
+    grad_sq = p2.sum(axis=-1)
     if traj.lift is not None:
         a, b, w = traj._lift_rows
         lift_l2_sq = a * a * L + a * b * L ** 2 + b * b * L ** 3 / 3.0
@@ -486,7 +486,9 @@ def solution_norm_h1(traj: Trajectory) -> float:
         l2_sq = l2_sq + cross + lift_l2_sq
         grad_sq = grad_sq + b * b * L
     h1_sq = l2_sq + grad_sq
-    dual_sq = (np.abs(traj._coeffs) ** 2 / lam).sum(axis=-1)
+    np.square(traj._coeffs, out=p2)
+    p2 /= lam
+    dual_sq = p2.sum(axis=-1)
     total = (
         _trapezoid(h1_sq, traj.times)
         + float(np.max(l2_sq))

@@ -31,8 +31,9 @@ from . import fdoracle as fd
 from . import fvp
 from . import generator as gl
 from . import spectral as sp
+from .logspace import InvalidSpecError
 from .semigroup import MembershipPolicy
-from .spectral import DomainSpec, InvalidSpecError, _check_horizon, build_basis
+from .spectral import DomainSpec, _check_horizon, build_basis
 
 USAGE = (
     "usage: heatfvp <subcommand> [options]\n"

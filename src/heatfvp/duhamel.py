@@ -21,22 +21,24 @@ boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
 particular part depends on the forcing and the grid only, so a backward
 solve keeps the march of its source yield and joins the replay's rows from
-it when the replay runs on the same grid.
+it when the replay runs on the same grid.  The requested nodes are rows of
+the march's grid, so f and the lift are sampled once per march: the
+trajectory's norms, residual and CSV read their node values off the
+march's samples.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .logspace import LOG_MAX, _real, _split_owned, logspace_add, merge_phase, split_phase
+from .logspace import LOG_MAX, InvalidSpecError, _real, _split_owned, logspace_add, merge_phase, split_phase
 from .spectral import (
     EigenBasis,
-    InvalidSpecError,
     SpectralVec,
     TripleNorms,
     _check_horizon,
@@ -84,14 +86,22 @@ def _interpolate(times: np.ndarray, values: np.ndarray, ts, what: str) -> np.nda
     """Piecewise-linear values of the node series at arbitrary times, shape
     (len(ts),) + values.shape[1:]."""
     ts = np.atleast_1d(_real(ts, f"{what} sample times"))
-    tol = _TIME_RTOL * max(abs(times[0]), abs(times[-1]))
-    if not np.all((ts >= times[0] - tol) & (ts <= times[-1] + tol)):
+    first, last = times[0], times[-1]
+    tol = _TIME_RTOL * max(abs(first), abs(last))
+    # min and max carry a NaN, which fails both tests; an empty ts has neither
+    if ts.size and not (first - tol <= ts.min() and ts.max() <= last + tol):
         raise InvalidSpecError(f"sample times outside the {what} grid")
-    idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+    # the interval of each time, clipped to the first and the last: the
+    # interior nodes at or below it
+    idx = np.searchsorted(times[1:-1], ts, side="right")
     t0 = times[idx]
-    t1 = times[idx + 1]
-    w = ((ts - t0) / (t1 - t0))[:, None]
-    return (1.0 - w) * values[idx] + w * values[idx + 1]
+    w = ((ts - t0) / (times[1:][idx] - t0))[:, None]
+    out = values[idx]
+    out *= 1.0 - w
+    upper = values[1:][idx]
+    upper *= w
+    out += upper
+    return out
 
 
 def _node_csv(header: list, rows) -> str:
@@ -191,15 +201,20 @@ class _Particular:
     response at times[k] to the marched node values.  `source` is the
     SourceTerm when it was marched alone, so a later solve of the same
     source on the same grid can join these rows instead of marching again.
+    `samples` holds what the march read on `times`: f's rows and the
+    lift's (a, b, w), each None when absent, so that a trajectory reads
+    its node values here instead of sampling f and g again.
     """
 
     times: np.ndarray
     w: np.ndarray
     expo: np.ndarray
     source: SourceTerm | None = None
+    samples: tuple = (None, None)
 
 
-def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, source=None) -> _Particular:
+def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, source=None,
+                samples=(None, None)) -> _Particular:
     """The particular part w of the exact-per-step exponential march.
 
     times: merged increasing node grid starting at t_0; node_values[k] are
@@ -231,7 +246,8 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
     peak = np.abs(node_values).max(axis=0)
     expo = np.frexp(peak)[1]
     expo = np.where((expo > 512) | (expo < -969), np.maximum(expo, -1021), 0)
-    v = node_values * np.ldexp(1.0, -expo)
+    # a product by 2^0 is exact: with no mode scaled, the values are read as they are
+    v = node_values * np.ldexp(1.0, -expo) if expo.any() else node_values
     w = np.empty_like(v)
     w[0] = 0.0
     np.multiply(v[:-1], phi_lo[which], out=w[1:])
@@ -243,7 +259,7 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
         _step_loop(w, decay, which)
     else:
         _scan(w, lam, times, bounds, decay, which)
-    return _Particular(times, w, expo, source)
+    return _Particular(times, w, expo, source, samples)
 
 
 def _step_loop(w: np.ndarray, decay: np.ndarray, which: np.ndarray) -> None:
@@ -261,19 +277,20 @@ def _scan_bounds(times: np.ndarray, lam: np.ndarray):
     chunks would average fewer than _SCAN_MIN_STEPS steps.
 
     A chunk from row k0 takes every row with (t - t_k0) lambda_max <=
-    _SCAN_SPAN, and at least one step.  The search stops as soon as the
-    chunks are known to be too short, so a grid of long steps costs a few
-    searches, not one per node."""
+    _SCAN_SPAN, and at least one step.  One search gives every row's
+    reach; the chain of chunks then walks a list, and stops as soon as the
+    chunks are known to be too short."""
     if lam.size > _SCAN_MAX_MODES:
         return None
     last = times.size - 1
     reach = _SCAN_SPAN / float(lam.max())
+    ends = (np.searchsorted(times, times + reach, side="right") - 1).tolist()
     bounds = [0]
     while bounds[-1] < last:
         if len(bounds) * _SCAN_MIN_STEPS > last:
             return None
         k0 = bounds[-1]
-        bounds.append(max(int(np.searchsorted(times, times[k0] + reach, side="right")) - 1, k0 + 1))
+        bounds.append(max(ends[k0], k0 + 1))
     return bounds
 
 
@@ -288,6 +305,9 @@ def _scan(w, lam, times, bounds, decay, which) -> None:
     Q stays below e^8 and a 2^512-scaled sum finite; their rounding, about
     eps x, is the scan's own error.  A chunk of one step takes the loop's
     multiply-add instead, so a step longer than the span forms no Q.
+    The loop scales only each chunk's end row by its P, since the next
+    chunk carries it; every other row is scaled once after the loop, where
+    the end rows take P = 1.0, an exact product.
     """
     starts = np.asarray(bounds[:-1])
     sizes = np.diff(bounds)
@@ -296,28 +316,47 @@ def _scan(w, lam, times, bounds, decay, which) -> None:
     np.exp(q, out=q)
     w[1:] *= q
     np.divide(1.0, q, out=q)
+    accumulate = np.add.accumulate
     for k0, k1 in zip(bounds[:-1], bounds[1:]):
         if k1 == k0 + 1:
             w[k1] += w[k0] * decay[which[k0]]
             continue
         chunk = w[k0 : k1 + 1]
-        np.cumsum(chunk, axis=0, out=chunk)
-        chunk[1:] *= q[k0:k1]
+        accumulate(chunk, axis=0, out=chunk)
+        w[k1] *= q[k1 - 1]
+    q[np.asarray(bounds[1:]) - 1] = 1.0  # the end rows are scaled, or one-step rows with P = 1
+    w[1:] *= q
 
 
 def _linear_entries(hom: np.ndarray, expo: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Where e^{hom} + w fits in linear scale: the mode is unscaled (`expo`
     0), e^{hom} is at most e^{LOG_MAX - 1}, so the sum cannot overflow, and
     exp flushes no value that counts: hom is at least the log of the
-    smallest normal float64, or -inf, or more than eps below a nonzero |w|."""
-    fits = hom <= LOG_MAX - 1.0
-    fits &= expo == 0
-    low = hom < _LOG_TINY
-    low &= hom > -np.inf
-    low &= fits
-    if low.any():
-        with np.errstate(divide="ignore"):
-            fits[low] = hom[low] < np.log(np.abs(w[low])) + _LOG_EPS
+    smallest normal float64, or -inf, or more than eps below a nonzero |w|.
+
+    hom, the decayed log magnitudes of `_join`, does not increase down a
+    column, so the first and last rows decide most modes whole: an
+    unscaled mode whose ends lie in [_LOG_TINY, LOG_MAX - 1], or whose
+    first row is -inf, fits in every row, and a scaled mode or one whose
+    last row lies past LOG_MAX - 1 in none.  Only the modes between, which
+    cross LOG_MAX - 1 or _LOG_TINY, are tested entry by entry."""
+    first, last = hom[0], hom[-1]
+    scaled = expo != 0
+    whole = ((first <= LOG_MAX - 1.0) & (last >= _LOG_TINY)) | (first == -np.inf)
+    whole &= ~scaled
+    fits = np.empty(hom.shape, dtype=bool)
+    fits[...] = whole
+    (cross,) = np.nonzero(~(whole | scaled | (last > LOG_MAX - 1.0)))
+    if cross.size:
+        h = hom[:, cross]
+        part = h <= LOG_MAX - 1.0
+        low = h < _LOG_TINY
+        low &= h > -np.inf
+        low &= part
+        if low.any():
+            with np.errstate(divide="ignore"):
+                part[low] = h[low] < np.log(np.abs(w[:, cross][low])) + _LOG_EPS
+        fits[:, cross] = part
     return fits
 
 
@@ -346,9 +385,9 @@ def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
     fits = _linear_entries(hom, expo, w)
     if not fits.any():
         return _log_join(u0.phase, hom, w, expo)
-    rest = np.nonzero(~fits)
     tail = None
-    if rest[0].size:
+    if not fits.all():
+        rest = np.nonzero(~fits)
         modes = rest[1]
         tail = _log_join(u0.phase[modes], hom[rest], w[rest], expo[modes])
         hom[rest] = -np.inf  # the log path's entries add as zeros below
@@ -384,11 +423,16 @@ class Trajectory:
     at times[k] in the sign/log-magnitude form of SpectralVec.  The
     trajectory is frozen and its arrays are read-only, so what its readers
     derive is computed once, on first use, and read-only too: the linear
-    rows c (`_coeffs`), the lift's (a, b, w) from one sample of g
+    rows c (`_coeffs`), f's rows (`_source_rows`), the lift's (a, b, w)
     (`_lift_rows`), the zero-trace part p = c - w (`_zero_trace`; c without
     a lift), `node_norms` and `residual_dual_sq`.
     `initial_state` and `final_state` wrap the end rows as SpectralVec views.
     `lift` is the boundary solver's `LiftPath`, passed in at construction.
+    The nodes are rows of the march's grid, so `solve_cauchy` passes the
+    march's samples of f and of the lift at them (`samples`, as in
+    `_Particular`); only a part the solve did not sample is sampled on
+    first read: a zero lift, which marches nothing, and f on a replay that
+    joined a kept yield march.
     """
 
     basis: EigenBasis
@@ -397,6 +441,7 @@ class Trajectory:
     logmag: np.ndarray
     source: SourceTerm | None = None
     lift: object | None = None
+    samples: tuple = (None, None)
 
     def __post_init__(self):
         _read_only(self.phase)
@@ -418,8 +463,16 @@ class Trajectory:
         return _read_only(merge_phase(self.phase, self.logmag))
 
     @cached_property
+    def _source_rows(self) -> np.ndarray:
+        rows = self.samples[0]
+        return _read_only(self.source.sample(self.times) if rows is None else rows)
+
+    @cached_property
     def _lift_rows(self):
-        return None if self.lift is None else tuple(map(_read_only, self.lift.sample(self.times)))
+        if self.lift is None:
+            return None
+        rows = self.samples[1]
+        return tuple(map(_read_only, self.lift.sample(self.times) if rows is None else rows))
 
     @cached_property
     def _zero_trace(self) -> np.ndarray:
@@ -439,9 +492,10 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             res = lam * self._zero_trace
             if self.source is not None:
-                res = self.source.sample(self.times) - res
-            res_sq = (np.abs(res) ** 2 / lam).sum(axis=-1)
-        return _read_only(res_sq)
+                np.subtract(self._source_rows, res, out=res)
+            np.square(res, out=res)
+            res /= lam
+        return _read_only(res.sum(axis=-1))
 
     def to_csv(self) -> str:
         """Long-format space-time samples: t, x, u at 65 uniform points per
@@ -512,11 +566,12 @@ def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particu
 
     merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
     if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
-        values = f.sample(merged) if f is not None else np.zeros((merged.size, u0.basis.n_modes))
+        samples = (None if f is None else f.sample(merged), None if lift is None else lift.sample(merged))
+        values = samples[0] if f is not None else np.zeros((merged.size, u0.basis.n_modes))
         if lift is not None:
-            values = values + lift.sample(merged)[2] * lift.basis.lambdas
-        march = _particular(u0.basis.lambdas, merged, values, source=f if lift is None else None)
-        del values  # the march is kept: free the values before the join, whose temporaries set a solve's peak memory
+            values = values + samples[1][2] * lift.basis.lambdas
+        march = _particular(u0.basis.lambdas, merged, values, f if lift is None else None, samples)
+        del values  # the march is kept: free the summed forcing before the join, whose temporaries set a solve's peak memory
     ph, lg = _join(u0, march, np.searchsorted(merged, ts))
     return ts, ph, lg, march
 
@@ -529,19 +584,29 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, mar
     `lift` is the boundary solver's `LiftPath`: its forcing joins f, and
     the trajectory carries it.  `march` is the particular part of f already
     marched alone (`_yield`); when the grid this call merges is the march's
-    grid, its rows are joined and nothing is marched again.
+    grid, its rows are joined and nothing is marched again.  The
+    trajectory takes the march's samples of f and the lift at its nodes.
     """
-    ts, ph, lg, _ = _forward(u0, f, tgrid, lift, march)
-    return Trajectory(u0.basis, ts, ph, lg, source=f, lift=lift)
+    ts, ph, lg, march = _forward(u0, f, tgrid, lift, march)
+    samples = (None, None)
+    if march is not None:
+        pick = np.searchsorted(march.times, ts)
+        f_rows, lift_rows = march.samples
+        samples = (None if f_rows is None else f_rows[pick],
+                   None if lift_rows is None else tuple(x[pick] for x in lift_rows))
+    return Trajectory(u0.basis, ts, ph, lg, source=f, lift=lift, samples=samples)
 
 
 def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):
     """The state at T of the solution from zero driven by f and the lift,
     and the march it is the T row of (None when nothing is marched).  The
     march runs on the yield grid, f's and g's nodes in [0, T] plus 0 and T,
-    and stays linear: only the T row is split to log form."""
+    and stays linear: only the T row is split to log form.  The march is
+    returned without its samples: a backward solve keeps it through the
+    ladder and the replay, and a replay that joins it samples f at its own
+    nodes only when a reader asks."""
     _, ph, lg, march = _forward(SpectralVec.zero(basis), f, [T], lift, None)
-    return SpectralVec(basis, ph[0], lg[0]), march
+    return SpectralVec(basis, ph[0], lg[0]), None if march is None else replace(march, samples=(None, None))
 
 
 def source_yield(f: SourceTerm, T: float) -> SpectralVec:

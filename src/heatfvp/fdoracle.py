@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logspace import _real
-from .spectral import InvalidSpecError, _check_horizon, _dst1
+from .logspace import InvalidSpecError, _real
+from .spectral import _check_horizon, _dst1
 
 
 class CflViolationError(InvalidSpecError):

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .boundary import FvpSolution, _backward_solve, _validate_final_data
 from .duhamel import SourceTerm
-# the refusal errors are re-exported here, beside the solver that raises them
-from .semigroup import IncompatibleDataError, InconclusiveDataError
-from .spectral import EigenBasis, InvalidSpecError, SpectralVec, _check_horizon
+from .logspace import InvalidSpecError
+# the refusal error is re-exported here, beside the solver that raises it
+from .semigroup import IncompatibleDataError
+from .spectral import EigenBasis, SpectralVec, _check_horizon
 
 
 @dataclass

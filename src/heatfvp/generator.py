@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .logspace import _real
-from .spectral import InvalidSpecError, _read_only
+from .logspace import InvalidSpecError, _real
+from .spectral import _read_only
 
 MAX_DIM = 64
 SPECTRUM_SKIP_RTOL = 1e-8

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logspace import log_sum_exp
-from .spectral import InvalidSpecError, SpectralVec, _check_horizon
+from .logspace import InvalidSpecError, log_sum_exp
+from .spectral import SpectralVec, _check_horizon
 
 HEURISTIC_NOTE = (
     "verdict from the finite-truncation stabilization heuristic; "

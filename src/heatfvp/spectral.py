@@ -337,43 +337,56 @@ def _weighted_norm(logmag: np.ndarray, log_weight: np.ndarray):
 def _stacked_norms(basis: EigenBasis, coeffs: np.ndarray, logmag: np.ndarray) -> TripleNorms:
     """Pivot, form-domain and dual norms of each row of a (rows, n_modes)
     stack in sign/log-magnitude form, merged to linear scale once by the
-    caller: `coeffs` is merge_phase(phase, logmag).
+    caller: `coeffs` is merge_phase(phase, logmag), with phase 0 exactly
+    where logmag is -inf.
 
     Every term is nonnegative, so numpy's sum along the modes errs by about
-    ceil(log2 n_modes) eps relative, and the log norms are half the log of
-    those sums.  A row where any term would overflow takes the values
-    computed in log space; a sum whose largest term lies so low that the
-    terms flushed toward the subnormals could count (or a zero sum) takes
-    its log norm from `log_sum_exp`.
+    ceil(log2 n_modes) eps relative; the three sums are three contiguous
+    row reductions.  A row where any term would overflow takes all three
+    norms from log space.  Any other row takes its norms from the sums, and
+    its log pivot norm is half the log of the pivot sum, unless that sum's
+    largest term lies so low that the terms flushed toward the subnormals
+    could count (or the sum is 0): then it comes from `log_sum_exp`.  The
+    largest pivot term is c_top^2, so a row whose largest log magnitude
+    clears that floor by a factor e needs no look at its terms; only the
+    other rows take the maximum.
     """
     lam = basis.lambdas
     n = max(basis.n_modes, 1)
     log_lam = np.log(lam)
+    peak = np.max(logmag, axis=-1, initial=-np.inf)
     # linear path is valid while the largest weighted term stays in range
-    top = 2.0 * np.max(logmag, axis=-1, initial=-np.inf) + float(np.max(log_lam)) + np.log(n)
+    top = 2.0 * peak + float(np.max(log_lam)) + np.log(n)
     overflowed = np.isfinite(top) & (top > LOG_MAX - 2.0)
+    # a term that sinks below the smallest normal float64 errs by at most
+    # 2^-1075; past this floor on the largest term, the n such errors stay
+    # below eps / 4 of the sum.  The factor e covers the rounding of c_top
+    floor = n * 2.0 ** -1021 * 2.0
+    linear = 2.0 * peak > math.log(floor) + 1.0
+    linear &= ~overflowed
+    (unsure,) = np.nonzero(~(overflowed | linear))
+    sums = np.empty((3,) + peak.shape)
+    log_h = np.empty(peak.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        c2 = np.abs(coeffs) ** 2
-        terms = np.empty(c2.shape[:-1] + (3, lam.size))
-        terms[..., 0, :] = c2
-        np.multiply(lam, c2, out=terms[..., 1, :])
-        np.divide(c2, lam, out=terms[..., 2, :])
-        sums = terms.sum(axis=-1)
-        # a term that sinks below the smallest normal float64 errs by at
-        # most 2^-1075 before its weight w and again after it; past this
-        # floor on the largest term, the n such errors stay below eps / 4
-        # of the sum
-        floor = n * 2.0 ** -1021 * (1.0 + np.array([1.0, float(lam.max()), 1.0 / float(lam.min())]))
-        linear = ~overflowed[..., None] & (terms.max(axis=-1) >= floor)
-        logs = np.empty(sums.shape)
-        logs[linear] = 0.5 * np.log(sums[linear])
-        rest = np.nonzero(~linear)
-        if rest[0].size:
-            # the H, V and V* sums of every such row run as one stack
-            log_weight = np.stack([np.zeros_like(lam), log_lam, -log_lam])
-            logs[rest] = _weighted_norm(logmag[rest[:-1]], log_weight[rest[-1]])
-        norms = np.where(overflowed[..., None], np.exp(logs), np.sqrt(sums))
-    return TripleNorms(*norms.T, logs[..., 0])
+        c2 = np.square(coeffs)
+        c2.sum(axis=-1, out=sums[0])
+        term = np.multiply(c2, lam)
+        term.sum(axis=-1, out=sums[1])
+        np.divide(c2, lam, out=term)
+        term.sum(axis=-1, out=sums[2])
+        norms = np.sqrt(sums)
+        if unsure.size:
+            linear[unsure] = c2[unsure].max(axis=-1) >= floor
+        log_h[linear] = 0.5 * np.log(sums[0, linear])
+        (low,) = np.nonzero(~(overflowed | linear))
+        if low.size:
+            log_h[low] = _weighted_norm(logmag[low], 0.0)
+        if overflowed.any():
+            # the H, V and V* norms of every such row run as one stack
+            logs = _weighted_norm(logmag[overflowed][:, None], np.stack([np.zeros_like(lam), log_lam, -log_lam]))
+            norms[:, overflowed] = np.exp(logs.T)
+            log_h[overflowed] = logs[:, 0]
+    return TripleNorms(*norms, log_h)
 
 
 def triple_norms(vec: SpectralVec) -> TripleNorms:

@@ -4,7 +4,9 @@ every name `heatfvp/__init__.py` binds is read off the package by a user;
 every parameter with a default of a public function or method is passed by
 some user and left out by another, so the default is both needed and
 taken; the member names two public classes share are the ones declared in
-SHARED_MEMBERS; and every name a test module imports is used there.
+SHARED_MEMBERS; every name a test module imports is used there; and every
+name read off a heatfvp module, by an import or as an attribute, is read
+off the module that defines it, except the re-exports in REEXPORTED.
 
 The users are the library itself, the CLI, the acceptance criteria and the
 benchmark harness.  A name, a member, an option or a default that only the
@@ -47,6 +49,15 @@ ALLOWED_UNUSED = {
 SHARED_MEMBERS = {
     "sample": {"SourceTerm", "BoundaryData", "LiftPath"},
     "t_final": {"SourceTerm", "BoundaryData"},
+}
+
+# Names read off a module that does not define them, each with its reason.
+# Every other heatfvp name has one import path: its defining module.
+REEXPORTED = {
+    # the refusal of a backward solve: the CLI and perfbench call
+    # fvp.solve_final_value and catch it beside the solver, as
+    # fvp.IncompatibleDataError
+    "fvp.IncompatibleDataError",
 }
 
 
@@ -252,3 +263,68 @@ def _unused_imports(path):
 def test_test_modules_import_only_what_they_use():
     unused = [hit for path in sorted((ROOT / "tests").glob("*.py")) for hit in _unused_imports(path)]
     assert unused == []
+
+
+@cache
+def _module_definitions():
+    """Per package module, the names its top level defines: functions,
+    classes and assignment targets, not imports."""
+    defined = {}
+    for module, tree in _package_trees():
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        defined[module] = names
+    return defined
+
+
+def _module_reads(path):
+    """(module, name, line) of each name a file reads off a heatfvp module:
+    `from heatfvp.module import name` (`from .module import name` inside
+    the package), and `alias.name` where alias is bound to the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = _module_definitions()
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and path.parent == PACKAGE:
+                module = node.module or ""
+            elif node.level == 0 and (node.module or "").partition(".")[0] == "heatfvp":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif module:  # a name of the package itself is the package rule's
+                    yield module, alias.name, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == "heatfvp" and module and alias.asname:
+                    aliases[alias.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            yield aliases[node.value.id], node.attr, node.lineno
+
+
+def test_every_name_is_read_off_its_defining_module():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    defined = _module_definitions()
+    elsewhere = sorted(
+        f"{path.relative_to(ROOT)}:{line}: {module}.{name}"
+        for path in files
+        for module, name, line in _module_reads(path)
+        if name not in defined.get(module, ()) and f"{module}.{name}" not in REEXPORTED
+    )
+    assert elsewhere == []
+
+
+def test_the_reexports_are_read():
+    read = {f"{module}.{name}" for path in sorted((ROOT / "perfbench").glob("*.py")) + [PACKAGE / "cli.py"]
+            for module, name, _ in _module_reads(path)}
+    assert REEXPORTED <= read

@@ -178,7 +178,7 @@ def test_march_joins_the_two_parts_once(basis16, monkeypatch, kind):
     # entries that do not fit in log space; a yield, a join from the zero
     # state, is in range and makes none
     calls = []
-    real = dh.logspace_add
+    real = logspace.logspace_add
 
     def counting(*args):
         calls.append(np.shape(args[1]))
@@ -244,16 +244,35 @@ def _norm_pass_calls(basis, monkeypatch, with_g):
 
 
 def test_boundary_norms_sample_the_source_once(basis16, monkeypatch):
-    # the norm, the energy check and the CSV read one residual, which
-    # samples f once at the 33 nodes (f's grid ends at T, so the exact dual
-    # norm of f samples nothing); the lift's (a, b) and w come from one
-    # sample of g; the trajectory's linear rows are merged once, and the
-    # CSV's phase/log round trip of p merges once more
-    assert _norm_pass_calls(basis16, monkeypatch, with_g=True) == ([33], [33], 2)
+    # the norm, the energy check and the CSV sample neither f nor g: the
+    # residual reads f's rows and the lift's (a, b, w) off the march's one
+    # sample of each (f's grid ends at T, so the exact dual norm of f
+    # samples nothing); the trajectory's linear rows are merged once, and
+    # the CSV's phase/log round trip of p merges once more
+    assert _norm_pass_calls(basis16, monkeypatch, with_g=True) == ([], [], 2)
 
 
 def test_norms_without_boundary_data_merge_once(basis16, monkeypatch):
-    assert _norm_pass_calls(basis16, monkeypatch, with_g=False) == ([33], [], 1)
+    assert _norm_pass_calls(basis16, monkeypatch, with_g=False) == ([], [], 1)
+
+
+def test_forward_solve_samples_f_and_g_once_on_the_merged_grid(basis16, monkeypatch):
+    # the march samples f and g at every node of its grid, which holds the
+    # requested nodes; the trajectory, its norms, its energy check and its
+    # CSV read their node values off those samples
+    rng = np.random.default_rng(5)
+    f = dh.SourceTerm(basis16, np.array([0.0, 0.4, 1.0]), rng.standard_normal((3, 16)))
+    g = bd.BoundaryData(np.array([0.0, 0.5, 1.0]), rng.uniform(-1.0, 1.0, (3, 2)))
+    lift = bd.LiftPath(g, basis16)  # its construction checks g at g's own nodes
+    tgrid = np.linspace(0.0, 1.0, 33)
+    merged = dh._merged_grid(f, tgrid, 1.0, g.times)
+    f_calls = _count_calls(monkeypatch, dh.SourceTerm, "sample")
+    g_calls = _count_calls(monkeypatch, bd.BoundaryData, "sample")
+    traj = dh.solve_cauchy(unit_state(basis16, 1), f, tgrid, lift=lift)
+    bd.solution_norm_h1(traj)
+    dh.check_energy_estimate(traj)
+    traj.to_csv()
+    assert merged.size > tgrid.size and f_calls == g_calls == [merged.size]
 
 
 # -- golden values --------------------------------------------------------

@@ -24,11 +24,10 @@ from heatfvp.boundary import (
     trace_norm_surrogate,
 )
 from heatfvp.duhamel import SourceTerm, solve_cauchy
-from heatfvp.fvp import IncompatibleDataError
-from heatfvp.logspace import logspace_add
+from heatfvp.logspace import InvalidSpecError, logspace_add
+from heatfvp.semigroup import IncompatibleDataError
 from heatfvp.spectral import (
     DomainSpec,
-    InvalidSpecError,
     SpectralVec,
     analyze,
     build_basis,

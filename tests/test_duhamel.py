@@ -16,8 +16,8 @@ from heatfvp.duhamel import (
     source_yield,
     squared_source_dual_norm,
 )
-from heatfvp.logspace import LOG_MAX
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, rel_distance
+from heatfvp.logspace import LOG_MAX, InvalidSpecError
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, rel_distance
 
 from conftest import node_csv, unit_state, zero_source
 

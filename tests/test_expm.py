@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heatfvp.generator import MatrixGenerator, exp_semigroup
-from heatfvp.spectral import InvalidSpecError
+from heatfvp.logspace import InvalidSpecError
 
 from conftest import golden_generator
 

@@ -5,7 +5,7 @@ import pytest
 
 from heatfvp.boundary import BoundaryData
 from heatfvp.fdoracle import CflViolationError, FdScheme, fd_solve
-from heatfvp.spectral import InvalidSpecError
+from heatfvp.logspace import InvalidSpecError
 
 
 def full_grid(m_interior=127, length=np.pi):

@@ -8,16 +8,10 @@ import pytest
 from heatfvp.boundary import BoundaryData, data_norm_inhom, solve_final_value_inhom
 from heatfvp.cli import cli
 from heatfvp.duhamel import SourceTerm, solve_cauchy, source_yield
-from heatfvp.fvp import (
-    FinalValueData,
-    IncompatibleDataError,
-    InconclusiveDataError,
-    instability_table,
-    solve_final_value,
-)
-from heatfvp.logspace import log_sum_exp
-from heatfvp.semigroup import apply_inverse
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis, json_payload, strict_json, triple_norms
+from heatfvp.fvp import FinalValueData, instability_table, solve_final_value
+from heatfvp.logspace import InvalidSpecError, log_sum_exp
+from heatfvp.semigroup import IncompatibleDataError, InconclusiveDataError, apply_inverse
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis, json_payload, strict_json, triple_norms
 
 from conftest import unit_state, zero_source
 

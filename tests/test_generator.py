@@ -27,7 +27,8 @@ from heatfvp.generator import (
     random_elliptic,
     random_selfadjoint,
 )
-from heatfvp.spectral import InvalidSpecError, json_payload, strict_json
+from heatfvp.logspace import InvalidSpecError
+from heatfvp.spectral import json_payload, strict_json
 
 from conftest import JORDAN, format_matrix, golden_generator
 

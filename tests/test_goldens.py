@@ -31,9 +31,9 @@ import numpy as np
 import pytest
 
 from heatfvp import spectral as sp
+from heatfvp.logspace import InvalidSpecError
 from heatfvp.spectral import (
     DomainSpec,
-    InvalidSpecError,
     SpectralVec,
     analyze,
     build_basis,

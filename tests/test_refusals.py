@@ -34,7 +34,8 @@ from heatfvp import generator as gl
 from heatfvp import semigroup as sg
 from heatfvp import spectral as sp
 from heatfvp.cli import UsageError
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
+from heatfvp.logspace import InvalidSpecError
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
 from conftest import JORDAN, format_matrix
 from test_cli_fuzz import (

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatfvp.duhamel import solve_cauchy
+from heatfvp.logspace import InvalidSpecError
 from heatfvp.semigroup import (
     MAX_LOG_NORM,
     CompatReport,
@@ -16,7 +17,6 @@ from heatfvp.semigroup import (
 )
 from heatfvp.spectral import (
     DomainSpec,
-    InvalidSpecError,
     SpectralVec,
     build_basis,
     json_payload,

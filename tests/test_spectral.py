@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatfvp.logspace import InvalidSpecError
 from heatfvp.spectral import (
     DomainSpec,
-    InvalidSpecError,
     SpectralVec,
     _check_horizon,
     _simpson_weights,

@@ -13,7 +13,8 @@ import pytest
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
 from heatfvp import generator as gl
-from heatfvp.spectral import DomainSpec, InvalidSpecError, SpectralVec, build_basis
+from heatfvp.logspace import InvalidSpecError
+from heatfvp.spectral import DomainSpec, SpectralVec, build_basis
 
 HEAT_KS = (-20, -10, 10)
 LAB_KS = (-60, -40, -20, 20)
