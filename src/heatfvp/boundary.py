@@ -7,7 +7,8 @@ lambda_j w_j(t): `solve_ibvp` is `solve_cauchy` with a `LiftPath` (exactly
 `solve_cauchy` with g=None), z(T) and the source yield are T rows of
 marches from the zero state, and the sweep reads every partial integral
 and its limit off one such march.  The pipeline forms v = u_T - (source yield)
-[- z(T)] once, runs the membership heuristic once, takes u(0) from its
+[- z(T)] once (without a source, v starts as u_T itself and no zero yield is
+built), runs the membership heuristic once, takes u(0) from its
 report, replays the forward solve, and builds the data-space norm from the
 same v and report.  Without boundary data or with a zero g (which marches
 nothing), a replay on the yield grid (f's nodes in [0, T] plus 0 and T: the
@@ -27,6 +28,7 @@ compatibility difference is v = u_T - (source yield) - z(T).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .spectral import (
     EigenBasis,
     SpectralVec,
     _check_horizon,
+    _read_only,
     _stacked_norms,
     rel_distance,
     triple_norms,
@@ -163,9 +166,6 @@ class LiftPath:
     basis: EigenBasis
 
     def __post_init__(self):
-        # lift coefficients are linear in (g_left, g_right); precompute both columns
-        self._col_left = self.basis.lift_coefficients(1.0, 0.0)
-        self._col_right = self.basis.lift_coefficients(0.0, 1.0)
         # the forcing lambda_j w_j(t) and the slope are piecewise linear in
         # t: finite at g's node times means finite everywhere
         with np.errstate(over="ignore", invalid="ignore"):
@@ -179,7 +179,8 @@ class LiftPath:
         coefficient rows w, shape (len(ts), n_modes), from one sample of g."""
         vals = self.g.sample(ts)
         (L,) = self.basis.spec.lengths
-        w = np.outer(vals[:, 0], self._col_left) + np.outer(vals[:, 1], self._col_right)
+        left, right = self.basis._lift_columns
+        w = np.outer(vals[:, 0], left) + np.outer(vals[:, 1], right)
         return vals[:, 0], (vals[:, 1] - vals[:, 0]) / L, w
 
 
@@ -248,22 +249,31 @@ def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
     if traj.source is not None:
         rhs = rhs + source_yield(traj.source, T)
     if g is not None and not g.is_zero:
-        rhs = rhs + boundary_yield(g, T, basis)
+        # z(T) marches the lift the trajectory carries when it is g's
+        _check_horizon(T)
+        lift = traj.lift if traj.lift is not None and traj.lift.g is g else LiftPath(g, basis)
+        rhs = rhs + _yield(basis, None, lift, T)[0]
     return rel_distance(traj.final_state, rhs)
 
 
 # -- data-space norm with boundary term ----------------------------------
 
-def _dct2_ortho(values: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II along the first axis, as a direct cosine sum:
-    X_k = s_k sum_n x_n cos(pi k (2n+1) / 2N), s_0 = 1/sqrt(N), s_k = sqrt(2/N)."""
-    n = values.shape[0]
+@cache
+def _dct2_matrix(n: int) -> np.ndarray:
+    """The n-by-n orthonormal DCT-II matrix, read-only, built on first use:
+    row k is s_k cos(pi k (2m+1) / 2n), s_0 = 1/sqrt(n), s_k = sqrt(2/n)."""
     k = np.arange(n)
-    # reduce k(2n+1) mod 4N in integers so every cosine argument stays in [0, 2pi)
+    # reduce k(2m+1) mod 4n in integers so every cosine argument stays in [0, 2pi)
     angle = (np.outer(k, 2 * k + 1) % (4 * n)) * (np.pi / (2 * n))
     scale = np.full(n, np.sqrt(2.0 / n))
     scale[0] = np.sqrt(1.0 / n)
-    return (scale[:, None] * np.cos(angle)) @ values
+    return _read_only(scale[:, None] * np.cos(angle))
+
+
+def _dct2_ortho(values: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the first axis, as a direct cosine sum: one
+    product with `_dct2_matrix`."""
+    return _dct2_matrix(values.shape[0]) @ values
 
 
 @np.errstate(over="ignore")  # data past the square root of float64's range read inf
@@ -345,8 +355,10 @@ def _admissible_part(f, g, u_T, T, policy):
     report, and the source march whose T row is the yield (None without a
     source)."""
     _validate_final_data(f, g, u_T, T)
-    y, march = _yield(u_T.basis, f, None, T)
-    v = u_T - y
+    v, march = u_T, None
+    if f is not None:  # without a source the yield is zero: nothing to build or subtract
+        y, march = _yield(u_T.basis, f, None, T)
+        v = u_T - y
     if g is not None:
         v = v - boundary_yield(g, T, u_T.basis)
     return v, check_domain_membership(v, T, policy), march

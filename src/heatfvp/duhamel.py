@@ -448,7 +448,7 @@ class Trajectory:
         _read_only(self.logmag)
 
     def _state(self, k: int) -> SpectralVec:
-        return SpectralVec(self.basis, self.phase[k], self.logmag[k])
+        return SpectralVec._of(self.basis, self.phase[k], self.logmag[k])
 
     @cached_property
     def initial_state(self) -> SpectralVec:
@@ -544,34 +544,43 @@ def _default_grid(f: SourceTerm | None, T: float) -> np.ndarray:
     return _merged_grid(f, [T], T) if f is not None else np.linspace(0.0, T, 33)
 
 
-def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
-    """The one forward path: the grid, the phase and logmag rows of u on it,
-    and the march they were joined from (None on pure decay).  `tgrid` must
-    lie in [0, T] of f and of the lift's g.  The lift adds its forcing
-    lambda_j w_j(t) to f and its kinks to the merged grid; a zero lift
-    marches nothing.  A kept `march` of f alone on the merged grid is joined
-    as it is, with the same floats as a fresh one."""
+def _march(basis: EigenBasis, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
+    """The requested nodes and the march behind them: the checked grid, the
+    merged grid and the march of f and the lift on it (both None when
+    nothing is marched: no f, and no lift or a zero one).  `tgrid` must lie
+    in [0, T] of f and of the lift's g.  The lift adds its forcing
+    lambda_j w_j(t) to f and its kinks to the merged grid.  A kept `march`
+    of f alone on the merged grid is returned as it is, with the same
+    floats as a fresh one."""
     t_end = min(np.inf if f is None else f.t_final, np.inf if lift is None else lift.g.t_final)
     ts = _validate_tgrid(tgrid, t_end)
-    if f is not None and not f.basis.same_as(u0.basis):
+    if f is not None and not f.basis.same_as(basis):
         raise InvalidSpecError("source and state use different bases")
     if lift is not None and lift.g.is_zero:
         lift = None
     if f is None and lift is None:
+        return ts, None, None
+    merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
+    if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
+        samples = (None if f is None else f.sample(merged), None if lift is None else lift.sample(merged))
+        values = samples[0] if f is not None else np.zeros((merged.size, basis.n_modes))
+        if lift is not None:
+            values = values + samples[1][2] * lift.basis.lambdas
+        march = _particular(basis.lambdas, merged, values, f if lift is None else None, samples)
+        del values  # the march is kept: free the summed forcing before the join, whose temporaries set a solve's peak memory
+    return ts, merged, march
+
+
+def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
+    """The one forward path: the grid, the phase and logmag rows of u on it,
+    and the march they were joined from (None on pure decay; see `_march`)."""
+    ts, merged, march = _march(u0.basis, f, tgrid, lift, march)
+    if march is None:
         # pure decay: evaluate the flow directly at each node, no stepping
         logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
         # every node has u0's signs: one private row, broadcast read-only
         phase = np.broadcast_to(u0.phase.copy(), logmag.shape)
         return ts, phase, logmag, None
-
-    merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
-    if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
-        samples = (None if f is None else f.sample(merged), None if lift is None else lift.sample(merged))
-        values = samples[0] if f is not None else np.zeros((merged.size, u0.basis.n_modes))
-        if lift is not None:
-            values = values + samples[1][2] * lift.basis.lambdas
-        march = _particular(u0.basis.lambdas, merged, values, f if lift is None else None, samples)
-        del values  # the march is kept: free the summed forcing before the join, whose temporaries set a solve's peak memory
     ph, lg = _join(u0, march, np.searchsorted(merged, ts))
     return ts, ph, lg, march
 
@@ -601,12 +610,20 @@ def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):
     """The state at T of the solution from zero driven by f and the lift,
     and the march it is the T row of (None when nothing is marched).  The
     march runs on the yield grid, f's and g's nodes in [0, T] plus 0 and T,
-    and stays linear: only the T row is split to log form.  The march is
-    returned without its samples: a backward solve keeps it through the
+    and stays linear: only the T row is split to log form.  From the zero
+    state that row is the march's own, w_T 2^expo: the split of w_T + 0.0
+    (which reads -0.0 as 0), with expo ln 2 added in the modes the march
+    scaled; the join with the zero state gives the same floats.  The march
+    is returned without its samples: a backward solve keeps it through the
     ladder and the replay, and a replay that joins it samples f at its own
     nodes only when a reader asks."""
-    _, ph, lg, march = _forward(SpectralVec.zero(basis), f, [T], lift, None)
-    return SpectralVec(basis, ph[0], lg[0]), None if march is None else replace(march, samples=(None, None))
+    _, _, march = _march(basis, f, [T], lift, None)
+    if march is None:
+        return SpectralVec.zero(basis), None
+    phase, logmag = _split_owned(march.w[-1] + 0.0)
+    if march.expo.any():
+        logmag += march.expo * _LN2
+    return SpectralVec._of(basis, phase, logmag), replace(march, samples=(None, None))
 
 
 def source_yield(f: SourceTerm, T: float) -> SpectralVec:

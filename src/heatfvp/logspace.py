@@ -6,7 +6,9 @@ as natural logs and recombined only when representable.  The Dirichlet sine
 basis is real and every map of the pipeline scales each mode by a real
 factor, so a coefficient is a sign in {-1, 0, 1} and a log magnitude.
 Complex values enter only through `_real`, which refuses any with a nonzero
-imaginary part.
+imaginary part.  The kernels here check nothing: values are checked where
+they enter the package, outside values by `_real` and states by the
+constructor of `spectral.SpectralVec`.
 """
 
 from __future__ import annotations
@@ -22,11 +24,20 @@ def log_sum_exp(terms):
 
     The shifted exponentials exp(a - max) lie in [0, 1], so numpy's sum of
     them errs by about ceil(log2 n) eps relative.  A 1-d input returns a
-    Python float; a stacked input returns one value per row, and numpy sums
-    every row of it as it sums the 1-d call's row.  A row whose maximum is
-    not finite (-inf, +inf or NaN) returns that maximum.
+    Python float, from its maximum, one shifted exp-sum, a log and an add;
+    a stacked input returns one value per row, and numpy sums every row of
+    it as it sums the 1-d call's row.  A row whose maximum is not finite
+    (-inf, +inf or NaN) returns that maximum.  Inputs are not checked: the
+    callers pass the package's own log magnitudes.
     """
     a = np.asarray(terms, dtype=np.float64)
+    if a.ndim == 1:
+        m = a.max() if a.size else -np.inf
+        if not np.isfinite(m):
+            return float(m)
+        # the shifted terms are at most 0, so only exp can leave range, downward
+        with np.errstate(under="ignore"):
+            return float(m + np.log(np.exp(a - m).sum()))
     m = a.max(axis=-1, initial=-np.inf, keepdims=True)
     # a row whose maximum is not finite sums to NaN (or to 0 when empty);
     # the masked add below leaves it at its maximum
@@ -34,7 +45,7 @@ def log_sum_exp(terms):
         log_s = np.log(np.exp(a - m).sum(axis=-1))
     out = m[..., 0]
     np.add(out, log_s, out=out, where=np.isfinite(out))
-    return float(out) if a.ndim == 1 else out
+    return out
 
 
 class InvalidSpecError(ValueError):
@@ -90,21 +101,18 @@ def logspace_add(p1, l1, p2, l2):
     """Elementwise p1*e^{l1} + p2*e^{l2} in sign/log-magnitude form.
 
     The larger exponent is factored out, so the inner sum never overflows;
-    exact cancellation yields sign 0 / logmag -inf.
+    exact cancellation yields sign 0 / logmag -inf.  Operands broadcast,
+    0-d ones included while the sum keeps an axis; numpy allocates each
+    result.  Like `log_sum_exp`, it checks nothing: the entry checks run
+    where values enter the package.
     """
-    p1, p2 = np.asarray(p1), np.asarray(p2)
     l1 = np.asarray(l1, dtype=np.float64)
     l2 = np.asarray(l2, dtype=np.float64)
-    m = np.maximum(l1, l2, out=np.empty(np.broadcast_shapes(l1.shape, l2.shape)))
+    m = np.maximum(l1, l2)
     # both -inf: pin the shift at 0 so the exps evaluate to 0, not nan
-    np.copyto(m, 0.0, where=~np.isfinite(m))
-    # out= keeps 0-d operands arrays, so every step below can run in place
-    s = np.empty(np.broadcast_shapes(p1.shape, p2.shape, m.shape))
-    t = np.empty_like(m)
+    m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(under="ignore"):
-        np.multiply(p1, np.exp(np.subtract(l1, m, out=t), out=t), out=s)
-        s += p2 * np.exp(np.subtract(l2, m, out=t), out=t)
-    del t
+        s = p1 * np.exp(l1 - m) + p2 * np.exp(l2 - m)
     phase, lg = _split_owned(s)
     np.add(m, lg, out=lg, where=lg != -np.inf)
     return phase, lg

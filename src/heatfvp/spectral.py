@@ -164,7 +164,8 @@ class EigenBasis:
     memory) are read by nothing in the package, only by `_table_bytes` in
     perfbench/spans.py; they go once that probe stops reading them.  All
     three are one-element tuples, which that probe iterates, and cached
-    properties, computed on first read.
+    properties, computed on first read; so is `_lift_columns`, the two
+    coefficient columns every boundary lift of the basis combines.
     """
 
     spec: DomainSpec
@@ -211,6 +212,13 @@ class EigenBasis:
         coeff_x = root * (-(L ** 2) * cosjpi) / (j * np.pi)
         return g_left * coeff_one + ((g_right - g_left) / L) * coeff_x
 
+    @cached_property
+    def _lift_columns(self) -> tuple:
+        """lift_coefficients(1, 0) and lift_coefficients(0, 1), read-only:
+        the lift's coefficients are linear in the endpoint values, so every
+        lift of this basis combines these two columns."""
+        return _read_only(self.lift_coefficients(1.0, 0.0)), _read_only(self.lift_coefficients(0.0, 1.0))
+
     def mode_values(self, points) -> np.ndarray:
         """Eigenfunction values on arbitrary points, rows indexed by mode."""
         (L,) = self.spec.lengths
@@ -241,6 +249,13 @@ class SpectralVec:
     Magnitudes live in log space (`logmag`, natural log) with a real sign
     `phase` in {-1, 0, 1}; `coefficients` rebuilds the linear mirror, which
     is inf where the stored magnitude exceeds float64 range.
+
+    The entry check runs where a state enters the package: the constructor
+    refuses a shape other than the basis's, a sign outside {-1, 0, 1}, a
+    NaN log magnitude and a sign of 0 whose log magnitude is not -inf (a
+    zero that `coefficients` would read as NaN or not at all).  States the
+    package builds from its own float64 arrays (`scale_log`, sums and
+    differences, trajectory rows, yields) skip it through `_of`.
     """
 
     basis: EigenBasis
@@ -255,6 +270,25 @@ class SpectralVec:
         # a NaN would reach the membership ladder and get a verdict
         if (np.sign(self.phase) != self.phase).any() or np.isnan(self.logmag).any():
             raise InvalidSpecError("a state needs signs in {-1, 0, 1} and log magnitudes that are not NaN")
+        if (self.logmag[self.phase == 0] != -np.inf).any():
+            raise InvalidSpecError("a state with sign 0 needs log magnitude -inf there")
+
+    @classmethod
+    def _of(cls, basis: EigenBasis, phase: np.ndarray, logmag: np.ndarray) -> "SpectralVec":
+        """A state of float64 arrays the package computed from valid states,
+        with the basis's shape: built without the entry check."""
+        vec = object.__new__(cls)
+        vec.basis, vec.phase, vec.logmag = basis, phase, logmag
+        return vec
+
+    def _derived(self, phase: np.ndarray, logmag: np.ndarray) -> "SpectralVec":
+        """A state computed from this one.  Arithmetic on valid states stays
+        valid except where infinities of opposite sign meet (a NaN log
+        magnitude) or a log shift broadcasts past the basis; those alone
+        take the entry check, which refuses them."""
+        if logmag.shape == self.logmag.shape and not np.isnan(logmag).any():
+            return SpectralVec._of(self.basis, phase, logmag)
+        return SpectralVec(self.basis, phase, logmag)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -282,7 +316,7 @@ class SpectralVec:
     # -- arithmetic ----------------------------------------------------
     def scale_log(self, delta) -> "SpectralVec":
         """Multiply each mode by e^{delta_j}; exact in log space."""
-        return SpectralVec(self.basis, self.phase.copy(), self.logmag + np.asarray(delta, dtype=float))
+        return self._derived(self.phase.copy(), self.logmag + np.asarray(delta, dtype=float))
 
     def scaled(self, factor: float) -> "SpectralVec":
         if factor == 0:
@@ -293,8 +327,7 @@ class SpectralVec:
     def __add__(self, other: "SpectralVec") -> "SpectralVec":
         if not self.basis.same_as(other.basis):
             raise InvalidSpecError("basis mismatch in addition")
-        p, l = logspace_add(self.phase, self.logmag, other.phase, other.logmag)
-        return SpectralVec(self.basis, p, l)
+        return self._derived(*logspace_add(self.phase, self.logmag, other.phase, other.logmag))
 
     def _minus(self, other: "SpectralVec"):
         """The (phase, logmag) arrays of self - other, with no state built."""
@@ -303,7 +336,7 @@ class SpectralVec:
         return logspace_add(self.phase, self.logmag, -other.phase, other.logmag)
 
     def __sub__(self, other: "SpectralVec") -> "SpectralVec":
-        return SpectralVec(self.basis, *self._minus(other))
+        return self._derived(*self._minus(other))
 
 
 @dataclass(frozen=True)

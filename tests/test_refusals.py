@@ -376,6 +376,8 @@ API_CASES = {
     "state-shape": (lambda: SpectralVec(_basis(), np.ones(3), np.zeros(3)), "coefficient count does not match"),
     "state-nan": (lambda: SpectralVec(_basis(), np.ones(4), np.full(4, np.nan)), "log magnitudes that are not NaN"),
     "state-half-sign": (lambda: SpectralVec(_basis(), np.full(4, 0.5), np.zeros(4)), "signs in {-1, 0, 1}"),
+    "state-zero-sign": (lambda: SpectralVec(_basis(), np.zeros(4), np.full(4, 3.0)),
+                        "a state with sign 0 needs log magnitude -inf"),
     "add-bases": (lambda: _vec(4) + _vec(5), "basis mismatch in addition"),
     "sub-bases": (lambda: _vec(4) - _vec(5), "basis mismatch in subtraction"),
     "analyze-grid": (lambda: sp.analyze(np.ones(7), _basis()), "quadrature grid is (33,)"),
