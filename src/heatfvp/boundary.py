@@ -10,10 +10,13 @@ and its limit off one such march.  The pipeline forms v = u_T - (source yield)
 [- z(T)] once (without a source, v starts as u_T itself and no zero yield is
 built), runs the membership heuristic once, takes u(0) from its
 report, replays the forward solve, and builds the data-space norm from the
-same v and report.  Without boundary data or with a zero g (which marches
-nothing), a replay on the yield grid (f's nodes in [0, T] plus 0 and T: the
-default, or any tgrid whose nodes lie on it) joins e^{-tA} u(0) with the
-yield march's rows, so the solve marches once.  g=None is the problem
+same v and report.  The replay's trajectory joins its rows when they are
+read: the endpoint check joins the T row alone, u(0) is its first row as
+it is, and the other rows are joined only for a caller that reads them.
+Without boundary data or with a zero g (which marches nothing), a replay
+on the yield grid (f's nodes in [0, T] plus 0 and T: the default, or any
+tgrid whose nodes lie on it) joins e^{-tA} u(0) with the yield march's
+rows, so the solve marches once.  g=None is the problem
 without a boundary term (`fvp.solve_final_value` is that case); a
 BoundaryData, even a zero one, is Dirichlet data on the interval.
 
@@ -242,7 +245,11 @@ def solve_ibvp(u0: SpectralVec, f: SourceTerm | None, g: BoundaryData | None, tg
 
 def flow_identity_residual(traj: Trajectory, g: BoundaryData | None) -> float:
     """Relative H-norm residual of the final-state identity
-    u(T) = e^{T Delta} u(0) + source yield + z(T) on a computed trajectory."""
+    u(T) = e^{T Delta} u(0) + source yield + z(T) on a computed trajectory.
+    The identity flows from t = 0 and reads u(0) off the first node, so a
+    trajectory whose grid starts later is refused."""
+    if traj.times[0] != 0.0:
+        raise InvalidSpecError("the flow identity needs a trajectory whose grid starts at t = 0")
     basis = traj.basis
     T = float(traj.times[-1])
     rhs = apply_forward(traj.initial_state, T)
@@ -409,8 +416,9 @@ def _replay_grid(tgrid, T, f) -> np.ndarray:
 
 def _backward_solve(f, g, u_T, T, policy, tgrid) -> FvpSolution:
     """Form v once, certify it, take u(0) = e^{T A} v from the report, and
-    replay the forward solve, which must land back on u_T.  Without nonzero
-    g the replay reuses the yield's march when its grid is the same."""
+    replay the forward solve, which must land back on u_T: the check joins
+    the replay's T row alone.  Without nonzero g the replay reuses the
+    yield's march when its grid is the same."""
     v, report, march = _admissible_part(f, g, u_T, T, policy)
     tgrid = _replay_grid(tgrid, T, f)
     if report.verdict == "incompatible":

@@ -21,10 +21,12 @@ boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
 particular part depends on the forcing and the grid only, so a backward
 solve keeps the march of its source yield and joins the replay's rows from
-it when the replay runs on the same grid.  The requested nodes are rows of
-the march's grid, so f and the lift are sampled once per march: the
-trajectory's norms, residual and CSV read their node values off the
-march's samples.
+it when the replay runs on the same grid.  A trajectory keeps u0 and the
+march and joins its rows when they are read: all of them for a norm or the
+CSV, one alone for an end state, so a backward solve, which reads u(0) and
+the T row, joins one row.  The requested nodes are rows of the march's
+grid, so f and the lift are sampled once per march: the trajectory's
+norms, residual and CSV read their node values off the march's samples.
 """
 
 from __future__ import annotations
@@ -280,9 +282,10 @@ def _scan_bounds(times: np.ndarray, lam: np.ndarray):
     _SCAN_SPAN, and at least one step.  One search gives every row's
     reach; the chain of chunks then walks a list, and stops as soon as the
     chunks are known to be too short."""
-    if lam.size > _SCAN_MAX_MODES:
-        return None
     last = times.size - 1
+    # fewer steps than one chunk's worth, a one-node grid's none included
+    if lam.size > _SCAN_MAX_MODES or last < _SCAN_MIN_STEPS:
+        return None
     reach = _SCAN_SPAN / float(lam.max())
     ends = (np.searchsorted(times, times + reach, side="right") - 1).tolist()
     bounds = [0]
@@ -420,13 +423,20 @@ class Trajectory:
     """States of one solve on its requested time grid, stored as arrays.
 
     `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
-    at times[k] in the sign/log-magnitude form of SpectralVec.  The
-    trajectory is frozen and its arrays are read-only, so what its readers
-    derive is computed once, on first use, and read-only too: the linear
-    rows c (`_coeffs`), f's rows (`_source_rows`), the lift's (a, b, w)
-    (`_lift_rows`), the zero-trace part p = c - w (`_zero_trace`; c without
-    a lift), `node_norms` and `residual_dual_sq`.
-    `initial_state` and `final_state` wrap the end rows as SpectralVec views.
+    at times[k] in the sign/log-magnitude form of SpectralVec.  They are
+    joined on first read, from what the trajectory keeps: a private
+    read-only copy of u(0) (`_u0`), and the march of the forcing (`_march`,
+    without its samples), or None on pure decay, whose rows are the flow
+    of u(0) at each node.  Once they are built, the march is dropped.
+    `initial_state` and `final_state` wrap the end rows as SpectralVec
+    views; before the full arrays exist, each joins its row alone (the row
+    at the march's first node is u(0) itself), with the same bits, so a
+    backward solve, which reads only those, joins one row.
+    The trajectory is frozen and its arrays are read-only, so what its
+    readers derive is computed once, on first use, and read-only too: the
+    linear rows c (`_coeffs`), f's rows (`_source_rows`), the lift's (a,
+    b, w) (`_lift_rows`), the zero-trace part p = c - w (`_zero_trace`; c
+    without a lift), `node_norms` and `residual_dual_sq`.
     `lift` is the boundary solver's `LiftPath`, passed in at construction.
     The nodes are rows of the march's grid, so `solve_cauchy` passes the
     march's samples of f and of the lift at them (`samples`, as in
@@ -437,18 +447,33 @@ class Trajectory:
 
     basis: EigenBasis
     times: np.ndarray
-    phase: np.ndarray
-    logmag: np.ndarray
+    _u0: SpectralVec
+    _march: _Particular | None
     source: SourceTerm | None = None
     lift: object | None = None
     samples: tuple = (None, None)
 
-    def __post_init__(self):
-        _read_only(self.phase)
-        _read_only(self.logmag)
+    @cached_property
+    def _rows(self):
+        phase, logmag = _node_rows(self._u0, self.times, self._march)
+        object.__setattr__(self, "_march", None)  # every row is built: the march is read no more
+        return _read_only(phase), _read_only(logmag)
+
+    @property
+    def phase(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def logmag(self) -> np.ndarray:
+        return self._rows[1]
 
     def _state(self, k: int) -> SpectralVec:
-        return SpectralVec._of(self.basis, self.phase[k], self.logmag[k])
+        if "_rows" in self.__dict__:
+            return SpectralVec._of(self.basis, self.phase[k], self.logmag[k])
+        if self._march is not None and self.times[k] == 0.0:
+            return self._u0
+        phase, logmag = _node_rows(self._u0, self.times[[k]], self._march)
+        return SpectralVec._of(self.basis, _read_only(phase[0]), _read_only(logmag[0]))
 
     @cached_property
     def initial_state(self) -> SpectralVec:
@@ -518,11 +543,13 @@ class Trajectory:
                 vals = vals + a[:, None] + b[:, None] * xs
         if not np.all(np.isfinite(vals)):
             raise InvalidSpecError("trajectory values leave floating-point range")
-        x_list = xs.tolist()
-        rows = ["t,x,u\r\n"]
+        # each node's t and the 65 x are formatted once, each u once per line
+        x_cols = [f",{x!r}," for x in xs.tolist()]
+        lines = ["t,x,u\r\n"]
         for t, row in zip(self.times.tolist(), vals.tolist()):
-            rows.append("".join(f"{t!r},{x!r},{u!r}\r\n" for x, u in zip(x_list, row)))
-        return "".join(rows)
+            t_r = repr(t)
+            lines += [f"{t_r}{x}{u!r}\r\n" for x, u in zip(x_cols, row)]
+        return "".join(lines)
 
 
 def _validate_tgrid(tgrid, t_end: float) -> np.ndarray:
@@ -571,18 +598,25 @@ def _march(basis: EigenBasis, f: SourceTerm | None, tgrid, lift, march: _Particu
     return ts, merged, march
 
 
-def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
-    """The one forward path: the grid, the phase and logmag rows of u on it,
-    and the march they were joined from (None on pure decay; see `_march`)."""
-    ts, merged, march = _march(u0.basis, f, tgrid, lift, march)
+def _node_rows(u0: SpectralVec, ts: np.ndarray, march: _Particular | None):
+    """The phase and logmag rows of u at the nodes ts: the join of u0's
+    decay with the march's rows at ts, or on pure decay (no march) the flow
+    evaluated at each node, with no stepping.  `_linear_entries` decides
+    each entry from that entry alone, so a row has the same bits whichever
+    other nodes are joined with it."""
     if march is None:
-        # pure decay: evaluate the flow directly at each node, no stepping
         logmag = u0.logmag + -ts[:, None] * u0.basis.lambdas
-        # every node has u0's signs: one private row, broadcast read-only
-        phase = np.broadcast_to(u0.phase.copy(), logmag.shape)
-        return ts, phase, logmag, None
-    ph, lg = _join(u0, march, np.searchsorted(merged, ts))
-    return ts, ph, lg, march
+        # every node has u0's signs: one row, broadcast read-only
+        return np.broadcast_to(u0.phase, logmag.shape), logmag
+    return _join(u0, march, np.searchsorted(march.times, ts))
+
+
+def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
+    """The one forward path, joined at once: the grid, the phase and logmag
+    rows of u on it, and the march they were joined from (None on pure
+    decay; see `_march`)."""
+    ts, _, march = _march(u0.basis, f, tgrid, lift, march)
+    return (ts, *_node_rows(u0, ts, march), march)
 
 
 def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, march: _Particular | None = None) -> Trajectory:
@@ -594,16 +628,19 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, mar
     the trajectory carries it.  `march` is the particular part of f already
     marched alone (`_yield`); when the grid this call merges is the march's
     grid, its rows are joined and nothing is marched again.  The
-    trajectory takes the march's samples of f and the lift at its nodes.
+    trajectory takes the march's samples of f and the lift at its nodes,
+    and joins its rows when they are read (see `Trajectory`).
     """
-    ts, ph, lg, march = _forward(u0, f, tgrid, lift, march)
+    ts, _, march = _march(u0.basis, f, tgrid, lift, march)
     samples = (None, None)
     if march is not None:
         pick = np.searchsorted(march.times, ts)
         f_rows, lift_rows = march.samples
         samples = (None if f_rows is None else f_rows[pick],
                    None if lift_rows is None else tuple(x[pick] for x in lift_rows))
-    return Trajectory(u0.basis, ts, ph, lg, source=f, lift=lift, samples=samples)
+        march = replace(march, samples=(None, None))
+    own = SpectralVec._of(u0.basis, _read_only(u0.phase.copy()), _read_only(u0.logmag.copy()))
+    return Trajectory(u0.basis, ts, own, march, source=f, lift=lift, samples=samples)
 
 
 def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):

@@ -26,8 +26,9 @@ def log_sum_exp(terms):
     them errs by about ceil(log2 n) eps relative.  A 1-d input returns a
     Python float, from its maximum, one shifted exp-sum, a log and an add;
     a stacked input returns one value per row, and numpy sums every row of
-    it as it sums the 1-d call's row.  A row whose maximum is not finite
-    (-inf, +inf or NaN) returns that maximum.  Inputs are not checked: the
+    it as it sums the 1-d call's row.  A 0-d input is one term: a 0-d
+    array of the 1-d call on it.  A row whose maximum is not finite (-inf,
+    +inf or NaN) returns that maximum.  Inputs are not checked: the
     callers pass the package's own log magnitudes.
     """
     a = np.asarray(terms, dtype=np.float64)
@@ -38,6 +39,8 @@ def log_sum_exp(terms):
         # the shifted terms are at most 0, so only exp can leave range, downward
         with np.errstate(under="ignore"):
             return float(m + np.log(np.exp(a - m).sum()))
+    if a.ndim == 0:
+        return np.array(log_sum_exp(a.reshape(1)))
     m = a.max(axis=-1, initial=-np.inf, keepdims=True)
     # a row whose maximum is not finite sums to NaN (or to 0 when empty);
     # the masked add below leaves it at its maximum
@@ -84,8 +87,10 @@ def split_phase(x):
 def _split_owned(xs: np.ndarray):
     """split_phase of a float64 array it may overwrite: the sign is
     returned in xs's buffer and the log magnitude in one new array.  Both
-    are exact up to the rounding of log, subnormals and zeros included."""
-    logmag = np.abs(xs)
+    are exact up to the rounding of log, subnormals and zeros included.
+    A 0-d xs gives 0-d arrays: the output array keeps np.abs from
+    returning a scalar, which log cannot write."""
+    logmag = np.abs(xs, out=np.empty_like(xs))
     with np.errstate(divide="ignore"):
         np.log(logmag, out=logmag)
     return np.sign(xs, out=xs), logmag
@@ -102,9 +107,9 @@ def logspace_add(p1, l1, p2, l2):
 
     The larger exponent is factored out, so the inner sum never overflows;
     exact cancellation yields sign 0 / logmag -inf.  Operands broadcast,
-    0-d ones included while the sum keeps an axis; numpy allocates each
-    result.  Like `log_sum_exp`, it checks nothing: the entry checks run
-    where values enter the package.
+    0-d ones included, and 0-d operands alone give 0-d results; numpy
+    allocates each result.  Like `log_sum_exp`, it checks nothing: the
+    entry checks run where values enter the package.
     """
     l1 = np.asarray(l1, dtype=np.float64)
     l2 = np.asarray(l2, dtype=np.float64)
@@ -113,6 +118,6 @@ def logspace_add(p1, l1, p2, l2):
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(under="ignore"):
         s = p1 * np.exp(l1 - m) + p2 * np.exp(l2 - m)
-    phase, lg = _split_owned(s)
+    phase, lg = _split_owned(np.asarray(s))  # 0-d operands alone sum to a numpy scalar
     np.add(m, lg, out=lg, where=lg != -np.inf)
     return phase, lg

@@ -134,9 +134,14 @@ def test_log_sum_exp_equals_the_reference(a):
     assert _same(got[0], want[0])
 
 
-def test_log_sum_exp_of_a_0d_input_is_refused_as_before():
-    got, want = _outcome(log_sum_exp, np.array(1.0)), _outcome(ref_log_sum_exp, np.array(1.0))
-    assert got[1] is want[1] is IndexError
+@pytest.mark.parametrize("x", SPECIAL)
+def test_log_sum_exp_of_a_0d_input_is_the_reference_on_one_term(x):
+    # the reference could not index a 0-d row: a 0-d input now gives a 0-d
+    # array with the bits the reference gives the same term as a 1-d row
+    got, want = _outcome(log_sum_exp, np.array(x)), _outcome(ref_log_sum_exp, np.array([x]))
+    assert got[1:] == want[1:] and want[1] is None
+    assert type(got[0]) is np.ndarray and got[0].shape == ()
+    assert _same(float(got[0]), want[0])
 
 
 @st.composite
@@ -153,12 +158,18 @@ def add_operands(draw):
 @settings(max_examples=400, deadline=None)
 @given(add_operands())
 def test_logspace_add_equals_the_reference(ops):
-    # where the reference raises (0-d operands alone, whose sum its split
-    # cannot write), the kernel raises the same error.  On an empty
-    # broadcast the reference multiplied nothing, while the kernel forms the
-    # product of its smaller operands before the sum broadcasts it away,
-    # which may warn
-    got, want = _outcome(logspace_add, *ops), _outcome(ref_logspace_add, *ops)
+    # 0-d operands alone, whose sum the reference's split could not write,
+    # give 0-d results with the bits the reference gives the same values
+    # as (1,) arrays.  On an empty broadcast the reference multiplied
+    # nothing, while the kernel forms the product of its smaller operands
+    # before the sum broadcasts it away, which may warn
+    got = _outcome(logspace_add, *ops)
+    if all(np.ndim(x) == 0 for x in ops):
+        want = _outcome(ref_logspace_add, *(np.reshape(x, (1,)) for x in ops))
+        assert got[1:] == want[1:] and want[1] is None
+        assert _same(got[0], tuple(x.reshape(()) for x in want[0]))
+        return
+    want = _outcome(ref_logspace_add, *ops)
     assert got[1] is want[1]
     assert got[2] == want[2] or (want[1] is None and want[0][0].size == 0)
     if want[1] is None:

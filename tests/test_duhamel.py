@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heatfvp.boundary import BoundaryData, solve_ibvp
 from heatfvp.duhamel import (
     PHI_TAYLOR_THRESHOLD,
     SourceTerm,
@@ -178,6 +179,7 @@ class TestPureDecay:
         tracemalloc.start()
         try:
             traj = solve_cauchy(u0, None, ts)
+            traj.phase  # the rows are built on first read
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,6 +354,21 @@ class TestGridValidation:
         f = zero_source(basis16, 1.0)
         with pytest.raises(InvalidSpecError):
             solve_cauchy(u0, f, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("forcing", ["source", "boundary"])
+    def test_one_node_at_zero_is_u0(self, basis16, forcing):
+        # the grid merges to the one node t = 0, a march of no step: the
+        # trajectory is u0, read alone or as the full arrays
+        u0 = SpectralVec.from_coefficients(basis16, np.random.default_rng(3).standard_normal(16))
+        f = const_source(basis16, 1.0, np.ones(16))
+        g = BoundaryData.constant(1.0, -1.0, 1.0)
+        lazy, full = (solve_cauchy(u0, f, [0.0]) if forcing == "source" else solve_ibvp(u0, None, g, [0.0])
+                      for _ in range(2))
+        assert full.phase.tobytes() == u0.phase.tobytes() and full.logmag.tobytes() == u0.logmag.tobytes()
+        for traj in (lazy, full):
+            assert traj.final_state is traj.initial_state
+            assert traj.initial_state.phase.tobytes() == u0.phase.tobytes()
+            assert traj.initial_state.logmag.tobytes() == u0.logmag.tobytes()
 
 
 class TestTrajectoryCsv:

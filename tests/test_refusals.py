@@ -434,6 +434,8 @@ API_CASES = {
                         "energy check needs at least two nodes"),
     "h1-norm-one-node": (lambda: bd.solution_norm_h1(_single_node_trajectory()),
                          "a trajectory norm needs at least two nodes"),
+    "flow-shifted-grid": (lambda: bd.flow_identity_residual(dh.solve_cauchy(_vec(), _source(), [0.5, 1.0]), None),
+                          "the flow identity needs a trajectory whose grid starts at t = 0"),
     "split-grid": (lambda: bd.boundary_split(np.ones(5), _basis()), "samples must live on the basis quadrature grid"),
     "backward-bases": (lambda: bd.check_final_data(_source(5), None, _vec(4), 1.0, policy=None),
                        "source and final state use different bases"),
