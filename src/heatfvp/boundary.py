@@ -2,17 +2,17 @@
 projections, the improper boundary-flux integral and its eps-sweep, and the
 one backward pipeline of the final value problem driven by (f, g, u_T).
 
-g enters the one forward path of `duhamel` as the lift forcing
-lambda_j w_j(t): `solve_ibvp` is `solve_cauchy` with a `LiftPath` (exactly
+g enters the one forward path of `duhamel` as the lift forcing lambda_j
+w_j(t): `solve_ibvp` is `solve_cauchy` with a `LiftPath` (exactly
 `solve_cauchy` with g=None), z(T) and the source yield are T rows of
-marches from the zero state, and the sweep reads every partial integral
-and its limit off one such march.  The pipeline forms v = u_T - (source yield)
-[- z(T)] once (without a source, v starts as u_T itself and no zero yield is
-built), runs the membership heuristic once, takes u(0) from its
-report, replays the forward solve, and builds the data-space norm from the
-same v and report.  The replay's trajectory joins its rows when they are
-read: the endpoint check joins the T row alone, u(0) is its first row as
-it is, and the other rows are joined only for a caller that reads them.
+marches from the zero state, and the sweep is one `solve_ibvp` from the
+zero state.  The pipeline forms v = u_T - (source yield) [- z(T)] once
+(without a source, v starts as u_T itself and no zero yield is built), runs
+the membership heuristic once, takes u(0) from its report, replays the
+forward solve, and builds the data-space norm from the same v and report.
+The replay's trajectory joins its rows when they are read: the endpoint
+check joins the T row alone, u(0) is its first row as it is, and the other
+rows are joined only for a caller that reads them.
 Without boundary data or with a zero g (which marches nothing), a replay
 on the yield grid (f's nodes in [0, T] plus 0 and T: the default, or any
 tgrid whose nodes lie on it) joins e^{-tA} u(0) with the yield march's
@@ -40,7 +40,6 @@ from .duhamel import (
     SourceTerm,
     Trajectory,
     _default_grid,
-    _forward,
     _interpolate,
     _node_times,
     _parse_node_csv,
@@ -210,12 +209,13 @@ class SweepReport:
 
 def boundary_yield_sweep(g: BoundaryData, t: float, basis: EigenBasis) -> SweepReport:
     """The partial integrals int_0^{t-eps} at eps = 2^{-k} t, k = 3 .. 10,
-    and how they contract toward the improper integral.  One march of g's
-    lift from zero gives z at every t - eps and at t: the partial at eps is
+    and how they contract toward the improper integral.  One `solve_ibvp`
+    from zero gives z at every t - eps and at t: the partial at eps is
     e^{-eps A} z(t - eps), exact in log space, and the limit is z(t)."""
     _check_horizon(t)
     eps = np.array([t * 2.0 ** -k for k in range(3, 11)])
-    _, ph, lg, _ = _forward(SpectralVec.zero(basis), None, np.append(t - eps, t), LiftPath(g, basis), None)
+    traj = solve_ibvp(SpectralVec.zero(basis), None, g, np.append(t - eps, t))
+    ph, lg = traj.phase, traj.logmag
     partials = lg[:-1] - eps[:, None] * basis.lambdas
     # each partial from the next one, then the last from the limit, as one
     # stack of differences that builds no state

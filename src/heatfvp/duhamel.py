@@ -16,7 +16,7 @@ fewer than 16 steps, or with more than 96 modes, it runs as a step loop,
 which is faster there.  On the requested nodes the two terms add in
 linear scale wherever the decayed state fits in float64, and by a
 log-space addition where it does not.
-Every forward solve and every yield runs one path (`_forward`): the
+Every forward solve and every yield runs one path (`_march`): the
 boundary solver's lift is one more forcing, lambda_j w_j(t), of the same
 march, and a yield is the T row of a march from the zero state.  The
 particular part depends on the forcing and the grid only, so a backward
@@ -26,14 +26,14 @@ march and joins its rows when they are read: all of them for a norm or the
 CSV, one alone for an end state, so a backward solve, which reads u(0) and
 the T row, joins one row.  The requested nodes are rows of the march's
 grid, so f and the lift are sampled once per march: the trajectory's
-norms, residual and CSV read their node values off the march's samples.
+norms, residual and CSV read their node values off what the march sampled.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -203,20 +203,15 @@ class _Particular:
     response at times[k] to the marched node values.  `source` is the
     SourceTerm when it was marched alone, so a later solve of the same
     source on the same grid can join these rows instead of marching again.
-    `samples` holds what the march read on `times`: f's rows and the
-    lift's (a, b, w), each None when absent, so that a trajectory reads
-    its node values here instead of sampling f and g again.
     """
 
     times: np.ndarray
     w: np.ndarray
     expo: np.ndarray
     source: SourceTerm | None = None
-    samples: tuple = (None, None)
 
 
-def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, source=None,
-                samples=(None, None)) -> _Particular:
+def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, source=None) -> _Particular:
     """The particular part w of the exact-per-step exponential march.
 
     times: merged increasing node grid starting at t_0; node_values[k] are
@@ -261,7 +256,7 @@ def _particular(lam: np.ndarray, times: np.ndarray, node_values: np.ndarray, sou
         _step_loop(w, decay, which)
     else:
         _scan(w, lam, times, bounds, decay, which)
-    return _Particular(times, w, expo, source, samples)
+    return _Particular(times, w, expo, source)
 
 
 def _step_loop(w: np.ndarray, decay: np.ndarray, which: np.ndarray) -> None:
@@ -386,8 +381,6 @@ def _join(u0: SpectralVec, part: _Particular, pick: np.ndarray):
     times, expo, w = part.times, part.expo, part.w[pick]
     hom = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
     fits = _linear_entries(hom, expo, w)
-    if not fits.any():
-        return _log_join(u0.phase, hom, w, expo)
     tail = None
     if not fits.all():
         rest = np.nonzero(~fits)
@@ -425,8 +418,8 @@ class Trajectory:
     `phase` and `logmag` have shape (n_nodes, n_modes): row k is the state
     at times[k] in the sign/log-magnitude form of SpectralVec.  They are
     joined on first read, from what the trajectory keeps: a private
-    read-only copy of u(0) (`_u0`), and the march of the forcing (`_march`,
-    without its samples), or None on pure decay, whose rows are the flow
+    read-only copy of u(0) (`_u0`), and the march of the forcing (`_march`),
+    or None on pure decay, whose rows are the flow
     of u(0) at each node.  Once they are built, the march is dropped.
     `initial_state` and `final_state` wrap the end rows as SpectralVec
     views; before the full arrays exist, each joins its row alone (the row
@@ -438,11 +431,11 @@ class Trajectory:
     b, w) (`_lift_rows`), the zero-trace part p = c - w (`_zero_trace`; c
     without a lift), `node_norms` and `residual_dual_sq`.
     `lift` is the boundary solver's `LiftPath`, passed in at construction.
-    The nodes are rows of the march's grid, so `solve_cauchy` passes the
-    march's samples of f and of the lift at them (`samples`, as in
-    `_Particular`); only a part the solve did not sample is sampled on
-    first read: a zero lift, which marches nothing, and f on a replay that
-    joined a kept yield march.
+    The nodes are rows of the march's grid, so `solve_cauchy` passes what
+    the march sampled of f and of the lift at them (`samples`: f's rows and
+    the lift's (a, b, w), each None when absent); only a part the solve did
+    not sample is sampled on first read: a zero lift, which marches
+    nothing, and f on a replay that joined a kept yield march.
     """
 
     basis: EigenBasis
@@ -494,8 +487,6 @@ class Trajectory:
 
     @cached_property
     def _lift_rows(self):
-        if self.lift is None:
-            return None
         rows = self.samples[1]
         return tuple(map(_read_only, self.lift.sample(self.times) if rows is None else rows))
 
@@ -572,13 +563,14 @@ def _default_grid(f: SourceTerm | None, T: float) -> np.ndarray:
 
 
 def _march(basis: EigenBasis, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
-    """The requested nodes and the march behind them: the checked grid, the
-    merged grid and the march of f and the lift on it (both None when
-    nothing is marched: no f, and no lift or a zero one).  `tgrid` must lie
-    in [0, T] of f and of the lift's g.  The lift adds its forcing
+    """The requested nodes, the march behind them and what it sampled: the
+    checked grid, the march of f and the lift on the merged grid (None when
+    nothing is marched: no f, and no lift or a zero one), and f's rows and
+    the lift's (a, b, w) on that grid, each None when absent.  `tgrid` must
+    lie in [0, T] of f and of the lift's g.  The lift adds its forcing
     lambda_j w_j(t) to f and its kinks to the merged grid.  A kept `march`
     of f alone on the merged grid is returned as it is, with the same
-    floats as a fresh one."""
+    floats as a fresh one, and no samples."""
     t_end = min(np.inf if f is None else f.t_final, np.inf if lift is None else lift.g.t_final)
     ts = _validate_tgrid(tgrid, t_end)
     if f is not None and not f.basis.same_as(basis):
@@ -586,16 +578,17 @@ def _march(basis: EigenBasis, f: SourceTerm | None, tgrid, lift, march: _Particu
     if lift is not None and lift.g.is_zero:
         lift = None
     if f is None and lift is None:
-        return ts, None, None
+        return ts, None, (None, None)
     merged = _merged_grid(f, ts, ts[-1], extra=None if lift is None else lift.g.times)
-    if not (march is not None and march.source is f and lift is None and np.array_equal(march.times, merged)):
-        samples = (None if f is None else f.sample(merged), None if lift is None else lift.sample(merged))
-        values = samples[0] if f is not None else np.zeros((merged.size, basis.n_modes))
-        if lift is not None:
-            values = values + samples[1][2] * lift.basis.lambdas
-        march = _particular(basis.lambdas, merged, values, f if lift is None else None, samples)
-        del values  # the march is kept: free the summed forcing before the join, whose temporaries set a solve's peak memory
-    return ts, merged, march
+    if march is not None and march.source is f and lift is None and np.array_equal(march.times, merged):
+        return ts, march, (None, None)
+    samples = (None if f is None else f.sample(merged), None if lift is None else lift.sample(merged))
+    values = samples[0] if f is not None else np.zeros((merged.size, basis.n_modes))
+    if lift is not None:
+        values = values + samples[1][2] * lift.basis.lambdas
+    march = _particular(basis.lambdas, merged, values, f if lift is None else None)
+    del values  # the march is kept: free the summed forcing before the join, whose temporaries set a solve's peak memory
+    return ts, march, samples
 
 
 def _node_rows(u0: SpectralVec, ts: np.ndarray, march: _Particular | None):
@@ -611,14 +604,6 @@ def _node_rows(u0: SpectralVec, ts: np.ndarray, march: _Particular | None):
     return _join(u0, march, np.searchsorted(march.times, ts))
 
 
-def _forward(u0: SpectralVec, f: SourceTerm | None, tgrid, lift, march: _Particular | None):
-    """The one forward path, joined at once: the grid, the phase and logmag
-    rows of u on it, and the march they were joined from (None on pure
-    decay; see `_march`)."""
-    ts, _, march = _march(u0.basis, f, tgrid, lift, march)
-    return (ts, *_node_rows(u0, ts, march), march)
-
-
 def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, march: _Particular | None = None) -> Trajectory:
     """March u' + A u = f from u(0) = u0 and record the requested nodes.
 
@@ -628,17 +613,16 @@ def solve_cauchy(u0: SpectralVec, f: SourceTerm | None, tgrid, *, lift=None, mar
     the trajectory carries it.  `march` is the particular part of f already
     marched alone (`_yield`); when the grid this call merges is the march's
     grid, its rows are joined and nothing is marched again.  The
-    trajectory takes the march's samples of f and the lift at its nodes,
-    and joins its rows when they are read (see `Trajectory`).
+    trajectory takes the march, and the rows `_march` sampled of f and the
+    lift at its nodes, and joins its rows when they are read (see
+    `Trajectory`).
     """
-    ts, _, march = _march(u0.basis, f, tgrid, lift, march)
+    ts, march, (f_rows, lift_rows) = _march(u0.basis, f, tgrid, lift, march)
     samples = (None, None)
     if march is not None:
         pick = np.searchsorted(march.times, ts)
-        f_rows, lift_rows = march.samples
         samples = (None if f_rows is None else f_rows[pick],
                    None if lift_rows is None else tuple(x[pick] for x in lift_rows))
-        march = replace(march, samples=(None, None))
     own = SpectralVec._of(u0.basis, _read_only(u0.phase.copy()), _read_only(u0.logmag.copy()))
     return Trajectory(u0.basis, ts, own, march, source=f, lift=lift, samples=samples)
 
@@ -650,17 +634,17 @@ def _yield(basis: EigenBasis, f: SourceTerm | None, lift, T: float):
     and stays linear: only the T row is split to log form.  From the zero
     state that row is the march's own, w_T 2^expo: the split of w_T + 0.0
     (which reads -0.0 as 0), with expo ln 2 added in the modes the march
-    scaled; the join with the zero state gives the same floats.  The march
-    is returned without its samples: a backward solve keeps it through the
-    ladder and the replay, and a replay that joins it samples f at its own
-    nodes only when a reader asks."""
-    _, _, march = _march(basis, f, [T], lift, None)
+    scaled; the join with the zero state gives the same floats.  A backward
+    solve keeps the march through the ladder and the replay; what the
+    march sampled is dropped here, and a replay that joins the march
+    samples f at its own nodes only when a reader asks."""
+    _, march, _ = _march(basis, f, [T], lift, None)
     if march is None:
         return SpectralVec.zero(basis), None
     phase, logmag = _split_owned(march.w[-1] + 0.0)
     if march.expo.any():
         logmag += march.expo * _LN2
-    return SpectralVec._of(basis, phase, logmag), replace(march, samples=(None, None))
+    return SpectralVec._of(basis, phase, logmag), march
 
 
 def source_yield(f: SourceTerm, T: float) -> SpectralVec:

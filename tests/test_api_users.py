@@ -3,7 +3,9 @@ public method, property, classmethod and staticmethod of a public class;
 every name `heatfvp/__init__.py` binds is read off the package by a user;
 every parameter with a default of a public function or method is passed by
 some user and left out by another, so the default is both needed and
-taken; the member names two public classes share are the ones declared in
+taken; every private name (a module-level `_name`, whether a function, a
+class or a constant, and every `_method` of any class) has a user too, so
+no helper lives on for the unit tests alone; the member names two public classes share are the ones declared in
 SHARED_MEMBERS; every name a test module imports is used there; and every
 name read off a heatfvp module, by an import or as an attribute, is read
 off the module that defines it, except the re-exports in REEXPORTED.
@@ -11,9 +13,10 @@ off the module that defines it, except the re-exports in REEXPORTED.
 The users are the library itself, the CLI, the acceptance criteria and the
 benchmark harness.  A name, a member, an option or a default that only the
 unit tests call or take is API nobody needs: delete it, make the parameter
-required, or move it into the tests that use it.  A reference is a Name, an
-Attribute or an import alias in the parsed source, so a mention in a
-docstring or a comment does not count.  A module name needs any of the
+required, or move it into the tests that use it.  A reference is a Name
+that is read, an Attribute or an import alias in the parsed source, so a
+mention in a docstring or a comment, or the assignment that defines a
+constant, does not count.  A module name needs any of the
 three; a method or a property needs an Attribute of its name, on any
 object; a classmethod or a staticmethod needs one on its class,
 `Class.member`; a name of the package needs `heatfvp.name` or
@@ -104,7 +107,7 @@ def _references():
     names, attrs, owned = set(), set(), set()
     for tree in _user_trees():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
@@ -116,6 +119,41 @@ def _references():
                 if node.asname:
                     names.add(node.asname)
     return names | attrs, attrs, owned
+
+
+def _private_definitions():
+    """(qualified name, name, is a method) of each module-level `_name` of
+    the package, a function, a class or an assignment target, and of each
+    `_method` of any class; dunder names are Python's, not the package's."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for module, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = []
+            yield from ((f"{module}.{name}", name, False) for name in names if private(name))
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and private(member.name):
+                        yield f"{module}.{node.name}.{member.name}", member.name, True
+
+
+def test_every_private_name_has_a_user():
+    used, attrs, _ = _references()
+    unused = sorted(q for q, name, method in _private_definitions() if name not in (attrs if method else used))
+    assert unused == []
+
+
+def test_the_private_rule_sees_definitions_of_each_kind():
+    kinds = {q: method for q, _, method in _private_definitions()}
+    assert kinds["duhamel._march"] is False and kinds["duhamel._LN2"] is False
+    assert kinds["duhamel._Particular"] is False and kinds["duhamel.Trajectory._state"] is True
 
 
 def _unused_definitions():

@@ -132,8 +132,8 @@ def test_sweep_norms_equal_the_differences_of_states(basis16, scale):
     # same bits, also where the squares leave float64 range (scale 1e160)
     g = bd.BoundaryData(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7], [-1.0, 0.4]]) * scale)
     rep = bd.boundary_yield_sweep(g, 1.0, basis16)
-    _, ph, lg, _ = dh._forward(SpectralVec.zero(basis16), None, np.append(1.0 - rep.eps, 1.0),
-                               bd.LiftPath(g, basis16), None)
+    traj = bd.solve_ibvp(SpectralVec.zero(basis16), None, g, np.append(1.0 - rep.eps, 1.0))
+    ph, lg = traj.phase, traj.logmag
     partials = [SpectralVec(basis16, p, l).scale_log(-e * basis16.lambdas) for p, l, e in zip(ph, lg, rep.eps)]
     diffs = [triple_norms(b - a).normH for a, b in zip(partials[:-1], partials[1:])]
     assert bits(rep.increments) == bits(diffs)

@@ -3,8 +3,9 @@
 Each reference below is the earlier form of a kernel, kept verbatim: the
 scan's chunk bounds with one search per chunk, the scan scaling every row
 of a chunk inside its loop, the join's entry mask built entry by entry,
-the norms of a (rows, 3, n_modes) stack of terms with a maximum over each
-term, and the interpolation with np.clip.  The rewritten kernels take
+the join with its shortcut for rows where no entry fits, the norms of a
+(rows, 3, n_modes) stack of terms with a maximum over each term, and the
+interpolation with np.clip.  The rewritten kernels take
 fewer passes over the same floats, so every value and every refusal must
 be the same.  The last test pins a digest of a scanned forward solve and
 everything read off it at the sizes of perfbench's forward-norms workload.
@@ -17,7 +18,7 @@ import pytest
 
 from heatfvp import boundary as bd
 from heatfvp import duhamel as dh
-from heatfvp.logspace import LOG_MAX, InvalidSpecError, _real, merge_phase
+from heatfvp.logspace import LOG_MAX, InvalidSpecError, _real, _split_owned, merge_phase
 from heatfvp.spectral import DomainSpec, SpectralVec, _stacked_norms, _weighted_norm, build_basis
 
 
@@ -68,6 +69,29 @@ def ref_linear_entries(hom, expo, w):
         with np.errstate(divide="ignore"):
             fits[low] = hom[low] < np.log(np.abs(w[low])) + dh._LOG_EPS
     return fits
+
+
+def ref_join(u0, part, pick):
+    times, expo, w = part.times, part.expo, part.w[pick]
+    hom = u0.logmag + -(times[pick] - times[0])[:, None] * u0.basis.lambdas
+    fits = dh._linear_entries(hom, expo, w)
+    if not fits.any():
+        return dh._log_join(u0.phase, hom, w, expo)
+    tail = None
+    if not fits.all():
+        rest = np.nonzero(~fits)
+        modes = rest[1]
+        tail = dh._log_join(u0.phase[modes], hom[rest], w[rest], expo[modes])
+        hom[rest] = -np.inf
+        w[rest] = 0.0
+    s = merge_phase(u0.phase, hom)
+    s += w
+    phase, logmag = _split_owned(s)
+    if tail is not None:
+        phase[rest], logmag[rest] = tail
+    if pick[0] == 0:
+        phase[0], logmag[0] = u0.phase, u0.logmag
+    return phase, logmag
 
 
 def ref_stacked_norms(basis, coeffs, logmag):
@@ -198,6 +222,41 @@ def test_linear_entries_on_each_kind_of_column():
     assert np.array_equal(got, ref_linear_entries(hom, expo, w))
     assert got[:, 1].all() and got[:, 2].all() and not got[:, 6].any()
     assert not got[0, 0] and got[1, 0]
+
+
+# -- the join --------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["linear", "mixed", "scaled", "past"])
+@pytest.mark.parametrize("seed", range(10))
+def test_join_keeps_the_bits_of_the_shortcut_join(kind, seed):
+    # rows where every entry adds in linear scale, some do, or none does:
+    # every mode scaled by the march, or every decayed state past LOG_MAX - 1
+    rng = np.random.default_rng([seed, 5])
+    n = int(rng.integers(1, 25))
+    basis = build_basis(DomainSpec("interval", (np.pi,), n))
+    times = np.sort(rng.uniform(0.0, 1e-3, int(rng.integers(2, 30))))
+    times[0] = 0.0
+    logmag = rng.uniform(-20.0, 20.0, n)
+    if kind == "past":
+        logmag = LOG_MAX + rng.uniform(0.0, 3.0, n)
+    else:
+        if kind == "mixed":
+            logmag[rng.random(n) < 0.5] = LOG_MAX + 1.0
+        logmag[rng.random(n) < 0.1] = -np.inf  # a zero mode adds in linear scale
+    phase = np.where(logmag == -np.inf, 0.0, rng.choice([-1.0, 1.0], n))
+    u0 = SpectralVec(basis, phase, logmag)
+    w = rng.standard_normal((times.size, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (times.size, n))
+    w[0] = 0.0
+    expo = rng.choice([-1000, 600], n) if kind == "scaled" else np.zeros(n, dtype=int)
+    part = dh._Particular(times, w, expo)
+    for pick in (np.arange(times.size), np.arange(1, times.size), np.array([0]), np.array([times.size - 1])):
+        got = dh._join(u0, part, pick)
+        want = ref_join(u0, part, pick)
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(a), bits(b))
+        if kind in ("scaled", "past"):
+            assert not dh._linear_entries(u0.logmag + -(times[pick] - times[0])[:, None] * basis.lambdas,
+                                          expo, w[pick]).any()
 
 
 # -- the norms -------------------------------------------------------------
